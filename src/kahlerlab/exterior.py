@@ -6,6 +6,13 @@ tolerance.  Forms are sparse maps from basis monomials dz^S ^ dzb^T (S, T
 strictly increasing index subsets of {1..n}) to scalars.  The monomials are
 declared orthonormal; the inner product is linear in the first slot and
 conjugate-linear in the second.
+
+The exterior product works on bitmasks: a monomial is the 2n-bit set of its
+1-forms in the order dz_1..dz_n, dzb_1..dzb_n, and the reorder sign of a
+product is the parity of the pairs that change places (Dorst, Fontijne and
+Mann, Geometric Algebra for Computer Science, ch. 19).  Coefficients enter
+as Gaussian-integer numerators over one shared denominator per operand, so
+no rational arithmetic happens per term pair.
 """
 
 from __future__ import annotations
@@ -13,8 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Mapping, NamedTuple, Union
+
+import numpy as np
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussRational"]
@@ -224,48 +233,6 @@ def _check_index_tuple(ix: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two increasing tuples; returns (merged, sign) or None on overlap."""
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    i = j = 0
-    inversions = 0
-    la = len(a)
-    while i < la and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif a[i] > b[j]:
-            out.append(b[j])
-            inversions += la - i
-            j += 1
-        else:
-            return None
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inversions & 1 else 1)
-
-
-@lru_cache(maxsize=None)
-def _wedge_monomials(m1: Monomial, m2: Monomial):
-    """Product monomial and sign of m1 ^ m2, or None if it vanishes."""
-    ms = _merge_indices(m1.s, m2.s)
-    if ms is None:
-        return None
-    mt = _merge_indices(m1.t, m2.t)
-    if mt is None:
-        return None
-    # moving dz^{S2} (len p2) across dzb^{T1} (len q1) costs q1*p2 swaps
-    sign = ms[1] * mt[1]
-    if (len(m1.t) * len(m2.s)) & 1:
-        sign = -sign
-    return Monomial(ms[0], mt[0]), sign
-
-
-@lru_cache(maxsize=None)
 def _conjugate_monomial(m: Monomial) -> tuple[Monomial, int]:
     p, q = m.bidegree
     sign = -1 if (p * q) & 1 else 1
@@ -422,26 +389,16 @@ class Form:
 
     def wedge(self, other: "Form") -> "Form":
         self._require_same_space(other)
-        out: dict[Monomial, GaussRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = _wedge_monomials(m1, m2)
-                if hit is None:
-                    continue
-                mono, sign = hit
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = c
-                else:
-                    acc = acc + c
-                    if acc.is_zero():
-                        del out[mono]
-                    else:
-                        out[mono] = acc
-        return Form._trusted(self.n, out)
+        n = self.n
+        den_a, parts_a = _packed(self)
+        den_b, parts_b = _packed(other)
+        pieces = [
+            _part_product(n, da, pa, db, pb)
+            for da, pa in parts_a.items()
+            for db, pb in parts_b.items()
+            if da + db <= 2 * n
+        ]
+        return _unpacked(n, pieces, den_a * den_b)
 
     def conjugate(self) -> "Form":
         out: dict[Monomial, GaussRational] = {}
@@ -490,9 +447,13 @@ def inner(a: Form, b: Form) -> GaussRational:
 
 def norm_sq(a: Form) -> Fraction:
     """Exact squared norm, a nonnegative rational."""
-    total = Fraction(0)
-    for coeff in a.terms.values():
-        total += coeff.abs_sq()
+    # sum x^2 + y^2 per denominator, then divide once per denominator
+    sums: dict[int, int] = {}
+    for c in a.terms.values():
+        sums[c._d] = sums.get(c._d, 0) + c._x * c._x + c._y * c._y
+    total = Fraction(sums.pop(1, 0))
+    for d, s in sums.items():
+        total += Fraction(s, d * d)
     return total
 
 
@@ -531,3 +492,222 @@ def _bidegree_basis(n: int, p: int, q: int) -> tuple[Monomial, ...]:
             for t in combinations(range(1, n + 1), q)
         )
     )
+
+
+# ---- compiled exterior product ---------------------------------------------
+
+# A product of homogeneous parts with at most this many term pairs loops over
+# them in Python; above it, and once the operands fill at least 1/_DENSE_FILL
+# of the compiled table, the table is evaluated with numpy.
+_SPARSE_PAIRS = 64
+_DENSE_FILL = 16
+_INT64_LIMIT = 2 ** 63
+
+
+class _Masks(dict):
+    """Bitmask and suffix parities of each monomial at dimension n.
+
+    Bit a-1 stands for dz_a and bit n+a-1 for dzb_a.  Bit y of the suffix
+    parity mask is the parity of the bits of the monomial above y, so
+    mu ^ nu reorders with sign (-1)^popcount(parities(mu) & mask(nu)).
+    Entries are filled on first use; `monomials` is the inverse map.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.monomials = _Monomials(self)
+
+    def __missing__(self, mono: Monomial) -> tuple[int, int]:
+        mask = 0
+        for a in mono.s:
+            mask |= 1 << (a - 1)
+        for a in mono.t:
+            mask |= 1 << (self.n + a - 1)
+        parities = 0
+        rest = mask >> 1
+        while rest:
+            parities ^= rest
+            rest >>= 1
+        self[mono] = (mask, parities)
+        self.monomials[mask] = mono
+        return mask, parities
+
+
+class _Monomials(dict):
+    def __init__(self, masks: _Masks):
+        super().__init__()
+        self.masks = masks
+
+    def __missing__(self, mask: int) -> Monomial:
+        n = self.masks.n
+        mono = Monomial(
+            tuple(a for a in range(1, n + 1) if mask >> (a - 1) & 1),
+            tuple(a for a in range(1, n + 1) if mask >> (n + a - 1) & 1),
+        )
+        self.masks[mono]  # records both directions
+        return mono
+
+
+@lru_cache(maxsize=None)
+def _masks(n: int) -> _Masks:
+    return _Masks(n)
+
+
+class _WedgeTable(NamedTuple):
+    """Nonvanishing products of degree-da by degree-db basis monomials.
+
+    Pairs are sorted by output; indices are ranks in `monomial_basis`.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    sign: np.ndarray
+    starts: np.ndarray  # first pair of each output
+    outputs: np.ndarray  # rank of each output in degree da + db
+
+
+@lru_cache(maxsize=None)
+def _basis_bits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    masks = _masks(n)
+    bits = [masks[mono] for mono in monomial_basis(n, k)]
+    dtype = np.int64 if 2 * n < 63 else object  # wider masks stay Python ints
+    return (
+        np.array([m for m, _ in bits], dtype=dtype),
+        np.array([p for _, p in bits], dtype=dtype),
+    )
+
+
+@lru_cache(maxsize=None)
+def _basis_rank(n: int, k: int) -> dict[Monomial, int]:
+    return {mono: i for i, mono in enumerate(monomial_basis(n, k))}
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, da: int, db: int) -> _WedgeTable:
+    mask_a, par_a = _basis_bits(n, da)
+    mask_b, _ = _basis_bits(n, db)
+    mask_c, _ = _basis_bits(n, da + db)
+    left, right = np.nonzero((mask_a[:, None] & mask_b[None, :]) == 0)
+    order_c = np.argsort(mask_c)
+    out = order_c[np.searchsorted(mask_c, mask_a[left] | mask_b[right], sorter=order_c)]
+    odd = par_a[left] & mask_b[right]
+    shift = 1
+    while shift < 2 * n:
+        odd ^= odd >> shift
+        shift *= 2
+    sign = 1 - 2 * (odd & 1)
+    by_out = np.argsort(out, kind="stable")
+    left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
+    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
+    return _WedgeTable(left, right, sign, starts, out[starts])
+
+
+def _packed(a: Form) -> tuple[int, dict[int, tuple[list, list, list]]]:
+    """Shared denominator of a, and per degree its monomials and numerators."""
+    coeffs = a.terms.values()
+    den = 1
+    for c in coeffs:
+        if c._d != 1:
+            den = den * c._d // gcd(den, c._d)
+    if den == 1:
+        xs = [c._x for c in coeffs]
+        ys = [c._y for c in coeffs]
+    else:
+        xs = [c._x * (den // c._d) for c in coeffs]
+        ys = [c._y * (den // c._d) for c in coeffs]
+    monos = list(a.terms)
+    degrees = [len(m.s) + len(m.t) for m in monos]
+    if not monos or degrees.count(degrees[0]) == len(degrees):
+        return den, ({degrees[0]: (monos, xs, ys)} if monos else {})
+    parts: dict[int, tuple[list, list, list]] = {}
+    for k, mono, x, y in zip(degrees, monos, xs, ys):
+        part = parts.get(k)
+        if part is None:
+            part = parts[k] = ([], [], [])
+        part[0].append(mono)
+        part[1].append(x)
+        part[2].append(y)
+    return den, parts
+
+
+def _part_product(n: int, da: int, a: tuple, db: int, b: tuple):
+    """Numerators of (degree-da part) ^ (degree-db part), as parallel lists."""
+    pairs = len(a[0]) * len(b[0])
+    table_pairs = comb(2 * n, da) * comb(2 * n - da, db)
+    if pairs <= _SPARSE_PAIRS or table_pairs > _DENSE_FILL * pairs:
+        return _sparse_product(n, a, b)
+    return _dense_product(n, da, a, db, b)
+
+
+def _sparse_product(n: int, a: tuple, b: tuple):
+    masks = _masks(n)
+    masks_b = [masks[mono][0] for mono in b[0]]
+    acc: dict[int, list[int]] = {}
+    for mono, xa, ya in zip(*a):
+        mask_a, par_a = masks[mono]
+        for mask_b, xb, yb in zip(masks_b, b[1], b[2]):
+            if mask_a & mask_b:
+                continue
+            x = xa * xb - ya * yb
+            y = xa * yb + ya * xb
+            if (par_a & mask_b).bit_count() & 1:
+                x, y = -x, -y
+            key = mask_a | mask_b
+            hit = acc.get(key)
+            if hit is None:
+                acc[key] = [x, y]
+            else:
+                hit[0] += x
+                hit[1] += y
+    monos = [masks.monomials[key] for key in acc]
+    return monos, [v[0] for v in acc.values()], [v[1] for v in acc.values()]
+
+
+def _dense_product(n: int, da: int, a: tuple, db: int, b: tuple):
+    table = _wedge_table(n, da, db)
+    bound_a = max(max(map(abs, a[1])), max(map(abs, a[2])))
+    bound_b = max(max(map(abs, b[1])), max(map(abs, b[2])))
+    # each output collects at most one pair per term of either factor
+    fits = 2 * bound_a * bound_b * min(len(a[0]), len(b[0])) < _INT64_LIMIT
+    dtype = np.int64 if fits else object
+    va = _dense_vector(n, da, a, dtype).take(table.left, axis=1)
+    vb = _dense_vector(n, db, b, dtype).take(table.right, axis=1) * table.sign
+    re = np.add.reduceat(va[0] * vb[0] - va[1] * vb[1], table.starts)
+    im = np.add.reduceat(va[0] * vb[1] + va[1] * vb[0], table.starts)
+    keep = np.flatnonzero((re != 0) | (im != 0))
+    basis = monomial_basis(n, da + db)
+    monos = [basis[i] for i in table.outputs[keep].tolist()]
+    return monos, re[keep].tolist(), im[keep].tolist()
+
+
+def _dense_vector(n: int, k: int, part: tuple, dtype) -> np.ndarray:
+    rank = _basis_rank(n, k)
+    vec = np.zeros((2, comb(2 * n, k)), dtype=dtype)
+    index = [rank[mono] for mono in part[0]]
+    vec[0, index] = part[1]
+    vec[1, index] = part[2]
+    return vec
+
+
+def _unpacked(n: int, pieces: list, den: int) -> Form:
+    """Form of summed (monomials, re, im) numerator pieces over den."""
+    if len(pieces) == 1:
+        items = zip(*pieces[0])
+    else:
+        acc: dict[Monomial, list[int]] = {}
+        for monos, xs, ys in pieces:
+            for mono, x, y in zip(monos, xs, ys):
+                hit = acc.get(mono)
+                if hit is None:
+                    acc[mono] = [x, y]
+                else:
+                    hit[0] += x
+                    hit[1] += y
+        items = ((mono, x, y) for mono, (x, y) in acc.items())
+    terms: dict[Monomial, GaussRational] = {}
+    make = GaussRational._raw if den == 1 else GaussRational._norm
+    for mono, x, y in items:
+        if x or y:
+            terms[mono] = make(x, y, den)
+    return Form._trusted(n, terms)

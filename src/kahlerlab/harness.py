@@ -139,11 +139,6 @@ class SuiteReport:
         return json.dumps(self.to_dict(include_timing), indent=2)
 
 
-def _coeff(rng: np.random.Generator, bound: int) -> GaussRational:
-    re, im = rng.integers(-bound, bound + 1, size=2)
-    return GaussRational(int(re), int(im))
-
-
 def random_form(n: int, p: int, q: int, rspec: RandomSpec, trial: int = 0) -> Form:
     """Random (p,q)-form with independent Gaussian-integer coefficients."""
     if not (0 <= p <= n and 0 <= q <= n):
@@ -160,27 +155,31 @@ def simple_random_form(n: int, k: int, rspec: RandomSpec, trial: int = 0) -> For
     return _draw_simple(rng, n, k, rspec.coeff_bound)
 
 
-def _draw_bidegree(rng, n: int, p: int, q: int, bound: int) -> Form:
+def _drawn(rng, n: int, basis, bound: int) -> Form:
+    """Gaussian-integer coefficients for every monomial of basis, in order.
+
+    One batched draw of (re, im) pairs; PCG64 hands out the same stream as a
+    draw of size 2 per monomial.
+    """
+    values = iter(rng.integers(-bound, bound + 1, size=2 * len(basis)).tolist())
     terms = {}
-    for mono in bidegree_basis(n, p, q):
-        c = _coeff(rng, bound)
-        if c:
-            terms[mono] = c
-    return Form(n, terms)
+    for mono, re, im in zip(basis, values, values):
+        if re or im:
+            terms[mono] = GaussRational._raw(re, im, 1)
+    return Form._trusted(n, terms)
+
+
+def _draw_bidegree(rng, n: int, p: int, q: int, bound: int) -> Form:
+    return _drawn(rng, n, bidegree_basis(n, p, q), bound)
 
 
 def _draw_degree(rng, n: int, k: int, bound: int) -> Form:
-    terms = {}
-    for mono in monomial_basis(n, k):
-        c = _coeff(rng, bound)
-        if c:
-            terms[mono] = c
-    return Form(n, terms)
+    return _drawn(rng, n, monomial_basis(n, k), bound)
 
 
 def _draw_simple(rng, n: int, k: int, bound: int) -> Form:
     if k == 0:
-        return Form.scalar(n, _coeff(rng, bound))
+        return _drawn(rng, n, monomial_basis(n, 0), bound)
     out = Form.one(n)
     for _ in range(k):
         out = out.wedge(_draw_degree(rng, n, 1, bound))
@@ -191,16 +190,20 @@ def _draw_primitive(rng, n: int, k: int, bound: int) -> Form:
     return primitive_projection(_draw_degree(rng, n, k, bound))
 
 
-def _render(value) -> str:
-    if isinstance(value, Form):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
+class _Inputs:
+    """Named input forms of a check, rendered only when the check fails."""
+
+    __slots__ = ("forms",)
+
+    def __init__(self, forms: dict[str, Form]):
+        self.forms = forms
+
+    def __str__(self) -> str:
+        return "; ".join(f"{name} = {form}" for name, form in self.forms.items())
 
 
-def _inputs(**forms: Form) -> str:
-    return "; ".join(f"{name} = {form}" for name, form in forms.items())
+def _inputs(**forms: Form) -> _Inputs:
+    return _Inputs(forms)
 
 
 class _Recorder:
@@ -209,22 +212,22 @@ class _Recorder:
     def __init__(self):
         self.failures: list[FailureRecord] = []
 
-    def equal(self, identity: str, trial: int, inputs: str, lhs, rhs) -> None:
+    def equal(self, identity: str, trial: int, inputs, lhs, rhs) -> None:
         if lhs != rhs:
             self.failures.append(
-                FailureRecord(identity, trial, inputs, _render(lhs), _render(rhs))
+                FailureRecord(identity, trial, str(inputs), str(lhs), str(rhs))
             )
 
-    def less_equal(self, identity: str, trial: int, inputs: str, lhs, rhs) -> None:
+    def less_equal(self, identity: str, trial: int, inputs, lhs, rhs) -> None:
         if not lhs <= rhs:
             self.failures.append(
-                FailureRecord(identity, trial, inputs, _render(lhs), _render(rhs))
+                FailureRecord(identity, trial, str(inputs), str(lhs), str(rhs))
             )
 
-    def true(self, identity: str, trial: int, inputs: str, condition: bool) -> None:
+    def true(self, identity: str, trial: int, inputs, condition: bool) -> None:
         if not condition:
             self.failures.append(
-                FailureRecord(identity, trial, inputs, "false", "true")
+                FailureRecord(identity, trial, str(inputs), "false", "true")
             )
 
 

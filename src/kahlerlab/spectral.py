@@ -217,8 +217,8 @@ def _ldlt_solve_ld(d, l, rhs):
 
 def _inverse_iteration(
     diag: np.ndarray, off: np.ndarray, lo: float, hi: float
-) -> tuple[float, float]:
-    """Rayleigh-refined eigenvalue and residual from a converged bracket.
+) -> tuple[float, float, np.ndarray]:
+    """Rayleigh-refined eigenvalue, residual and vector from a converged bracket.
 
     A float64 pass gets the eigenvector direction cheaply; the final sweeps,
     the Rayleigh quotient, and the residual run in extended precision.  A
@@ -241,6 +241,8 @@ def _inverse_iteration(
             break
         except np.linalg.LinAlgError:
             delta *= 100.0
+    else:
+        raise np.linalg.LinAlgError("inverse iteration could not solve the shifted system")
     d_ld = diag.astype(np.longdouble)
     e_ld = off.astype(np.longdouble)
     v_ld = v.astype(np.longdouble)
@@ -256,11 +258,20 @@ def _inverse_iteration(
     for _ in range(2):
         v_ld = _ldlt_solve_ld(dfac, lfac, v_ld)
         v_ld = v_ld / np.sqrt(np.dot(v_ld, v_ld))
+    return (*_rayleigh_residual(d_ld, e_ld, v_ld), v_ld)
+
+
+def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
+    """lam and the residual norm |T v - lam v| / |v|, in extended precision.
+
+    lam defaults to the Rayleigh quotient of v.
+    """
     w = _tridiagonal_matvec_ld(d_ld, e_ld, v_ld)
     vv = np.dot(v_ld, v_ld)
-    rho = np.dot(v_ld, w) / vv
-    resid = np.sqrt(np.dot(w - rho * v_ld, w - rho * v_ld) / vv)
-    return float(rho), float(resid)
+    if lam is None:
+        lam = np.dot(v_ld, w) / vv
+    resid = np.sqrt(np.dot(w - lam * v_ld, w - lam * v_ld) / vv)
+    return float(lam), float(resid)
 
 
 @dataclass(frozen=True)
@@ -293,10 +304,14 @@ def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResu
     """Assemble, bisect, refine; the result carries the model normalization."""
     diag, off = assemble_tridiagonal(model, radius, cells)
     bis = smallest_eigenvalue_detailed(diag, off)
-    lam, resid = _inverse_iteration(diag, off, bis.lo, bis.hi)
+    lam, resid, vec = _inverse_iteration(diag, off, bis.lo, bis.hi)
     if abs(lam - bis.value) > 1e6 * _BISECT_TOL * max(1.0, abs(bis.value)):
-        # refinement wandered to a different eigenvalue; keep the certified one
-        lam = bis.value
+        # refinement wandered to a different eigenvalue; keep the certified
+        # one and report the residual of the value returned
+        lam, resid = _rayleigh_residual(
+            diag.astype(np.longdouble), off.astype(np.longdouble), vec,
+            np.longdouble(bis.value),
+        )
     return EigenResult(
         model=model,
         radius=radius,

@@ -5,6 +5,7 @@ monomial as a word of 1-form symbols and counts inversions of the full
 concatenation sort.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -280,3 +281,140 @@ def test_homogeneous_parts_and_degrees():
     parts = a.homogeneous_parts()
     assert set(parts) == {0, 2}
     assert parts[0] + parts[2] == a
+
+
+# ---- compiled wedge against a reference product --------------------------
+
+
+def _merge_sort(word):
+    """Sorted copy of word and the number of inversions merge sort removes."""
+    if len(word) <= 1:
+        return list(word), 0
+    left, inv_left = _merge_sort(word[: len(word) // 2])
+    right, inv_right = _merge_sort(word[len(word) // 2:])
+    out, inversions, i, j = [], inv_left + inv_right, 0, 0
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            out.append(left[i])
+            i += 1
+        else:
+            out.append(right[j])
+            j += 1
+            inversions += len(left) - i
+    return out + left[i:] + right[j:], inversions
+
+
+def _reference_wedge(a: Form, b: Form) -> Form:
+    """a ^ b term pair by term pair, with Fraction components throughout."""
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            word = _symbols(m1) + _symbols(m2)
+            if len(set(word)) < len(word):
+                continue
+            ordered, inversions = _merge_sort(word)
+            mono = Monomial(
+                tuple(x for side, x in ordered if side == 0),
+                tuple(x for side, x in ordered if side == 1),
+            )
+            sign = -1 if inversions % 2 else 1
+            re = sign * (c1.re * c2.re - c1.im * c2.im)
+            im = sign * (c1.re * c2.im + c1.im * c2.re)
+            old_re, old_im = acc.get(mono, (0, 0))
+            acc[mono] = (old_re + re, old_im + im)
+    return Form(a.n, {m: GaussRational(re, im) for m, (re, im) in acc.items()})
+
+
+def _drawn_form(rnd, n, degrees, bound=3, dens=(1,)) -> Form:
+    terms = {}
+    for k in degrees:
+        for mono in monomial_basis(n, k):
+            terms[mono] = GaussRational(
+                Fraction(rnd.randint(-bound, bound), rnd.choice(dens)),
+                Fraction(rnd.randint(-bound, bound), rnd.choice(dens)),
+            )
+    return Form(n, terms)
+
+
+def _assert_matches_reference(a: Form, b: Form) -> None:
+    got, want = a.wedge(b), _reference_wedge(a, b)
+    assert got == want
+    assert str(got) == str(want)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of the dense (numpy) and sparse (term loop) evaluations."""
+    from kahlerlab import exterior
+
+    counts = {"dense": 0, "sparse": 0}
+    for kind in counts:
+        original = getattr(exterior, f"_{kind}_product")
+
+        def counted(*args, _kind=kind, _original=original):
+            counts[_kind] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(exterior, f"_{kind}_product", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compiled_wedge_matches_reference_for_every_degree_pair(n, evaluations):
+    rnd = random.Random(1000 + n)
+    for da in range(2 * n + 1):
+        for db in range(2 * n + 1):
+            a = _drawn_form(rnd, n, [da])
+            b = _drawn_form(rnd, n, [db])
+            _assert_matches_reference(a, b)
+            single = Form(n, {rnd.choice(monomial_basis(n, da)): GaussRational(2, -1)})
+            _assert_matches_reference(single, b)
+            _assert_matches_reference(b, single)
+            _assert_matches_reference(Form.zero(n), b)
+            _assert_matches_reference(a, Form.zero(n))
+    assert evaluations["sparse"] > 0
+    if n >= 3:  # below that every product is small enough for the term loop
+        assert evaluations["dense"] > 0
+
+
+def test_compiled_wedge_matches_reference_on_a_sample_at_n5(evaluations):
+    rnd = random.Random(5)
+    for da, db in ((1, 1), (2, 3), (5, 5), (1, 8), (4, 2), (0, 6)):
+        _assert_matches_reference(_drawn_form(rnd, 5, [da]), _drawn_form(rnd, 5, [db]))
+    single = Form.monomial(5, (1, 4), (2,), GaussRational(Fraction(1, 2), 3))
+    _assert_matches_reference(single, _drawn_form(rnd, 5, [4]))
+    assert evaluations["dense"] > 0 and evaluations["sparse"] > 0
+
+
+def test_compiled_wedge_matches_reference_on_mixed_degree_and_rational_operands():
+    rnd = random.Random(17)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            a = _drawn_form(rnd, n, [0, 1, 3], dens=(1, 2, 3, 5))
+            b = _drawn_form(rnd, n, [1, 2, 2 * n - 1], dens=(1, 4, 9))
+            _assert_matches_reference(a, b)
+            _assert_matches_reference(b, a)
+            _assert_matches_reference(a, a)
+
+
+def test_compiled_wedge_falls_back_to_python_ints_beyond_the_certificate(evaluations):
+    rnd = random.Random(31)
+    bound = 2 ** 31 - 1
+    a = _drawn_form(rnd, 4, [2], bound=bound)
+    b = _drawn_form(rnd, 4, [3], bound=bound, dens=(1, 3))
+    product = a.wedge(b)
+    assert evaluations["dense"] == 1
+    # int64 numerators would have wrapped on this product
+    scale = 3 * 3
+    assert max(
+        max(abs(c.re * scale), abs(c.im * scale)) for c in product.terms.values()
+    ) >= 2 ** 63
+    _assert_matches_reference(a, b)
+
+
+def test_compiled_wedge_matches_reference_beyond_64_bit_masks(evaluations):
+    n = 32  # 2n = 64 bits per monomial
+    a = Form(n, {Monomial((i,), ()): GaussRational(i, 1) for i in range(1, n + 1)})
+    a = a + Form(n, {Monomial((), (i,)): GaussRational(1, -i) for i in range(1, n + 1)})
+    _assert_matches_reference(a, a.conjugate())
+    assert evaluations["dense"] == 1

@@ -7,11 +7,15 @@ inspected end to end.
 
 import json
 
+import numpy as np
 import pytest
 
-from kahlerlab.exterior import Form, GaussRational, norm_sq
+from kahlerlab.exterior import Form, GaussRational, bidegree_basis, monomial_basis, norm_sq
 from kahlerlab.harness import (
     SUITES,
+    _draw_bidegree,
+    _draw_degree,
+    _draw_simple,
     FailureRecord,
     RandomSpec,
     SuiteReport,
@@ -25,7 +29,7 @@ from kahlerlab.harness import (
     run_suite,
     simple_random_form,
 )
-from kahlerlab.kaehler import hodge_star
+from kahlerlab.kaehler import hodge_star, primitive_basis
 
 
 def test_suite_names_are_stable():
@@ -185,3 +189,56 @@ def test_drawn_primitive_forms_are_nontrivial_often_enough():
         nonzero += not a.is_zero()
         assert norm_sq(a) >= 0
     assert nonzero >= 15
+
+
+def _reference_draw(rng, n, basis, bound):
+    """One rng.integers call of size 2 per coefficient."""
+    terms = {}
+    for mono in basis:
+        re, im = rng.integers(-bound, bound + 1, size=2)
+        terms[mono] = GaussRational(int(re), int(im))
+    return Form(n, terms)
+
+
+def _reference_simple(rng, n, k, bound):
+    if k == 0:
+        return _reference_draw(rng, n, monomial_basis(n, 0), bound)
+    out = Form.one(n)
+    for _ in range(k):
+        out = out.wedge(_reference_draw(rng, n, monomial_basis(n, 1), bound))
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 3, 7])
+def test_batched_draws_match_per_coefficient_draws(bound):
+    def pair(seed):
+        return (np.random.Generator(np.random.PCG64(seed)),
+                np.random.Generator(np.random.PCG64(seed)))
+
+    for seed in (0, 7, 42, 2 ** 40 + 3):
+        for n in (1, 2, 3):
+            for k in range(2 * n + 1):
+                fast, slow = pair(seed)
+                assert _draw_degree(fast, n, k, bound) == _reference_draw(
+                    slow, n, monomial_basis(n, k), bound)
+                assert _draw_simple(fast, n, k, bound) == _reference_simple(slow, n, k, bound)
+                assert fast.integers(0, 2 ** 62) == slow.integers(0, 2 ** 62)
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    fast, slow = pair(seed)
+                    assert _draw_bidegree(fast, n, p, q, bound) == _reference_draw(
+                        slow, n, bidegree_basis(n, p, q), bound)
+                    assert fast.integers(0, 2 ** 62) == slow.integers(0, 2 ** 62)
+
+
+def test_failure_records_render_the_inputs_of_the_failing_check():
+    def flipped(a: Form) -> Form:
+        return hodge_star(a) * GaussRational(-1)
+
+    report = check_star_primitive(2, 10, RandomSpec(seed=42), star_fn=flipped)
+    assert len(report.failures) == 16
+    for record in report.failures:
+        # star-of-power[k=K,r=R]; the trial is the index in the primitive basis
+        assert record.identity.startswith("star-of-power[k=")
+        k = int(record.identity.split("k=")[1].split(",")[0])
+        assert record.inputs == f"a = {primitive_basis(2, k)[record.trial]}"

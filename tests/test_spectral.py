@@ -194,3 +194,40 @@ def test_grid_refinement_is_second_order():
     lam_h4 = lambda0_estimate(model, radius, 1000).lambda_min
     order = math.log2((lam_h - lam_h2) / (lam_h2 - lam_h4))
     assert 1.8 <= order <= 2.2
+
+
+def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
+    from kahlerlab import spectral
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(spectral, "solve_banded", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        lambda0_estimate(RealHyperbolic(2), 10.0, 200)
+
+
+def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkeypatch):
+    from kahlerlab import spectral
+
+    model, radius, cells = RealHyperbolic(2), 10.0, 200
+    diag, off = assemble_tridiagonal(model, radius, cells)
+    bis = smallest_eigenvalue_detailed(diag, off)
+    seen = {}
+    original = spectral._inverse_iteration
+
+    def wandered(*args):
+        lam, resid, vec = original(*args)
+        seen.update(resid=resid, vec=vec)
+        return lam + 1.0, resid, vec
+
+    monkeypatch.setattr(spectral, "_inverse_iteration", wandered)
+    result = lambda0_estimate(model, radius, cells)
+    assert result.lambda_min == bis.value
+    vec = seen["vec"].astype(float)
+    t_vec = diag * vec
+    t_vec[:-1] += off * vec[1:]
+    t_vec[1:] += off * vec[:-1]
+    expected = np.linalg.norm(t_vec - bis.value * vec) / np.linalg.norm(vec)
+    assert result.residual == pytest.approx(expected, rel=1e-6)
+    assert result.residual != seen["resid"]
