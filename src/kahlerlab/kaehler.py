@@ -9,6 +9,11 @@ relation  a ^ *conj(b) = <a,b> dV,  never from the structure identities it
 is later tested against.  The dual Lefschetz operator is built twice, as
 the matrix adjoint of the Lefschetz operator and as star^-1 o L o star;
 the two matrices are compared entry-exactly at construction time.
+
+The dual Lefschetz operator, the Lefschetz decomposition and the primitive
+projector are fixed linear maps on each degree.  Each is compiled once per
+(n, k) into a sparse table of Gaussian-integer numerators over one
+denominator, and `_apply` evaluates any of them on a form.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Callable, Mapping
+from math import comb, factorial, gcd, lcm
+from typing import Callable, Mapping, NamedTuple
 
 from . import rational_linalg as rl
 from .exterior import (
@@ -26,6 +31,8 @@ from .exterior import (
     Monomial,
     ONE,
     ZERO,
+    _packed,
+    _unpacked,
     bidegree_basis,
     inner,
     monomial_basis,
@@ -125,11 +132,62 @@ def weil_operator(a: Form) -> Form:
     return Form._trusted(a.n, terms)
 
 
+# ---- compiled fixed operators ----------------------------------------------
+
+
+class _Table(NamedTuple):
+    """A fixed linear map on degree-k forms, over one denominator.
+
+    rows[mu] lists (nu, x, y): the image of the monomial mu is the sum of
+    (x + iy)/den * nu, with Gaussian-integer numerators x + iy.
+    """
+
+    den: int
+    rows: Mapping[Monomial, tuple[tuple[Monomial, int, int], ...]]
+
+
+def _compiled(columns: Mapping[Monomial, Mapping[Monomial, GaussRational]]) -> _Table:
+    """Table of the map sending each key mu to sum columns[mu][nu] * nu."""
+    den = lcm(1, *(c._d for col in columns.values() for c in col.values()))
+    return _Table(den, {
+        mu: tuple((nu, c._x * (den // c._d), c._y * (den // c._d))
+                  for nu, c in col.items())
+        for mu, col in columns.items()
+    })
+
+
+def _apply(table_of: Callable[[int, int], _Table], a: Form) -> Form:
+    """Image of a under the operator compiled by table_of(n, k) per degree k."""
+    n = a.n
+    den_a, parts = _packed(a)
+    tables = {k: table_of(n, k) for k in parts}
+    den = lcm(1, *(t.den for t in tables.values()))
+    pieces = []
+    for k, (monos, xs, ys) in parts.items():
+        rows = tables[k].rows
+        acc: dict[Monomial, list[int]] = {}
+        for mono, xa, ya in zip(monos, xs, ys):
+            for nu, xt, yt in rows[mono]:
+                x = xa * xt - ya * yt
+                y = xa * yt + ya * xt
+                hit = acc.get(nu)
+                if hit is None:
+                    acc[nu] = [x, y]
+                else:
+                    hit[0] += x
+                    hit[1] += y
+        scale = den // tables[k].den
+        pieces.append((
+            list(acc),
+            [v[0] * scale for v in acc.values()],
+            [v[1] * scale for v in acc.values()],
+        ))
+    return _unpacked(n, pieces, den_a * den)
+
+
 @lru_cache(maxsize=None)
-def _dual_lefschetz_map(
-    n: int, k: int
-) -> Mapping[Monomial, tuple[tuple[Monomial, GaussRational], ...]]:
-    """Sparse action of the dual Lefschetz operator on degree-k monomials.
+def _dual_lefschetz_table(n: int, k: int) -> _Table:
+    """The dual Lefschetz operator on degree-k monomials.
 
     Built as the conjugate-transpose of the Lefschetz matrix and verified
     entry-exactly against star^-1 o L o star before being cached.
@@ -150,30 +208,12 @@ def _dual_lefschetz_map(
                 "dual Lefschetz mismatch between adjoint and star routes "
                 f"at n={n}, monomial {mu.label()}"
             )
-    return {mu: tuple(col.items()) for mu, col in adjoint.items()}
+    return _compiled(adjoint)
 
 
 def dual_lefschetz(a: Form) -> Form:
     """Adjoint of the Lefschetz operator (degree -2)."""
-    terms: dict[Monomial, GaussRational] = {}
-    by_degree: dict[int, list[tuple[Monomial, GaussRational]]] = {}
-    for mono, coeff in a.terms.items():
-        by_degree.setdefault(mono.degree, []).append((mono, coeff))
-    for k, items in by_degree.items():
-        table = _dual_lefschetz_map(a.n, k)
-        for mono, coeff in items:
-            for nu, w in table[mono]:
-                v = coeff * w
-                acc = terms.get(nu)
-                if acc is None:
-                    terms[nu] = v
-                else:
-                    acc = acc + v
-                    if acc.is_zero():
-                        del terms[nu]
-                    else:
-                        terms[nu] = acc
-    return Form._trusted(a.n, terms)
+    return _apply(_dual_lefschetz_table, a)
 
 
 def hr_pairing(a: Form, b: Form) -> GaussRational:
@@ -204,22 +244,12 @@ def is_primitive(a: Form) -> bool:
 
 def _integerized(vec: list[GaussRational]) -> list[GaussRational]:
     """Scale a rational vector to a primitive Gaussian-integer vector."""
-    from math import gcd, lcm
-
-    dens = [c.re.denominator for c in vec if c] + [c.im.denominator for c in vec if c]
-    if not dens:
+    den = lcm(1, *(c._d for c in vec if c))
+    nums = [(c._x * (den // c._d), c._y * (den // c._d)) for c in vec]
+    g = gcd(*(v for xy in nums for v in xy))
+    if g == 0:
         return vec
-    scale = lcm(*dens) if len(dens) > 1 else dens[0]
-    scaled = [c * scale for c in vec]
-    nums = []
-    for c in scaled:
-        nums.extend((abs(c.re.numerator), abs(c.im.numerator)))
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    if g > 1:
-        scaled = [c / g for c in scaled]
-    return scaled
+    return [GaussRational._raw(x // g, y // g, 1) for x, y in nums]
 
 
 @lru_cache(maxsize=None)
@@ -227,14 +257,14 @@ def _primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
     cols = bidegree_basis(n, p, q)
     if not cols:
         return ()
-    rows = bidegree_basis(n, p - 1, q - 1)
-    table = _dual_lefschetz_map(n, p + q)
-    matrix = [[ZERO] * len(cols) for _ in rows]
-    row_index = {mono: i for i, mono in enumerate(rows)}
+    table = _dual_lefschetz_table(n, p + q)
+    matrix: dict[Monomial, dict[int, GaussRational]] = {
+        mono: {} for mono in bidegree_basis(n, p - 1, q - 1)
+    }
     for j, mono in enumerate(cols):
-        for nu, w in table[mono]:
-            matrix[row_index[nu]][j] = w
-    kernel = rl.nullspace(matrix, cols=len(cols))
+        for nu, x, y in table.rows[mono]:
+            matrix[nu][j] = GaussRational._norm(x, y, table.den)
+    kernel = rl.nullspace(list(matrix.values()), cols=len(cols))
     forms = []
     for vec in kernel:
         vec = _integerized(vec)
@@ -281,30 +311,49 @@ class PrimitiveDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _decomposition_data(n: int, k: int):
-    """Column blocks L^r P^(k-2r) and the exact inverse of their matrix."""
+def _decomposition_table(n: int, k: int) -> _Table:
+    """The maps a -> a_r of the Lefschetz decomposition, side by side.
+
+    With M the matrix whose columns are L^r b over the primitive bases b of
+    degree k - 2r, a_r = B_r (M^-1 a) restricted to block r; the degree of
+    an output monomial, k - 2r, tells which part it belongs to.
+    """
     basis_k = monomial_basis(n, k)
     index = {mono: i for i, mono in enumerate(basis_k)}
-    blocks: list[tuple[int, tuple[Form, ...]]] = []
-    columns: list[list[GaussRational]] = []
+    prims: list[Form] = []
+    matrix: list[dict[int, GaussRational]] = [{} for _ in basis_k]
     for r in range(max(0, k - n), k // 2 + 1):
-        prim = primitive_basis(n, k - 2 * r)
-        if not prim:
-            continue
-        blocks.append((r, prim))
-        for b in prim:
-            image = lefschetz_power(b, r)
-            col = [ZERO] * len(basis_k)
-            for mono, c in image.terms.items():
-                col[index[mono]] = c
-            columns.append(col)
-    if len(columns) != len(basis_k):
+        for b in primitive_basis(n, k - 2 * r):
+            j = len(prims)
+            prims.append(b)
+            for mono, c in lefschetz_power(b, r).terms.items():
+                matrix[index[mono]][j] = c
+    if len(prims) != len(basis_k):
         raise RuntimeError(
             f"Lefschetz blocks span defect at n={n}, k={k}: "
-            f"{len(columns)} columns for dimension {len(basis_k)}"
+            f"{len(prims)} columns for dimension {len(basis_k)}"
         )
-    matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(basis_k))]
-    return basis_k, blocks, rl.invert(matrix)
+    columns: dict[Monomial, dict[Monomial, GaussRational]] = {
+        mono: {} for mono in basis_k
+    }
+    for b, inv_row in zip(prims, rl.invert(matrix)):
+        for i, v in inv_row.items():
+            _accumulate(columns[basis_k[i]], b.terms, v)
+    return _compiled(columns)
+
+
+def _accumulate(
+    col: dict[Monomial, GaussRational],
+    terms: Mapping[Monomial, GaussRational],
+    v: GaussRational,
+) -> None:
+    """col += v * terms, dropping coefficients that cancel."""
+    for mu, c in terms.items():
+        acc = col.get(mu, ZERO) + v * c
+        if acc:
+            col[mu] = acc
+        else:
+            col.pop(mu, None)
 
 
 def primitive_decompose(a: Form) -> PrimitiveDecomposition:
@@ -317,20 +366,8 @@ def primitive_decompose(a: Form) -> PrimitiveDecomposition:
     k = a.degree()
     if k is None:
         raise ValueError("form must be homogeneous")
-    basis_k, blocks, inv = _decomposition_data(n, k)
-    vec = [a.terms.get(mono, ZERO) for mono in basis_k]
-    x = rl.matvec(inv, vec)
-    parts: dict[int, Form] = {}
-    offset = 0
-    for r, prim in blocks:
-        acc = Form.zero(n)
-        for b in prim:
-            c = x[offset]
-            offset += 1
-            if c:
-                acc = acc + b * c
-        if not acc.is_zero():
-            parts[r] = acc
+    image = _apply(_decomposition_table, a)
+    parts = {(k - d) // 2: part for d, part in image.homogeneous_parts().items()}
     return PrimitiveDecomposition(n, k, parts)
 
 
@@ -352,29 +389,31 @@ def recompose(dec: PrimitiveDecomposition) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _primitive_projection_data(n: int, k: int):
+def _projection_table(n: int, k: int) -> _Table:
+    """The orthogonal projector B G^-1 B* onto primitive degree-k forms.
+
+    B has the primitive basis vectors b_i as columns and G[i][j] = <b_j, b_i>;
+    the image of mu is sum_i b_i (G^-1 B* mu)_i.
+    """
     basis = primitive_basis(n, k)
-    if not basis:
-        return basis, None
-    gram_T = [
-        [inner(bj, bi) for bj in basis] for bi in basis
-    ]  # entry [i][j] = <b_j, b_i>, the system matrix for the coefficients
-    return basis, rl.invert(gram_T)
+    columns: dict[Monomial, dict[Monomial, GaussRational]] = {
+        mono: {} for mono in monomial_basis(n, k)
+    }
+    gram = [[inner(bj, bi) for bj in basis] for bi in basis]
+    adjoint = [{mu: c.conjugate() for mu, c in b.terms.items()} for b in basis]
+    for bi, inv_row in zip(basis, rl.invert(gram)):
+        # coefficient of b_i in the projection of each monomial mu
+        coeff: dict[Monomial, GaussRational] = {}
+        for j, v in inv_row.items():
+            _accumulate(coeff, adjoint[j], v)
+        for mu, v in coeff.items():
+            _accumulate(columns[mu], bi.terms, v)
+    return _compiled(columns)
 
 
 def primitive_projection(a: Form) -> Form:
     """Exact orthogonal projection onto the primitive subspace."""
-    out = Form.zero(a.n)
-    for k, part in a.homogeneous_parts().items():
-        basis, inv = _primitive_projection_data(a.n, k)
-        if inv is None:
-            continue
-        rhs = [inner(part, b) for b in basis]
-        coeffs = rl.matvec(inv, rhs)
-        for c, b in zip(coeffs, basis):
-            if c:
-                out = out + b * c
-    return out
+    return _apply(_projection_table, a)
 
 
 @dataclass(frozen=True)
@@ -388,7 +427,7 @@ class OperatorMatrix:
     entries: tuple[tuple[GaussRational, ...], ...]
 
     def rank(self) -> int:
-        return rl.rank([list(row) for row in self.entries])
+        return rl.rank(self.entries)
 
     @property
     def shape(self) -> tuple[int, int]:

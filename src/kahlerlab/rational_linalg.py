@@ -1,14 +1,22 @@
-"""Exact dense linear algebra over Gaussian rationals.
+"""Exact linear algebra over Gaussian rationals, on sparse rows.
 
-Row reduction with the first nonzero entry as pivot; no pivoting heuristics
-are needed since the arithmetic is exact.  Matrices are lists of row lists.
+A matrix is a list of rows.  A row is either a dense list of entries or a
+sparse map {column: nonzero entry}; elimination always works on the sparse
+form, so its cost follows the nonzeros rather than rows x columns.  Pivots
+are the first nonzero column of each reduced row; the arithmetic is exact,
+so no pivoting heuristic is needed, and because the reduced row echelon
+form is unique the results do not depend on the order of the row updates.
 """
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence, Union
+
 from .exterior import ONE, ZERO, GaussRational
 
+Row = Union[Sequence[GaussRational], Mapping[int, GaussRational]]
 Matrix = list[list[GaussRational]]
+SparseRow = dict[int, GaussRational]
 Vector = list[GaussRational]
 
 
@@ -23,96 +31,117 @@ def identity(size: int) -> Matrix:
     return out
 
 
-def conjugate_transpose(m: Matrix) -> Matrix:
-    if not m:
-        return []
-    return [
-        [m[r][c].conjugate() for r in range(len(m))] for c in range(len(m[0]))
-    ]
+def _sparse(row: Row) -> SparseRow:
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    return {c: v for c, v in items if v}
 
 
-def matvec(m: Matrix, v: Vector) -> Vector:
-    out = []
+def _subtract(row: SparseRow, f: GaussRational, pivot_row: SparseRow) -> None:
+    """row -= f * pivot_row, in place, dropping entries that cancel."""
+    for c, v in pivot_row.items():
+        acc = row.get(c)
+        if acc is None:
+            row[c] = -(f * v)
+        else:
+            acc = acc - f * v
+            if acc:
+                row[c] = acc
+            else:
+                del row[c]
+
+
+def _reduced(m: Sequence[Row]) -> tuple[list[SparseRow], list[int]]:
+    """Nonzero rows of the reduced row echelon form of m, and their pivots.
+
+    Rows enter one at a time: each is cleared of the pivot columns found so
+    far, and if anything is left its first nonzero column becomes a new
+    pivot, which is then cleared from the earlier pivot rows.
+    """
+    pivot_rows: dict[int, SparseRow] = {}
     for row in m:
-        acc = ZERO
-        for a, b in zip(row, v):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
+        v = _sparse(row)
+        for p in [c for c in v if c in pivot_rows]:
+            f = v.get(p)
+            if f:
+                _subtract(v, f, pivot_rows[p])
+        if not v:
+            continue
+        c = min(v)
+        inv = v[c].inverse()
+        v = {col: x * inv for col, x in v.items()}
+        for prow in pivot_rows.values():
+            f = prow.get(c)
+            if f:
+                _subtract(prow, f, v)
+        pivot_rows[c] = v
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
+
+
+def _width(m: Sequence[Row], cols: int | None) -> int:
+    if cols is not None:
+        return cols
+    if not m or isinstance(m[0], Mapping):
+        raise ValueError("empty or sparse matrix needs an explicit column count")
+    return len(m[0])
+
+
+def rref(m: Sequence[Row], cols: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form as dense rows, zero rows last; and the pivots.
+
+    `cols` is needed when the rows are sparse.
+    """
+    reduced, pivots = _reduced(m)
+    if not m:
+        return [], pivots
+    width = _width(m, cols)
+    out = [_dense(row, width) for row in reduced]
+    return out + zeros(len(m) - len(reduced), width), pivots
+
+
+def _dense(row: SparseRow, cols: int) -> Vector:
+    out = [ZERO] * cols
+    for c, v in row.items():
+        out[c] = v
     return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    a = [row[:] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [v * inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+def rank(m: Sequence[Row]) -> int:
+    return len(_reduced(m)[1])
 
 
-def rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    return len(rref(m)[1])
-
-
-def nullspace(m: Matrix, cols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel; `cols` is needed when m has no rows."""
-    if not m:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [
-            [ONE if i == j else ZERO for i in range(cols)] for j in range(cols)
-        ]
-    ncols = len(m[0])
-    red, pivots = rref(m)
+def nullspace(m: Sequence[Row], cols: int | None = None) -> list[Vector]:
+    """Basis of the right kernel; `cols` is needed for no rows or sparse rows."""
+    cols = _width(m, cols)
+    reduced, pivots = _reduced(m)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [ZERO] * cols
         vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v = red[r][fc]
+        for row, pc in zip(reduced, pivots):
+            v = row.get(fc)
             if v:
                 vec[pc] = -v
         basis.append(vec)
     return basis
 
 
-def invert(m: Matrix) -> Matrix:
+def invert(m: Sequence[Row]) -> list[SparseRow]:
+    """Inverse of a square matrix, as sparse rows {column: nonzero entry}."""
     size = len(m)
-    if any(len(row) != size for row in m):
+    if any(len(row) != size for row in m if not isinstance(row, Mapping)):
         raise ValueError("matrix must be square")
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(m, identity(size))]
-    red, pivots = rref(aug)
+    aug = []
+    for i, row in enumerate(m):
+        v = _sparse(row)
+        if any(c >= size for c in v):
+            raise ValueError("matrix must be square")
+        v[size + i] = ONE
+        aug.append(v)
+    reduced, pivots = _reduced(aug)
     if pivots[:size] != list(range(size)):
         raise ValueError("matrix is singular")
-    return [row[size:] for row in red]
-
-
-def solve(m: Matrix, rhs: Vector) -> Vector:
-    """Solve m x = rhs for square m; raises ValueError when singular."""
-    size = len(m)
-    aug = [row[:] + [b] for row, b in zip(m, rhs)]
-    red, pivots = rref(aug)
-    if len(pivots) < size or pivots[:size] != list(range(size)):
-        raise ValueError("matrix is singular")
-    return [red[i][size] for i in range(size)]
+    return [{c - size: v for c, v in row.items() if c >= size} for row in reduced]

@@ -6,11 +6,13 @@ inspected end to end.
 """
 
 import json
+from math import comb
 
 import numpy as np
 import pytest
 
 from kahlerlab.exterior import Form, GaussRational, bidegree_basis, monomial_basis, norm_sq
+from kahlerlab import harness
 from kahlerlab.harness import (
     SUITES,
     _draw_bidegree,
@@ -20,6 +22,7 @@ from kahlerlab.harness import (
     RandomSpec,
     SuiteReport,
     check_federer,
+    check_lefschetz_structure,
     check_lemma_32,
     check_prop_31,
     check_prop_33,
@@ -242,3 +245,12 @@ def test_failure_records_render_the_inputs_of_the_failing_check():
         assert record.identity.startswith("star-of-power[k=")
         k = int(record.identity.split("k=")[1].split(",")[0])
         assert record.inputs == f"a = {primitive_basis(2, k)[record.trial]}"
+
+
+def test_dimension_formula_check_is_independent_of_primitive_dimension(monkeypatch):
+    # C(2n,k) without the C(2n,k-2) correction is wrong for 2 <= k <= n
+    monkeypatch.setattr(harness, "primitive_dimension", lambda n, k: comb(2 * n, k))
+    report = check_lefschetz_structure(3, 1, RandomSpec(seed=42))
+    failed = [f.identity for f in report.failures
+              if f.identity.startswith("primitive-dimension-formula")]
+    assert failed == [f"primitive-dimension-formula[k={k}]" for k in (2, 3)]

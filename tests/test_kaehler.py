@@ -5,7 +5,9 @@ relation a ^ conj(*b) = <a,b> dV, which pins it uniquely, then the
 classical structure facts are asserted on top.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -41,6 +43,7 @@ from kahlerlab.kaehler import (
     volume_form,
     weil_operator,
 )
+from kahlerlab.rational_linalg import invert
 
 I = GaussRational(0, 1)
 
@@ -340,3 +343,125 @@ def test_norm_ratio_rejects_zero_denominator():
     with pytest.raises(ValueError):
         norm_ratio(Form.one(2), Form.zero(2))
     assert norm_ratio(kahler_form(2), Form.one(2)) == Fraction(2)
+
+
+# ---- compiled operators against the inverse-times-vector route ----------------
+
+
+@lru_cache(maxsize=None)
+def _reference_decomposition_data(n, k):
+    """Blocks L^r P^(k-2r) and the dense inverse of their column matrix."""
+    basis_k = monomial_basis(n, k)
+    blocks, columns = [], []
+    for r in range(max(0, k - n), k // 2 + 1):
+        prim = primitive_basis(n, k - 2 * r)
+        blocks.append((r, prim))
+        columns += [lefschetz_power(b, r) for b in prim]
+    matrix = [[col.coefficient(mono) for col in columns] for mono in basis_k]
+    return basis_k, blocks, _dense_inverse(matrix)
+
+
+def _dense_inverse(matrix):
+    size = len(matrix)
+    return [
+        [row.get(c, GaussRational(0)) for c in range(size)] for row in invert(matrix)
+    ]
+
+
+def _matvec(m, v):
+    out = []
+    for row in m:
+        acc = GaussRational(0)
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+def _reference_decompose(a):
+    if a.is_zero():
+        return {}
+    k = a.degree()
+    basis_k, blocks, inv = _reference_decomposition_data(a.n, k)
+    x = iter(_matvec(inv, [a.coefficient(mono) for mono in basis_k]))
+    parts = {}
+    for r, prim in blocks:
+        acc = Form.zero(a.n)
+        for b in prim:
+            acc = acc + b * next(x)
+        if not acc.is_zero():
+            parts[r] = acc
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _reference_projection_data(n, k):
+    basis = primitive_basis(n, k)
+    gram_t = [[inner(bj, bi) for bj in basis] for bi in basis]
+    return basis, _dense_inverse(gram_t)
+
+
+def _reference_projection(a):
+    out = Form.zero(a.n)
+    for k, part in a.homogeneous_parts().items():
+        basis, inv = _reference_projection_data(a.n, k)
+        coeffs = _matvec(inv, [inner(part, b) for b in basis])
+        for c, b in zip(coeffs, basis):
+            out = out + b * c
+    return out
+
+
+def _reference_dual_lefschetz(a):
+    """sum over degree k-2 monomials nu of <a, L nu> nu, per degree k."""
+    out = Form.zero(a.n)
+    for k in a.degrees():
+        for nu in monomial_basis(a.n, k - 2):
+            out = out + _mono_form(a.n, nu) * inner(a, lefschetz_L(_mono_form(a.n, nu)))
+    return out
+
+
+def _coefficients(rng, n, k, kind):
+    basis = monomial_basis(n, k)
+    if kind == "large":
+        big = 2 ** 31
+        return Form(n, {
+            mono: GaussRational(big - rng.randint(0, 9), rng.randint(-big, big))
+            for mono in basis
+        })
+    terms = {}
+    for mono in basis:
+        if rng.random() < 0.3:
+            continue
+        x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+        den = rng.choice((1, 2, 3, 7, 12)) if kind == "rational" else 1
+        terms[mono] = GaussRational(Fraction(x, den), Fraction(y, den))
+    return Form(n, terms)
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+
+
+_COMPILED_CASES = [(n, k) for n in (1, 2, 3, 4) for k in range(2 * n + 1)]
+_COMPILED_CASES += [(5, 0), (5, 3), (5, 5), (5, 8)]
+
+
+@pytest.mark.parametrize("n,k", _COMPILED_CASES)
+def test_compiled_operators_match_the_inverse_times_vector_route(n, k):
+    rng = random.Random(1000 * n + k)
+    for kind in ("integer", "rational", "large"):
+        a = _coefficients(rng, n, k, kind)
+        dec = primitive_decompose(a)
+        want = _reference_decompose(a)
+        assert sorted(dec.parts) == sorted(want)
+        for r, part in want.items():
+            _assert_same(dec.parts[r], part)
+        _assert_same(primitive_projection(a), _reference_projection(a))
+        _assert_same(dual_lefschetz(a), _reference_dual_lefschetz(a))
+    # mixed-degree inputs: every degree up to k, plus the top one
+    mixed = Form.zero(n)
+    for j in sorted({0, k // 2, k, 2 * n}):
+        mixed = mixed + _coefficients(rng, n, j, "rational")
+    _assert_same(primitive_projection(mixed), _reference_projection(mixed))
+    _assert_same(dual_lefschetz(mixed), _reference_dual_lefschetz(mixed))

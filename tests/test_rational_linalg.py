@@ -1,20 +1,23 @@
-"""Exact Gaussian-rational matrix routines: rref, rank, nullspace, solve."""
+"""Exact Gaussian-rational matrix routines: rref, rank, nullspace, invert.
+
+The routines eliminate on sparse rows; a dense Gauss-Jordan elimination
+kept here is the oracle they must reproduce entry for entry.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerlab.exterior import GaussRational
 from kahlerlab.rational_linalg import (
-    conjugate_transpose,
     identity,
     invert,
-    matvec,
     nullspace,
     rank,
     rref,
-    solve,
     zeros,
 )
 
@@ -31,6 +34,21 @@ def _random_matrix(rng, rows, cols, bound=4):
         ]
         for _ in range(rows)
     ]
+
+
+def _dense(rows, cols):
+    """Dense copy of sparse rows {column: entry}."""
+    return [[row.get(c, GaussRational(0)) for c in range(cols)] for row in rows]
+
+
+def _matvec(m, v):
+    out = []
+    for row in m:
+        acc = GaussRational(0)
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        out.append(acc)
+    return out
 
 
 def _matmul(a, b):
@@ -67,18 +85,12 @@ def test_rref_fixed_example():
     assert rank(m) == 2
 
 
-def test_conjugate_transpose():
-    m = [[GaussRational(1, 2), GaussRational(0, 1)]]
-    ct = conjugate_transpose(m)
-    assert ct == [[GaussRational(1, -2)], [GaussRational(0, -1)]]
-
-
 def test_invert_fixed_complex_matrix():
     m = [
         [GaussRational(1), GaussRational(0, 1)],
         [GaussRational(0), GaussRational(2)],
     ]
-    inv = invert(m)
+    inv = _dense(invert(m), 2)
     assert _matmul(m, inv) == identity(2)
     assert _matmul(inv, m) == identity(2)
 
@@ -92,17 +104,6 @@ def test_invert_rejects_singular():
         invert(m)
 
 
-def test_solve_fixed_system():
-    m = [
-        [_gr(2), _gr(1)],
-        [_gr(1), _gr(3)],
-    ]
-    b = [_gr(5), _gr(10)]
-    x = solve(m, b)
-    assert matvec(m, x) == b
-    assert x == [_gr(1), _gr(3)]
-
-
 def test_random_square_matrices_round_trip():
     rng = random.Random(20240817)
     for trial in range(25):
@@ -113,17 +114,12 @@ def test_random_square_matrices_round_trip():
         basis = nullspace(m)
         assert len(basis) == size - r
         for vec in basis:
-            assert matvec(m, vec) == [GaussRational(0)] * size
+            assert _matvec(m, vec) == [GaussRational(0)] * size
             assert any(not entry.is_zero() for entry in vec)
         if r == size:
-            inv = invert(m)
+            inv = _dense(invert(m), size)
             assert _matmul(m, inv) == identity(size)
-            b = [
-                GaussRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                for _ in range(size)
-            ]
-            x = solve(m, b)
-            assert matvec(m, x) == b
+            assert _matmul(inv, m) == identity(size)
 
 
 def test_random_rectangular_nullspace_dimension():
@@ -136,14 +132,109 @@ def test_random_rectangular_nullspace_dimension():
         basis = nullspace(m)
         assert len(basis) == cols - r
         for vec in basis:
-            assert matvec(m, vec) == [GaussRational(0)] * rows
+            assert _matvec(m, vec) == [GaussRational(0)] * rows
 
 
-def test_solve_rejects_inconsistent_system():
+# ---- dense oracle ------------------------------------------------------------
+
+
+def _oracle_rref(m):
+    """Dense Gauss-Jordan elimination, first nonzero entry as pivot."""
+    a = [row[:] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c].inverse()
+        a[r] = [v * inv for v in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def _oracle_nullspace(m, cols):
+    red, pivots = _oracle_rref(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [GaussRational(0)] * cols
+        vec[fc] = GaussRational(1)
+        for r, pc in enumerate(pivots):
+            if red[r][fc]:
+                vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _oracle_invert(m):
+    size = len(m)
+    aug = [row[:] + ident_row for row, ident_row in zip(m, identity(size))]
+    red, pivots = _oracle_rref(aug)
+    if pivots[:size] != list(range(size)):
+        return None
+    return [row[size:] for row in red]
+
+
+_ENTRIES = st.builds(
+    lambda x, y, d: GaussRational(Fraction(x, d), Fraction(y, d)),
+    st.integers(-6, 6), st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 5)),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Dense, sparse, rank-deficient, zero-row and rectangular matrices."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(1, 7))
+    fill = draw(st.sampled_from((0.0, 0.15, 0.4, 1.0)))
+    zero = GaussRational(0)
     m = [
-        [_gr(1), _gr(1)],
-        [_gr(1), _gr(1)],
+        [draw(_ENTRIES) if draw(st.floats(0, 1)) < fill else zero for _ in range(cols)]
+        for _ in range(rows)
     ]
-    b = [_gr(1), _gr(2)]
-    with pytest.raises(ValueError):
-        solve(m, b)
+    if rows >= 3 and draw(st.booleans()):
+        # a row that is a combination of two others
+        f, g = draw(_ENTRIES), draw(_ENTRIES)
+        m[2] = [f * a + g * b for a, b in zip(m[0], m[1])]
+    if rows >= 2 and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [zero] * cols
+    return m, cols
+
+
+def _sparse_rows(m):
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_sparse_elimination_matches_the_dense_oracle(case):
+    m, cols = case
+    want, want_pivots = _oracle_rref(m)
+    for given_rows in (m, _sparse_rows(m)):
+        assert rref(given_rows, cols) == (want, want_pivots)
+        assert rank(given_rows) == len(want_pivots)
+        assert nullspace(given_rows, cols) == _oracle_nullspace(m, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_sparse_inverse_matches_the_dense_oracle(case):
+    m, cols = case
+    square = [row[: len(m)] for row in m[:cols]]
+    want = _oracle_invert(square)
+    for given_rows in (square, _sparse_rows(square)):
+        if want is None:
+            with pytest.raises(ValueError):
+                invert(given_rows)
+        else:
+            assert _dense(invert(given_rows), len(square)) == want
