@@ -35,6 +35,7 @@ from .domains import (
 )
 from .harness import SUITES, RandomSpec, run_all, run_suite
 from .spectral import (
+    MAX_CELLS,
     ComplexHyperbolic,
     RealHyperbolic,
     lambda0_estimate,
@@ -117,7 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="curvature scale for the rh model",
     )
     p_spec.add_argument("--radius", type=float, default=None)
-    p_spec.add_argument("--grid", type=int, required=True, help="number of cells")
+    p_spec.add_argument(
+        "--grid", type=int, required=True,
+        help=f"number of cells, at most {MAX_CELLS}",
+    )
     p_spec.add_argument(
         "--radii", type=_radius_list, default=None, metavar="R1,R2,...",
         help="several radii; at least two enable extrapolation",

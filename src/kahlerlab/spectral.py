@@ -5,8 +5,9 @@ R is discretized in flux form on the cell-centered grid rho_j = (j - 1/2) h,
 h = R/N.  The interface weight at the axis vanishes with the volume density,
 which closes the first row without any boundary fudge; the outer boundary is
 a Dirichlet ghost cell.  Conjugating by sqrt(w) makes the matrix symmetric
-tridiagonal, and the smallest eigenvalue is located by bisection on the
-Sturm negative-pivot count, then polished by inverse iteration.
+tridiagonal.  Its smallest eigenvalue comes from LAPACK stebz (Kahan-Demmel
+bisection), is certified by two Sturm negative-pivot counts, and is polished
+by inverse iteration with mixed-precision iterative refinement.
 
 Model conventions: RealHyperbolic uses the curvature -1 density sinh^(m-1),
 with a curvature scale K applied as an exact eigenvalue multiplication.
@@ -18,13 +19,22 @@ Einstein normalization Ric = -(n+1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
-_BISECT_TOL = 1e-12
+_BISECT_TOL = 1e-12  # absolute tolerance handed to stebz
+# stebz's float64 pivots and a Sturm count each round to about eps ||T||_1;
+# a count that disagrees widens the bracket eightfold, at most 8 times.
+_BRACKET_UNITS = 4.0
+_WIDENINGS = 8
+# About 0.2 kB of work arrays per cell.  The long-double residual floor,
+# ~1e-19 (N/R)^2, passes 1e-10 beyond this grid at radii up to 30.
+MAX_CELLS = 1_000_000
+_SWEEPS = 3  # inverse-iteration sweeps from the flat start vector
 
 
 @dataclass(frozen=True)
@@ -90,14 +100,20 @@ def assemble_tridiagonal(
         raise ValueError("radius must be positive")
     if cells < 2:
         raise ValueError("need at least two cells")
+    if cells > MAX_CELLS:
+        raise ValueError(f"{cells} cells exceed the ceiling of {MAX_CELLS}")
     h = radius / cells
+    # both densities increase on [0, R]: the outermost weight, squared,
+    # bounds the products under the square root and the diagonal sums
+    with np.errstate(over="ignore"):
+        edge = model.weight(np.float64(cells * h))
+        edge_sq = edge * edge
+    if not np.isfinite(edge_sq):
+        raise ValueError("volume density overflows at this radius")
     centers = (np.arange(1, cells + 1) - 0.5) * h
     interfaces = np.arange(0, cells + 1) * h
-    with np.errstate(over="ignore"):
-        w_c = model.weight(centers)
-        w_i = model.weight(interfaces)
-    if not (np.all(np.isfinite(w_c)) and np.all(np.isfinite(w_i))):
-        raise ValueError("volume density overflows at this radius")
+    w_c = model.weight(centers)
+    w_i = model.weight(interfaces)
     diag = (w_i[:-1] + w_i[1:]) / (w_c * h * h)
     # interface Dirichlet at r = radius: the boundary flux sees the half-cell
     # gradient, which keeps the eigenvalue error at second order in h
@@ -138,37 +154,36 @@ def _negative_pivots(diag: list, off_sq: list, shift: float, tiny: float) -> tup
 def smallest_eigenvalue_detailed(
     diag: np.ndarray, off: np.ndarray, tol: float = _BISECT_TOL
 ) -> BisectionResult:
-    """Smallest eigenvalue by bisection on the negative-pivot count."""
+    """Smallest eigenvalue from LAPACK stebz, to tol, and a bracket
+    value -/+ (tol + 4 eps ||T||_1) certified by Sturm counts of 0 below lo
+    and at least 1 below hi; iterations is the number of counts made."""
     if len(diag) < 1:
         raise ValueError("empty matrix")
     if len(off) != len(diag) - 1:
         raise ValueError("off-diagonal length must be len(diag) - 1")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    d = [float(v) for v in diag]
-    e_sq = [float(v) * float(v) for v in off]
-    radii = [0.0] * len(d)
-    for i, v in enumerate(off):
-        radii[i] += abs(float(v))
-        radii[i + 1] += abs(float(v))
-    lo = min(di - ri for di, ri in zip(d, radii))
-    hi = max(di + ri for di, ri in zip(d, radii))
-    scale = max(abs(lo), abs(hi), 1.0)
-    tiny = math.ulp(scale)
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    lam = float(eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, 0), tol=tol
+    )[0])
+    column = np.abs(diag)
+    column[:-1] += np.abs(off)
+    column[1:] += np.abs(off)
+    norm1 = float(column.max())
+    d, e_sq, tiny = diag.tolist(), (off * off).tolist(), math.ulp(max(norm1, 1.0))
+    width = tol + _BRACKET_UNITS * sys.float_info.epsilon * norm1
     perturbations = 0
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        count, pert = _negative_pivots(d, e_sq, mid, tiny)
-        perturbations += pert
-        if count >= 1:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    return BisectionResult(0.5 * (lo + hi), lo, hi, iterations, perturbations)
+    for attempt in range(1, _WIDENINGS + 2):
+        lo, hi = lam - width, lam + width
+        below_lo, pert_lo = _negative_pivots(d, e_sq, lo, tiny)
+        below_hi, pert_hi = _negative_pivots(d, e_sq, hi, tiny)
+        perturbations += pert_lo + pert_hi
+        if below_lo == 0 and below_hi >= 1:
+            return BisectionResult(lam, lo, hi, 2 * attempt, perturbations)
+        width *= 8.0
+    raise np.linalg.LinAlgError("Sturm counts do not certify the LAPACK eigenvalue")
 
 
 def smallest_eigenvalue(
@@ -184,81 +199,52 @@ def _tridiagonal_matvec_ld(diag, off, v):
     return w
 
 
-def _ldlt_factor_ld(diag_ld, off_ld, shift):
-    """LDL^T of the shifted matrix in extended precision (no pivoting).
-
-    The shift is certified to sit strictly below the smallest eigenvalue,
-    so the shifted matrix is positive definite and the factorization is
-    stable as is.
-    """
-    n = len(diag_ld)
-    d = np.empty(n, dtype=np.longdouble)
-    l = np.empty(n - 1, dtype=np.longdouble)
-    d[0] = diag_ld[0] - shift
-    for i in range(1, n):
-        l[i - 1] = off_ld[i - 1] / d[i - 1]
-        d[i] = diag_ld[i] - shift - off_ld[i - 1] * l[i - 1]
-        if not d[i] > 0:
-            raise np.linalg.LinAlgError("shifted matrix lost definiteness")
-    return d, l
-
-
-def _ldlt_solve_ld(d, l, rhs):
-    n = len(d)
-    y = np.empty(n, dtype=np.longdouble)
-    y[0] = rhs[0]
-    for i in range(1, n):
-        y[i] = rhs[i] - l[i - 1] * y[i - 1]
-    y /= d
-    for i in range(n - 2, -1, -1):
-        y[i] = y[i] - l[i] * y[i + 1]
-    return y
+def _refined_solve(ab, shifted_ld, off_ld, v):
+    """x with (T - shift) x = v: float64 solve_banded corrections driven by
+    the long-double residual v - (T - shift) x, until it stops halving."""
+    x = np.zeros_like(v)
+    r, size = v, math.inf
+    while True:
+        x = x + solve_banded((1, 1), ab, r.astype(float))
+        r = v - _tridiagonal_matvec_ld(shifted_ld, off_ld, x)
+        last, size = size, float(np.sqrt(np.dot(r, r)))
+        if not size < 0.5 * last:
+            return x
 
 
 def _inverse_iteration(
     diag: np.ndarray, off: np.ndarray, lo: float, hi: float
 ) -> tuple[float, float, np.ndarray]:
-    """Rayleigh-refined eigenvalue, residual and vector from a converged bracket.
+    """Rayleigh-refined eigenvalue, residual and vector from a certified bracket.
 
-    A float64 pass gets the eigenvector direction cheaply; the final sweeps,
-    the Rayleigh quotient, and the residual run in extended precision.  A
-    float64 vector alone cannot certify residuals below eps * norm(T), which
-    the acceptance grids push past the reporting threshold.
+    A float64 vector alone cannot certify residuals below eps * norm(T),
+    which the acceptance grids push past the reporting threshold, so the
+    vector is long double and each solve is mixed-precision iterative
+    refinement (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 12).  The shift sits four bracket widths below lo, so a float64
+    correction shrinks the error by eps * norm(T) over that gap, <= 1/32.
     """
     n = len(diag)
-    shift = lo
+    d_ld = diag.astype(np.longdouble)
+    e_ld = off.astype(np.longdouble)
     ab = np.zeros((3, n))
     ab[0, 1:] = off
     ab[2, :-1] = off
-    v = np.full(n, 1.0 / math.sqrt(n))
-    delta = max(1e-14 * max(1.0, abs(shift)), 1e-300)
-    for attempt in range(5):
-        try:
-            ab[1, :] = diag - (shift - delta)
-            for _ in range(2):
-                v = solve_banded((1, 1), ab, v)
-                v = v / np.linalg.norm(v)
-            break
-        except np.linalg.LinAlgError:
-            delta *= 100.0
-    else:
-        raise np.linalg.LinAlgError("inverse iteration could not solve the shifted system")
-    d_ld = diag.astype(np.longdouble)
-    e_ld = off.astype(np.longdouble)
-    v_ld = v.astype(np.longdouble)
     margin = max(1e-9 * max(1.0, abs(lo)), 4.0 * (hi - lo))
     for attempt in range(5):
+        shift = lo - margin
+        ab[1, :] = diag - shift
+        v = np.full(n, 1.0 / math.sqrt(n), dtype=np.longdouble)
         try:
-            dfac, lfac = _ldlt_factor_ld(d_ld, e_ld, np.longdouble(lo) - margin)
+            for _ in range(_SWEEPS):
+                v = _refined_solve(ab, d_ld - shift, e_ld, v)
+                v = v / np.sqrt(np.dot(v, v))
             break
         except np.linalg.LinAlgError:
             margin *= 100.0
     else:
-        raise np.linalg.LinAlgError("inverse iteration could not factor")
-    for _ in range(2):
-        v_ld = _ldlt_solve_ld(dfac, lfac, v_ld)
-        v_ld = v_ld / np.sqrt(np.dot(v_ld, v_ld))
-    return (*_rayleigh_residual(d_ld, e_ld, v_ld), v_ld)
+        raise np.linalg.LinAlgError("inverse iteration could not solve the shifted system")
+    return (*_rayleigh_residual(d_ld, e_ld, v), v)
 
 
 def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
@@ -276,7 +262,8 @@ def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """One eigensolve: model descriptor, grid, and the refined bottom pair."""
+    """One eigensolve: model, grid, the bottom pair and its certificate;
+    refined is false when lambda_min is the bracket value."""
 
     model: RadialModel
     radius: float
@@ -284,6 +271,10 @@ class EigenResult:
     lambda_min: float
     scaled_lambda: float
     residual: float
+    bracket_lo: float
+    bracket_hi: float
+    sturm_counts: int
+    refined: bool
     pivot_perturbations: int = 0
     extrapolated: float | None = None
 
@@ -295,19 +286,24 @@ class EigenResult:
             "lambda_min": self.lambda_min,
             "scaled_lambda": self.scaled_lambda,
             "residual": self.residual,
+            "bracket_lo": self.bracket_lo,
+            "bracket_hi": self.bracket_hi,
+            "sturm_counts": self.sturm_counts,
+            "refined": self.refined,
             "pivot_perturbations": self.pivot_perturbations,
             "extrapolated": self.extrapolated,
         }
 
 
 def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResult:
-    """Assemble, bisect, refine; the result carries the model normalization."""
+    """Assemble, bracket, refine; the result carries the model normalization."""
     diag, off = assemble_tridiagonal(model, radius, cells)
     bis = smallest_eigenvalue_detailed(diag, off)
     lam, resid, vec = _inverse_iteration(diag, off, bis.lo, bis.hi)
-    if abs(lam - bis.value) > 1e6 * _BISECT_TOL * max(1.0, abs(bis.value)):
-        # refinement wandered to a different eigenvalue; keep the certified
-        # one and report the residual of the value returned
+    # a Rayleigh quotient lies within its residual of an eigenvalue: outside
+    # the widened bracket, keep the certified value and its own residual
+    refined = bis.lo - resid <= lam <= bis.hi + resid
+    if not refined:
         lam, resid = _rayleigh_residual(
             diag.astype(np.longdouble), off.astype(np.longdouble), vec,
             np.longdouble(bis.value),
@@ -319,6 +315,10 @@ def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResu
         lambda_min=lam,
         scaled_lambda=model.scale(lam),
         residual=resid,
+        bracket_lo=bis.lo,
+        bracket_hi=bis.hi,
+        sturm_counts=bis.iterations,
+        refined=refined,
         pivot_perturbations=bis.pivot_perturbations,
     )
 

@@ -195,6 +195,12 @@ def test_spectrum_single_radius_json(capsys):
     assert sample["R"] == 8.0
     assert 0.5 < sample["scaled_lambda"] < 0.7
     assert payload["extrapolated_scaled"] is None
+    # the certificate of the returned value
+    assert sample["bracket_lo"] < sample["bracket_hi"]
+    assert sample["bracket_lo"] - sample["residual"] <= sample["lambda_min"]
+    assert sample["lambda_min"] <= sample["bracket_hi"] + sample["residual"]
+    assert sample["sturm_counts"] == 2
+    assert sample["refined"] is True
 
 
 def test_spectrum_multi_radius_extrapolates(capsys):
@@ -255,6 +261,21 @@ def test_spectrum_usage_errors(capsys):
         ["spectrum", "--model", "rh", "--m", "2", "--radii", "bogus",
          "--grid", "100"],
     )
+
+
+def test_spectrum_refuses_oversized_inputs_up_front(capsys):
+    err = _run_expect_usage_error(
+        capsys,
+        ["spectrum", "--model", "rh", "--m", "2", "--radius", "25",
+         "--grid", str(10 ** 12)],
+    )
+    assert err.startswith("error:") and "ceiling" in err
+    err = _run_expect_usage_error(
+        capsys,
+        ["spectrum", "--model", "ch", "--n", "3", "--radius", "2000",
+         "--grid", "100"],
+    )
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

@@ -144,13 +144,80 @@ def test_eigen_result_payload():
 
 
 def test_refined_residual_is_certified_small():
-    diag, off = assemble_tridiagonal(ComplexHyperbolic(1), 25.0, 5000)
-    res = lambda0_estimate(ComplexHyperbolic(1), 25.0, 5000)
-    norm_bound = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
-    assert res.residual <= 1e-10
-    assert res.residual < 1e-15 * norm_bound
-    v = np.linalg.eigvalsh(_dense(diag, off))[0] if len(diag) <= 2000 else None
-    assert v is None or res.lambda_min == pytest.approx(v, rel=1e-9)
+    for cells in (2000, 5000):
+        diag, off = assemble_tridiagonal(ComplexHyperbolic(1), 25.0, cells)
+        res = lambda0_estimate(ComplexHyperbolic(1), 25.0, cells)
+        norm_bound = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+        assert res.residual <= 1e-10
+        assert res.residual < 1e-15 * norm_bound
+        if cells <= 2000:  # small enough for the dense oracle
+            v = np.linalg.eigvalsh(_dense(diag, off))[0]
+            assert res.lambda_min == pytest.approx(v, rel=1e-9)
+            assert res.bracket_lo <= v <= res.bracket_hi
+
+
+def test_certified_bracket_holds_the_returned_eigenvalue():
+    # eps * ||T||_1 = 1.5e-8 here: a float64 Sturm count cannot certify a
+    # bracket much narrower than that
+    model, radius, cells = RealHyperbolic(2), 25.0, 100000
+    bis = smallest_eigenvalue_detailed(*assemble_tridiagonal(model, radius, cells))
+    res = lambda0_estimate(model, radius, cells)
+    assert bis.lo - res.residual <= res.lambda_min <= bis.hi + res.residual
+    assert (res.bracket_lo, res.bracket_hi) == (bis.lo, bis.hi)
+    assert res.refined and res.sturm_counts == 2
+    # far below eps * ||T||_1, where a float64 solve alone stops
+    assert res.residual < 1e-11
+
+
+def test_bracket_widens_until_the_sturm_counts_agree(monkeypatch):
+    from kahlerlab import spectral
+
+    diag = np.array([2.0, 3.0, 4.0])
+    off = np.array([-1.0, -0.5])
+    exact = np.linalg.eigvalsh(_dense(diag, off))[0]
+    true_stebz = spectral.eigh_tridiagonal
+    shift = {"by": 1e-9}
+
+    def off_target(*args, **kwargs):
+        return true_stebz(*args, **kwargs) + shift["by"]
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", off_target)
+    res = smallest_eigenvalue_detailed(diag, off)
+    assert res.value == pytest.approx(exact + 1e-9, abs=2e-12)
+    assert res.lo <= exact <= res.hi
+    assert res.iterations > 2 and res.iterations % 2 == 0
+    shift["by"] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        smallest_eigenvalue_detailed(diag, off)
+
+
+def test_oversized_inputs_are_refused_before_allocation():
+    import tracemalloc
+
+    from kahlerlab.spectral import MAX_CELLS
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ceiling"):
+            assemble_tridiagonal(RealHyperbolic(2), 25.0, MAX_CELLS + 1)
+        with pytest.raises(ValueError, match="ceiling"):
+            assemble_tridiagonal(RealHyperbolic(2), 25.0, 10 ** 12)
+        # the grid is allowed, but the density overflows at the outer radius
+        with pytest.raises(ValueError, match="overflow"):
+            assemble_tridiagonal(ComplexHyperbolic(3), 2000.0, MAX_CELLS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # one array of MAX_CELLS floats takes 8 MB
+
+
+def test_neighbouring_weights_must_not_overflow_their_product():
+    # sinh(400) is finite but its square is not: sqrt(w_j w_j+1) would
+    # overflow, zero an off-diagonal and split the matrix
+    with pytest.raises(ValueError, match="overflow"):
+        assemble_tridiagonal(RealHyperbolic(2), 400.0, 4000)
+    diag, off = assemble_tridiagonal(RealHyperbolic(2), 350.0, 4000)
+    assert np.all(np.isfinite(diag)) and np.all(off < 0)
 
 
 def test_richardson_recovers_synthetic_tail():
