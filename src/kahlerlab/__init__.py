@@ -9,6 +9,7 @@ Sturm-Liouville eigensolver.
 """
 
 from .exterior import (
+    Batch,
     Form,
     GaussRational,
     Monomial,

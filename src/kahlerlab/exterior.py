@@ -7,12 +7,20 @@ strictly increasing index subsets of {1..n}) to scalars.  The monomials are
 declared orthonormal; the inner product is linear in the first slot and
 conjugate-linear in the second.
 
+Beside the dict `Form` there is `Batch`: T forms of one degree k held as
+Gaussian-integer numerator arrays of shape (T, C(2n, k)) over the ranks of
+`monomial_basis(n, k)`, with one denominator per row.  Every fixed linear
+operator is compiled once into a `Table` of signed (gather index,
+coefficient) pairs sorted by output, and applied to a whole batch by one
+take and one np.add.reduceat; the exterior product uses the same layout
+with two gathers.  Arithmetic is int64 under a bound checked before each
+operation and Python ints otherwise.  The dict operations run on one-row
+batches, except products of a few terms, which loop over term pairs.
+
 The exterior product works on bitmasks: a monomial is the 2n-bit set of its
 1-forms in the order dz_1..dz_n, dzb_1..dzb_n, and the reorder sign of a
 product is the parity of the pairs that change places (Dorst, Fontijne and
-Mann, Geometric Algebra for Computer Science, ch. 19).  Coefficients enter
-as Gaussian-integer numerators over one shared denominator per operand, so
-no rational arithmetic happens per term pair.
+Mann, Geometric Algebra for Computer Science, ch. 19).
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
-from typing import Iterable, Mapping, NamedTuple, Union
+from math import comb, gcd, lcm
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -232,13 +240,6 @@ def _check_index_tuple(ix: Iterable[int], n: int) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _conjugate_monomial(m: Monomial) -> tuple[Monomial, int]:
-    p, q = m.bidegree
-    sign = -1 if (p * q) & 1 else 1
-    return Monomial(m.t, m.s), sign
-
-
 class Form:
     """Sparse complexified differential form with Gaussian rational coefficients.
 
@@ -390,31 +391,28 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         self._require_same_space(other)
         n = self.n
-        den_a, parts_a = _packed(self)
-        den_b, parts_b = _packed(other)
+        parts_b = other.homogeneous_parts()
         pieces = [
-            _part_product(n, da, pa, db, pb)
-            for da, pa in parts_a.items()
+            Form._trusted(n, _part_product(n, da, pa, db, pb))
+            for da, pa in self.homogeneous_parts().items()
             for db, pb in parts_b.items()
             if da + db <= 2 * n
         ]
-        return _unpacked(n, pieces, den_a * den_b)
+        out = pieces[0] if pieces else Form.zero(n)
+        for piece in pieces[1:]:
+            out = out + piece
+        return out
 
     def conjugate(self) -> "Form":
-        out: dict[Monomial, GaussRational] = {}
-        for mono, coeff in self.terms.items():
-            cm, sign = _conjugate_monomial(mono)
-            c = coeff.conjugate()
-            out[cm] = -c if sign < 0 else c
-        return Form._trusted(self.n, out)
+        return _per_degree(self, Batch.conjugate)
 
 
-def wedge(a: Form, b: Form) -> Form:
-    """Exterior product a ^ b."""
+def wedge(a, b):
+    """Exterior product a ^ b of two forms, or row by row of two batches."""
     return a.wedge(b)
 
 
-def conjugate(a: Form) -> Form:
+def conjugate(a):
     """Complex conjugate; swaps the two index sets with the reorder sign."""
     return a.conjugate()
 
@@ -427,8 +425,13 @@ def bidegree_project(a: Form, p: int, q: int) -> Form:
     return Form._trusted(a.n, picked)
 
 
-def inner(a: Form, b: Form) -> GaussRational:
-    """Hermitian inner product; linear in a, conjugate-linear in b."""
+def inner(a, b):
+    """Hermitian inner product; linear in a, conjugate-linear in b.
+
+    On two batches it is taken row by row and returned as a degree-0 batch.
+    """
+    if isinstance(a, Batch):
+        return a.inner(b)
     a._require_same_space(b)
     if len(b.terms) < len(a.terms):
         acc = ZERO
@@ -445,8 +448,10 @@ def inner(a: Form, b: Form) -> GaussRational:
     return acc
 
 
-def norm_sq(a: Form) -> Fraction:
-    """Exact squared norm, a nonnegative rational."""
+def norm_sq(a):
+    """Exact squared norm, a nonnegative rational; row by row on a batch."""
+    if isinstance(a, Batch):
+        return a.norm_sq()
     # sum x^2 + y^2 per denominator, then divide once per denominator
     sums: dict[int, int] = {}
     for c in a.terms.values():
@@ -494,14 +499,350 @@ def _bidegree_basis(n: int, p: int, q: int) -> tuple[Monomial, ...]:
     )
 
 
+# ---- numerator batches -------------------------------------------------------
+
+_INT64_LIMIT = 2 ** 63
+
+
+def _size(n: int, k: int) -> int:
+    """Number of degree-k monomials; zero outside 0..2n."""
+    return comb(2 * n, k) if 0 <= k <= 2 * n else 0
+
+
+def _maxabs(*arrays: np.ndarray) -> int:
+    bound = 0
+    for a in arrays:
+        if a.size:
+            bound = max(bound, int(np.maximum.reduce(a, axis=None)),
+                        -int(np.minimum.reduce(a, axis=None)))
+    return bound
+
+
+def _cast(bound: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
+    """The arrays as int64 when bound, a bound on every value computed from
+    them, is below 2^63 (and the arrays themselves fit), and as object
+    arrays of Python ints otherwise."""
+    if bound < _INT64_LIMIT:
+        if all(a.dtype == np.int64 for a in arrays):
+            return arrays
+        if _maxabs(*arrays) < _INT64_LIMIT:
+            return [a.astype(np.int64) for a in arrays]
+    return [a.astype(object) for a in arrays]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = _cast(_maxabs(a) * _maxabs(b), a, b)
+    return a * b
+
+
+def _ints(values) -> np.ndarray:
+    """Python ints as an int64 array when they fit, else an object array."""
+    if isinstance(values, np.ndarray):
+        return values
+    values = list(values)
+    fits = max(map(abs, values), default=0) < _INT64_LIMIT
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+@lru_cache(maxsize=None)
+def _basis_rank(n: int, k: int) -> dict[Monomial, int]:
+    return {mono: i for i, mono in enumerate(monomial_basis(n, k))}
+
+
+def row_blocks(rows: int, size: int = 64) -> list[range]:
+    """Consecutive ranges of at most size rows covering range(rows): batches
+    of many rows are processed a block at a time, so that dense arrays stay
+    small."""
+    return [range(start, min(start + size, rows)) for start in range(0, rows, size)]
+
+
+class Batch:
+    """T forms of degree k at dimension n, as Gaussian-integer numerators.
+
+    Row t is sum_j (re[t, j] + i im[t, j]) / den[t] * basis[j] over
+    basis = monomial_basis(n, k); den > 0.  A degree-0 batch doubles as a
+    column of scalars.  Batches are never changed in place.
+    """
+
+    __slots__ = ("n", "k", "re", "im", "den", "_max")
+
+    def __init__(self, n: int, k: int, re: np.ndarray, im: np.ndarray, den: np.ndarray):
+        self.n, self.k, self.re, self.im, self.den = n, k, re, im, den
+        self._max = None
+
+    @classmethod
+    def of(cls, n: int, k: int, forms: Sequence[Form]) -> "Batch":
+        """Degree-k forms as rows; a term of another degree is a ValueError."""
+        rank, size = _basis_rank(n, k), _size(n, k)
+        re, im, dens = [0] * (len(forms) * size), [0] * (len(forms) * size), []
+        for t, form in enumerate(forms):
+            den = lcm(1, *(c._d for c in form.terms.values()))
+            for mono, c in form.terms.items():
+                j = rank.get(mono)
+                if j is None:
+                    raise ValueError(f"{mono.label()} is not of degree {k} at n={n}")
+                re[t * size + j] = c._x * (den // c._d)
+                im[t * size + j] = c._y * (den // c._d)
+            dens.append(den)
+        shape = (len(forms), size)
+        return cls(n, k, _ints(re).reshape(shape), _ints(im).reshape(shape), _ints(dens))
+
+    @classmethod
+    def zero(cls, n: int, k: int, rows: int, den: np.ndarray | None = None) -> "Batch":
+        re = np.zeros((rows, _size(n, k)), dtype=np.int64)
+        return cls(n, k, re, re, np.ones(rows, dtype=np.int64) if den is None else den)
+
+    @classmethod
+    def units(cls, n: int, k: int, ranks: Sequence[int]) -> "Batch":
+        """The degree-k basis monomials of the given ranks, one per row."""
+        re = np.zeros((len(ranks), _size(n, k)), dtype=np.int64)
+        re[np.arange(len(ranks)), ranks] = 1
+        return cls(n, k, re, np.zeros_like(re), np.ones(len(ranks), dtype=np.int64))
+
+    @property
+    def rows(self) -> int:
+        return len(self.den)
+
+    def _entries(self, t: int):
+        """(column, re, im) of the nonzero coefficients of row t, as ints."""
+        re, im = self.re[t], self.im[t]
+        cols = np.flatnonzero((re != 0) | (im != 0))
+        return zip(cols.tolist(), re[cols].tolist(), im[cols].tolist())
+
+    def terms(self, t: int) -> dict[Monomial, GaussRational]:
+        basis, den = monomial_basis(self.n, self.k), int(self.den[t])
+        make = GaussRational._raw if den == 1 else GaussRational._norm
+        return {basis[j]: make(x, y, den) for j, x, y in self._entries(t)}
+
+    def form(self, t: int) -> Form:
+        return Form._trusted(self.n, self.terms(t))
+
+    def sparse_rows(self) -> list[dict[int, GaussRational]]:
+        """Every row as {column: nonzero coefficient}, for rational_linalg."""
+        out = []
+        for t in range(self.rows):
+            den = int(self.den[t])
+            out.append({j: GaussRational._norm(x, y, den) for j, x, y in self._entries(t)})
+        return out
+
+    def is_zero(self) -> np.ndarray:
+        """Per row, whether the form vanishes."""
+        return ~((self.re != 0).any(axis=1) | (self.im != 0).any(axis=1))
+
+    def _bound(self) -> int:
+        """The largest |numerator|, found once."""
+        if self._max is None:
+            self._max = _maxabs(self.re, self.im)
+        return self._max
+
+    def _require_like(self, other: "Batch") -> None:
+        if (self.n, self.k, self.rows) != (other.n, other.k, other.rows):
+            raise ValueError(
+                f"batch mismatch: (n, k, rows) {(self.n, self.k, self.rows)} "
+                f"!= {(other.n, other.k, other.rows)}"
+            )
+
+    def cross(self, other: "Batch") -> tuple[np.ndarray, np.ndarray]:
+        """Rows [re | im] of self and of other over one denominator per row;
+        a row of one equals the row of the other exactly when the forms do,
+        and for real scalars the order of the rows is the order of the values."""
+        self._require_like(other)
+        if np.array_equal(self.den, other.den):
+            a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
+        else:
+            a_re, a_im, b_re, b_im, _ = _common(self, other)
+        return np.hstack((a_re, a_im)), np.hstack((b_re, b_im))
+
+    def __add__(self, other: "Batch") -> "Batch":
+        if not isinstance(other, Batch):
+            return NotImplemented
+        self._require_like(other)
+        if np.array_equal(self.den, other.den):
+            a_re, a_im, b_re, b_im = _cast(
+                self._bound() + other._bound(), self.re, self.im, other.re, other.im
+            )
+            den = self.den
+        else:
+            a_re, a_im, b_re, b_im, den = _common(self, other)
+        return Batch(self.n, self.k, a_re + b_re, a_im + b_im, den)
+
+    def __neg__(self) -> "Batch":
+        return Batch(self.n, self.k, -self.re, -self.im, self.den)
+
+    def __sub__(self, other: "Batch") -> "Batch":
+        if not isinstance(other, Batch):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, scalar) -> "Batch":
+        """Times a constant, or row by row times a degree-0 batch."""
+        if not isinstance(scalar, Batch):
+            c = GaussRational._coerce(scalar)
+            if c is NotImplemented:
+                return NotImplemented
+            scalar = Batch(self.n, 0, np.array([[c._x]], dtype=object),
+                           np.array([[c._y]], dtype=object), np.array([c._d], dtype=object))
+        elif scalar.k != 0:
+            raise ValueError("only a degree-0 batch multiplies a batch")
+        re, im, x, y = _cast(2 * self._bound() * scalar._bound(),
+                             self.re, self.im, scalar.re, scalar.im)
+        return Batch(self.n, self.k, re * x - im * y, re * y + im * x,
+                     _product(self.den, scalar.den))
+
+    __rmul__ = __mul__
+
+    def wedge(self, other: "Batch") -> "Batch":
+        return _wedge_rows(self, other)
+
+    def conjugate(self) -> "Batch":
+        flipped = Batch(self.n, self.k, self.re, -self.im, self.den)
+        return _conjugation_table(self.n, self.k)(flipped)
+
+    def inner(self, other: "Batch") -> "Batch":
+        self._require_like(other)
+        bound = 2 * self.re.shape[1] * self._bound() * other._bound()
+        a_re, a_im, b_re, b_im = _cast(bound, self.re, self.im, other.re, other.im)
+        re = (a_re * b_re + a_im * b_im).sum(axis=1, keepdims=True)
+        im = (a_im * b_re - a_re * b_im).sum(axis=1, keepdims=True)
+        return Batch(self.n, 0, re, im, _product(self.den, other.den))
+
+    def norm_sq(self) -> "Batch":
+        re, im = _cast(2 * self.re.shape[1] * self._bound() ** 2, self.re, self.im)
+        total = (re * re + im * im).sum(axis=1, keepdims=True)
+        return Batch(self.n, 0, total, np.zeros_like(total), _product(self.den, self.den))
+
+
+def _common(a: Batch, b: Batch):
+    """Numerators of a and b over den_a * den_b, with room to add them, and
+    that denominator."""
+    den_a, den_b = a.den[:, None], b.den[:, None]
+    bound = 2 * max(a._bound() * _maxabs(den_b), b._bound() * _maxabs(den_a))
+    a_re, a_im, b_re, b_im, den_a, den_b = _cast(bound, a.re, a.im, b.re, b.im, den_a, den_b)
+    return a_re * den_b, a_im * den_b, b_re * den_a, b_im * den_a, _product(a.den, b.den)
+
+
+def _per_degree(a: Form, op: Callable[[Batch], Batch]) -> Form:
+    """op on each homogeneous part of a, as a one-row batch.  Images of
+    different degrees must not share a monomial."""
+    terms: dict[Monomial, GaussRational] = {}
+    for k, part in a.homogeneous_parts().items():
+        terms.update(op(Batch.of(a.n, k, [part])).terms(0))
+    return Form._trusted(a.n, terms)
+
+
+# ---- compiled tables ---------------------------------------------------------
+
+
+class Table(NamedTuple):
+    """A fixed linear map onto degree-k forms, over one denominator.
+
+    Pair i sends input column src[i] to its output with the Gaussian-integer
+    coefficient re[i] + i im[i]; pairs are sorted by output, segment g
+    (from starts[g]) feeding column outputs[g].  gain bounds the ratio of
+    the largest output numerator to the largest input one.
+    """
+
+    k: int
+    size: int
+    src: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    starts: np.ndarray
+    outputs: np.ndarray
+    den: int
+    gain: int
+
+    def __call__(self, a: Batch) -> Batch:
+        den = a.den if self.den == 1 else _product(a.den, np.asarray(self.den))
+        if not (self.src.size and a.rows):
+            return Batch.zero(a.n, self.k, a.rows, den)
+        x_re, x_im, c_re, c_im = _cast(self.gain * a._bound(), a.re, a.im, self.re, self.im)
+        pieces = []
+        for rows in _chunks(a.rows, self.src.size):
+            p_re, p_im = x_re[rows][:, self.src], x_im[rows][:, self.src]
+            pieces.append(_summed(self, p_re * c_re - p_im * c_im, p_re * c_im + p_im * c_re))
+        return _stacked(a.n, self, pieces, den)
+
+
+# A (rows x pairs) temporary holds at most this many entries.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _chunks(rows: int, pairs: int) -> list[slice]:
+    return [slice(b.start, b.stop) for b in row_blocks(rows, _CHUNK_ENTRIES // pairs or 1)]
+
+
+def _summed(table, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns whose entry outputs[g] sums segment g of the pair values."""
+    return (np.add.reduceat(re, table.starts, axis=1),
+            np.add.reduceat(im, table.starts, axis=1))
+
+
+def _stacked(n: int, table, pieces: list, den: np.ndarray) -> Batch:
+    """The batch of the summed chunks, with the output columns in place."""
+    re = np.vstack([p[0] for p in pieces])
+    im = np.vstack([p[1] for p in pieces])
+    if len(table.outputs) < table.size:
+        full_re = np.zeros((len(re), table.size), dtype=re.dtype)
+        full_im = np.zeros((len(im), table.size), dtype=im.dtype)
+        full_re[:, table.outputs], full_im[:, table.outputs] = re, im
+        re, im = full_re, full_im
+    return Batch(n, table.k, re, im, den)
+
+
+def _table(k: int, size: int, out, src, re, im, den: int) -> Table:
+    """Table of the pairs (out, src, re + i im), given in any order."""
+    out, src = np.asarray(out, dtype=np.int64), np.asarray(src, dtype=np.int64)
+    re, im = _ints(re), _ints(im)
+    order = np.lexsort((src, out))
+    out, src, re, im = out[order], src[order], re[order], im[order]
+    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]]) if out.size else out
+    longest = int(np.diff(np.r_[starts, out.size]).max()) if out.size else 0
+    return Table(k, size, src, re, im, starts, out[starts], den,
+                 2 * _maxabs(re, im) * longest)
+
+
+def _compiled(
+    n: int, k_in: int, k_out: int,
+    columns: Mapping[Monomial, Mapping[Monomial, GaussRational]],
+) -> Table:
+    """Table of the map sending each degree-k_in monomial mu to
+    sum_nu columns[mu][nu] * nu."""
+    rank_in, rank_out = _basis_rank(n, k_in), _basis_rank(n, k_out)
+    den = lcm(1, *(c._d for col in columns.values() for c in col.values()))
+    out, src, re, im = [], [], [], []
+    for mu, col in columns.items():
+        for nu, c in col.items():
+            out.append(rank_out[nu])
+            src.append(rank_in[mu])
+            re.append(c._x * (den // c._d))
+            im.append(c._y * (den // c._d))
+    return _table(k_out, _size(n, k_out), out, src, re, im, den)
+
+
+def _adjoint(table: Table, n: int, k_in: int) -> Table:
+    """Conjugate transpose of a table on degree-k_in forms."""
+    out = np.repeat(table.outputs, np.diff(np.r_[table.starts, table.src.size]))
+    return _table(k_in, _size(n, k_in), table.src, out, table.re, -table.im, table.den)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_table(n: int, k: int) -> Table:
+    """The monomial part of conjugation, dz^S ^ dzb^T -> (-1)^(pq) dz^T ^ dzb^S;
+    the coefficients are conjugated before it is applied."""
+    return _compiled(n, k, k, {
+        mono: {Monomial(mono.t, mono.s): GaussRational((-1) ** (len(mono.s) * len(mono.t)))}
+        for mono in monomial_basis(n, k)
+    })
+
+
 # ---- compiled exterior product ---------------------------------------------
 
 # A product of homogeneous parts with at most this many term pairs loops over
 # them in Python; above it, and once the operands fill at least 1/_DENSE_FILL
-# of the compiled table, the table is evaluated with numpy.
+# of the compiled table, it runs on one-row batches.
 _SPARSE_PAIRS = 64
 _DENSE_FILL = 16
-_INT64_LIMIT = 2 ** 63
 
 
 class _Masks(dict):
@@ -560,11 +901,14 @@ class _WedgeTable(NamedTuple):
     Pairs are sorted by output; indices are ranks in `monomial_basis`.
     """
 
+    k: int  # da + db
+    size: int
     left: np.ndarray
     right: np.ndarray
     sign: np.ndarray
     starts: np.ndarray  # first pair of each output
     outputs: np.ndarray  # rank of each output in degree da + db
+    gain: int  # twice the most pairs feeding one output
 
 
 @lru_cache(maxsize=None)
@@ -576,11 +920,6 @@ def _basis_bits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         np.array([m for m, _ in bits], dtype=dtype),
         np.array([p for _, p in bits], dtype=dtype),
     )
-
-
-@lru_cache(maxsize=None)
-def _basis_rank(n: int, k: int) -> dict[Monomial, int]:
-    return {mono: i for i, mono in enumerate(monomial_basis(n, k))}
 
 
 @lru_cache(maxsize=None)
@@ -596,57 +935,72 @@ def _wedge_table(n: int, da: int, db: int) -> _WedgeTable:
     while shift < 2 * n:
         odd ^= odd >> shift
         shift *= 2
-    sign = 1 - 2 * (odd & 1)
+    sign = (1 - 2 * (odd & 1)).astype(np.int64)
     by_out = np.argsort(out, kind="stable")
     left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
     starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
-    return _WedgeTable(left, right, sign, starts, out[starts])
+    longest = int(np.diff(np.r_[starts, out.size]).max())
+    return _WedgeTable(da + db, len(mask_c), left, right, sign, starts, out[starts],
+                       2 * longest)
 
 
-def _packed(a: Form) -> tuple[int, dict[int, tuple[list, list, list]]]:
-    """Shared denominator of a, and per degree its monomials and numerators."""
-    coeffs = a.terms.values()
-    den = 1
-    for c in coeffs:
-        if c._d != 1:
-            den = den * c._d // gcd(den, c._d)
-    if den == 1:
-        xs = [c._x for c in coeffs]
-        ys = [c._y for c in coeffs]
-    else:
-        xs = [c._x * (den // c._d) for c in coeffs]
-        ys = [c._y * (den // c._d) for c in coeffs]
-    monos = list(a.terms)
-    degrees = [len(m.s) + len(m.t) for m in monos]
-    if not monos or degrees.count(degrees[0]) == len(degrees):
-        return den, ({degrees[0]: (monos, xs, ys)} if monos else {})
-    parts: dict[int, tuple[list, list, list]] = {}
-    for k, mono, x, y in zip(degrees, monos, xs, ys):
-        part = parts.get(k)
-        if part is None:
-            part = parts[k] = ([], [], [])
-        part[0].append(mono)
-        part[1].append(x)
-        part[2].append(y)
-    return den, parts
+def _wedge_rows(a: Batch, b: Batch) -> Batch:
+    """Row-by-row exterior products a_t ^ b_t on the compiled table."""
+    if a.n != b.n or a.rows != b.rows:
+        raise ValueError("batch mismatch in the exterior product")
+    n, k = a.n, a.k + b.k
+    den = _product(a.den, b.den)
+    if not (_size(n, k) and a.re.shape[1] and b.re.shape[1] and a.rows):
+        return Batch.zero(n, k, a.rows, den)
+    table = _wedge_table(n, a.k, b.k)
+    a_re, a_im, b_re, b_im = _cast(table.gain * a._bound() * b._bound(),
+                                   a.re, a.im, b.re, b.im)
+    pieces = []
+    for rows in _chunks(a.rows, table.left.size):
+        x_re, x_im = a_re[rows][:, table.left], a_im[rows][:, table.left]
+        y_re = b_re[rows][:, table.right] * table.sign
+        y_im = b_im[rows][:, table.right] * table.sign
+        pieces.append(_summed(table, x_re * y_re - x_im * y_im, x_re * y_im + x_im * y_re))
+    return _stacked(n, table, pieces, den)
 
 
-def _part_product(n: int, da: int, a: tuple, db: int, b: tuple):
-    """Numerators of (degree-da part) ^ (degree-db part), as parallel lists."""
-    pairs = len(a[0]) * len(b[0])
+def _wedge_by(fixed: Form, d: int, k: int) -> Table:
+    """Table of b -> fixed ^ b on degree-k forms, for fixed of degree d."""
+    n = fixed.n
+    if not (_size(n, d + k) and _size(n, k) and _size(n, d)):
+        return _table(d + k, _size(n, d + k), [], [], [], [], 1)
+    row = Batch.of(n, d, [fixed])
+    w = _wedge_table(n, d, k)
+    out = np.repeat(w.outputs, np.diff(np.r_[w.starts, w.left.size]))
+    re, im = row.re[0, w.left] * w.sign, row.im[0, w.left] * w.sign
+    keep = np.flatnonzero((re != 0) | (im != 0))
+    return _table(d + k, w.size, out[keep], w.right[keep], re[keep], im[keep],
+                  int(row.den[0]))
+
+
+def _numerators(a: Form) -> tuple[int, list[tuple[Monomial, int, int]]]:
+    den = lcm(1, *(c._d for c in a.terms.values()))
+    return den, [(m, c._x * (den // c._d), c._y * (den // c._d)) for m, c in a.terms.items()]
+
+
+def _part_product(n: int, da: int, a: Form, db: int, b: Form) -> dict[Monomial, GaussRational]:
+    """Terms of (degree-da form a) ^ (degree-db form b)."""
+    pairs = len(a.terms) * len(b.terms)
     table_pairs = comb(2 * n, da) * comb(2 * n - da, db)
     if pairs <= _SPARSE_PAIRS or table_pairs > _DENSE_FILL * pairs:
         return _sparse_product(n, a, b)
-    return _dense_product(n, da, a, db, b)
+    return _wedge_rows(Batch.of(n, da, [a]), Batch.of(n, db, [b])).terms(0)
 
 
-def _sparse_product(n: int, a: tuple, b: tuple):
+def _sparse_product(n: int, a: Form, b: Form) -> dict[Monomial, GaussRational]:
     masks = _masks(n)
-    masks_b = [masks[mono][0] for mono in b[0]]
+    den_a, terms_a = _numerators(a)
+    den_b, terms_b = _numerators(b)
+    terms_b = [(masks[mono][0], xb, yb) for mono, xb, yb in terms_b]
     acc: dict[int, list[int]] = {}
-    for mono, xa, ya in zip(*a):
+    for mono, xa, ya in terms_a:
         mask_a, par_a = masks[mono]
-        for mask_b, xb, yb in zip(masks_b, b[1], b[2]):
+        for mask_b, xb, yb in terms_b:
             if mask_a & mask_b:
                 continue
             x = xa * xb - ya * yb
@@ -660,54 +1014,6 @@ def _sparse_product(n: int, a: tuple, b: tuple):
             else:
                 hit[0] += x
                 hit[1] += y
-    monos = [masks.monomials[key] for key in acc]
-    return monos, [v[0] for v in acc.values()], [v[1] for v in acc.values()]
-
-
-def _dense_product(n: int, da: int, a: tuple, db: int, b: tuple):
-    table = _wedge_table(n, da, db)
-    bound_a = max(max(map(abs, a[1])), max(map(abs, a[2])))
-    bound_b = max(max(map(abs, b[1])), max(map(abs, b[2])))
-    # each output collects at most one pair per term of either factor
-    fits = 2 * bound_a * bound_b * min(len(a[0]), len(b[0])) < _INT64_LIMIT
-    dtype = np.int64 if fits else object
-    va = _dense_vector(n, da, a, dtype).take(table.left, axis=1)
-    vb = _dense_vector(n, db, b, dtype).take(table.right, axis=1) * table.sign
-    re = np.add.reduceat(va[0] * vb[0] - va[1] * vb[1], table.starts)
-    im = np.add.reduceat(va[0] * vb[1] + va[1] * vb[0], table.starts)
-    keep = np.flatnonzero((re != 0) | (im != 0))
-    basis = monomial_basis(n, da + db)
-    monos = [basis[i] for i in table.outputs[keep].tolist()]
-    return monos, re[keep].tolist(), im[keep].tolist()
-
-
-def _dense_vector(n: int, k: int, part: tuple, dtype) -> np.ndarray:
-    rank = _basis_rank(n, k)
-    vec = np.zeros((2, comb(2 * n, k)), dtype=dtype)
-    index = [rank[mono] for mono in part[0]]
-    vec[0, index] = part[1]
-    vec[1, index] = part[2]
-    return vec
-
-
-def _unpacked(n: int, pieces: list, den: int) -> Form:
-    """Form of summed (monomials, re, im) numerator pieces over den."""
-    if len(pieces) == 1:
-        items = zip(*pieces[0])
-    else:
-        acc: dict[Monomial, list[int]] = {}
-        for monos, xs, ys in pieces:
-            for mono, x, y in zip(monos, xs, ys):
-                hit = acc.get(mono)
-                if hit is None:
-                    acc[mono] = [x, y]
-                else:
-                    hit[0] += x
-                    hit[1] += y
-        items = ((mono, x, y) for mono, (x, y) in acc.items())
-    terms: dict[Monomial, GaussRational] = {}
+    den = den_a * den_b
     make = GaussRational._raw if den == 1 else GaussRational._norm
-    for mono, x, y in items:
-        if x or y:
-            terms[mono] = make(x, y, den)
-    return Form._trusted(n, terms)
+    return {masks.monomials[key]: make(x, y, den) for key, (x, y) in acc.items() if x or y}

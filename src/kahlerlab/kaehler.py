@@ -6,14 +6,15 @@ omega = i * sum_a dz^a ^ dzb^a, and the volume form is omega^n / n!.
 
 The Hodge star is constructed monomial by monomial from its defining
 relation  a ^ *conj(b) = <a,b> dV,  never from the structure identities it
-is later tested against.  The dual Lefschetz operator is built twice, as
-the matrix adjoint of the Lefschetz operator and as star^-1 o L o star;
-the two matrices are compared entry-exactly at construction time.
+is later tested against.  The dual Lefschetz operator is the matrix adjoint
+of the Lefschetz operator; the `lefschetz` verify suite compares it with
+star^-1 o L o star.
 
-The dual Lefschetz operator, the Lefschetz decomposition and the primitive
-projector are fixed linear maps on each degree.  Each is compiled once per
-(n, k) into a sparse table of Gaussian-integer numerators over one
-denominator, and `_apply` evaluates any of them on a form.
+L^j, the dual Lefschetz operator, the star, the Weil operator, the
+Lefschetz decomposition and the primitive projector are fixed linear maps
+on each degree.  Each is compiled once per (n, k) into an
+`exterior.Table`.  The operators below take a `Form` or a `Batch`: a batch
+goes through the table at once, a form as one-row batches, one per degree.
 """
 
 from __future__ import annotations
@@ -22,20 +23,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from . import rational_linalg as rl
 from .exterior import (
+    Batch,
     Form,
     GaussRational,
     Monomial,
     ONE,
     ZERO,
-    _packed,
-    _unpacked,
+    Table,
+    _adjoint,
+    _basis_rank,
+    _compiled,
+    _per_degree,
+    _wedge_by,
     bidegree_basis,
     inner,
     monomial_basis,
+    row_blocks,
 )
 
 
@@ -72,15 +79,19 @@ def _top_monomial(n: int) -> Monomial:
     return Monomial(full, full)
 
 
-def lefschetz_L(a: Form) -> Form:
-    """L a = omega ^ a."""
+def lefschetz_L(a):
+    """L a = omega ^ a, of a form or of each row of a batch."""
+    if isinstance(a, Batch):
+        return lefschetz_power(a, 1)
     return kahler_form(a.n).wedge(a)
 
 
-def lefschetz_power(a: Form, j: int) -> Form:
-    """L^j a, j >= 0."""
+def lefschetz_power(a, j: int):
+    """L^j a, j >= 0, of a form or of each row of a batch."""
     if j < 0:
         raise ValueError("power must be nonnegative")
+    if isinstance(a, Batch):
+        return a if j == 0 else _power_table(a.n, a.k, j)(a)
     if j > a.n:
         # omega^j vanishes beyond top degree
         return Form.zero(a.n)
@@ -88,154 +99,107 @@ def lefschetz_power(a: Form, j: int) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _star_pair(n: int, mono: Monomial) -> tuple[Monomial, GaussRational]:
-    """Image of a monomial under the star, fixed by mu ^ conj(*mu) = dV."""
-    full = range(1, n + 1)
-    sc = tuple(a for a in full if a not in mono.s)
-    tc = tuple(a for a in full if a not in mono.t)
-    target = Monomial(tc, sc)
-    pairing = Form(n, {mono: ONE}).wedge(Form(n, {target: ONE}).conjugate())
-    s_coeff = pairing.coefficient(_top_monomial(n))
-    if s_coeff.is_zero():
-        raise RuntimeError("star construction produced a vanishing pairing")
-    v_coeff = volume_form(n).coefficient(_top_monomial(n))
-    return target, (v_coeff / s_coeff).conjugate()
-
-
-def hodge_star(a: Form) -> Form:
-    """Hodge star, extended linearly over monomials."""
-    if a.n < 1:
-        raise ValueError("dimension must be at least 1")
-    # the star maps monomials one to one and its coefficients are units
-    terms: dict[Monomial, GaussRational] = {}
-    for mono, coeff in a.terms.items():
-        target, c = _star_pair(a.n, mono)
-        terms[target] = coeff * c
-    return Form._trusted(a.n, terms)
-
-
-def star_inverse(a: Form) -> Form:
-    """Inverse star; equals (-1)^k star on degree k."""
-    out = Form.zero(a.n)
-    for k, part in a.homogeneous_parts().items():
-        starred = hodge_star(part)
-        out = out + (starred if k % 2 == 0 else -starred)
-    return out
-
-
-def weil_operator(a: Form) -> Form:
-    """Multiply each (p,q) component by i^(p-q)."""
-    terms = {}
-    for mono, coeff in a.terms.items():
-        p, q = mono.bidegree
-        terms[mono] = coeff * GaussRational.i_power(p - q)
-    return Form._trusted(a.n, terms)
-
-
-# ---- compiled fixed operators ----------------------------------------------
-
-
-class _Table(NamedTuple):
-    """A fixed linear map on degree-k forms, over one denominator.
-
-    rows[mu] lists (nu, x, y): the image of the monomial mu is the sum of
-    (x + iy)/den * nu, with Gaussian-integer numerators x + iy.
-    """
-
-    den: int
-    rows: Mapping[Monomial, tuple[tuple[Monomial, int, int], ...]]
-
-
-def _compiled(columns: Mapping[Monomial, Mapping[Monomial, GaussRational]]) -> _Table:
-    """Table of the map sending each key mu to sum columns[mu][nu] * nu."""
-    den = lcm(1, *(c._d for col in columns.values() for c in col.values()))
-    return _Table(den, {
-        mu: tuple((nu, c._x * (den // c._d), c._y * (den // c._d))
-                  for nu, c in col.items())
-        for mu, col in columns.items()
-    })
-
-
-def _apply(table_of: Callable[[int, int], _Table], a: Form) -> Form:
-    """Image of a under the operator compiled by table_of(n, k) per degree k."""
-    n = a.n
-    den_a, parts = _packed(a)
-    tables = {k: table_of(n, k) for k in parts}
-    den = lcm(1, *(t.den for t in tables.values()))
-    pieces = []
-    for k, (monos, xs, ys) in parts.items():
-        rows = tables[k].rows
-        acc: dict[Monomial, list[int]] = {}
-        for mono, xa, ya in zip(monos, xs, ys):
-            for nu, xt, yt in rows[mono]:
-                x = xa * xt - ya * yt
-                y = xa * yt + ya * xt
-                hit = acc.get(nu)
-                if hit is None:
-                    acc[nu] = [x, y]
-                else:
-                    hit[0] += x
-                    hit[1] += y
-        scale = den // tables[k].den
-        pieces.append((
-            list(acc),
-            [v[0] * scale for v in acc.values()],
-            [v[1] * scale for v in acc.values()],
-        ))
-    return _unpacked(n, pieces, den_a * den)
+def _power_table(n: int, k: int, j: int) -> Table:
+    """L^j on degree k, as the product with omega^j."""
+    return _wedge_by(_omega_power(n, j), 2 * j, k)
 
 
 @lru_cache(maxsize=None)
-def _dual_lefschetz_table(n: int, k: int) -> _Table:
-    """The dual Lefschetz operator on degree-k monomials.
+def _star_table(n: int, k: int) -> Table:
+    """The star on degree k, monomial by monomial: *mu is a multiple of the
+    monomial nu with the complementary index sets swapped, fixed by
+    mu ^ conj(*mu) = dV."""
+    basis = monomial_basis(n, k)
+    full = range(1, n + 1)
+    targets = [
+        Monomial(tuple(a for a in full if a not in mu.t), tuple(a for a in full if a not in mu.s))
+        for mu in basis
+    ]
+    rank = _basis_rank(n, 2 * n - k)
+    v = volume_form(n).coefficient(_top_monomial(n))
+    columns = {}
+    for block in row_blocks(len(basis)):
+        mus = Batch.units(n, k, block)
+        nus = Batch.units(n, 2 * n - k, [rank[targets[i]] for i in block])
+        # mu ^ conj(nu) is top degree: its only column is the top monomial
+        for i, pairing in zip(block, mus.wedge(nus.conjugate()).sparse_rows()):
+            if not pairing:
+                raise RuntimeError("star construction produced a vanishing pairing")
+            columns[basis[i]] = {targets[i]: (v / pairing[0]).conjugate()}
+    return _compiled(n, k, 2 * n - k, columns)
 
-    Built as the conjugate-transpose of the Lefschetz matrix and verified
-    entry-exactly against star^-1 o L o star before being cached.
-    """
-    basis_hi = monomial_basis(n, k)
-    adjoint: dict[Monomial, dict[Monomial, GaussRational]] = {
-        mono: {} for mono in basis_hi
-    }
-    if k >= 2:
-        for nu in monomial_basis(n, k - 2):
-            image = lefschetz_L(Form(n, {nu: ONE}))
-            for mu, c in image.terms.items():
-                adjoint[mu][nu] = c.conjugate()
-    for mu in basis_hi:
-        via_star = star_inverse(lefschetz_L(hodge_star(Form(n, {mu: ONE}))))
-        if via_star.terms != adjoint[mu]:
-            raise RuntimeError(
-                "dual Lefschetz mismatch between adjoint and star routes "
-                f"at n={n}, monomial {mu.label()}"
-            )
-    return _compiled(adjoint)
+
+def hodge_star(a):
+    """Hodge star, extended linearly over monomials."""
+    if a.n < 1:
+        raise ValueError("dimension must be at least 1")
+    if isinstance(a, Batch):
+        return _star_table(a.n, a.k)(a)
+    return _per_degree(a, hodge_star)
 
 
-def dual_lefschetz(a: Form) -> Form:
+def star_inverse(a):
+    """Inverse star; equals (-1)^k star on degree k."""
+    if isinstance(a, Batch):
+        return hodge_star(a) if a.k % 2 == 0 else -hodge_star(a)
+    return _per_degree(a, star_inverse)
+
+
+@lru_cache(maxsize=None)
+def _weil_table(n: int, k: int) -> Table:
+    return _compiled(n, k, k, {
+        mono: {mono: GaussRational.i_power(len(mono.s) - len(mono.t))}
+        for mono in monomial_basis(n, k)
+    })
+
+
+def weil_operator(a):
+    """Multiply each (p,q) component by i^(p-q)."""
+    if isinstance(a, Batch):
+        return _weil_table(a.n, a.k)(a)
+    return _per_degree(a, weil_operator)
+
+
+@lru_cache(maxsize=None)
+def _dual_lefschetz_table(n: int, k: int) -> Table:
+    """The dual Lefschetz operator on degree k: the conjugate transpose of L
+    on degree k - 2."""
+    return _adjoint(_power_table(n, k - 2, 1), n, k - 2)
+
+
+def dual_lefschetz(a):
     """Adjoint of the Lefschetz operator (degree -2)."""
-    return _apply(_dual_lefschetz_table, a)
+    if isinstance(a, Batch):
+        return _dual_lefschetz_table(a.n, a.k)(a)
+    return _per_degree(a, dual_lefschetz)
 
 
-def hr_pairing(a: Form, b: Form) -> GaussRational:
+def hr_pairing(a, b):
     """Coefficient of i^(k(k-1)) omega^(n-k) ^ a ^ b relative to dV.
 
     Bilinear (no conjugation); both arguments must be homogeneous of the
-    same degree k <= n.
+    same degree k <= n.  On two batches of degree k it is taken row by row
+    and returned as a degree-0 batch.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} != {b.n}")
     n = a.n
-    ka, kb = a.degree(), b.degree()
-    if a.is_zero() or b.is_zero():
-        return ZERO
+    if isinstance(a, Batch):
+        ka, kb = a.k, b.k
+    else:
+        ka, kb = a.degree(), b.degree()
+        if a.is_zero() or b.is_zero():
+            return ZERO
     if ka is None or kb is None or ka != kb:
         raise ValueError("arguments must be homogeneous of equal degree")
     if ka > n:
         raise ValueError(f"degree {ka} exceeds dimension {n}")
+    scale = GaussRational.i_power(ka * (ka - 1)) / volume_form(n).coefficient(_top_monomial(n))
+    if isinstance(a, Batch):
+        top = lefschetz_power(a, n - ka).wedge(b)  # one column, the top monomial
+        return Batch(n, 0, top.re, top.im, top.den) * scale
     product = _omega_power(n, n - ka).wedge(a).wedge(b)
-    coeff = product.coefficient(_top_monomial(n))
-    v = volume_form(n).coefficient(_top_monomial(n))
-    return GaussRational.i_power(ka * (ka - 1)) * coeff / v
+    return scale * product.coefficient(_top_monomial(n))
 
 
 def is_primitive(a: Form) -> bool:
@@ -257,13 +221,15 @@ def _primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
     cols = bidegree_basis(n, p, q)
     if not cols:
         return ()
-    table = _dual_lefschetz_table(n, p + q)
-    matrix: dict[Monomial, dict[int, GaussRational]] = {
-        mono: {} for mono in bidegree_basis(n, p - 1, q - 1)
-    }
-    for j, mono in enumerate(cols):
-        for nu, x, y in table.rows[mono]:
-            matrix[nu][j] = GaussRational._norm(x, y, table.den)
+    # the rows of the matrix of the dual Lefschetz operator on (p, q)-forms
+    rank = _basis_rank(n, p + q)
+    ranks = [rank[mono] for mono in cols]
+    matrix: dict[int, dict[int, GaussRational]] = {}
+    for block in row_blocks(len(cols)):
+        images = dual_lefschetz(Batch.units(n, p + q, [ranks[j] for j in block]))
+        for j, image in zip(block, images.sparse_rows()):
+            for i, c in image.items():
+                matrix.setdefault(i, {})[j] = c
     kernel = rl.nullspace(list(matrix.values()), cols=len(cols))
     forms = []
     for vec in kernel:
@@ -311,35 +277,32 @@ class PrimitiveDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _decomposition_table(n: int, k: int) -> _Table:
-    """The maps a -> a_r of the Lefschetz decomposition, side by side.
+def _decomposition_tables(n: int, k: int) -> tuple[tuple[int, Table], ...]:
+    """The maps a -> a_r of the Lefschetz decomposition, one table per r.
 
     With M the matrix whose columns are L^r b over the primitive bases b of
-    degree k - 2r, a_r = B_r (M^-1 a) restricted to block r; the degree of
-    an output monomial, k - 2r, tells which part it belongs to.
+    degree k - 2r, a_r = B_r (M^-1 a) restricted to block r.
     """
     basis_k = monomial_basis(n, k)
     index = {mono: i for i, mono in enumerate(basis_k)}
-    prims: list[Form] = []
+    blocks = [(r, primitive_basis(n, k - 2 * r)) for r in range(max(0, k - n), k // 2 + 1)]
+    prims = [(r, b) for r, basis in blocks for b in basis]
     matrix: list[dict[int, GaussRational]] = [{} for _ in basis_k]
-    for r in range(max(0, k - n), k // 2 + 1):
-        for b in primitive_basis(n, k - 2 * r):
-            j = len(prims)
-            prims.append(b)
-            for mono, c in lefschetz_power(b, r).terms.items():
-                matrix[index[mono]][j] = c
+    for j, (r, b) in enumerate(prims):
+        for mono, c in lefschetz_power(b, r).terms.items():
+            matrix[index[mono]][j] = c
     if len(prims) != len(basis_k):
         raise RuntimeError(
             f"Lefschetz blocks span defect at n={n}, k={k}: "
             f"{len(prims)} columns for dimension {len(basis_k)}"
         )
-    columns: dict[Monomial, dict[Monomial, GaussRational]] = {
-        mono: {} for mono in basis_k
+    columns: dict[int, dict[Monomial, dict[Monomial, GaussRational]]] = {
+        r: {mono: {} for mono in basis_k} for r, _ in blocks
     }
-    for b, inv_row in zip(prims, rl.invert(matrix)):
+    for (r, b), inv_row in zip(prims, rl.invert(matrix)):
         for i, v in inv_row.items():
-            _accumulate(columns[basis_k[i]], b.terms, v)
-    return _compiled(columns)
+            _accumulate(columns[r][basis_k[i]], b.terms, v)
+    return tuple((r, _compiled(n, k, k - 2 * r, columns[r])) for r, _ in blocks)
 
 
 def _accumulate(
@@ -356,19 +319,26 @@ def _accumulate(
             col.pop(mu, None)
 
 
-def primitive_decompose(a: Form) -> PrimitiveDecomposition:
-    """Exact Lefschetz decomposition of a homogeneous form."""
+def primitive_decompose(a) -> PrimitiveDecomposition:
+    """Exact Lefschetz decomposition of a homogeneous form.
+
+    Of a batch, the parts are batches, one for every r of degree k.
+    """
     n = a.n
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    if isinstance(a, Batch):
+        return PrimitiveDecomposition(n, a.k, {
+            r: table(a) for r, table in _decomposition_tables(n, a.k)
+        })
     if a.is_zero():
         return PrimitiveDecomposition(n, 0, {})
     k = a.degree()
     if k is None:
         raise ValueError("form must be homogeneous")
-    image = _apply(_decomposition_table, a)
-    parts = {(k - d) // 2: part for d, part in image.homogeneous_parts().items()}
-    return PrimitiveDecomposition(n, k, parts)
+    row = Batch.of(n, k, [a])
+    parts = {r: table(row).form(0) for r, table in _decomposition_tables(n, k)}
+    return PrimitiveDecomposition(n, k, {r: p for r, p in parts.items() if not p.is_zero()})
 
 
 def recompose(dec: PrimitiveDecomposition) -> Form:
@@ -389,7 +359,7 @@ def recompose(dec: PrimitiveDecomposition) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _projection_table(n: int, k: int) -> _Table:
+def _projection_table(n: int, k: int) -> Table:
     """The orthogonal projector B G^-1 B* onto primitive degree-k forms.
 
     B has the primitive basis vectors b_i as columns and G[i][j] = <b_j, b_i>;
@@ -408,26 +378,38 @@ def _projection_table(n: int, k: int) -> _Table:
             _accumulate(coeff, adjoint[j], v)
         for mu, v in coeff.items():
             _accumulate(columns[mu], bi.terms, v)
-    return _compiled(columns)
+    return _compiled(n, k, k, columns)
 
 
-def primitive_projection(a: Form) -> Form:
+def primitive_projection(a):
     """Exact orthogonal projection onto the primitive subspace."""
-    return _apply(_projection_table, a)
+    if isinstance(a, Batch):
+        return _projection_table(a.n, a.k)(a)
+    return _per_degree(a, primitive_projection)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense exact matrix of an operator between monomial bases."""
+    """Exact matrix of an operator between monomial bases, kept as sparse
+    columns: columns[j] maps codomain ranks to the nonzero entries of the
+    image of domain_basis[j]."""
 
     domain: str
     codomain: str
     domain_basis: tuple[Monomial, ...]
     codomain_basis: tuple[Monomial, ...]
-    entries: tuple[tuple[GaussRational, ...], ...]
+    columns: tuple[dict[int, GaussRational], ...]
+
+    @property
+    def entries(self) -> tuple[tuple[GaussRational, ...], ...]:
+        """Dense rows, built on demand."""
+        return tuple(
+            tuple(col.get(i, ZERO) for col in self.columns)
+            for i in range(len(self.codomain_basis))
+        )
 
     def rank(self) -> int:
-        return rl.rank(self.entries)
+        return rl.rank(self.columns)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -441,22 +423,16 @@ def operator_matrix(
     dom = monomial_basis(n, k)
     cod = monomial_basis(n, codomain_degree)
     index = {mono: i for i, mono in enumerate(cod)}
-    cols = []
-    for mono in dom:
-        image = op(Form(n, {mono: ONE}))
-        col = [ZERO] * len(cod)
-        for mu, c in image.terms.items():
-            col[index[mu]] = c
-        cols.append(col)
-    entries = tuple(
-        tuple(cols[j][i] for j in range(len(dom))) for i in range(len(cod))
+    columns = tuple(
+        {index[mu]: c for mu, c in op(Form(n, {mono: ONE})).terms.items()}
+        for mono in dom
     )
     return OperatorMatrix(
         domain=name or f"degree {k}",
         codomain=f"degree {codomain_degree}",
         domain_basis=dom,
         codomain_basis=cod,
-        entries=entries,
+        columns=columns,
     )
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 _BISECT_TOL = 1e-12  # absolute tolerance handed to stebz
 # stebz's float64 pivots and a Sturm count each round to about eps ||T||_1;
@@ -192,24 +193,29 @@ def smallest_eigenvalue(
     return smallest_eigenvalue_detailed(diag, off, tol).value
 
 
-def _tridiagonal_matvec_ld(diag, off, v):
-    w = diag * v
+def _tridiagonal_matvec_ld(diag, off, v, out=None):
+    w = np.multiply(diag, v, out=out)
     w[:-1] += off * v[1:]
     w[1:] += off * v[:-1]
     return w
 
 
-def _refined_solve(ab, shifted_ld, off_ld, v):
-    """x with (T - shift) x = v: float64 solve_banded corrections driven by
-    the long-double residual v - (T - shift) x, until it stops halving."""
-    x = np.zeros_like(v)
-    r, size = v, math.inf
+def _refined_solve(factors, shifted_ld, off_ld, v):
+    """x with (T - shift) x = v: float64 gttrs corrections on the factors of
+    T - shift, driven by the long-double residual v - (T - shift) x, until it
+    stops halving."""
+    x, r = np.zeros_like(v), np.empty_like(v)
+    rhs, size = v.astype(float), math.inf
     while True:
-        x = x + solve_banded((1, 1), ab, r.astype(float))
-        r = v - _tridiagonal_matvec_ld(shifted_ld, off_ld, x)
+        step, info = dgttrs(*factors, rhs[:, None], overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"gttrs: illegal argument {-info}")
+        x += step[:, 0]
+        np.subtract(v, _tridiagonal_matvec_ld(shifted_ld, off_ld, x, out=r), out=r)
         last, size = size, float(np.sqrt(np.dot(r, r)))
         if not size < 0.5 * last:
             return x
+        rhs = r.astype(float)
 
 
 def _inverse_iteration(
@@ -221,30 +227,36 @@ def _inverse_iteration(
     which the acceptance grids push past the reporting threshold, so the
     vector is long double and each solve is mixed-precision iterative
     refinement (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 12).  The shift sits four bracket widths below lo, so a float64
-    correction shrinks the error by eps * norm(T) over that gap, <= 1/32.
+    ch. 12) on one LU factorization of T - shift per shift.  The shift sits
+    four bracket widths below lo, so a float64 correction shrinks the error
+    by eps * norm(T) over that gap, <= 1/32.
     """
-    n = len(diag)
     d_ld = diag.astype(np.longdouble)
     e_ld = off.astype(np.longdouble)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[2, :-1] = off
     margin = max(1e-9 * max(1.0, abs(lo)), 4.0 * (hi - lo))
     for attempt in range(5):
-        shift = lo - margin
-        ab[1, :] = diag - shift
-        v = np.full(n, 1.0 / math.sqrt(n), dtype=np.longdouble)
         try:
-            for _ in range(_SWEEPS):
-                v = _refined_solve(ab, d_ld - shift, e_ld, v)
-                v = v / np.sqrt(np.dot(v, v))
+            v = _shifted_sweeps(diag, off, d_ld, e_ld, lo - margin)
             break
         except np.linalg.LinAlgError:
             margin *= 100.0
     else:
         raise np.linalg.LinAlgError("inverse iteration could not solve the shifted system")
     return (*_rayleigh_residual(d_ld, e_ld, v), v)
+
+
+def _shifted_sweeps(diag, off, d_ld, e_ld, shift):
+    """Unit vector after _SWEEPS sweeps from the flat start, all solved on one
+    LAPACK gttrf factorization of T - shift (LinAlgError on a zero pivot)."""
+    *factors, info = dgttrf(off, diag - shift, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gttrf: zero pivot at row {info}")
+    n = len(diag)
+    v = np.full(n, 1.0 / math.sqrt(n), dtype=np.longdouble)
+    for _ in range(_SWEEPS):
+        v = _refined_solve(factors, d_ld - shift, e_ld, v)
+        v /= np.sqrt(np.dot(v, v))
+    return v
 
 
 def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
@@ -276,7 +288,6 @@ class EigenResult:
     sturm_counts: int
     refined: bool
     pivot_perturbations: int = 0
-    extrapolated: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -291,7 +302,6 @@ class EigenResult:
             "sturm_counts": self.sturm_counts,
             "refined": self.refined,
             "pivot_perturbations": self.pivot_perturbations,
-            "extrapolated": self.extrapolated,
         }
 
 

@@ -201,6 +201,8 @@ def test_spectrum_single_radius_json(capsys):
     assert sample["lambda_min"] <= sample["bracket_hi"] + sample["residual"]
     assert sample["sturm_counts"] == 2
     assert sample["refined"] is True
+    # a single sample is not extrapolated; the run-level key says so
+    assert "extrapolated" not in sample
 
 
 def test_spectrum_multi_radius_extrapolates(capsys):
@@ -213,6 +215,7 @@ def test_spectrum_multi_radius_extrapolates(capsys):
     payload = json.loads(out)
     assert len(payload["samples"]) == 3
     assert payload["extrapolated_scaled"] == pytest.approx(0.25, abs=0.02)
+    assert all("extrapolated" not in sample for sample in payload["samples"])
 
 
 def test_spectrum_text_output(capsys):

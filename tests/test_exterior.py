@@ -8,10 +8,12 @@ concatenation sort.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlab.exterior import (
+    Batch,
     Form,
     GaussRational,
     Monomial,
@@ -344,18 +346,19 @@ def _assert_matches_reference(a: Form, b: Form) -> None:
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts of the dense (numpy) and sparse (term loop) evaluations."""
+    """Counts of the products run on the compiled table (one-row batches)
+    and of those run by the term-pair loop."""
     from kahlerlab import exterior
 
-    counts = {"dense": 0, "sparse": 0}
-    for kind in counts:
-        original = getattr(exterior, f"_{kind}_product")
+    counts = {"table": 0, "sparse": 0}
+    for kind, name in (("table", "_wedge_rows"), ("sparse", "_sparse_product")):
+        original = getattr(exterior, name)
 
         def counted(*args, _kind=kind, _original=original):
             counts[_kind] += 1
             return _original(*args)
 
-        monkeypatch.setattr(exterior, f"_{kind}_product", counted)
+        monkeypatch.setattr(exterior, name, counted)
     return counts
 
 
@@ -374,7 +377,7 @@ def test_compiled_wedge_matches_reference_for_every_degree_pair(n, evaluations):
             _assert_matches_reference(a, Form.zero(n))
     assert evaluations["sparse"] > 0
     if n >= 3:  # below that every product is small enough for the term loop
-        assert evaluations["dense"] > 0
+        assert evaluations["table"] > 0
 
 
 def test_compiled_wedge_matches_reference_on_a_sample_at_n5(evaluations):
@@ -383,7 +386,7 @@ def test_compiled_wedge_matches_reference_on_a_sample_at_n5(evaluations):
         _assert_matches_reference(_drawn_form(rnd, 5, [da]), _drawn_form(rnd, 5, [db]))
     single = Form.monomial(5, (1, 4), (2,), GaussRational(Fraction(1, 2), 3))
     _assert_matches_reference(single, _drawn_form(rnd, 5, [4]))
-    assert evaluations["dense"] > 0 and evaluations["sparse"] > 0
+    assert evaluations["table"] > 0 and evaluations["sparse"] > 0
 
 
 def test_compiled_wedge_matches_reference_on_mixed_degree_and_rational_operands():
@@ -403,7 +406,7 @@ def test_compiled_wedge_falls_back_to_python_ints_beyond_the_certificate(evaluat
     a = _drawn_form(rnd, 4, [2], bound=bound)
     b = _drawn_form(rnd, 4, [3], bound=bound, dens=(1, 3))
     product = a.wedge(b)
-    assert evaluations["dense"] == 1
+    assert evaluations["table"] == 1
     # int64 numerators would have wrapped on this product
     scale = 3 * 3
     assert max(
@@ -417,4 +420,118 @@ def test_compiled_wedge_matches_reference_beyond_64_bit_masks(evaluations):
     a = Form(n, {Monomial((i,), ()): GaussRational(i, 1) for i in range(1, n + 1)})
     a = a + Form(n, {Monomial((), (i,)): GaussRational(1, -i) for i in range(1, n + 1)})
     _assert_matches_reference(a, a.conjugate())
-    assert evaluations["dense"] == 1
+    assert evaluations["table"] == 1
+
+
+# ---- batches against the dict path and the reference product -----------------
+
+
+def _rational_rows(rnd, n, k, dens=(1, 2, 3, 6), bound=5):
+    """Degree-k forms, one per denominator, plus a zero row; every
+    coefficient of a row shares that row's denominator."""
+    rows = []
+    for den in dens:
+        terms = {}
+        for mono in monomial_basis(n, k):
+            if rnd.random() < 0.25:
+                continue
+            terms[mono] = GaussRational(
+                Fraction(rnd.randint(-bound, bound), den),
+                Fraction(rnd.randint(-bound, bound), den),
+            )
+        rows.append(Form(n, terms))
+    return rows + [Form.zero(n)]
+
+
+def _rows_of(batch):
+    return [batch.form(t) for t in range(batch.rows)]
+
+
+def _reference_conjugate(a: Form) -> Form:
+    """Conjugate term by term: swap the index sets, reorder sign (-1)^(pq)."""
+    return Form(a.n, {
+        Monomial(m.t, m.s): c.conjugate() * (-1) ** (len(m.s) * len(m.t))
+        for m, c in a.terms.items()
+    })
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batch_wedge_matches_reference_row_by_row(n):
+    rnd = random.Random(2000 + n)
+    for da in range(2 * n + 1):
+        for db in range(2 * n + 1):
+            a, b = _rational_rows(rnd, n, da), _rational_rows(rnd, n, db)
+            a.reverse()  # pair each denominator with another one
+            got = Batch.of(n, da, a).wedge(Batch.of(n, db, b))
+            assert got.k == da + db and got.rows == len(a)
+            want = [_reference_wedge(x, y) for x, y in zip(a, b)]
+            assert _rows_of(got) == want
+            assert [str(f) for f in _rows_of(got)] == [str(f) for f in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batch_conjugation_and_arithmetic_match_the_dict_path(n):
+    rnd = random.Random(3000 + n)
+    for k in range(2 * n + 1):
+        a, b = _rational_rows(rnd, n, k), _rational_rows(rnd, n, k)
+        b.reverse()
+        ba, bb = Batch.of(n, k, a), Batch.of(n, k, b)
+        assert _rows_of(ba) == a
+        assert _rows_of(ba.conjugate()) == [_reference_conjugate(x) for x in a]
+        assert _rows_of(conjugate(ba)) == [conjugate(x) for x in a]
+        assert _rows_of(ba + bb) == [x + y for x, y in zip(a, b)]
+        assert _rows_of(ba - bb) == [x - y for x, y in zip(a, b)]
+        c = GaussRational(Fraction(2, 3), Fraction(-1, 2))
+        assert _rows_of(ba * c) == [x * c for x in a]
+        scalars = inner(ba, bb)
+        assert scalars.k == 0
+        assert [s.coefficient(Monomial((), ())) for s in _rows_of(scalars)] == [
+            inner(x, y) for x, y in zip(a, b)]
+        assert [s.coefficient(Monomial((), ())) for s in _rows_of(norm_sq(ba))] == [
+            norm_sq(x) for x in a]
+        assert _rows_of(ba * scalars) == [x * inner(x, y) for x, y in zip(a, b)]
+        # cross-multiplied rows agree exactly where the forms do
+        left, right = ba.cross(Batch.of(n, k, [x * 1 for x in a[:-1]] + [b[0]]))
+        same = [lhs == rhs for lhs, rhs in zip(left.tolist(), right.tolist())]
+        assert same == [True] * (len(a) - 1) + [b[0] == a[-1]]
+
+
+def test_batch_rejects_terms_of_another_degree():
+    with pytest.raises(ValueError):
+        Batch.of(2, 1, [Form.one(2)])
+
+
+def test_batches_beyond_int64_run_on_python_ints():
+    rnd = random.Random(41)
+    n, big = 3, 2 ** 40
+    a = _rational_rows(rnd, n, 2, bound=big)
+    b = _rational_rows(rnd, n, 3, bound=big)
+    ba, bb = Batch.of(n, 2, a), Batch.of(n, 3, b)
+    assert ba.re.dtype == np.int64  # the inputs fit; their products do not
+    product = ba.wedge(bb)
+    assert product.re.dtype == object
+    assert _rows_of(product) == [_reference_wedge(x, y) for x, y in zip(a, b)]
+    assert _rows_of(product.conjugate()) == [_reference_conjugate(_reference_wedge(x, y))
+                                           for x, y in zip(a, b)]
+    assert [s.coefficient(Monomial((), ())) for s in _rows_of(norm_sq(product))] == [
+        norm_sq(_reference_wedge(x, y)) for x, y in zip(a, b)]
+    huge = Batch.of(n, 2, [x * 2 ** 70 for x in a])
+    assert huge.re.dtype == object
+    assert _rows_of(huge.wedge(bb)) == [_reference_wedge(x * 2 ** 70, y) for x, y in zip(a, b)]
+
+
+def test_batch_sums_over_large_denominators_leave_int64():
+    # numerators near 2^40 over denominators near 2^25: the cross-multiplied
+    # numerators of a sum pass 2^63
+    rnd = random.Random(43)
+    n, k, big = 2, 2, 2 ** 40
+    a = _rational_rows(rnd, n, k, dens=(2 ** 25 + 1, 3), bound=big)
+    b = _rational_rows(rnd, n, k, dens=(2 ** 25 + 3, 5), bound=big)
+    ba, bb = Batch.of(n, k, a), Batch.of(n, k, b)
+    assert ba.re.dtype == bb.re.dtype == np.int64
+    total = ba + bb
+    assert total.re.dtype == object
+    assert _rows_of(total) == [x + y for x, y in zip(a, b)]
+    left, right = ba.cross(bb)
+    assert [lhs == rhs for lhs, rhs in zip(left.tolist(), right.tolist())] == [
+        x == y for x, y in zip(a, b)]

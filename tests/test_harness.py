@@ -6,12 +6,13 @@ inspected end to end.
 """
 
 import json
+from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
 
-from kahlerlab.exterior import Form, GaussRational, bidegree_basis, monomial_basis, norm_sq
+from kahlerlab.exterior import Batch, Form, GaussRational, bidegree_basis, monomial_basis, norm_sq
 from kahlerlab import harness
 from kahlerlab.harness import (
     SUITES,
@@ -26,6 +27,7 @@ from kahlerlab.harness import (
     check_lemma_32,
     check_prop_31,
     check_prop_33,
+    check_sl2,
     check_star_primitive,
     random_form,
     run_all,
@@ -214,24 +216,31 @@ def _reference_simple(rng, n, k, bound):
 
 @pytest.mark.parametrize("bound", [1, 3, 7])
 def test_batched_draws_match_per_coefficient_draws(bound):
-    def pair(seed):
-        return (np.random.Generator(np.random.PCG64(seed)),
-                np.random.Generator(np.random.PCG64(seed)))
+    # one stream per row: row t of a batched draw is what stream t alone gives
+    seeds = (0, 7, 42, 2 ** 40 + 3)
 
-    for seed in (0, 7, 42, 2 ** 40 + 3):
-        for n in (1, 2, 3):
-            for k in range(2 * n + 1):
-                fast, slow = pair(seed)
-                assert _draw_degree(fast, n, k, bound) == _reference_draw(
-                    slow, n, monomial_basis(n, k), bound)
-                assert _draw_simple(fast, n, k, bound) == _reference_simple(slow, n, k, bound)
-                assert fast.integers(0, 2 ** 62) == slow.integers(0, 2 ** 62)
-            for p in range(n + 1):
-                for q in range(n + 1):
-                    fast, slow = pair(seed)
-                    assert _draw_bidegree(fast, n, p, q, bound) == _reference_draw(
-                        slow, n, bidegree_basis(n, p, q), bound)
-                    assert fast.integers(0, 2 ** 62) == slow.integers(0, 2 ** 62)
+    def streams():
+        return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+
+    def rows(batch):
+        return [batch.form(t) for t in range(len(seeds))]
+
+    for n in (1, 2, 3):
+        for k in range(2 * n + 1):
+            fast, slow = streams(), streams()
+            assert rows(_draw_degree(fast, n, k, bound)) == [
+                _reference_draw(rng, n, monomial_basis(n, k), bound) for rng in slow]
+            assert rows(_draw_simple(fast, n, k, bound)) == [
+                _reference_simple(rng, n, k, bound) for rng in slow]
+            assert [rng.integers(0, 2 ** 62) for rng in fast] == [
+                rng.integers(0, 2 ** 62) for rng in slow]
+        for p in range(n + 1):
+            for q in range(n + 1):
+                fast, slow = streams(), streams()
+                assert rows(_draw_bidegree(fast, n, p, q, bound)) == [
+                    _reference_draw(rng, n, bidegree_basis(n, p, q), bound) for rng in slow]
+                assert [rng.integers(0, 2 ** 62) for rng in fast] == [
+                    rng.integers(0, 2 ** 62) for rng in slow]
 
 
 def test_failure_records_render_the_inputs_of_the_failing_check():
@@ -254,3 +263,73 @@ def test_dimension_formula_check_is_independent_of_primitive_dimension(monkeypat
     failed = [f.identity for f in report.failures
               if f.identity.startswith("primitive-dimension-formula")]
     assert failed == [f"primitive-dimension-formula[k={k}]" for k in (2, 3)]
+
+
+def test_batched_checks_compare_every_column(monkeypatch):
+    # a dual Lefschetz operator off by one in the last column of its image:
+    # the batched suite must see it on every degree and every trial, not
+    # only through an injected Form -> Form operator
+    def off_at_the_end(a):
+        out = original(a)
+        re = out.re.copy()
+        re[:, -1:] += 1
+        return Batch(out.n, out.k, re, out.im, out.den)
+
+    original = harness.dual_lefschetz
+    monkeypatch.setattr(harness, "dual_lefschetz", off_at_the_end)
+    report = check_sl2(2, 3, RandomSpec(seed=42))
+    failed = sorted((f.identity, f.trial) for f in report.failures)
+    assert failed == [(f"commutator[k={k}]", t) for k in range(5) for t in range(3)]
+
+
+def test_batched_comparisons_are_exact():
+    n = 2
+    zeros = np.zeros((3, 1), dtype=np.int64)
+    # 3/4 <= 3/4, 7/9 <= 7/10 and 2^61/3 <= 2^62/6: only the second fails,
+    # and the third cross-multiplies beyond int64
+    lhs = Batch(n, 0, np.array([[3], [7], [2 ** 61]]), zeros, np.array([4, 9, 3]))
+    rhs = Batch(n, 0, np.array([[3], [7], [2 ** 62]]), zeros, np.array([4, 10, 6]))
+    rec = harness._Recorder()
+    harness._record(rec, 3, [harness._less_equal("x", "n=2", lhs, rhs)])
+    assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [(1, "7/9", "7/10")]
+    # the same forms, but row 1 differs in one imaginary part of its last
+    # column and row 2 is written over another denominator
+    a = Batch.of(n, 2, [random_form(n, 1, 1, RandomSpec(seed=s)) for s in range(3)])
+    im = a.im.copy()
+    im[1, -1] += 1
+    b = Batch(n, 2, a.re * np.array([[1], [1], [5]]), im * np.array([[1], [1], [5]]),
+              a.den * np.array([1, 1, 5]))
+    rec = harness._Recorder()
+    harness._record(rec, 3, [harness._equal("y", {"a": a}, a, b)])
+    assert [f.trial for f in rec.failures] == [1]
+    assert rec.failures[0].inputs == f"a = {a.form(1)}"
+    assert rec.failures[0].rhs == str(b.form(1))
+
+
+def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
+    calls = Counter()
+    for name in ("equal", "less_equal", "true"):
+        def counting(self, identity, *args, _original=getattr(harness._Recorder, name)):
+            calls[identity] += 1
+            return _original(self, identity, *args)
+
+        monkeypatch.setattr(harness._Recorder, name, counting)
+
+    def off_at_the_end(a):
+        out = original(a)
+        re = out.re.copy()
+        re[:, -1:] += 1
+        return Batch(out.n, out.k, re, out.im, out.den)
+
+    def run():
+        calls.clear()
+        reports = [r.to_dict(include_timing=False) for r in run_all(2, 5, RandomSpec(seed=42))]
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "dual_lefschetz", off_at_the_end)
+            failures = check_sl2(2, 5, RandomSpec(seed=7)).to_dict(include_timing=False)
+        return reports, dict(calls), failures
+
+    original = harness.dual_lefschetz
+    whole = run()
+    monkeypatch.setattr(harness, "_TRIAL_BLOCK", 2)
+    assert run() == whole

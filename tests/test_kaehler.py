@@ -13,6 +13,7 @@ from math import comb, factorial
 import pytest
 
 from kahlerlab.exterior import (
+    Batch,
     Form,
     GaussRational,
     Monomial,
@@ -465,3 +466,91 @@ def test_compiled_operators_match_the_inverse_times_vector_route(n, k):
         mixed = mixed + _coefficients(rng, n, j, "rational")
     _assert_same(primitive_projection(mixed), _reference_projection(mixed))
     _assert_same(dual_lefschetz(mixed), _reference_dual_lefschetz(mixed))
+
+
+# ---- compiled tables on batches against the dict path and the references -------
+
+
+def _batch_rows(rng, n, k, bound=5):
+    """Degree-k forms with row denominators 1, 2, 3 and 6, and a zero row."""
+    rows = []
+    for den in (1, 2, 3, 6):
+        terms = {}
+        for mono in monomial_basis(n, k):
+            if rng.random() < 0.25:
+                continue
+            terms[mono] = GaussRational(
+                Fraction(rng.randint(-bound, bound), den),
+                Fraction(rng.randint(-bound, bound), den),
+            )
+        rows.append(Form(n, terms))
+    return rows + [Form.zero(n)]
+
+
+def _forms(batch):
+    return [batch.form(t) for t in range(batch.rows)]
+
+
+def _reference_weil(a):
+    return Form(a.n, {
+        m: c * GaussRational.i_power(len(m.s) - len(m.t)) for m, c in a.terms.items()
+    })
+
+
+def _reference_power(a, j):
+    out = a
+    for _ in range(j):
+        out = kahler_form(a.n).wedge(out)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compiled_tables_on_batches_match_the_references_row_by_row(n):
+    rng = random.Random(7000 + n)
+    for k in range(2 * n + 1):
+        forms = _batch_rows(rng, n, k)
+        batch = Batch.of(n, k, forms)
+        for j in range(n + 2):
+            power = lefschetz_power(batch, j)
+            assert power.k == k + 2 * j
+            assert _forms(power) == [_reference_power(a, j) for a in forms]
+        assert _forms(lefschetz_L(batch)) == [lefschetz_L(a) for a in forms]
+        assert _forms(dual_lefschetz(batch)) == [_reference_dual_lefschetz(a) for a in forms]
+        assert _forms(hodge_star(batch)) == [hodge_star(a) for a in forms]
+        assert _forms(star_inverse(hodge_star(batch))) == forms
+        assert _forms(weil_operator(batch)) == [_reference_weil(a) for a in forms]
+        assert _forms(primitive_projection(batch)) == [_reference_projection(a) for a in forms]
+        parts = primitive_decompose(batch).parts
+        for t, a in enumerate(forms):
+            want = _reference_decompose(a)
+            got = {r: part.form(t) for r, part in parts.items() if not part.form(t).is_zero()}
+            assert got == want
+            assert {r: str(p) for r, p in got.items()} == {r: str(p) for r, p in want.items()}
+        if k <= n:
+            other = Batch.of(n, k, _batch_rows(rng, n, k))
+            pairing = hr_pairing(batch, other)
+            assert [p.coefficient(Monomial((), ())) for p in _forms(pairing)] == [
+                hr_pairing(a, b) if not (a.is_zero() or b.is_zero()) else GaussRational(0)
+                for a, b in zip(forms, _forms(other))
+            ]
+
+
+def test_compiled_tables_on_python_int_batches_match_the_references():
+    rng = random.Random(77)
+    n, k = 3, 3
+    forms = [a * GaussRational(2 ** 62 + 1, 3) for a in _batch_rows(rng, n, k)]
+    batch = Batch.of(n, k, forms)
+    assert batch.re.dtype == object
+    assert _forms(dual_lefschetz(batch)) == [_reference_dual_lefschetz(a) for a in forms]
+    assert _forms(primitive_projection(batch)) == [_reference_projection(a) for a in forms]
+    assert _forms(lefschetz_power(batch, 2)) == [_reference_power(a, 2) for a in forms]
+    assert _forms(hodge_star(hodge_star(batch))) == [-a for a in forms]
+
+
+def test_operator_matrix_keeps_sparse_columns():
+    n = 3
+    lam = operator_matrix(dual_lefschetz, n, 3, 1)
+    assert all(c for col in lam.columns for c in col.values())
+    assert sum(len(col) for col in lam.columns) == sum(
+        1 for row in lam.entries for c in row if c)
+    assert lam.rank() == comb(2 * n, 1)

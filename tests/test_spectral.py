@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from kahlerlab.spectral import (
     BisectionResult,
@@ -138,7 +139,7 @@ def test_eigen_result_payload():
     payload = res.to_dict()
     assert payload["model"] == {"kind": "complex_hyperbolic", "n": 1}
     assert payload["R"] == 8.0 and payload["N"] == 400
-    assert payload["extrapolated"] is None
+    assert "extrapolated" not in payload  # extrapolation belongs to a radius sweep
     assert payload["pivot_perturbations"] == 0
     assert payload["residual"] < 1e-10
 
@@ -263,15 +264,40 @@ def test_grid_refinement_is_second_order():
     assert 1.8 <= order <= 2.2
 
 
-def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
+def _failing(monkeypatch, entry, replacement):
+    """Route the module's LAPACK entry through replacement, counting calls."""
     from kahlerlab import spectral
 
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(entry)
+        return replacement(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, entry, failing)
+    return calls
+
+
+def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
+    # every LU factorization of T - shift reports a zero pivot
+    def zero_pivot(dl, d, du):
+        *factors, _ = lapack.dgttrf(dl, d, du)
+        return (*factors, 1)
+
+    calls = _failing(monkeypatch, "dgttrf", zero_pivot)
+    with pytest.raises(np.linalg.LinAlgError):
+        lambda0_estimate(RealHyperbolic(2), 10.0, 200)
+    assert len(calls) == 5  # one factorization per shift
+
+
+def test_inverse_iteration_raises_when_every_correction_solve_fails(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")
 
-    monkeypatch.setattr(spectral, "solve_banded", singular)
+    calls = _failing(monkeypatch, "dgttrs", singular)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
+    assert len(calls) == 5  # the first correction of each shift
 
 
 def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkeypatch):
