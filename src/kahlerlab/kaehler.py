@@ -13,15 +13,18 @@ star^-1 o L o star.
 L^j, the dual Lefschetz operator, the star, the Weil operator, the
 Lefschetz decomposition and the primitive projector are fixed linear maps
 on each degree.  Each is compiled once per (n, k) into an
-`exterior.Table`.  The operators below take a `Form` or a `Batch`: a batch
-goes through the table at once, a form as one-row batches, one per degree.
+`exterior.Table`.  The parts of the Lefschetz decomposition, and with them
+the primitive projector, are polynomials in L and the dual Lefschetz
+operator given in closed form by the sl_2 relations, so no matrix is
+inverted.  The operators below take a `Form` or a `Batch`: a batch goes
+through the table at once, a form as one-row batches, one per degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, gcd, lcm
 from typing import Callable, Mapping
 
@@ -40,7 +43,7 @@ from .exterior import (
     _per_degree,
     _wedge_by,
     bidegree_basis,
-    inner,
+    inner,  # kept as kaehler.inner, which perfbench/test_perfbench.py traces
     monomial_basis,
     row_blocks,
 )
@@ -276,47 +279,44 @@ class PrimitiveDecomposition:
         return self.parts.get(r, Form.zero(self.n))
 
 
+def _decomposition_coefficient(m: int, r: int, t: int) -> Fraction:
+    """c_(r,t) of a_r = sum_t c_(r,t) L^t Lambda^(r+t) a on degree k = n - m.
+
+    The sum over t with (-1)^t (m+2r+1)! / (t! (m+2r+t+1)!) is the sl_2
+    extremal projector onto primitives of degree k - 2r; the factor in front
+    undoes Lambda^r L^r, which is r! (m+2r)! / (m+r)! on those primitives.
+    """
+    j = m + 2 * r
+    return Fraction(
+        (-1) ** t * factorial(m + r) * factorial(j + 1),
+        factorial(r) * factorial(j) * factorial(t) * factorial(j + t + 1),
+    )
+
+
 @lru_cache(maxsize=None)
 def _decomposition_tables(n: int, k: int) -> tuple[tuple[int, Table], ...]:
-    """The maps a -> a_r of the Lefschetz decomposition, one table per r.
-
-    With M the matrix whose columns are L^r b over the primitive bases b of
-    degree k - 2r, a_r = B_r (M^-1 a) restricted to block r.
-    """
-    basis_k = monomial_basis(n, k)
-    index = {mono: i for i, mono in enumerate(basis_k)}
-    blocks = [(r, primitive_basis(n, k - 2 * r)) for r in range(max(0, k - n), k // 2 + 1)]
-    prims = [(r, b) for r, basis in blocks for b in basis]
-    matrix: list[dict[int, GaussRational]] = [{} for _ in basis_k]
-    for j, (r, b) in enumerate(prims):
-        for mono, c in lefschetz_power(b, r).terms.items():
-            matrix[index[mono]][j] = c
-    if len(prims) != len(basis_k):
-        raise RuntimeError(
-            f"Lefschetz blocks span defect at n={n}, k={k}: "
-            f"{len(prims)} columns for dimension {len(basis_k)}"
-        )
-    columns: dict[int, dict[Monomial, dict[Monomial, GaussRational]]] = {
-        r: {mono: {} for mono in basis_k} for r, _ in blocks
-    }
-    for (r, b), inv_row in zip(prims, rl.invert(matrix)):
-        for i, v in inv_row.items():
-            _accumulate(columns[r][basis_k[i]], b.terms, v)
-    return tuple((r, _compiled(n, k, k - 2 * r, columns[r])) for r, _ in blocks)
-
-
-def _accumulate(
-    col: dict[Monomial, GaussRational],
-    terms: Mapping[Monomial, GaussRational],
-    v: GaussRational,
-) -> None:
-    """col += v * terms, dropping coefficients that cancel."""
-    for mu, c in terms.items():
-        acc = col.get(mu, ZERO) + v * c
-        if acc:
-            col[mu] = acc
-        else:
-            col.pop(mu, None)
+    """The maps a -> a_r of the Lefschetz decomposition, one table per r,
+    each a polynomial in L and Lambda (`_decomposition_coefficient`)."""
+    basis = monomial_basis(n, k)
+    parts = range(max(0, k - n), k // 2 + 1)
+    columns: dict[int, dict[Monomial, dict[Monomial, GaussRational]]] = {r: {} for r in parts}
+    for block in row_blocks(len(basis)):
+        # chain[s] = Lambda^s of the block's monomials
+        chain = [Batch.units(n, k, block)]
+        while chain[-1].k >= 2:
+            chain.append(dual_lefschetz(chain[-1]))
+        for r in parts:
+            coeffs = [_decomposition_coefficient(n - k, r, t)
+                      for t in range((k - 2 * r) // 2 + 1)]
+            # integer multiples over one denominator keep the sums in int64
+            den = lcm(*(c.denominator for c in coeffs))
+            part = reduce(Batch.__add__, (
+                lefschetz_power(chain[r + t], t) * int(c * den) for t, c in enumerate(coeffs)
+            ))
+            targets = monomial_basis(n, k - 2 * r)
+            for i, row in zip(block, (part * Fraction(1, den)).sparse_rows()):
+                columns[r][basis[i]] = {targets[j]: c for j, c in row.items()}
+    return tuple((r, _compiled(n, k, k - 2 * r, columns[r])) for r in parts)
 
 
 def primitive_decompose(a) -> PrimitiveDecomposition:
@@ -360,25 +360,11 @@ def recompose(dec: PrimitiveDecomposition) -> Form:
 
 @lru_cache(maxsize=None)
 def _projection_table(n: int, k: int) -> Table:
-    """The orthogonal projector B G^-1 B* onto primitive degree-k forms.
-
-    B has the primitive basis vectors b_i as columns and G[i][j] = <b_j, b_i>;
-    the image of mu is sum_i b_i (G^-1 B* mu)_i.
-    """
-    basis = primitive_basis(n, k)
-    columns: dict[Monomial, dict[Monomial, GaussRational]] = {
-        mono: {} for mono in monomial_basis(n, k)
-    }
-    gram = [[inner(bj, bi) for bj in basis] for bi in basis]
-    adjoint = [{mu: c.conjugate() for mu, c in b.terms.items()} for b in basis]
-    for bi, inv_row in zip(basis, rl.invert(gram)):
-        # coefficient of b_i in the projection of each monomial mu
-        coeff: dict[Monomial, GaussRational] = {}
-        for j, v in inv_row.items():
-            _accumulate(coeff, adjoint[j], v)
-        for mu, v in coeff.items():
-            _accumulate(columns[mu], bi.terms, v)
-    return _compiled(n, k, k, columns)
+    """The orthogonal projector onto primitive degree-k forms: the r = 0
+    part of the decomposition, and zero above the middle degree."""
+    if k > n:
+        return _compiled(n, k, k, {})
+    return _decomposition_tables(n, k)[0][1]
 
 
 def primitive_projection(a):

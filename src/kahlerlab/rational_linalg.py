@@ -86,26 +86,6 @@ def _width(m: Sequence[Row], cols: int | None) -> int:
     return len(m[0])
 
 
-def rref(m: Sequence[Row], cols: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form as dense rows, zero rows last; and the pivots.
-
-    `cols` is needed when the rows are sparse.
-    """
-    reduced, pivots = _reduced(m)
-    if not m:
-        return [], pivots
-    width = _width(m, cols)
-    out = [_dense(row, width) for row in reduced]
-    return out + zeros(len(m) - len(reduced), width), pivots
-
-
-def _dense(row: SparseRow, cols: int) -> Vector:
-    out = [ZERO] * cols
-    for c, v in row.items():
-        out[c] = v
-    return out
-
-
 def rank(m: Sequence[Row]) -> int:
     return len(_reduced(m)[1])
 

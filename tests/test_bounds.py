@@ -175,6 +175,42 @@ def test_minimality_failing_set_is_exactly_pinned():
     }
 
 
+def test_minimality_rules_hold_exhaustively_up_to_dimension_50():
+    """The rules acceptance 3b audits over n <= 6, over every n <= 50, k != n.
+
+    With j = min(k, 2n-k): the family minimum never exceeds c_k; c_k is the
+    minimum exactly when j <= 1 or n-j = 1, and otherwise the argmin is the
+    unbalanced end; c_k never exceeds the conjugation-closed family minimum,
+    with equality exactly when j is even or n-j = 1.
+    """
+    undercut = 0
+    broken = []
+    for n in range(1, 51):
+        for k in range(2 * n + 1):
+            if k == n:
+                continue
+            rep = verify_ck_is_min(n, k)
+            j = min(k, 2 * n - k)
+            conjugation_min = min(
+                max(c_pq(n, p, k - p), c_pq(n, k - p, p))
+                for p in range(max(0, k - n), min(k, n) + 1)
+            )
+            unbalanced_end = (j, 0) if k < n else (k - n, n)
+            undercut += not rep.passed
+            rules = {
+                "minimum <= degree value": rep.minimum <= rep.degree_value,
+                "audit passes iff j <= 1 or n-j = 1": rep.passed == (j <= 1 or n - j == 1),
+                "undercut argmin at the unbalanced end": rep.passed
+                or rep.argmin == unbalanced_end,
+                "c_k <= conjugation-closed minimum": rep.degree_value <= conjugation_min,
+                "equality iff j even or n-j = 1": (rep.degree_value == conjugation_min)
+                == (j % 2 == 0 or n - j == 1),
+            }
+            broken.extend(f"(n={n},k={k}) {rule}" for rule, held in rules.items() if not held)
+    assert not broken, "; ".join(broken[:10])
+    assert undercut == 2256
+
+
 def test_minimality_counterexample_detail():
     rep = verify_ck_is_min(4, 2)
     assert not rep.passed

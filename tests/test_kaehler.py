@@ -8,8 +8,9 @@ classical structure facts are asserted on top.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
+import numpy as np
 import pytest
 
 from kahlerlab.exterior import (
@@ -17,6 +18,7 @@ from kahlerlab.exterior import (
     Form,
     GaussRational,
     Monomial,
+    _conjugation_table,
     bidegree_project,
     conjugate,
     inner,
@@ -25,6 +27,12 @@ from kahlerlab.exterior import (
 )
 from kahlerlab.kaehler import (
     PrimitiveDecomposition,
+    _decomposition_tables,
+    _dual_lefschetz_table,
+    _power_table,
+    _projection_table,
+    _star_table,
+    _weil_table,
     dual_lefschetz,
     hodge_star,
     hr_pairing,
@@ -554,3 +562,51 @@ def test_operator_matrix_keeps_sparse_columns():
     assert sum(len(col) for col in lam.columns) == sum(
         1 for row in lam.entries for c in row if c)
     assert lam.rank() == comb(2 * n, 1)
+
+
+# ---- compiled tables: least denominators; the decomposition beyond references --
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_compiled_table_is_over_its_least_common_denominator(n):
+    """gcd(den, numerators) = 1 for every table, so that the int64 bound a
+    pass derives from the numerators is never inflated by a common factor;
+    and the projector is the r = 0 decomposition table."""
+    tables = []
+    for k in range(2 * n + 1):
+        tables += [_conjugation_table(n, k), _star_table(n, k), _weil_table(n, k),
+                   _projection_table(n, k)]
+        tables += [_power_table(n, k, j) for j in range(1, (2 * n - k) // 2 + 1)]
+        if k >= 2:
+            tables.append(_dual_lefschetz_table(n, k))
+        decomposition = _decomposition_tables(n, k)
+        tables += [table for _, table in decomposition]
+        if k <= n:
+            assert decomposition[0][0] == 0
+            assert _projection_table(n, k) is decomposition[0][1]
+        else:
+            assert _projection_table(n, k).src.size == 0
+    for table in tables:
+        assert gcd(table.den, *table.re.tolist(), *table.im.tolist()) == 1
+
+
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_decomposition_at_dimension_six_recomposes_into_primitive_parts(k):
+    """At n = 6, where no dense inverse reference is affordable: the parts
+    a_r of a seeded batch have degree k - 2r, are primitive, and sum_r L^r a_r
+    gives a back."""
+    n = 6
+    rng = np.random.default_rng(600 + k)
+    shape = (4, comb(2 * n, k))
+    a = Batch(n, k, rng.integers(-9, 10, shape), rng.integers(-9, 10, shape),
+              np.array([1, 2, 3, 6]))
+    parts = primitive_decompose(a).parts
+    assert sorted(parts) == list(range(max(0, k - n), k // 2 + 1))
+    total = None
+    for r, part in parts.items():
+        assert part.k == k - 2 * r
+        assert dual_lefschetz(part).is_zero().all()
+        term = lefschetz_power(part, r)
+        total = term if total is None else total + term
+    got, want = total.cross(a)
+    assert np.array_equal(got, want)
