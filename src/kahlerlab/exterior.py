@@ -680,6 +680,10 @@ class Batch:
             c = GaussRational._coerce(scalar)
             if c is NotImplemented:
                 return NotImplemented
+            if c._y == 0:  # x / d scales the numerators by x, the denominators by d
+                re, im = _cast(max(self._bound(), 1) * abs(c._x), self.re, self.im)
+                return Batch(self.n, self.k, re * c._x, im * c._x,
+                             _product(self.den, np.asarray(c._d)))
             scalar = Batch(self.n, 0, np.array([[c._x]], dtype=object),
                            np.array([[c._y]], dtype=object), np.array([c._d], dtype=object))
         elif scalar.k != 0:

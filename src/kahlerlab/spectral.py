@@ -6,8 +6,9 @@ h = R/N.  The interface weight at the axis vanishes with the volume density,
 which closes the first row without any boundary fudge; the outer boundary is
 a Dirichlet ghost cell.  Conjugating by sqrt(w) makes the matrix symmetric
 tridiagonal.  Its smallest eigenvalue comes from LAPACK stebz (Kahan-Demmel
-bisection), is certified by two Sturm negative-pivot counts, and is polished
-by inverse iteration with mixed-precision iterative refinement.
+bisection) and is certified by the inertia of two LAPACK pttrf LDL^T
+factorizations.  Inverse iteration then runs float64 sweeps and polishes the
+last one by mixed-precision iterative refinement.
 
 Model conventions: RealHyperbolic uses the curvature -1 density sinh^(m-1),
 with a curvature scale K applied as an exact eigenvalue multiplication.
@@ -25,11 +26,12 @@ from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
 
 _BISECT_TOL = 1e-12  # absolute tolerance handed to stebz
-# stebz's float64 pivots and a Sturm count each round to about eps ||T||_1;
-# a count that disagrees widens the bracket eightfold, at most 8 times.
+# stebz's float64 pivots and those of an LDL^T factorization each round to
+# about eps ||T||_1; an inertia check that disagrees widens the bracket
+# eightfold, at most 8 times.
 _BRACKET_UNITS = 4.0
 _WIDENINGS = 8
 # About 0.2 kB of work arrays per cell.  The long-double residual floor,
@@ -129,35 +131,23 @@ class BisectionResult:
     lo: float
     hi: float
     iterations: int
-    pivot_perturbations: int
 
 
-def _negative_pivots(diag: list, off_sq: list, shift: float, tiny: float) -> tuple[int, int]:
-    """Sturm count of eigenvalues below shift; returns (count, perturbations)."""
-    count = 0
-    perturbed = 0
-    d = diag[0] - shift
-    if d == 0.0:
-        d = -tiny
-        perturbed += 1
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        d = diag[i] - shift - off_sq[i - 1] / d
-        if d == 0.0:
-            d = -tiny
-            perturbed += 1
-        if d < 0.0:
-            count += 1
-    return count, perturbed
+def _definite(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
+    """Whether T - shift is positive definite: by Sylvester's law of inertia,
+    no eigenvalue lies at or below shift exactly when every LDL^T pivot is
+    positive (pttrf stops at the first pivot <= 0)."""
+    if len(diag) == 1:
+        return bool(diag[0] - shift > 0.0)
+    return dpttrf(diag - shift, off, overwrite_d=1)[2] == 0
 
 
 def smallest_eigenvalue_detailed(
     diag: np.ndarray, off: np.ndarray, tol: float = _BISECT_TOL
 ) -> BisectionResult:
     """Smallest eigenvalue from LAPACK stebz, to tol, and a bracket
-    value -/+ (tol + 4 eps ||T||_1) certified by Sturm counts of 0 below lo
-    and at least 1 below hi; iterations is the number of counts made."""
+    value -/+ (tol + 4 eps ||T||_1) certified by T - lo positive definite
+    and T - hi not; iterations is the number of LDL^T inertia checks made."""
     if len(diag) < 1:
         raise ValueError("empty matrix")
     if len(off) != len(diag) - 1:
@@ -173,18 +163,14 @@ def smallest_eigenvalue_detailed(
     column[:-1] += np.abs(off)
     column[1:] += np.abs(off)
     norm1 = float(column.max())
-    d, e_sq, tiny = diag.tolist(), (off * off).tolist(), math.ulp(max(norm1, 1.0))
     width = tol + _BRACKET_UNITS * sys.float_info.epsilon * norm1
-    perturbations = 0
     for attempt in range(1, _WIDENINGS + 2):
         lo, hi = lam - width, lam + width
-        below_lo, pert_lo = _negative_pivots(d, e_sq, lo, tiny)
-        below_hi, pert_hi = _negative_pivots(d, e_sq, hi, tiny)
-        perturbations += pert_lo + pert_hi
-        if below_lo == 0 and below_hi >= 1:
-            return BisectionResult(lam, lo, hi, 2 * attempt, perturbations)
+        lo_holds, hi_holds = _definite(diag, off, lo), not _definite(diag, off, hi)
+        if lo_holds and hi_holds:
+            return BisectionResult(lam, lo, hi, 2 * attempt)
         width *= 8.0
-    raise np.linalg.LinAlgError("Sturm counts do not certify the LAPACK eigenvalue")
+    raise np.linalg.LinAlgError("LDL^T inertia does not certify the LAPACK eigenvalue")
 
 
 def smallest_eigenvalue(
@@ -200,6 +186,14 @@ def _tridiagonal_matvec_ld(diag, off, v, out=None):
     return w
 
 
+def _gttrs(factors, rhs):
+    """x with (T - shift) x = rhs on the gttrf factors, overwriting rhs."""
+    x, info = dgttrs(*factors, rhs[:, None], overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gttrs: illegal argument {-info}")
+    return x[:, 0]
+
+
 def _refined_solve(factors, shifted_ld, off_ld, v):
     """x with (T - shift) x = v: float64 gttrs corrections on the factors of
     T - shift, driven by the long-double residual v - (T - shift) x, until it
@@ -207,10 +201,7 @@ def _refined_solve(factors, shifted_ld, off_ld, v):
     x, r = np.zeros_like(v), np.empty_like(v)
     rhs, size = v.astype(float), math.inf
     while True:
-        step, info = dgttrs(*factors, rhs[:, None], overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gttrs: illegal argument {-info}")
-        x += step[:, 0]
+        x += _gttrs(factors, rhs)
         np.subtract(v, _tridiagonal_matvec_ld(shifted_ld, off_ld, x, out=r), out=r)
         last, size = size, float(np.sqrt(np.dot(r, r)))
         if not size < 0.5 * last:
@@ -225,11 +216,11 @@ def _inverse_iteration(
 
     A float64 vector alone cannot certify residuals below eps * norm(T),
     which the acceptance grids push past the reporting threshold, so the
-    vector is long double and each solve is mixed-precision iterative
-    refinement (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 12) on one LU factorization of T - shift per shift.  The shift sits
-    four bracket widths below lo, so a float64 correction shrinks the error
-    by eps * norm(T) over that gap, <= 1/32.
+    last sweep's vector is long double and its solve is mixed-precision
+    iterative refinement (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 12) on one LU factorization of T - shift per shift.
+    The shift sits four bracket widths below lo, so a float64 correction
+    shrinks the error by eps * norm(T) over that gap, <= 1/32.
     """
     d_ld = diag.astype(np.longdouble)
     e_ld = off.astype(np.longdouble)
@@ -247,16 +238,20 @@ def _inverse_iteration(
 
 def _shifted_sweeps(diag, off, d_ld, e_ld, shift):
     """Unit vector after _SWEEPS sweeps from the flat start, all solved on one
-    LAPACK gttrf factorization of T - shift (LinAlgError on a zero pivot)."""
+    LAPACK gttrf factorization of T - shift (LinAlgError on a zero pivot).
+
+    Solve error along the eigenvector does not slow inverse iteration
+    (Peters and Wilkinson, SIAM Rev. 21, 1979), so the early sweeps are
+    plain float64 solves and only the last is refined in long double."""
     *factors, info = dgttrf(off, diag - shift, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"gttrf: zero pivot at row {info}")
-    n = len(diag)
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=np.longdouble)
-    for _ in range(_SWEEPS):
-        v = _refined_solve(factors, d_ld - shift, e_ld, v)
-        v /= np.sqrt(np.dot(v, v))
-    return v
+    v = np.full(len(diag), 1.0 / math.sqrt(len(diag)))
+    for _ in range(_SWEEPS - 1):
+        v = _gttrs(factors, v)
+        v /= math.sqrt(np.dot(v, v))
+    v = _refined_solve(factors, d_ld - shift, e_ld, v.astype(np.longdouble))
+    return v / np.sqrt(np.dot(v, v))
 
 
 def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
@@ -275,7 +270,9 @@ def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
 @dataclass(frozen=True)
 class EigenResult:
     """One eigensolve: model, grid, the bottom pair and its certificate;
-    refined is false when lambda_min is the bracket value."""
+    sturm_counts is the number of LDL^T inertia checks behind the bracket
+    (2 when the first one holds), and refined is false when lambda_min is
+    the bracket value."""
 
     model: RadialModel
     radius: float
@@ -287,7 +284,6 @@ class EigenResult:
     bracket_hi: float
     sturm_counts: int
     refined: bool
-    pivot_perturbations: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -301,7 +297,6 @@ class EigenResult:
             "bracket_hi": self.bracket_hi,
             "sturm_counts": self.sturm_counts,
             "refined": self.refined,
-            "pivot_perturbations": self.pivot_perturbations,
         }
 
 
@@ -329,7 +324,6 @@ def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResu
         bracket_hi=bis.hi,
         sturm_counts=bis.iterations,
         refined=refined,
-        pivot_perturbations=bis.pivot_perturbations,
     )
 
 

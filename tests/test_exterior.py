@@ -483,6 +483,10 @@ def test_batch_conjugation_and_arithmetic_match_the_dict_path(n):
         assert _rows_of(ba - bb) == [x - y for x, y in zip(a, b)]
         c = GaussRational(Fraction(2, 3), Fraction(-1, 2))
         assert _rows_of(ba * c) == [x * c for x in a]
+        # a real scalar scales the numerators and the denominators directly
+        for r in (Fraction(-5, 7), 3, 0):
+            assert _rows_of(ba * r) == [x * r for x in a]
+            assert _rows_of(r * ba) == [x * r for x in a]
         scalars = inner(ba, bb)
         assert scalars.k == 0
         assert [s.coefficient(Monomial((), ())) for s in _rows_of(scalars)] == [
@@ -517,6 +521,11 @@ def test_batches_beyond_int64_run_on_python_ints():
         norm_sq(_reference_wedge(x, y)) for x, y in zip(a, b)]
     huge = Batch.of(n, 2, [x * 2 ** 70 for x in a])
     assert huge.re.dtype == object
+    scaled = ba * 2 ** 30  # real scalar whose products leave int64
+    assert scaled.re.dtype == object
+    assert _rows_of(scaled) == [x * 2 ** 30 for x in a]
+    assert (Batch.zero(n, 2, 1) * 2 ** 70).is_zero().all()
+    assert _rows_of(ba * Fraction(1, 2 ** 70)) == [x * Fraction(1, 2 ** 70) for x in a]
     assert _rows_of(huge.wedge(bb)) == [_reference_wedge(x * 2 ** 70, y) for x, y in zip(a, b)]
 
 

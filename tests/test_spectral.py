@@ -1,8 +1,8 @@
-"""Radial eigensolver: assembly, Sturm bisection, refinement, extrapolation.
+"""Radial eigensolver: assembly, certified bracket, refinement, extrapolation.
 
 Small dense assemblies are cross-checked against numpy's symmetric
-eigensolver; model scaling laws are exact by construction and asserted
-exactly.
+eigensolver, and the LDL^T inertia certificate against a pure-Python Sturm
+count; model scaling laws are exact by construction and asserted exactly.
 """
 
 import math
@@ -61,8 +61,7 @@ def test_bisection_result_brackets_the_value():
     assert isinstance(res, BisectionResult)
     assert res.lo <= res.value <= res.hi
     assert res.hi - res.lo <= 1e-11
-    assert res.iterations > 0
-    assert res.pivot_perturbations >= 0
+    assert res.iterations == 2
 
 
 def test_bisection_input_validation():
@@ -140,7 +139,7 @@ def test_eigen_result_payload():
     assert payload["model"] == {"kind": "complex_hyperbolic", "n": 1}
     assert payload["R"] == 8.0 and payload["N"] == 400
     assert "extrapolated" not in payload  # extrapolation belongs to a radius sweep
-    assert payload["pivot_perturbations"] == 0
+    assert "pivot_perturbations" not in payload
     assert payload["residual"] < 1e-10
 
 
@@ -158,8 +157,8 @@ def test_refined_residual_is_certified_small():
 
 
 def test_certified_bracket_holds_the_returned_eigenvalue():
-    # eps * ||T||_1 = 1.5e-8 here: a float64 Sturm count cannot certify a
-    # bracket much narrower than that
+    # eps * ||T||_1 = 1.5e-8 here: a float64 LDL^T inertia check cannot
+    # certify a bracket much narrower than that
     model, radius, cells = RealHyperbolic(2), 25.0, 100000
     bis = smallest_eigenvalue_detailed(*assemble_tridiagonal(model, radius, cells))
     res = lambda0_estimate(model, radius, cells)
@@ -168,6 +167,72 @@ def test_certified_bracket_holds_the_returned_eigenvalue():
     assert res.refined and res.sturm_counts == 2
     # far below eps * ||T||_1, where a float64 solve alone stops
     assert res.residual < 1e-11
+
+
+def _negative_pivots(diag: list, off_sq: list, shift: float, tiny: float) -> int:
+    """Reference Sturm count of eigenvalues below shift; a zero pivot is
+    perturbed to -tiny, so it counts as negative."""
+    count = 0
+    d = diag[0] - shift
+    if d == 0.0:
+        d = -tiny
+    if d < 0.0:
+        count += 1
+    for i in range(1, len(diag)):
+        d = diag[i] - shift - off_sq[i - 1] / d
+        if d == 0.0:
+            d = -tiny
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def _reference_count(diag, off, shift):
+    tiny = math.ulp(max(float(np.abs(diag).max()), 1.0))
+    return _negative_pivots(diag.tolist(), (off * off).tolist(), shift, tiny)
+
+
+def test_inertia_check_agrees_with_the_sturm_count_oracle():
+    from kahlerlab.spectral import _definite
+
+    rng = np.random.default_rng(20261018)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 50))
+        diag = rng.normal(size=n) * 3.0
+        off = rng.normal(size=n - 1)
+        eigs = np.linalg.eigvalsh(_dense(diag, off))
+        column = np.abs(diag)
+        column[:-1] += np.abs(off)
+        column[1:] += np.abs(off)
+        margin = 8.0 * np.finfo(float).eps * column.max() * n
+        for shift in rng.uniform(eigs[0] - 1.0, eigs[-1] + 1.0, size=12):
+            if np.min(np.abs(eigs - shift)) <= margin:
+                continue
+            count = _reference_count(diag, off, float(shift))
+            assert count == int(np.sum(eigs < shift))
+            assert _definite(diag, off, float(shift)) == (count == 0)
+            seen.add(count == 0)
+    assert seen == {True, False}
+
+
+def test_inertia_check_on_one_cell_and_on_zero_pivots():
+    from kahlerlab.spectral import _definite
+
+    one, empty = np.array([3.0]), np.array([])
+    assert _definite(one, empty, 2.0)
+    assert not _definite(one, empty, 3.0)
+    assert not _definite(one, empty, 4.0)
+    res = smallest_eigenvalue_detailed(one, empty)
+    assert res.lo < 3.0 < res.hi and res.iterations == 2
+    # the first pivot is exactly zero: not definite, as the oracle counts it
+    diag, off = np.array([2.0, 5.0, 7.0]), np.array([1.0, 1.0])
+    assert _reference_count(diag, off, 2.0) >= 1
+    assert not _definite(diag, off, 2.0)
+    # the last pivot is exactly zero: the shift is the eigenvalue 0
+    diag, off = np.array([1.0, 1.0]), np.array([1.0])
+    assert _reference_count(diag, off, 0.0) == 1
+    assert not _definite(diag, off, 0.0)
 
 
 def test_bracket_widens_until_the_sturm_counts_agree(monkeypatch):
@@ -265,7 +330,8 @@ def test_grid_refinement_is_second_order():
 
 
 def _failing(monkeypatch, entry, replacement):
-    """Route the module's LAPACK entry through replacement, counting calls."""
+    """Route the module's entry (a LAPACK routine or a solver step) through
+    replacement, counting calls."""
     from kahlerlab import spectral
 
     calls = []
@@ -324,3 +390,36 @@ def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkey
     expected = np.linalg.norm(t_vec - bis.value * vec) / np.linalg.norm(vec)
     assert result.residual == pytest.approx(expected, rel=1e-6)
     assert result.residual != seen["resid"]
+
+
+def test_each_shift_refines_only_its_last_sweep(monkeypatch):
+    from kahlerlab import spectral
+
+    refined = _failing(monkeypatch, "_refined_solve", spectral._refined_solve)
+    factored = _failing(monkeypatch, "dgttrf", lapack.dgttrf)
+    assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
+    assert len(refined) == len(factored) == 1
+
+    # two shifts fail to factor: only the one that solves is refined
+    def zero_pivot_twice(dl, d, du):
+        *factors, info = lapack.dgttrf(dl, d, du)
+        return (*factors, 1 if len(factored) <= 2 else info)
+
+    refined.clear()
+    factored = _failing(monkeypatch, "dgttrf", zero_pivot_twice)
+    assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
+    assert len(factored) == 3 and len(refined) == 1
+
+
+@pytest.mark.parametrize(
+    "model, radius, cells, expected",
+    [
+        (RealHyperbolic(2), 25.0, 100000, 0.2642111255929315),
+        (ComplexHyperbolic(3), 15.0, 30000, 9.052495662407004),
+    ],
+)
+def test_refined_value_is_pinned_within_its_residual(model, radius, cells, expected):
+    # expected is the value when every sweep was refined in long double
+    res = lambda0_estimate(model, radius, cells)
+    assert res.refined
+    assert abs(res.lambda_min - expected) <= res.residual
