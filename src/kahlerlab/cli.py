@@ -57,6 +57,8 @@ def _radius_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad radius list: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("radius list is empty")
+    if len(values) > 1 and len(set(values)) < 2:
+        raise argparse.ArgumentTypeError("extrapolation needs two distinct radii")
     return values
 
 

@@ -5,10 +5,12 @@ R is discretized in flux form on the cell-centered grid rho_j = (j - 1/2) h,
 h = R/N.  The interface weight at the axis vanishes with the volume density,
 which closes the first row without any boundary fudge; the outer boundary is
 a Dirichlet ghost cell.  Conjugating by sqrt(w) makes the matrix symmetric
-tridiagonal.  Its smallest eigenvalue comes from LAPACK stebz (Kahan-Demmel
-bisection) and is certified by the inertia of two LAPACK pttrf LDL^T
-factorizations.  Inverse iteration then runs float64 sweeps and polishes the
-last one by mixed-precision iterative refinement.
+tridiagonal.  The bottom eigenvalue of a grid 16 times coarser is a shift
+for one inverse-iteration sweep and one Rayleigh-quotient step on the full
+grid; the inertia of two LAPACK pttrf LDL^T factorizations certifies the
+quotient, or else the eigenvalue from LAPACK stebz (Kahan-Demmel bisection).
+Inverse iteration then runs float64 sweeps and polishes the last one by
+mixed-precision iterative refinement.
 
 Model conventions: RealHyperbolic uses the curvature -1 density sinh^(m-1),
 with a curvature scale K applied as an exact eigenvalue multiplication.
@@ -29,9 +31,9 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
 
 _BISECT_TOL = 1e-12  # absolute tolerance handed to stebz
-# stebz's float64 pivots and those of an LDL^T factorization each round to
-# about eps ||T||_1; an inertia check that disagrees widens the bracket
-# eightfold, at most 8 times.
+# stebz's pivots, a float64 Rayleigh quotient and LDL^T pivots each round to
+# about eps ||T||_1; an inertia check that disagrees with stebz widens the
+# bracket eightfold, at most 8 times.
 _BRACKET_UNITS = 4.0
 _WIDENINGS = 8
 # About 0.2 kB of work arrays per cell.  The long-double residual floor,
@@ -142,12 +144,27 @@ def _definite(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
     return dpttrf(diag - shift, off, overwrite_d=1)[2] == 0
 
 
+def _certified(diag, off, lam, width, widenings) -> BisectionResult:
+    """Bracket lam -/+ width, widened eightfold up to widenings times, until
+    T - lo is positive definite and T - hi is not (LinAlgError if never)."""
+    for attempt in range(1, widenings + 2):
+        lo, hi = lam - width, lam + width
+        lo_holds, hi_holds = _definite(diag, off, lo), not _definite(diag, off, hi)
+        if lo_holds and hi_holds:
+            return BisectionResult(lam, lo, hi, 2 * attempt)
+        width *= 8.0
+    raise np.linalg.LinAlgError("LDL^T inertia does not certify the eigenvalue")
+
+
 def smallest_eigenvalue_detailed(
-    diag: np.ndarray, off: np.ndarray, tol: float = _BISECT_TOL
+    diag: np.ndarray, off: np.ndarray, tol: float = _BISECT_TOL,
+    near: float | None = None,
 ) -> BisectionResult:
-    """Smallest eigenvalue from LAPACK stebz, to tol, and a bracket
-    value -/+ (tol + 4 eps ||T||_1) certified by T - lo positive definite
-    and T - hi not; iterations is the number of LDL^T inertia checks made."""
+    """Smallest eigenvalue and a bracket value -/+ (tol + 4 eps ||T||_1)
+    certified by T - lo positive definite and T - hi not; iterations is the
+    number of LDL^T inertia checks behind the returned bracket.  value is the
+    Rayleigh quotient a shift near leads to, if its unwidened bracket holds,
+    and otherwise LAPACK stebz's, to tol, with the bracket widened."""
     if len(diag) < 1:
         raise ValueError("empty matrix")
     if len(off) != len(diag) - 1:
@@ -156,21 +173,32 @@ def smallest_eigenvalue_detailed(
         raise ValueError("tolerance must be positive")
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    lam = float(eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, 0), tol=tol
-    )[0])
     column = np.abs(diag)
     column[:-1] += np.abs(off)
     column[1:] += np.abs(off)
     norm1 = float(column.max())
     width = tol + _BRACKET_UNITS * sys.float_info.epsilon * norm1
-    for attempt in range(1, _WIDENINGS + 2):
-        lo, hi = lam - width, lam + width
-        lo_holds, hi_holds = _definite(diag, off, lo), not _definite(diag, off, hi)
-        if lo_holds and hi_holds:
-            return BisectionResult(lam, lo, hi, 2 * attempt)
-        width *= 8.0
-    raise np.linalg.LinAlgError("LDL^T inertia does not certify the LAPACK eigenvalue")
+    if near is not None and len(diag) > 1:
+        try:
+            return _certified(diag, off, _rayleigh_guess(diag, off, near), width, 0)
+        except np.linalg.LinAlgError:
+            pass  # the guess found another eigenvalue or none: bisect
+    lam = float(eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, 0), tol=tol
+    )[0])
+    return _certified(diag, off, lam, width, _WIDENINGS)
+
+
+def _rayleigh_guess(diag, off, near) -> float:
+    """Rayleigh quotient after a float64 inverse-iteration sweep at near from
+    the flat start and one Rayleigh-quotient step (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4); it may find the eigenvalue nearest near."""
+    v, shift = np.full(len(diag), 1.0 / math.sqrt(len(diag))), near
+    for _ in range(2):
+        v = _gttrs(_gttrf(diag, off, shift), v)
+        v /= math.sqrt(np.dot(v, v))
+        shift = float(np.dot(v, _tridiagonal_matvec_ld(diag, off, v)))
+    return shift
 
 
 def smallest_eigenvalue(
@@ -184,6 +212,14 @@ def _tridiagonal_matvec_ld(diag, off, v, out=None):
     w[:-1] += off * v[1:]
     w[1:] += off * v[:-1]
     return w
+
+
+def _gttrf(diag, off, shift):
+    """LAPACK gttrf factors of T - shift (LinAlgError on a zero pivot)."""
+    *factors, info = dgttrf(off, diag - shift, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gttrf: zero pivot at row {info}")
+    return factors
 
 
 def _gttrs(factors, rhs):
@@ -243,9 +279,7 @@ def _shifted_sweeps(diag, off, d_ld, e_ld, shift):
     Solve error along the eigenvector does not slow inverse iteration
     (Peters and Wilkinson, SIAM Rev. 21, 1979), so the early sweeps are
     plain float64 solves and only the last is refined in long double."""
-    *factors, info = dgttrf(off, diag - shift, off)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gttrf: zero pivot at row {info}")
+    factors = _gttrf(diag, off, shift)
     v = np.full(len(diag), 1.0 / math.sqrt(len(diag)))
     for _ in range(_SWEEPS - 1):
         v = _gttrs(factors, v)
@@ -272,7 +306,7 @@ class EigenResult:
     """One eigensolve: model, grid, the bottom pair and its certificate;
     sturm_counts is the number of LDL^T inertia checks behind the bracket
     (2 when the first one holds), and refined is false when lambda_min is
-    the bracket value."""
+    the bracket's certified centre."""
 
     model: RadialModel
     radius: float
@@ -303,7 +337,12 @@ class EigenResult:
 def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResult:
     """Assemble, bracket, refine; the result carries the model normalization."""
     diag, off = assemble_tridiagonal(model, radius, cells)
-    bis = smallest_eigenvalue_detailed(diag, off)
+    # a 16x coarser grid's bottom eigenvalue: a guess the full grid certifies
+    coarse = cells // 16
+    near = None if coarse < 2 else float(eigh_tridiagonal(
+        *assemble_tridiagonal(model, radius, coarse), eigvals_only=True,
+        select="i", select_range=(0, 0))[0])
+    bis = smallest_eigenvalue_detailed(diag, off, near=near)
     lam, resid, vec = _inverse_iteration(diag, off, bis.lo, bis.hi)
     # a Rayleigh quotient lies within its residual of an eigenvalue: outside
     # the widened bracket, keep the certified value and its own residual

@@ -264,6 +264,13 @@ def test_spectrum_usage_errors(capsys):
         ["spectrum", "--model", "rh", "--m", "2", "--radii", "bogus",
          "--grid", "100"],
     )
+    # repeated radii are refused before any solve, not by the extrapolation
+    err = _run_expect_usage_error(
+        capsys,
+        ["spectrum", "--model", "rh", "--m", "2", "--radii", "25,25",
+         "--grid", "1000"],
+    )
+    assert "distinct" in err
 
 
 def test_spectrum_refuses_oversized_inputs_up_front(capsys):

@@ -160,10 +160,17 @@ def test_certified_bracket_holds_the_returned_eigenvalue():
     # eps * ||T||_1 = 1.5e-8 here: a float64 LDL^T inertia check cannot
     # certify a bracket much narrower than that
     model, radius, cells = RealHyperbolic(2), 25.0, 100000
-    bis = smallest_eigenvalue_detailed(*assemble_tridiagonal(model, radius, cells))
+    diag, off = assemble_tridiagonal(model, radius, cells)
+    bis = smallest_eigenvalue_detailed(diag, off)
     res = lambda0_estimate(model, radius, cells)
-    assert bis.lo - res.residual <= res.lambda_min <= bis.hi + res.residual
-    assert (res.bracket_lo, res.bracket_hi) == (bis.lo, bis.hi)
+    lo, hi = res.bracket_lo, res.bracket_hi
+    assert lo - res.residual <= res.lambda_min <= hi + res.residual
+    # the bracket is centred on a Rayleigh quotient, not on the stebz value,
+    # but it is as wide, holds that value and is certified by the oracle
+    assert hi - lo == pytest.approx(bis.hi - bis.lo, rel=1e-15, abs=0.0)
+    assert lo <= bis.value <= hi
+    assert _reference_count(diag, off, lo) == 0
+    assert _reference_count(diag, off, hi) >= 1
     assert res.refined and res.sturm_counts == 2
     # far below eps * ||T||_1, where a float64 solve alone stops
     assert res.residual < 1e-11
@@ -225,6 +232,7 @@ def test_inertia_check_on_one_cell_and_on_zero_pivots():
     assert not _definite(one, empty, 4.0)
     res = smallest_eigenvalue_detailed(one, empty)
     assert res.lo < 3.0 < res.hi and res.iterations == 2
+    assert smallest_eigenvalue_detailed(one, empty, near=2.5) == res
     # the first pivot is exactly zero: not definite, as the oracle counts it
     diag, off = np.array([2.0, 5.0, 7.0]), np.array([1.0, 1.0])
     assert _reference_count(diag, off, 2.0) >= 1
@@ -344,6 +352,91 @@ def _failing(monkeypatch, entry, replacement):
     return calls
 
 
+def _recorded(monkeypatch, entry):
+    """Route the module's entry through itself, keeping every result."""
+    from kahlerlab import spectral
+
+    results, original = [], getattr(spectral, entry)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(spectral, entry, recorded)
+    return results
+
+
+@pytest.mark.parametrize(
+    "model, radius, cells",
+    [(RealHyperbolic(2), 25.0, 100000), (ComplexHyperbolic(3), 15.0, 30000)],
+)
+def test_guided_bracket_is_certified_by_the_sturm_count_oracle(
+    monkeypatch, model, radius, cells
+):
+    from kahlerlab import spectral
+
+    sizes = []
+    stebz = spectral.eigh_tridiagonal
+    monkeypatch.setattr(
+        spectral, "eigh_tridiagonal",
+        lambda d, e, **kwargs: sizes.append(len(d)) or stebz(d, e, **kwargs),
+    )
+    res = lambda0_estimate(model, radius, cells)
+    assert sizes == [cells // 16]  # the coarse guess only: no full-grid stebz
+    diag, off = assemble_tridiagonal(model, radius, cells)
+    assert _reference_count(diag, off, res.bracket_lo) == 0
+    assert _reference_count(diag, off, res.bracket_hi) >= 1
+    assert res.sturm_counts == 2 and res.refined
+
+
+def _small_grid():
+    diag, off = assemble_tridiagonal(RealHyperbolic(2), 10.0, 200)
+    return diag, off, np.linalg.eigvalsh(_dense(diag, off))
+
+
+def test_a_guess_that_finds_another_eigenvalue_falls_back_to_stebz():
+    diag, off, eigs = _small_grid()
+    plain = smallest_eigenvalue_detailed(diag, off)
+    assert smallest_eigenvalue_detailed(diag, off, near=eigs[0] + 1e-3) != plain
+    for near in (eigs[0] + 1.0, eigs[1]):
+        assert smallest_eigenvalue_detailed(diag, off, near=near) == plain
+
+
+@pytest.mark.parametrize("entry", ["dgttrf", "dgttrs"])
+def test_a_failing_guess_falls_back_to_stebz(monkeypatch, entry):
+    diag, off, eigs = _small_grid()
+    plain = smallest_eigenvalue_detailed(diag, off)
+    near = eigs[0] + 1e-3  # certifies when nothing fails, as above
+    original = getattr(lapack, entry)
+
+    def fails_first(*args, **kwargs):
+        if len(calls) > 1:
+            return original(*args, **kwargs)
+        if entry == "dgttrf":  # a zero pivot
+            return (*original(*args, **kwargs)[:-1], 1)
+        raise np.linalg.LinAlgError("singular")
+
+    calls = _failing(monkeypatch, entry, fails_first)
+    assert smallest_eigenvalue_detailed(diag, off, near=near) == plain
+    assert len(calls) == 1
+
+
+def test_no_coarse_grid_below_32_cells(monkeypatch):
+    from kahlerlab import spectral
+
+    sizes = []
+    assemble = spectral.assemble_tridiagonal
+    monkeypatch.setattr(
+        spectral, "assemble_tridiagonal",
+        lambda model, radius, cells: sizes.append(cells) or assemble(model, radius, cells),
+    )
+    lambda0_estimate(RealHyperbolic(2), 10.0, 31)
+    assert sizes == [31]
+    sizes.clear()
+    lambda0_estimate(RealHyperbolic(2), 10.0, 32)
+    assert sizes == [32, 2]
+
+
 def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
     # every LU factorization of T - shift reports a zero pivot
     def zero_pivot(dl, d, du):
@@ -353,7 +446,7 @@ def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
     calls = _failing(monkeypatch, "dgttrf", zero_pivot)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
-    assert len(calls) == 5  # one factorization per shift
+    assert len(calls) == 6  # the guess's first, then one per shift
 
 
 def test_inverse_iteration_raises_when_every_correction_solve_fails(monkeypatch):
@@ -363,7 +456,7 @@ def test_inverse_iteration_raises_when_every_correction_solve_fails(monkeypatch)
     calls = _failing(monkeypatch, "dgttrs", singular)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
-    assert len(calls) == 5  # the first correction of each shift
+    assert len(calls) == 6  # the guess's first solve, then one per shift
 
 
 def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkeypatch):
@@ -371,7 +464,7 @@ def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkey
 
     model, radius, cells = RealHyperbolic(2), 10.0, 200
     diag, off = assemble_tridiagonal(model, radius, cells)
-    bis = smallest_eigenvalue_detailed(diag, off)
+    brackets = _recorded(monkeypatch, "smallest_eigenvalue_detailed")
     seen = {}
     original = spectral._inverse_iteration
 
@@ -382,6 +475,7 @@ def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkey
 
     monkeypatch.setattr(spectral, "_inverse_iteration", wandered)
     result = lambda0_estimate(model, radius, cells)
+    (bis,) = brackets  # the guided bracket and its certified centre
     assert result.lambda_min == bis.value
     vec = seen["vec"].astype(float)
     t_vec = diag * vec
@@ -398,17 +492,19 @@ def test_each_shift_refines_only_its_last_sweep(monkeypatch):
     refined = _failing(monkeypatch, "_refined_solve", spectral._refined_solve)
     factored = _failing(monkeypatch, "dgttrf", lapack.dgttrf)
     assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
-    assert len(refined) == len(factored) == 1
+    assert len(refined) == 1
+    assert len(factored) == 2 + 1  # the guess's two shifts, then one
 
-    # two shifts fail to factor: only the one that solves is refined
+    # the first two inverse-iteration shifts fail to factor: only the one
+    # that solves is refined
     def zero_pivot_twice(dl, d, du):
         *factors, info = lapack.dgttrf(dl, d, du)
-        return (*factors, 1 if len(factored) <= 2 else info)
+        return (*factors, 1 if 3 <= len(factored) <= 4 else info)
 
     refined.clear()
     factored = _failing(monkeypatch, "dgttrf", zero_pivot_twice)
     assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
-    assert len(factored) == 3 and len(refined) == 1
+    assert len(factored) == 2 + 3 and len(refined) == 1
 
 
 @pytest.mark.parametrize(
