@@ -3,13 +3,15 @@
 Subcommands: `verify` (randomized exact identity suites), `constants`
 (exact bound-constant tables), `bsd` (classical domain tables), and
 `spectrum` (radial eigensolver runs).  Exit codes: 0 on success, 1 when a
-verification suite reports failures, 2 on usage errors.
+verification suite reports failures, 2 on usage errors.  The parser is
+built on the first call and reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -62,7 +64,11 @@ def _radius_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    returns a fresh Namespace and error only prints and exits, so a call
+    leaves nothing behind for the next one."""
     parser = argparse.ArgumentParser(
         prog="kahlerlab",
         description="Exact pointwise Kaehler identities, spectral bound "

@@ -603,6 +603,10 @@ class Batch:
     def rows(self) -> int:
         return len(self.den)
 
+    def __getitem__(self, rows: slice) -> "Batch":
+        """The rows in a slice, as a batch."""
+        return Batch(self.n, self.k, self.re[rows], self.im[rows], self.den[rows])
+
     def _entries(self, t: int):
         """(column, re, im) of the nonzero coefficients of row t, as ints."""
         re, im = self.re[t], self.im[t]

@@ -267,6 +267,12 @@ def primitive_basis(n: int, k: int) -> tuple[Form, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _primitive_batch(n: int, k: int) -> Batch:
+    """primitive_basis(n, k) as the rows of one batch, packed once."""
+    return Batch.of(n, k, primitive_basis(n, k))
+
+
 @dataclass(frozen=True)
 class PrimitiveDecomposition:
     """Parts of a = sum_r L^r a_r with every a_r primitive of degree k-2r."""

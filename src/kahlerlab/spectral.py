@@ -10,7 +10,8 @@ for one inverse-iteration sweep and one Rayleigh-quotient step on the full
 grid; the inertia of two LAPACK pttrf LDL^T factorizations certifies the
 quotient, or else the eigenvalue from LAPACK stebz (Kahan-Demmel bisection).
 Inverse iteration then runs float64 sweeps and polishes the last one by
-mixed-precision iterative refinement.
+mixed-precision iterative refinement.  scipy is imported by the first
+eigensolve, not with the module: the exact layers never load it.
 
 Model conventions: RealHyperbolic uses the curvature -1 density sinh^(m-1),
 with a curvature scale K applied as an exact eigenvalue multiplication.
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
 
 _BISECT_TOL = 1e-12  # absolute tolerance handed to stebz
 # stebz's pivots, a float64 Rayleigh quotient and LDL^T pivots each round to
@@ -141,6 +140,8 @@ def _definite(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
     positive (pttrf stops at the first pivot <= 0)."""
     if len(diag) == 1:
         return bool(diag[0] - shift > 0.0)
+    from scipy.linalg.lapack import dpttrf
+
     return dpttrf(diag - shift, off, overwrite_d=1)[2] == 0
 
 
@@ -183,6 +184,8 @@ def smallest_eigenvalue_detailed(
             return _certified(diag, off, _rayleigh_guess(diag, off, near), width, 0)
         except np.linalg.LinAlgError:
             pass  # the guess found another eigenvalue or none: bisect
+    from scipy.linalg import eigh_tridiagonal
+
     lam = float(eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, 0), tol=tol
     )[0])
@@ -216,6 +219,8 @@ def _tridiagonal_matvec_ld(diag, off, v, out=None):
 
 def _gttrf(diag, off, shift):
     """LAPACK gttrf factors of T - shift (LinAlgError on a zero pivot)."""
+    from scipy.linalg.lapack import dgttrf
+
     *factors, info = dgttrf(off, diag - shift, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"gttrf: zero pivot at row {info}")
@@ -224,6 +229,8 @@ def _gttrf(diag, off, shift):
 
 def _gttrs(factors, rhs):
     """x with (T - shift) x = rhs on the gttrf factors, overwriting rhs."""
+    from scipy.linalg.lapack import dgttrs
+
     x, info = dgttrs(*factors, rhs[:, None], overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"gttrs: illegal argument {-info}")
@@ -336,6 +343,8 @@ class EigenResult:
 
 def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResult:
     """Assemble, bracket, refine; the result carries the model normalization."""
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = assemble_tridiagonal(model, radius, cells)
     # a 16x coarser grid's bottom eigenvalue: a guess the full grid certifies
     coarse = cells // 16

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kahlerlab.cli import main
+import kahlerlab
+from kahlerlab.cli import build_parser, main
 
 
 def _run(capsys, argv):
@@ -291,3 +296,57 @@ def test_spectrum_refuses_oversized_inputs_up_front(capsys):
 def test_no_subcommand_is_a_usage_error(capsys):
     _run_expect_usage_error(capsys, [])
     _run_expect_usage_error(capsys, ["bogus-command"])
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    _run_expect_usage_error(capsys, ["constants"])  # argparse: --dim is required
+    argv = ["constants", "--dim", "3", "--format", "md"]
+    first, second = _run(capsys, argv), _run(capsys, argv)
+    assert first[0] == 0 and first == second
+    err = _run_expect_usage_error(
+        capsys, ["spectrum", "--model", "rh", "--radius", "10", "--grid", "200"]
+    )
+    assert "rh model needs --m" in err
+
+
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+
+import kahlerlab
+import kahlerlab.cli
+
+loaded = {"import": "scipy" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [kahlerlab.cli.main(["constants", "--dim", "3"])]
+    loaded["constants"] = "scipy" in sys.modules
+    codes.append(kahlerlab.cli.main(["verify", "--dim", "2", "--trials", "2"]))
+    loaded["verify"] = "scipy" in sys.modules
+spectrum = io.StringIO()
+with contextlib.redirect_stdout(spectrum):
+    codes.append(kahlerlab.cli.main([
+        "spectrum", "--model", "rh", "--m", "2", "--radius", "10", "--grid", "200",
+        "--format", "json",
+    ]))
+loaded["spectrum"] = "scipy" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded, "spectrum": json.loads(spectrum.getvalue())}))
+"""
+
+
+def test_only_an_eigensolve_imports_scipy():
+    # a fresh interpreter: pytest's own process has imported scipy already
+    src = Path(kahlerlab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    assert result["loaded"] == {
+        "import": False, "constants": False, "verify": False, "spectrum": True,
+    }
+    (sample,) = result["spectrum"]["samples"]
+    assert sample["refined"] and sample["sturm_counts"] == 2
+    assert sample["bracket_lo"] <= sample["lambda_min"] <= sample["bracket_hi"]
+    assert sample["residual"] < 1e-10

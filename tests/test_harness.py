@@ -333,3 +333,24 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
     whole = run()
     monkeypatch.setattr(harness, "_TRIAL_BLOCK", 2)
     assert run() == whole
+
+
+def test_star_route_compares_every_unit_block_and_renders_on_failure(monkeypatch):
+    # C(8, 4) = 70 degree-4 monomials at n = 4 go in unit blocks of 64 and
+    # 6; only the images of the second block are off
+    def off_in_the_last_block(a):
+        out = original(a)
+        if (a.k, a.rows) != (4, 6):
+            return out
+        re = out.re.copy()
+        re[-1, 0] += 1
+        return Batch(out.n, out.k, re, out.im, out.den)
+
+    original = harness.dual_lefschetz
+    monkeypatch.setattr(harness, "dual_lefschetz", off_in_the_last_block)
+    report = check_lefschetz_structure(4, 1, RandomSpec(seed=42))
+    (failure,) = [f for f in report.failures if "star-route" in f.identity]
+    assert failure.identity == "dual-lefschetz-star-route[k=4]"
+    lhs, rhs = failure.lhs.split("; "), failure.rhs.split("; ")
+    assert len(lhs) == len(rhs) == 70
+    assert [t for t in range(70) if lhs[t] != rhs[t]] == [69]

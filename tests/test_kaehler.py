@@ -29,6 +29,7 @@ from kahlerlab.kaehler import (
     PrimitiveDecomposition,
     _decomposition_tables,
     _dual_lefschetz_table,
+    _primitive_batch,
     _power_table,
     _projection_table,
     _star_table,
@@ -181,6 +182,12 @@ def test_primitive_dimension_formula_and_basis_sizes():
             for b in basis:
                 assert is_primitive(b)
                 assert b.degree() == k
+            if k <= n:  # the same basis, packed once as the rows of one batch
+                rows = _primitive_batch(n, k)
+                assert rows is _primitive_batch(n, k)
+                assert [rows.form(t) for t in range(rows.rows)] == list(basis)
+                tail = rows[1:]
+                assert [tail.form(t) for t in range(tail.rows)] == list(basis[1:])
 
 
 def test_primitive_bidegree_basis_refines_the_degree_basis():

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.linalg import lapack
 
 from kahlerlab.spectral import (
@@ -244,18 +245,17 @@ def test_inertia_check_on_one_cell_and_on_zero_pivots():
 
 
 def test_bracket_widens_until_the_sturm_counts_agree(monkeypatch):
-    from kahlerlab import spectral
-
     diag = np.array([2.0, 3.0, 4.0])
     off = np.array([-1.0, -0.5])
     exact = np.linalg.eigvalsh(_dense(diag, off))[0]
-    true_stebz = spectral.eigh_tridiagonal
+    true_stebz = linalg.eigh_tridiagonal
     shift = {"by": 1e-9}
 
     def off_target(*args, **kwargs):
         return true_stebz(*args, **kwargs) + shift["by"]
 
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", off_target)
+    # spectral imports scipy's routines where it calls them
+    monkeypatch.setattr(linalg, "eigh_tridiagonal", off_target)
     res = smallest_eigenvalue_detailed(diag, off)
     assert res.value == pytest.approx(exact + 1e-9, abs=2e-12)
     assert res.lo <= exact <= res.hi
@@ -337,18 +337,17 @@ def test_grid_refinement_is_second_order():
     assert 1.8 <= order <= 2.2
 
 
-def _failing(monkeypatch, entry, replacement):
-    """Route the module's entry (a LAPACK routine or a solver step) through
-    replacement, counting calls."""
-    from kahlerlab import spectral
-
+def _failing(monkeypatch, owner, entry, replacement):
+    """Route owner's entry (a LAPACK routine or a solver step) through
+    replacement, counting calls; a replacement that calls the original
+    saves it before this patch."""
     calls = []
 
     def failing(*args, **kwargs):
         calls.append(entry)
         return replacement(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, entry, failing)
+    monkeypatch.setattr(owner, entry, failing)
     return calls
 
 
@@ -373,12 +372,10 @@ def _recorded(monkeypatch, entry):
 def test_guided_bracket_is_certified_by_the_sturm_count_oracle(
     monkeypatch, model, radius, cells
 ):
-    from kahlerlab import spectral
-
     sizes = []
-    stebz = spectral.eigh_tridiagonal
+    stebz = linalg.eigh_tridiagonal
     monkeypatch.setattr(
-        spectral, "eigh_tridiagonal",
+        linalg, "eigh_tridiagonal",
         lambda d, e, **kwargs: sizes.append(len(d)) or stebz(d, e, **kwargs),
     )
     res = lambda0_estimate(model, radius, cells)
@@ -416,7 +413,7 @@ def test_a_failing_guess_falls_back_to_stebz(monkeypatch, entry):
             return (*original(*args, **kwargs)[:-1], 1)
         raise np.linalg.LinAlgError("singular")
 
-    calls = _failing(monkeypatch, entry, fails_first)
+    calls = _failing(monkeypatch, lapack, entry, fails_first)
     assert smallest_eigenvalue_detailed(diag, off, near=near) == plain
     assert len(calls) == 1
 
@@ -439,11 +436,13 @@ def test_no_coarse_grid_below_32_cells(monkeypatch):
 
 def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
     # every LU factorization of T - shift reports a zero pivot
+    dgttrf = lapack.dgttrf
+
     def zero_pivot(dl, d, du):
-        *factors, _ = lapack.dgttrf(dl, d, du)
+        *factors, _ = dgttrf(dl, d, du)
         return (*factors, 1)
 
-    calls = _failing(monkeypatch, "dgttrf", zero_pivot)
+    calls = _failing(monkeypatch, lapack, "dgttrf", zero_pivot)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
     assert len(calls) == 6  # the guess's first, then one per shift
@@ -453,7 +452,7 @@ def test_inverse_iteration_raises_when_every_correction_solve_fails(monkeypatch)
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")
 
-    calls = _failing(monkeypatch, "dgttrs", singular)
+    calls = _failing(monkeypatch, lapack, "dgttrs", singular)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
     assert len(calls) == 6  # the guess's first solve, then one per shift
@@ -489,8 +488,9 @@ def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkey
 def test_each_shift_refines_only_its_last_sweep(monkeypatch):
     from kahlerlab import spectral
 
-    refined = _failing(monkeypatch, "_refined_solve", spectral._refined_solve)
-    factored = _failing(monkeypatch, "dgttrf", lapack.dgttrf)
+    dgttrf = lapack.dgttrf
+    refined = _failing(monkeypatch, spectral, "_refined_solve", spectral._refined_solve)
+    factored = _failing(monkeypatch, lapack, "dgttrf", dgttrf)
     assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
     assert len(refined) == 1
     assert len(factored) == 2 + 1  # the guess's two shifts, then one
@@ -498,11 +498,11 @@ def test_each_shift_refines_only_its_last_sweep(monkeypatch):
     # the first two inverse-iteration shifts fail to factor: only the one
     # that solves is refined
     def zero_pivot_twice(dl, d, du):
-        *factors, info = lapack.dgttrf(dl, d, du)
+        *factors, info = dgttrf(dl, d, du)
         return (*factors, 1 if 3 <= len(factored) <= 4 else info)
 
     refined.clear()
-    factored = _failing(monkeypatch, "dgttrf", zero_pivot_twice)
+    factored = _failing(monkeypatch, lapack, "dgttrf", zero_pivot_twice)
     assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
     assert len(factored) == 2 + 3 and len(refined) == 1
 
