@@ -22,7 +22,6 @@ from .exterior import (
     wedge,
 )
 from .kaehler import (
-    OperatorMatrix,
     PrimitiveDecomposition,
     dual_lefschetz,
     hodge_star,
@@ -32,7 +31,6 @@ from .kaehler import (
     lefschetz_L,
     lefschetz_power,
     norm_ratio,
-    operator_matrix,
     primitive_basis,
     primitive_bidegree_basis,
     primitive_decompose,

@@ -12,8 +12,8 @@ Gaussian-integer numerator arrays of shape (T, C(2n, k)) over the ranks of
 `monomial_basis(n, k)`, with one denominator per row.  Every fixed linear
 operator is compiled once into a `Table` of signed (gather index,
 coefficient) pairs sorted by output, and applied to a whole batch by one
-take and one np.add.reduceat; the exterior product uses the same layout
-with two gathers.  Arithmetic is int64 under a bound checked before each
+take and one np.add.reduceat; tables compose and combine exactly, and the
+exterior product uses the same layout with two gathers.  Arithmetic is int64 under a bound checked before each
 operation and Python ints otherwise.  The dict operations run on one-row
 batches, except products of a few terms, which loop over term pairs.
 
@@ -537,7 +537,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _ints(values) -> np.ndarray:
     """Python ints as an int64 array when they fit, else an object array."""
-    if isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray) and values.dtype != object:
         return values
     values = list(values)
     fits = max(map(abs, values), default=0) < _INT64_LIMIT
@@ -591,13 +591,6 @@ class Batch:
     def zero(cls, n: int, k: int, rows: int, den: np.ndarray | None = None) -> "Batch":
         re = np.zeros((rows, _size(n, k)), dtype=np.int64)
         return cls(n, k, re, re, np.ones(rows, dtype=np.int64) if den is None else den)
-
-    @classmethod
-    def units(cls, n: int, k: int, ranks: Sequence[int]) -> "Batch":
-        """The degree-k basis monomials of the given ranks, one per row."""
-        re = np.zeros((len(ranks), _size(n, k)), dtype=np.int64)
-        re[np.arange(len(ranks)), ranks] = 1
-        return cls(n, k, re, np.zeros_like(re), np.ones(len(ranks), dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -747,7 +740,8 @@ class Table(NamedTuple):
     Pair i sends input column src[i] to its output with the Gaussian-integer
     coefficient re[i] + i im[i]; pairs are sorted by output, segment g
     (from starts[g]) feeding column outputs[g].  gain bounds the ratio of
-    the largest output numerator to the largest input one.
+    the largest output numerator to the largest input one.  `_table` builds
+    every table reduced: no pair repeats or is zero, and den is least.
     """
 
     k: int
@@ -770,6 +764,14 @@ class Table(NamedTuple):
             p_re, p_im = x_re[rows][:, self.src], x_im[rows][:, self.src]
             pieces.append(_summed(self, p_re * c_re - p_im * c_im, p_re * c_im + p_im * c_re))
         return _stacked(a.n, self, pieces, den)
+
+    def rows(self) -> dict[int, dict[int, GaussRational]]:
+        """The rows of the map's matrix, {output: {input: nonzero entry}}."""
+        out: dict[int, dict[int, GaussRational]] = {}
+        for o, s, x, y in zip(_pair_outputs(self).tolist(), self.src.tolist(),
+                              self.re.tolist(), self.im.tolist()):
+            out.setdefault(o, {})[s] = GaussRational._norm(x, y, self.den)
+        return out
 
 
 # A (rows x pairs) temporary holds at most this many entries.
@@ -799,14 +801,25 @@ def _stacked(n: int, table, pieces: list, den: np.ndarray) -> Batch:
 
 
 def _table(k: int, size: int, out, src, re, im, den: int) -> Table:
-    """Table of the pairs (out, src, re + i im), given in any order."""
+    """Table of the pairs (out, src, (re + i im) / den), given in any order
+    and possibly repeated: repeated pairs are summed, zeros dropped and den
+    made the least common denominator."""
     out, src = np.asarray(out, dtype=np.int64), np.asarray(src, dtype=np.int64)
-    re, im = _ints(re), _ints(im)
     order = np.lexsort((src, out))
-    out, src, re, im = out[order], src[order], re[order], im[order]
+    out, src, re, im = out[order], src[order], _ints(re)[order], _ints(im)[order]
+    first = np.flatnonzero(np.r_[True, (out[1:] != out[:-1]) | (src[1:] != src[:-1])])
+    if first.size < out.size:  # sum the repeated pairs, with room for the sums
+        re, im = _cast(_maxabs(re, im) * out.size, re, im)
+        out, src = out[first], src[first]
+        re, im = np.add.reduceat(re, first), np.add.reduceat(im, first)
+    keep = np.flatnonzero((re != 0) | (im != 0))
+    out, src, re, im = out[keep], src[keep], re[keep], im[keep]
+    g = gcd(den, *re.tolist(), *im.tolist())
+    re, im = _cast(g, re, im)  # g itself may leave int64
+    re, im = _ints(re // g), _ints(im // g)
     starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]]) if out.size else out
     longest = int(np.diff(np.r_[starts, out.size]).max()) if out.size else 0
-    return Table(k, size, src, re, im, starts, out[starts], den,
+    return Table(k, size, src, re, im, starts, out[starts], den // g,
                  2 * _maxabs(re, im) * longest)
 
 
@@ -828,10 +841,53 @@ def _compiled(
     return _table(k_out, _size(n, k_out), out, src, re, im, den)
 
 
+def _pair_outputs(table: Table) -> np.ndarray:
+    """The output column of every pair of a table."""
+    return np.repeat(table.outputs, np.diff(np.r_[table.starts, table.src.size]))
+
+
 def _adjoint(table: Table, n: int, k_in: int) -> Table:
     """Conjugate transpose of a table on degree-k_in forms."""
-    out = np.repeat(table.outputs, np.diff(np.r_[table.starts, table.src.size]))
-    return _table(k_in, _size(n, k_in), table.src, out, table.re, -table.im, table.den)
+    return _table(k_in, _size(n, k_in), table.src, _pair_outputs(table),
+                  table.re, -table.im, table.den)
+
+
+def _composed(outer: Table, inner: Table) -> Table:
+    """The table of outer o inner, exact: each pair of outer is joined with
+    the pairs of inner whose output is its input."""
+    middle = _pair_outputs(inner)  # sorted
+    lo = np.searchsorted(middle, outer.src, side="left")
+    counts = np.searchsorted(middle, outer.src, side="right") - lo
+    a = np.repeat(np.arange(outer.src.size), counts)
+    b = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(a.size)
+    bound = 2 * _maxabs(outer.re, outer.im) * _maxabs(inner.re, inner.im)
+    o_re, o_im, i_re, i_im = _cast(bound, outer.re, outer.im, inner.re, inner.im)
+    o_re, o_im, i_re, i_im = o_re[a], o_im[a], i_re[b], i_im[b]
+    return _table(outer.k, outer.size, _pair_outputs(outer)[a], inner.src[b],
+                  o_re * i_re - o_im * i_im, o_re * i_im + o_im * i_re, outer.den * inner.den)
+
+
+def _combined(terms: Sequence[tuple[Rationalish, Table]]) -> Table:
+    """The table of sum_i c_i T_i, for rational c_i and tables T_i between
+    the same two degrees, over one denominator."""
+    scales = [Fraction(c) / table.den for c, table in terms]
+    den = lcm(*(s.denominator for s in scales))
+    factors = [int(s * den) for s in scales]
+    bound = max(abs(f) * max(1, _maxabs(t.re, t.im)) for f, (_, t) in zip(factors, terms))
+    parts = [_cast(bound, t.re, t.im) for _, t in terms]
+    return _table(
+        terms[0][1].k, terms[0][1].size,
+        np.concatenate([_pair_outputs(t) for _, t in terms]),
+        np.concatenate([t.src for _, t in terms]),
+        np.concatenate([re * f for (re, _), f in zip(parts, factors)]),
+        np.concatenate([im * f for (_, im), f in zip(parts, factors)]),
+        den,
+    )
+
+
+def _equal_tables(a: Table, b: Table) -> bool:
+    """Field by field; as every table is reduced, exactly when the maps agree."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -980,10 +1036,8 @@ def _wedge_by(fixed: Form, d: int, k: int) -> Table:
     row = Batch.of(n, d, [fixed])
     w = _wedge_table(n, d, k)
     out = np.repeat(w.outputs, np.diff(np.r_[w.starts, w.left.size]))
-    re, im = row.re[0, w.left] * w.sign, row.im[0, w.left] * w.sign
-    keep = np.flatnonzero((re != 0) | (im != 0))
-    return _table(d + k, w.size, out[keep], w.right[keep], re[keep], im[keep],
-                  int(row.den[0]))
+    return _table(d + k, w.size, out, w.right, row.re[0, w.left] * w.sign,
+                  row.im[0, w.left] * w.sign, int(row.den[0]))
 
 
 def _numerators(a: Form) -> tuple[int, list[tuple[Monomial, int, int]]]:

@@ -28,19 +28,28 @@ import numpy as np
 
 from . import rational_linalg as rl
 from .exterior import (
+    ZERO,
     Batch,
     Form,
     GaussRational,
     Monomial,
+    Table,
     _basis_rank,
+    _combined,
+    _composed,
+    _equal_tables,
     bidegree_basis,
     conjugate,
     inner,
+    monomial_basis,
     norm_sq,
     row_blocks,
 )
 from .kaehler import (
+    _dual_lefschetz_table,
+    _power_table,
     _primitive_batch,
+    _star_table,
     dual_lefschetz,
     hodge_star,
     hr_pairing,
@@ -51,7 +60,6 @@ from .kaehler import (
     primitive_decompose,
     primitive_dimension,
     primitive_projection,
-    star_inverse,
     weil_operator,
 )
 
@@ -508,25 +516,19 @@ def check_federer(
     return _report("federer", n, trials, rspec, rec, t0)
 
 
-def _images(op: Callable[[Batch], Batch], n: int, k: int) -> list[dict[int, GaussRational]]:
-    """The images of the degree-k basis monomials under op, as sparse rows:
-    the columns of the matrix of op."""
-    return [
-        row for block in row_blocks(comb(2 * n, k))
-        for row in op(Batch.units(n, k, block)).sparse_rows()
-    ]
-
-
-def _shown_images(op: Callable[[Batch], Batch], n: int, k: int) -> Callable[[], str]:
-    """The images of the degree-k basis under op, rendered when called."""
-    return lambda: "; ".join(
-        " + ".join(f"({c})*[{j}]" for j, c in sorted(row.items())) or "0"
-        for row in _images(op, n, k)
-    )
-
-
-def _via_star(units: Batch) -> Batch:
-    return star_inverse(lefschetz_L(hodge_star(units)))
+def _shown_entries(n: int, k: int, table: Table, other: Table) -> Callable[[], str]:
+    """The entries of table, a map on degree k, where other's differ, as
+    output <- input: entry; rendered when called."""
+    def show() -> str:
+        mine, theirs = ({(o, i): c for o, row in t.rows().items() for i, c in row.items()}
+                        for t in (table, other))
+        outs, ins = monomial_basis(n, table.k), monomial_basis(n, k)
+        return "; ".join(
+            f"{outs[o].label()} <- {ins[i].label()}: {mine.get((o, i), ZERO)}"
+            for o, i in sorted(mine.keys() | theirs.keys())
+            if mine.get((o, i)) != theirs.get((o, i))
+        )
+    return show
 
 
 def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
@@ -571,17 +573,16 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
                 f"primitive-bidegree-dimension[p={p},q={q}]", 0, f"n={n}", got, want
             )
     for k in range(n + 1):
-        bijective = _images(lambda units, j=n - k: lefschetz_power(units, j), n, k)
         rec.equal(
             f"hard-lefschetz-bijective[k={k}]", 0, f"n={n}",
-            rl.rank(bijective), comb(2 * n, k),
+            rl.rank(list(_power_table(n, k, n - k).rows().values())), comb(2 * n, k),
         )
         basis = _primitive_batch(n, k)
         rec.equal(
             f"hard-lefschetz-primitive-injective[k={k}]", 0, f"n={n}",
             rl.rank(lefschetz_power(basis, n - k).sparse_rows()), basis.rows,
         )
-        killer = _images(lambda units, j=n - k + 1: lefschetz_power(units, j), n, k)
+        killer = list(_power_table(n, k, n - k + 1).rows().values())
         kernel_dim = comb(2 * n, k) - rl.rank(killer)
         rec.equal(
             f"primitive-kernel-dimension[k={k}]", 0, f"n={n}",
@@ -593,16 +594,14 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
                    killed, Batch.zero(n, killed.k, basis.rows)),
         ])
     for k in range(2, 2 * n + 1):
-        # the images of 64 basis monomials at a time, compared by their
-        # cross-multiplied numerators; the key is whether every block agrees
-        agree = all(
-            np.array_equal(*dual_lefschetz(units).cross(_via_star(units)))
-            for units in (Batch.units(n, k, block) for block in row_blocks(comb(2 * n, k)))
-        )
+        # star^-1 o L o star, with star^-1 = (-1)^k star on degree 2n - k + 2
+        via = _composed(_power_table(n, 2 * n - k, 1), _star_table(n, k))
+        route = _combined([((-1) ** k, _composed(_star_table(n, 2 * n - k + 2), via))])
+        adjoint = _dual_lefschetz_table(n, k)
         rec.equal(
             f"dual-lefschetz-star-route[k={k}]", 0, f"n={n}",
-            _Value(agree, _shown_images(dual_lefschetz, n, k)),
-            _Value(True, _shown_images(_via_star, n, k)),
+            _Value(_equal_tables(adjoint, route), _shown_entries(n, k, adjoint, route)),
+            _Value(True, _shown_entries(n, k, route, adjoint)),
         )
     for first, rngs in _trial_blocks(rspec, "lefschetz", n, trials):
         checks = []

@@ -15,8 +15,10 @@ Lefschetz decomposition and the primitive projector are fixed linear maps
 on each degree.  Each is compiled once per (n, k) into an
 `exterior.Table`.  The parts of the Lefschetz decomposition, and with them
 the primitive projector, are polynomials in L and the dual Lefschetz
-operator given in closed form by the sl_2 relations, so no matrix is
-inverted.  The operators below take a `Form` or a `Batch`: a batch goes
+operator given in closed form by the sl_2 relations; their tables are
+composed and combined exactly from the L and dual Lefschetz tables, so no
+matrix is inverted and no form is pushed through an operator to learn its
+matrix.  The operators below take a `Form` or a `Batch`: a batch goes
 through the table at once, a form as one-row batches, one per degree.
 """
 
@@ -24,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Callable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from . import rational_linalg as rl
 from .exterior import (
@@ -34,18 +38,21 @@ from .exterior import (
     Form,
     GaussRational,
     Monomial,
-    ONE,
     ZERO,
     Table,
     _adjoint,
     _basis_rank,
+    _combined,
     _compiled,
+    _composed,
+    _conjugation_table,
     _per_degree,
+    _table,
     _wedge_by,
+    _wedge_table,
     bidegree_basis,
     inner,  # kept as kaehler.inner, which perfbench/test_perfbench.py traces
     monomial_basis,
-    row_blocks,
 )
 
 
@@ -111,25 +118,17 @@ def _power_table(n: int, k: int, j: int) -> Table:
 def _star_table(n: int, k: int) -> Table:
     """The star on degree k, monomial by monomial: *mu is a multiple of the
     monomial nu with the complementary index sets swapped, fixed by
-    mu ^ conj(*mu) = dV."""
-    basis = monomial_basis(n, k)
-    full = range(1, n + 1)
-    targets = [
-        Monomial(tuple(a for a in full if a not in mu.t), tuple(a for a in full if a not in mu.s))
-        for mu in basis
-    ]
-    rank = _basis_rank(n, 2 * n - k)
+    mu ^ conj(*mu) = dV.  The pairing mu ^ conj(nu) = +-top takes its sign
+    from the conjugation table and the (k, 2n - k) wedge pair table."""
+    wedge, conj = _wedge_table(n, k, 2 * n - k), _conjugation_table(n, 2 * n - k)
+    by_mu = np.argsort(wedge.left)
+    complement = wedge.right[by_mu]  # mu ^ complement = +-top
+    # conj(nu) = +-complement: the conjugation table's only pair feeding the
+    # complement comes from nu
+    pairing = wedge.sign[by_mu] * conj.re[complement]
     v = volume_form(n).coefficient(_top_monomial(n))
-    columns = {}
-    for block in row_blocks(len(basis)):
-        mus = Batch.units(n, k, block)
-        nus = Batch.units(n, 2 * n - k, [rank[targets[i]] for i in block])
-        # mu ^ conj(nu) is top degree: its only column is the top monomial
-        for i, pairing in zip(block, mus.wedge(nus.conjugate()).sparse_rows()):
-            if not pairing:
-                raise RuntimeError("star construction produced a vanishing pairing")
-            columns[basis[i]] = {targets[i]: (v / pairing[0]).conjugate()}
-    return _compiled(n, k, 2 * n - k, columns)
+    return _table(2 * n - k, conj.size, conj.src[complement], np.arange(len(by_mu)),
+                  v._x * pairing, -v._y * pairing, v._d)
 
 
 def hodge_star(a):
@@ -224,16 +223,16 @@ def _primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
     cols = bidegree_basis(n, p, q)
     if not cols:
         return ()
-    # the rows of the matrix of the dual Lefschetz operator on (p, q)-forms
+    # the rows of the matrix of the dual Lefschetz operator on (p, q)-forms:
+    # it sends them to (p - 1, q - 1), so no row mixes in another bidegree
     rank = _basis_rank(n, p + q)
-    ranks = [rank[mono] for mono in cols]
-    matrix: dict[int, dict[int, GaussRational]] = {}
-    for block in row_blocks(len(cols)):
-        images = dual_lefschetz(Batch.units(n, p + q, [ranks[j] for j in block]))
-        for j, image in zip(block, images.sparse_rows()):
-            for i, c in image.items():
-                matrix.setdefault(i, {})[j] = c
-    kernel = rl.nullspace(list(matrix.values()), cols=len(cols))
+    position = {rank[mono]: j for j, mono in enumerate(cols)}
+    matrix = [
+        {position[i]: c for i, c in row.items()}
+        for row in _dual_lefschetz_table(n, p + q).rows().values()
+        if next(iter(row)) in position
+    ]
+    kernel = rl.nullspace(matrix, cols=len(cols))
     forms = []
     for vec in kernel:
         vec = _integerized(vec)
@@ -302,27 +301,19 @@ def _decomposition_coefficient(m: int, r: int, t: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _decomposition_tables(n: int, k: int) -> tuple[tuple[int, Table], ...]:
     """The maps a -> a_r of the Lefschetz decomposition, one table per r,
-    each a polynomial in L and Lambda (`_decomposition_coefficient`)."""
-    basis = monomial_basis(n, k)
-    parts = range(max(0, k - n), k // 2 + 1)
-    columns: dict[int, dict[Monomial, dict[Monomial, GaussRational]]] = {r: {} for r in parts}
-    for block in row_blocks(len(basis)):
-        # chain[s] = Lambda^s of the block's monomials
-        chain = [Batch.units(n, k, block)]
-        while chain[-1].k >= 2:
-            chain.append(dual_lefschetz(chain[-1]))
-        for r in parts:
-            coeffs = [_decomposition_coefficient(n - k, r, t)
-                      for t in range((k - 2 * r) // 2 + 1)]
-            # integer multiples over one denominator keep the sums in int64
-            den = lcm(*(c.denominator for c in coeffs))
-            part = reduce(Batch.__add__, (
-                lefschetz_power(chain[r + t], t) * int(c * den) for t, c in enumerate(coeffs)
-            ))
-            targets = monomial_basis(n, k - 2 * r)
-            for i, row in zip(block, (part * Fraction(1, den)).sparse_rows()):
-                columns[r][basis[i]] = {targets[j]: c for j, c in row.items()}
-    return tuple((r, _compiled(n, k, k - 2 * r, columns[r])) for r in parts)
+    each the table polynomial sum_t c_(r,t) L^t o Lambda^(r+t)
+    (`_decomposition_coefficient`)."""
+    chain = [_power_table(n, k, 0)]  # chain[s] = Lambda^s on degree k: L^0 = 1
+    for s in range(1, k // 2 + 1):
+        chain.append(_composed(_dual_lefschetz_table(n, k - 2 * s + 2), chain[-1]))
+    return tuple(
+        (r, _combined([
+            (_decomposition_coefficient(n - k, r, t),
+             _composed(_power_table(n, k - 2 * r - 2 * t, t), chain[r + t]) if t else chain[r])
+            for t in range((k - 2 * r) // 2 + 1)
+        ]))
+        for r in range(max(0, k - n), k // 2 + 1)
+    )
 
 
 def primitive_decompose(a) -> PrimitiveDecomposition:
@@ -378,54 +369,6 @@ def primitive_projection(a):
     if isinstance(a, Batch):
         return _projection_table(a.n, a.k)(a)
     return _per_degree(a, primitive_projection)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Exact matrix of an operator between monomial bases, kept as sparse
-    columns: columns[j] maps codomain ranks to the nonzero entries of the
-    image of domain_basis[j]."""
-
-    domain: str
-    codomain: str
-    domain_basis: tuple[Monomial, ...]
-    codomain_basis: tuple[Monomial, ...]
-    columns: tuple[dict[int, GaussRational], ...]
-
-    @property
-    def entries(self) -> tuple[tuple[GaussRational, ...], ...]:
-        """Dense rows, built on demand."""
-        return tuple(
-            tuple(col.get(i, ZERO) for col in self.columns)
-            for i in range(len(self.codomain_basis))
-        )
-
-    def rank(self) -> int:
-        return rl.rank(self.columns)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.codomain_basis), len(self.domain_basis))
-
-
-def operator_matrix(
-    op: Callable[[Form], Form], n: int, k: int, codomain_degree: int, name: str = ""
-) -> OperatorMatrix:
-    """Materialize an operator on degree k into an exact matrix."""
-    dom = monomial_basis(n, k)
-    cod = monomial_basis(n, codomain_degree)
-    index = {mono: i for i, mono in enumerate(cod)}
-    columns = tuple(
-        {index[mu]: c for mu, c in op(Form(n, {mono: ONE})).terms.items()}
-        for mono in dom
-    )
-    return OperatorMatrix(
-        domain=name or f"degree {k}",
-        codomain=f"degree {codomain_degree}",
-        domain_basis=dom,
-        codomain_basis=cod,
-        columns=columns,
-    )
 
 
 def primitive_dimension(n: int, k: int) -> int:

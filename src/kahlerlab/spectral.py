@@ -5,13 +5,14 @@ R is discretized in flux form on the cell-centered grid rho_j = (j - 1/2) h,
 h = R/N.  The interface weight at the axis vanishes with the volume density,
 which closes the first row without any boundary fudge; the outer boundary is
 a Dirichlet ghost cell.  Conjugating by sqrt(w) makes the matrix symmetric
-tridiagonal.  The bottom eigenvalue of a grid 16 times coarser is a shift
-for one inverse-iteration sweep and one Rayleigh-quotient step on the full
-grid; the inertia of two LAPACK pttrf LDL^T factorizations certifies the
-quotient, or else the eigenvalue from LAPACK stebz (Kahan-Demmel bisection).
-Inverse iteration then runs float64 sweeps and polishes the last one by
-mixed-precision iterative refinement.  scipy is imported by the first
-eigensolve, not with the module: the exact layers never load it.
+tridiagonal.  The bottom eigenvalue of a grid 16 times coarser, but of at
+least 1024 cells, is a shift for one inverse-iteration sweep and one
+Rayleigh-quotient step on the full grid; the inertia of two LAPACK pttrf
+LDL^T factorizations certifies the quotient, or else the eigenvalue from
+LAPACK stebz (Kahan-Demmel bisection).  Inverse iteration then runs float64
+sweeps and polishes the last one by mixed-precision iterative refinement.
+scipy is imported by the first eigensolve, not with the module: the exact
+layers never load it.
 
 Model conventions: RealHyperbolic uses the curvature -1 density sinh^(m-1),
 with a curvature scale K applied as an exact eigenvalue multiplication.
@@ -38,6 +39,7 @@ _WIDENINGS = 8
 # About 0.2 kB of work arrays per cell.  The long-double residual floor,
 # ~1e-19 (N/R)^2, passes 1e-10 beyond this grid at radii up to 30.
 MAX_CELLS = 1_000_000
+_COARSE_CELLS = 1024  # fewest cells of the coarse grid, if the full grid has them
 _SWEEPS = 3  # inverse-iteration sweeps from the flat start vector
 
 
@@ -346,9 +348,10 @@ def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResu
     from scipy.linalg import eigh_tridiagonal
 
     diag, off = assemble_tridiagonal(model, radius, cells)
-    # a 16x coarser grid's bottom eigenvalue: a guess the full grid certifies
-    coarse = cells // 16
-    near = None if coarse < 2 else float(eigh_tridiagonal(
+    # a 16x coarser grid's bottom eigenvalue, a guess the full grid certifies;
+    # on a grid of 187 cells it can lie nearer lambda_2 than lambda_1
+    coarse = min(cells, max(_COARSE_CELLS, cells // 16))
+    near = None if cells < 32 else float(eigh_tridiagonal(
         *assemble_tridiagonal(model, radius, coarse), eigvals_only=True,
         select="i", select_range=(0, 0))[0])
     bis = smallest_eigenvalue_detailed(diag, off, near=near)

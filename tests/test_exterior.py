@@ -7,6 +7,7 @@ concatenation sort.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from kahlerlab.exterior import (
     Form,
     GaussRational,
     Monomial,
+    Table,
+    _combined,
+    _compiled,
+    _composed,
+    _equal_tables,
+    _table,
     bidegree_basis,
     bidegree_project,
     conjugate,
@@ -544,3 +551,97 @@ def test_batch_sums_over_large_denominators_leave_int64():
     left, right = ba.cross(bb)
     assert [lhs == rhs for lhs, rhs in zip(left.tolist(), right.tolist())] == [
         x == y for x, y in zip(a, b)]
+
+
+# ---- table algebra against pushing the identity through the tables -----------
+
+
+def pushed(op, n, k_in, k_out):
+    """The table of a linear map on batches, learned by pushing the identity
+    through it: the reference route for composed and combined tables."""
+    size = comb(2 * n, k_in)
+    units = Batch(n, k_in, np.eye(size, dtype=np.int64), np.zeros((size, size), dtype=np.int64),
+                  np.ones(size, dtype=np.int64))
+    images = op(units)
+    assert images.k == k_out
+    basis_in, basis_out = monomial_basis(n, k_in), monomial_basis(n, k_out)
+    return _compiled(n, k_in, k_out, {
+        basis_in[j]: {basis_out[i]: c for i, c in row.items()}
+        for j, row in enumerate(images.sparse_rows())
+    })
+
+
+def same_fields(got: Table, want: Table) -> bool:
+    """Field by field, dtypes included."""
+    return _equal_tables(got, want) and all(
+        x.dtype == y.dtype for x, y in zip(got, want) if isinstance(x, np.ndarray))
+
+
+_COEFFS = st.one_of(st.integers(-4, 4), st.sampled_from([2 ** 40, -(2 ** 62), 2 ** 70 + 1]))
+
+
+@st.composite
+def sparse_tables(draw, n, k_in, k_out, coeffs=_COEFFS):
+    """A table with a few pairs, repeats and zeros allowed, over 1..12."""
+    size_in, size_out = comb(2 * n, k_in), comb(2 * n, k_out)
+    pairs = draw(st.lists(st.tuples(st.integers(0, size_out - 1), st.integers(0, size_in - 1),
+                                    coeffs, coeffs), max_size=10))
+    out, src, re, im = (list(column) for column in zip(*pairs)) if pairs else ([], [], [], [])
+    return _table(k_out, size_out, out, src, re, im, draw(st.integers(1, 12)))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_composed_tables_match_pushing_the_identity_through_both(data):
+    n = data.draw(st.integers(1, 2))
+    k0, k1, k2 = (data.draw(st.integers(0, 2 * n)) for _ in range(3))
+    inner_table = data.draw(sparse_tables(n, k0, k1))
+    outer_table = data.draw(sparse_tables(n, k1, k2))
+    got = _composed(outer_table, inner_table)
+    assert same_fields(got, pushed(lambda b: outer_table(inner_table(b)), n, k0, k2))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_combined_tables_match_the_summed_images_of_the_identity(data):
+    n = data.draw(st.integers(1, 2))
+    k_in, k_out = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(0, 2 * n))
+    terms = data.draw(st.lists(st.tuples(
+        st.one_of(st.fractions(max_denominator=30).map(lambda f: f.limit_denominator(30)),
+                  st.sampled_from([Fraction(2 ** 70, 3), Fraction(-1, 2 ** 65)])),
+        sparse_tables(n, k_in, k_out)), min_size=1, max_size=3))
+
+    def summed(b):
+        total = terms[0][1](b) * terms[0][0]
+        for c, table in terms[1:]:
+            total = total + table(b) * c
+        return total
+
+    assert same_fields(_combined(terms), pushed(summed, n, k_in, k_out))
+
+
+def test_table_algebra_leaves_int64_only_when_the_entries_do():
+    n = 2
+    big = _table(2, 6, [0, 1, 1], [0, 0, 2], [2 ** 40, 3, -(2 ** 40)], [0, 2 ** 40, 1], 1)
+    assert big.re.dtype == np.int64
+    # products near 2^80 take the object path and stay exact
+    square = _composed(big, big)
+    assert square.re.dtype == object
+    assert same_fields(square, pushed(lambda b: big(big(b)), n, 2, 2))
+    # a sum that cancels the large entries comes back to int64
+    back = _combined([(1, square), (-1, square), (Fraction(1, 2), big)])
+    assert back.re.dtype == np.int64
+    assert same_fields(back, pushed(lambda b: big(b) * Fraction(1, 2), n, 2, 2))
+    # repeated pairs are summed, here beyond int64, and zero sums dropped
+    repeated = _table(0, 1, [0, 0, 0, 0], [0, 0, 0, 0], [2 ** 62, 2 ** 62, 3, -3], [0] * 4, 3)
+    assert (repeated.re.tolist(), repeated.re.dtype, repeated.den) == ([2 ** 63], object, 3)
+    # and a sum that leaves int64 comes back to it once over the least denominator
+    halved = _table(0, 1, [0, 0], [0, 0], [2 ** 62, 2 ** 62], [0, 0], 4)
+    assert (halved.re.tolist(), halved.re.dtype, halved.den) == ([2 ** 61], np.int64, 1)
+    assert _table(0, 1, [0, 0], [0, 0], [1, -1], [0, 0], 3).src.size == 0
+    # empty tables compose and combine to the empty table over 1
+    empty = _table(2, 6, [], [], [], [], 7)
+    for table in (_composed(big, empty), _composed(empty, big), _combined([(3, empty)]),
+                  _combined([(0, big)])):
+        assert same_fields(table, _compiled(n, 2, 2, {}))
+    assert same_fields(_composed(_table(2, 6, range(6), range(6), [1] * 6, [0] * 6, 1), big), _combined([(1, big)]))

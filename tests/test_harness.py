@@ -12,7 +12,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from kahlerlab.exterior import Batch, Form, GaussRational, bidegree_basis, monomial_basis, norm_sq
+from kahlerlab.exterior import (
+    Batch, Form, GaussRational, _pair_outputs, bidegree_basis, monomial_basis, norm_sq,
+)
 from kahlerlab import harness
 from kahlerlab.harness import (
     SUITES,
@@ -335,22 +337,26 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
     assert run() == whole
 
 
-def test_star_route_compares_every_unit_block_and_renders_on_failure(monkeypatch):
-    # C(8, 4) = 70 degree-4 monomials at n = 4 go in unit blocks of 64 and
-    # 6; only the images of the second block are off
-    def off_in_the_last_block(a):
-        out = original(a)
-        if (a.k, a.rows) != (4, 6):
-            return out
-        re = out.re.copy()
-        re[-1, 0] += 1
-        return Batch(out.n, out.k, re, out.im, out.den)
+def test_star_route_compares_the_tables_and_renders_only_differing_entries(monkeypatch):
+    # one entry of the dual Lefschetz table on degree 4 at n = 4 is off by one:
+    # the star-route check reads that table, fails at k = 4 only, and renders
+    # that (output, input) entry alone, on both sides
+    def off_by_one_entry(n, k):
+        table = original(n, k)
+        if k != 4:
+            return table
+        re = table.re.copy()
+        re[5] += table.den
+        return table._replace(re=re)
 
-    original = harness.dual_lefschetz
-    monkeypatch.setattr(harness, "dual_lefschetz", off_in_the_last_block)
+    original = harness._dual_lefschetz_table
+    table = original(4, 4)
+    out = int(_pair_outputs(table)[5])
+    entry = (f"{monomial_basis(4, 2)[out].label()} <- "
+             f"{monomial_basis(4, 4)[int(table.src[5])].label()}: ")
+    c = GaussRational._norm(int(table.re[5]), int(table.im[5]), table.den)
+    monkeypatch.setattr(harness, "_dual_lefschetz_table", off_by_one_entry)
     report = check_lefschetz_structure(4, 1, RandomSpec(seed=42))
-    (failure,) = [f for f in report.failures if "star-route" in f.identity]
+    (failure,) = report.failures
     assert failure.identity == "dual-lefschetz-star-route[k=4]"
-    lhs, rhs = failure.lhs.split("; "), failure.rhs.split("; ")
-    assert len(lhs) == len(rhs) == 70
-    assert [t for t in range(70) if lhs[t] != rhs[t]] == [69]
+    assert (failure.lhs, failure.rhs) == (entry + str(c + 1), entry + str(c))

@@ -18,7 +18,11 @@ from kahlerlab.exterior import (
     Form,
     GaussRational,
     Monomial,
+    _combined,
+    _compiled,
+    _composed,
     _conjugation_table,
+    _equal_tables,
     bidegree_project,
     conjugate,
     inner,
@@ -27,6 +31,7 @@ from kahlerlab.exterior import (
 )
 from kahlerlab.kaehler import (
     PrimitiveDecomposition,
+    _decomposition_coefficient,
     _decomposition_tables,
     _dual_lefschetz_table,
     _primitive_batch,
@@ -42,7 +47,6 @@ from kahlerlab.kaehler import (
     lefschetz_L,
     lefschetz_power,
     norm_ratio,
-    operator_matrix,
     primitive_basis,
     primitive_bidegree_basis,
     primitive_decompose,
@@ -53,7 +57,9 @@ from kahlerlab.kaehler import (
     volume_form,
     weil_operator,
 )
-from kahlerlab.rational_linalg import invert
+from kahlerlab.rational_linalg import invert, rank
+
+from test_exterior import pushed, same_fields
 
 I = GaussRational(0, 1)
 
@@ -146,16 +152,11 @@ def test_dual_lefschetz_is_adjoint_to_lefschetz():
 def test_commutator_identity_on_every_degree():
     for n in (1, 2, 3):
         for k in range(2 * n + 1):
-            def commutator(a):
-                return dual_lefschetz(lefschetz_L(a)) - lefschetz_L(dual_lefschetz(a))
-
-            mat = operator_matrix(commutator, n, k, k)
-            dim = comb(2 * n, k)
-            expected = GaussRational(n - k)
-            for i in range(dim):
-                for j in range(dim):
-                    want = expected if i == j else GaussRational(0)
-                    assert mat.entries[i][j] == want
+            l_lam = _composed(_power_table(n, k - 2, 1), _dual_lefschetz_table(n, k))
+            lam_l = _composed(_dual_lefschetz_table(n, k + 2), _power_table(n, k, 1))
+            commutator = _combined([(1, l_lam), (-1, lam_l)])
+            assert _equal_tables(commutator, _combined([(k - n, _power_table(n, k, 0))]))
+            assert commutator.src.size == (comb(2 * n, k) if k != n else 0)
 
 
 def test_lefschetz_power_matches_iterated_wedge():
@@ -342,15 +343,15 @@ def test_hr_pairing_rejects_mismatched_arguments():
         hr_pairing(Form.one(2) + kahler_form(2), Form.one(2) + kahler_form(2))
 
 
-def test_operator_matrix_shapes_and_ranks():
+def test_table_rows_give_the_rank_of_l_and_the_nullity_of_the_dual():
     n = 2
-    lef = operator_matrix(lefschetz_L, n, 0, 2, name="L on functions")
-    assert lef.shape == (comb(2 * n, 2), 1)
-    assert lef.rank() == 1
-    assert lef.domain == "L on functions"
+    lef = _power_table(n, 0, 1)
+    assert (lef.k, lef.size) == (2, comb(2 * n, 2))
+    assert lef.rows() == {lef.outputs[a]: {0: I} for a in range(n)}
+    assert rank(list(lef.rows().values())) == 1
     for k in range(2, 2 * n + 1):
-        lam = operator_matrix(dual_lefschetz, n, k, k - 2)
-        nullity = lam.shape[1] - lam.rank()
+        lam = _dual_lefschetz_table(n, k)
+        nullity = comb(2 * n, k) - rank(list(lam.rows().values()))
         expected = primitive_dimension(n, k) if k <= n else 0
         assert nullity == expected
 
@@ -562,15 +563,6 @@ def test_compiled_tables_on_python_int_batches_match_the_references():
     assert _forms(hodge_star(hodge_star(batch))) == [-a for a in forms]
 
 
-def test_operator_matrix_keeps_sparse_columns():
-    n = 3
-    lam = operator_matrix(dual_lefschetz, n, 3, 1)
-    assert all(c for col in lam.columns for c in col.values())
-    assert sum(len(col) for col in lam.columns) == sum(
-        1 for row in lam.entries for c in row if c)
-    assert lam.rank() == comb(2 * n, 1)
-
-
 # ---- compiled tables: least denominators; the decomposition beyond references --
 
 
@@ -617,3 +609,49 @@ def test_decomposition_at_dimension_six_recomposes_into_primitive_parts(k):
         total = term if total is None else total + term
     got, want = total.cross(a)
     assert np.array_equal(got, want)
+
+
+# ---- compiled tables against pushing the identity through the operators -------
+
+
+def _reference_star_table(n, k):
+    """The star by its defining relation, wedging unit forms: *mu is the
+    multiple of the swapped complement nu with mu ^ conj(*mu) = dV."""
+    full = range(1, n + 1)
+    v = volume_form(n).coefficient(Monomial(tuple(full), tuple(full)))
+    columns = {}
+    for mu in monomial_basis(n, k):
+        nu = Monomial(tuple(a for a in full if a not in mu.t), tuple(a for a in full if a not in mu.s))
+        pairing = _mono_form(n, mu).wedge(conjugate(_mono_form(n, nu))).terms
+        (c,) = pairing.values()
+        columns[mu] = {nu: (v / c).conjugate()}
+    return _compiled(n, k, 2 * n - k, columns)
+
+
+def _reference_decomposition_tables(n, k):
+    """The parts a_r = sum_t c_(r,t) L^t Lambda^(r+t) a, learned by pushing
+    the identity of degree k through the dual Lefschetz and L^t batches."""
+    def part(r):
+        def op(units):
+            chain = [units]
+            while chain[-1].k >= 2:
+                chain.append(dual_lefschetz(chain[-1]))
+            total = None
+            for t in range((k - 2 * r) // 2 + 1):
+                term = lefschetz_power(chain[r + t], t) * _decomposition_coefficient(n - k, r, t)
+                total = term if total is None else total + term
+            return total
+        return pushed(op, n, k, k - 2 * r)
+    return [(r, part(r)) for r in range(max(0, k - n), k // 2 + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_star_decomposition_and_projector_tables_match_the_pushed_identity(n):
+    for k in range(2 * n + 1):
+        assert same_fields(_star_table(n, k), _reference_star_table(n, k))
+        want = _reference_decomposition_tables(n, k)
+        got = _decomposition_tables(n, k)
+        assert [r for r, _ in got] == [r for r, _ in want]
+        assert all(same_fields(a, b) for (_, a), (_, b) in zip(got, want))
+        if k <= n:
+            assert same_fields(_projection_table(n, k), want[0][1])

@@ -386,6 +386,23 @@ def test_guided_bracket_is_certified_by_the_sturm_count_oracle(
     assert res.sturm_counts == 2 and res.refined
 
 
+@pytest.mark.parametrize("model, radius", [
+    (ComplexHyperbolic(2), 30.0), (ComplexHyperbolic(3), 15.0),
+    (ComplexHyperbolic(3), 20.0), (ComplexHyperbolic(3), 30.0),
+])
+def test_a_coarse_grid_of_1024_cells_guides_grids_of_3000(monkeypatch, model, radius):
+    # on 3000 // 16 = 187 cells the guess lay nearer lambda_2 on these grids
+    sizes = []
+    stebz = linalg.eigh_tridiagonal
+    monkeypatch.setattr(
+        linalg, "eigh_tridiagonal",
+        lambda d, e, **kwargs: sizes.append(len(d)) or stebz(d, e, **kwargs),
+    )
+    res = lambda0_estimate(model, radius, 3000)
+    assert sizes == [1024]  # the coarse guess only: no full-grid stebz
+    assert res.sturm_counts == 2 and res.refined
+
+
 def _small_grid():
     diag, off = assemble_tridiagonal(RealHyperbolic(2), 10.0, 200)
     return diag, off, np.linalg.eigvalsh(_dense(diag, off))
@@ -431,7 +448,10 @@ def test_no_coarse_grid_below_32_cells(monkeypatch):
     assert sizes == [31]
     sizes.clear()
     lambda0_estimate(RealHyperbolic(2), 10.0, 32)
-    assert sizes == [32, 2]
+    assert sizes == [32, 32]  # the coarse grid is the full one up to 1024 cells
+    sizes.clear()
+    lambda0_estimate(RealHyperbolic(2), 10.0, 20000)
+    assert sizes == [20000, 1250]
 
 
 def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
