@@ -82,6 +82,7 @@ from .spectral import (
     RealHyperbolic,
     SharpnessReport,
     assemble_tridiagonal,
+    check_grid,
     lambda0_estimate,
     richardson_extrapolate,
     sharpness_report,

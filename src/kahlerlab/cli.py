@@ -40,6 +40,7 @@ from .spectral import (
     MAX_CELLS,
     ComplexHyperbolic,
     RealHyperbolic,
+    check_grid,
     lambda0_estimate,
     richardson_extrapolate,
 )
@@ -345,6 +346,8 @@ def _cmd_spectrum(args, parser) -> int:
     elif args.radius is not None:
         parser.error("give either --radius or --radii, not both")
     try:
+        for radius in radii:  # refuse any radius before the first solve
+            check_grid(model, radius, args.grid)
         results = [lambda0_estimate(model, radius, args.grid) for radius in radii]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,15 @@ a Dirichlet ghost cell.  Conjugating by sqrt(w) makes the matrix symmetric
 tridiagonal.  The bottom eigenvalue of a grid 16 times coarser, but of at
 least 1024 cells, is a shift for one inverse-iteration sweep and one
 Rayleigh-quotient step on the full grid; the inertia of two LAPACK pttrf
-LDL^T factorizations certifies the quotient, or else the eigenvalue from
-LAPACK stebz (Kahan-Demmel bisection).  Inverse iteration then runs float64
-sweeps and polishes the last one by mixed-precision iterative refinement.
+LDL^T factorizations certifies the quotient, and its vector is polished.
+Otherwise the eigenvalue comes from LAPACK stebz (Kahan-Demmel bisection)
+and the polish starts from the flat start.  The polish shifts below the
+bracket, so T - shift is positive definite: one pttrf factorization,
+float64 pttrs sweeps, and one sweep of mixed-precision iterative
+refinement that stops when the long-double residual reaches its rounding
+floor.  check_grid refuses, from scalars and before any array exists, a
+grid the solve cannot finish: fewer than two or more than MAX_CELLS
+cells, or a density or matrix entries that leave float64 at that radius.
 scipy is imported by the first eigensolve, not with the module: the exact
 layers never load it.
 
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,6 +47,7 @@ _WIDENINGS = 8
 MAX_CELLS = 1_000_000
 _COARSE_CELLS = 1024  # fewest cells of the coarse grid, if the full grid has them
 _SWEEPS = 3  # inverse-iteration sweeps from the flat start vector
+_EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -98,24 +105,45 @@ class ComplexHyperbolic:
 RadialModel = Union[RealHyperbolic, ComplexHyperbolic]
 
 
-def assemble_tridiagonal(
-    model: RadialModel, radius: float, cells: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal matrix (diag, offdiag) of the radial operator."""
+def check_grid(model: RadialModel, radius: float, cells: int) -> None:
+    """Refuse, from scalars alone, a grid that assemble_tridiagonal cannot
+    turn into a matrix the eigensolve can factor: too few or too many cells,
+    a density that overflows when squared, or, at tiny radii, a first-cell
+    density that underflows against h^2 or entries that overflow when
+    squared (LDL^T pivots and stebz's Sturm counts square them)."""
     if not radius > 0:
         raise ValueError("radius must be positive")
     if cells < 2:
         raise ValueError("need at least two cells")
     if cells > MAX_CELLS:
         raise ValueError(f"{cells} cells exceed the ceiling of {MAX_CELLS}")
-    h = radius / cells
+    h = np.float64(radius / cells)
+    tiny, huge = sys.float_info.min, sys.float_info.max
     # both densities increase on [0, R]: the outermost weight, squared,
     # bounds the products under the square root and the diagonal sums
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
         edge = model.weight(np.float64(cells * h))
-        edge_sq = edge * edge
-    if not np.isfinite(edge_sq):
-        raise ValueError("volume density overflows at this radius")
+        if not edge * edge <= huge:
+            raise ValueError("volume density overflows at this radius")
+        # the first cell's density times h^2, and times the next cell's
+        # density, are the least numbers the assembly divides by; below
+        # h ~ 1 the density is < 1, so this also keeps h^2 from underflowing
+        inner = model.weight(0.5 * h)
+        if not min(inner * h * h, inner * model.weight(1.5 * h)) >= tiny:
+            raise ValueError("first-cell density underflows at this radius")
+        # the first row's diagonal is the largest entry on fine grids; four
+        # times it, squared, leaves room for the rest of the matrix
+        first = 4.0 * model.weight(h) / (inner * h * h)
+        if not first * first <= huge:
+            raise ValueError("matrix entries overflow when squared at this radius")
+
+
+def assemble_tridiagonal(
+    model: RadialModel, radius: float, cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric tridiagonal matrix (diag, offdiag) of the radial operator."""
+    check_grid(model, radius, cells)
+    h = radius / cells
     centers = (np.arange(1, cells + 1) - 0.5) * h
     interfaces = np.arange(0, cells + 1) * h
     w_c = model.weight(centers)
@@ -130,21 +158,42 @@ def assemble_tridiagonal(
 
 @dataclass(frozen=True)
 class BisectionResult:
+    """A certified bracket [lo, hi] around value; vector is the unit float64
+    vector whose Rayleigh quotient value is, when a guess certified."""
+
     value: float
     lo: float
     hi: float
     iterations: int
+    vector: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+def _ldlt(diag, off, shift):
+    """LAPACK pttrf factors (d, e) of T - shift = L D L^T, or None when
+    T - shift is not positive definite (pttrf stops at the first pivot <= 0)."""
+    from scipy.linalg.lapack import dpttrf
+
+    d, e, info = dpttrf(diag - shift, off, overwrite_d=1)
+    return (d, e) if info == 0 else None
+
+
+def _pttrs(factors, rhs):
+    """x with (T - shift) x = rhs on the pttrf factors, overwriting rhs."""
+    from scipy.linalg.lapack import dpttrs
+
+    x, info = dpttrs(*factors, rhs, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"pttrs: illegal argument {-info}")
+    return x
 
 
 def _definite(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
     """Whether T - shift is positive definite: by Sylvester's law of inertia,
     no eigenvalue lies at or below shift exactly when every LDL^T pivot is
-    positive (pttrf stops at the first pivot <= 0)."""
+    positive."""
     if len(diag) == 1:
         return bool(diag[0] - shift > 0.0)
-    from scipy.linalg.lapack import dpttrf
-
-    return dpttrf(diag - shift, off, overwrite_d=1)[2] == 0
+    return _ldlt(diag, off, shift) is not None
 
 
 def _certified(diag, off, lam, width, widenings) -> BisectionResult:
@@ -166,8 +215,9 @@ def smallest_eigenvalue_detailed(
     """Smallest eigenvalue and a bracket value -/+ (tol + 4 eps ||T||_1)
     certified by T - lo positive definite and T - hi not; iterations is the
     number of LDL^T inertia checks behind the returned bracket.  value is the
-    Rayleigh quotient a shift near leads to, if its unwidened bracket holds,
-    and otherwise LAPACK stebz's, to tol, with the bracket widened."""
+    Rayleigh quotient a shift near leads to, with its vector, if its
+    unwidened bracket holds on a matrix of at least three rows, and otherwise
+    LAPACK stebz's, to tol, with the bracket widened."""
     if len(diag) < 1:
         raise ValueError("empty matrix")
     if len(off) != len(diag) - 1:
@@ -181,9 +231,11 @@ def smallest_eigenvalue_detailed(
     column[1:] += np.abs(off)
     norm1 = float(column.max())
     width = tol + _BRACKET_UNITS * sys.float_info.epsilon * norm1
-    if near is not None and len(diag) > 1:
+    # scipy's dgttrf wrapper, which the guess factors with, rejects two rows
+    if near is not None and len(diag) > 2:
         try:
-            return _certified(diag, off, _rayleigh_guess(diag, off, near), width, 0)
+            lam, vector = _rayleigh_guess(diag, off, near)
+            return replace(_certified(diag, off, lam, width, 0), vector=vector)
         except np.linalg.LinAlgError:
             pass  # the guess found another eigenvalue or none: bisect
     from scipy.linalg import eigh_tridiagonal
@@ -194,16 +246,18 @@ def smallest_eigenvalue_detailed(
     return _certified(diag, off, lam, width, _WIDENINGS)
 
 
-def _rayleigh_guess(diag, off, near) -> float:
-    """Rayleigh quotient after a float64 inverse-iteration sweep at near from
-    the flat start and one Rayleigh-quotient step (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4); it may find the eigenvalue nearest near."""
+def _rayleigh_guess(diag, off, near) -> tuple[float, np.ndarray]:
+    """Rayleigh quotient and unit vector after a float64 inverse-iteration
+    sweep at near from the flat start and one Rayleigh-quotient step
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4); it may find the
+    eigenvalue nearest near, so its shifts may lie above lambda_1 and it
+    factors by pivoted LU."""
     v, shift = np.full(len(diag), 1.0 / math.sqrt(len(diag))), near
     for _ in range(2):
         v = _gttrs(_gttrf(diag, off, shift), v)
         v /= math.sqrt(np.dot(v, v))
-        shift = float(np.dot(v, _tridiagonal_matvec_ld(diag, off, v)))
-    return shift
+        shift = float(np.dot(v, _tridiagonal_matvec(diag, off, v)))
+    return shift, v
 
 
 def smallest_eigenvalue(
@@ -212,10 +266,12 @@ def smallest_eigenvalue(
     return smallest_eigenvalue_detailed(diag, off, tol).value
 
 
-def _tridiagonal_matvec_ld(diag, off, v, out=None):
+def _tridiagonal_matvec(diag, off, v, out=None, tmp=None):
+    """T v into out, with tmp (len(v) - 1 entries) as a work buffer; in v's dtype."""
     w = np.multiply(diag, v, out=out)
-    w[:-1] += off * v[1:]
-    w[1:] += off * v[:-1]
+    tmp = np.multiply(off, v[1:], out=tmp)
+    w[:-1] += tmp
+    w[1:] += np.multiply(off, v[:-1], out=tmp)
     return w
 
 
@@ -240,22 +296,31 @@ def _gttrs(factors, rhs):
 
 
 def _refined_solve(factors, shifted_ld, off_ld, v):
-    """x with (T - shift) x = v: float64 gttrs corrections on the factors of
-    T - shift, driven by the long-double residual v - (T - shift) x, until it
-    stops halving."""
-    x, r = np.zeros_like(v), np.empty_like(v)
-    rhs, size = v.astype(float), math.inf
+    """x with (T - shift) x = v, in long double, overwriting the float64 v:
+    float64 pttrs corrections on the LDL^T factors of T - shift, driven by
+    the long-double residual v - (T - shift) x, until that residual reaches
+    the rounding floor of its own evaluation, 2 eps_ld || |T - shift| |x| ||
+    (Higham, ch. 3), or stops halving."""
+    v_ld = v.astype(np.longdouble)
+    x = _pttrs(factors, v)
+    # the floor from the first solve: later corrections move x by far less
+    # than 1%, and float64 magnitudes are ample for a bound
+    floor = 2.0 * _EPS_LD * float(np.linalg.norm(_tridiagonal_matvec(
+        np.abs(shifted_ld.astype(float)), np.abs(off_ld.astype(float)), np.abs(x))))
+    x, rhs = x.astype(np.longdouble), v  # v's memory holds each correction
+    r, tmp, size = np.empty_like(v_ld), np.empty_like(v_ld[1:]), math.inf
     while True:
-        x += _gttrs(factors, rhs)
-        np.subtract(v, _tridiagonal_matvec_ld(shifted_ld, off_ld, x, out=r), out=r)
-        last, size = size, float(np.sqrt(np.dot(r, r)))
-        if not size < 0.5 * last:
+        np.subtract(v_ld, _tridiagonal_matvec(shifted_ld, off_ld, x, r, tmp), out=r)
+        rhs[...] = r
+        last, size = size, math.sqrt(np.dot(rhs, rhs))
+        if size <= floor or not size < 0.5 * last:
             return x
-        rhs = r.astype(float)
+        x += _pttrs(factors, rhs)
 
 
 def _inverse_iteration(
-    diag: np.ndarray, off: np.ndarray, lo: float, hi: float
+    diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
+    start: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray]:
     """Rayleigh-refined eigenvalue, residual and vector from a certified bracket.
 
@@ -263,16 +328,17 @@ def _inverse_iteration(
     which the acceptance grids push past the reporting threshold, so the
     last sweep's vector is long double and its solve is mixed-precision
     iterative refinement (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 12) on one LU factorization of T - shift per shift.
-    The shift sits four bracket widths below lo, so a float64 correction
-    shrinks the error by eps * norm(T) over that gap, <= 1/32.
+    Algorithms, ch. 12) on one LDL^T factorization of T - shift per shift.
+    The shift sits four bracket widths below lo, so T - shift is positive
+    definite and a float64 correction shrinks the error by eps * norm(T)
+    over that gap, <= 1/32.  start is the guess's vector, if it certified.
     """
     d_ld = diag.astype(np.longdouble)
     e_ld = off.astype(np.longdouble)
     margin = max(1e-9 * max(1.0, abs(lo)), 4.0 * (hi - lo))
     for attempt in range(5):
         try:
-            v = _shifted_sweeps(diag, off, d_ld, e_ld, lo - margin)
+            v = _polish(diag, off, d_ld, e_ld, lo - margin, start)
             break
         except np.linalg.LinAlgError:
             margin *= 100.0
@@ -281,20 +347,28 @@ def _inverse_iteration(
     return (*_rayleigh_residual(d_ld, e_ld, v), v)
 
 
-def _shifted_sweeps(diag, off, d_ld, e_ld, shift):
-    """Unit vector after _SWEEPS sweeps from the flat start, all solved on one
-    LAPACK gttrf factorization of T - shift (LinAlgError on a zero pivot).
-
-    Solve error along the eigenvector does not slow inverse iteration
-    (Peters and Wilkinson, SIAM Rev. 21, 1979), so the early sweeps are
-    plain float64 solves and only the last is refined in long double."""
-    factors = _gttrf(diag, off, shift)
-    v = np.full(len(diag), 1.0 / math.sqrt(len(diag)))
-    for _ in range(_SWEEPS - 1):
-        v = _gttrs(factors, v)
+def _polish(diag, off, d_ld, e_ld, shift, start):
+    """Unit long-double vector after inverse-iteration sweeps at shift, all on
+    one LAPACK pttrf factorization of T - shift (LinAlgError unless positive
+    definite): one float64 sweep from start, or _SWEEPS - 1 from the flat
+    start without it, then one refined sweep.  Solve error along the
+    eigenvector does not slow inverse iteration (Peters and Wilkinson, SIAM
+    Rev. 21, 1979).  A guess's vector can keep a lambda_2 component of 1e-5
+    (CH^10, R = 10, N = 3000), and each sweep shrinks it only by
+    (lambda_1 - shift) / (lambda_2 - shift)."""
+    factors = _ldlt(diag, off, shift)
+    if factors is None:
+        raise np.linalg.LinAlgError("pttrf: T - shift is not positive definite")
+    if start is None:
+        v, sweeps = np.full(len(diag), 1.0 / math.sqrt(len(diag))), _SWEEPS - 1
+    else:
+        v, sweeps = start.copy(), 1  # pttrs solves in place; start is the caller's
+    for _ in range(sweeps):
+        v = _pttrs(factors, v)
         v /= math.sqrt(np.dot(v, v))
-    v = _refined_solve(factors, d_ld - shift, e_ld, v.astype(np.longdouble))
-    return v / np.sqrt(np.dot(v, v))
+    v = _refined_solve(factors, d_ld - shift, e_ld, v)
+    v /= np.sqrt(np.dot(v, v))
+    return v
 
 
 def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
@@ -302,12 +376,12 @@ def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
 
     lam defaults to the Rayleigh quotient of v.
     """
-    w = _tridiagonal_matvec_ld(d_ld, e_ld, v_ld)
+    w = _tridiagonal_matvec(d_ld, e_ld, v_ld)
     vv = np.dot(v_ld, v_ld)
     if lam is None:
         lam = np.dot(v_ld, w) / vv
-    resid = np.sqrt(np.dot(w - lam * v_ld, w - lam * v_ld) / vv)
-    return float(lam), float(resid)
+    w -= lam * v_ld
+    return float(lam), float(np.sqrt(np.dot(w, w) / vv))
 
 
 @dataclass(frozen=True)
@@ -355,7 +429,7 @@ def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResu
         *assemble_tridiagonal(model, radius, coarse), eigvals_only=True,
         select="i", select_range=(0, 0))[0])
     bis = smallest_eigenvalue_detailed(diag, off, near=near)
-    lam, resid, vec = _inverse_iteration(diag, off, bis.lo, bis.hi)
+    lam, resid, vec = _inverse_iteration(diag, off, bis.lo, bis.hi, bis.vector)
     # a Rayleigh quotient lies within its residual of an eigenvalue: outside
     # the widened bracket, keep the certified value and its own residual
     refined = bis.lo - resid <= lam <= bis.hi + resid
@@ -378,13 +452,15 @@ def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResu
     )
 
 
+def _check_radii(radii: Sequence[float]) -> None:
+    if len(set(map(float, radii))) < 2:
+        raise ValueError("need at least two distinct radii")
+
+
 def richardson_extrapolate(samples: Sequence[tuple[float, float]]) -> float:
     """Least-squares fit lambda(R) = a + b / R^2; returns a."""
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
     radii = np.array([r for r, _ in samples], dtype=float)
-    if len(set(radii.tolist())) < 2:
-        raise ValueError("need at least two distinct radii")
+    _check_radii(radii)
     vals = np.array([v for _, v in samples], dtype=float)
     design = np.column_stack([np.ones_like(radii), radii ** -2.0])
     coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
@@ -413,6 +489,9 @@ def sharpness_report(
     if n < 1:
         raise ValueError("complex dimension must be at least 1")
     model = ComplexHyperbolic(n)
+    _check_radii(radii)
+    for r in radii:  # refuse any radius before the first solve
+        check_grid(model, r, cells)
     samples = tuple(lambda0_estimate(model, r, cells) for r in radii)
     extrapolated = richardson_extrapolate(
         [(s.radius, s.scaled_lambda) for s in samples]

@@ -293,6 +293,38 @@ def test_spectrum_refuses_oversized_inputs_up_front(capsys):
     assert err.startswith("error:") and "overflows" in err
 
 
+def test_every_radius_is_checked_before_the_first_solve(capsys, monkeypatch):
+    from kahlerlab import cli
+
+    solves = []
+    monkeypatch.setattr(cli, "lambda0_estimate", lambda *args: solves.append(args))
+    # R = 25 and 50 would solve on 10^6 cells before R = 400 overflows
+    err = _run_expect_usage_error(
+        capsys,
+        ["spectrum", "--model", "rh", "--m", "2", "--radii", "25,50,400",
+         "--grid", "1000000"],
+    )
+    assert err.startswith("error:") and "overflows" in err
+    err = _run_expect_usage_error(
+        capsys,
+        ["spectrum", "--model", "ch", "--n", "3", "--radii", "15,1e-100",
+         "--grid", "100"],
+    )
+    assert err.startswith("error:") and "underflows" in err
+    assert solves == []
+
+
+def test_spectrum_on_a_two_cell_grid(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["spectrum", "--model", "ch", "--n", "1", "--radius", "5", "--grid", "2",
+         "--format", "json"],
+    )
+    assert code == 0
+    (sample,) = json.loads(out)["samples"]
+    assert sample["N"] == 2 and sample["refined"] is True
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     _run_expect_usage_error(capsys, [])
     _run_expect_usage_error(capsys, ["bogus-command"])

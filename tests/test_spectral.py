@@ -285,6 +285,43 @@ def test_oversized_inputs_are_refused_before_allocation():
     assert peak < 100_000  # one array of MAX_CELLS floats takes 8 MB
 
 
+@pytest.mark.parametrize("model", [RealHyperbolic(2), ComplexHyperbolic(3)])
+@pytest.mark.parametrize("radius", [1e-150, 1e-100, 1e-75])
+def test_tiny_radii_are_refused_before_assembly(model, radius):
+    # h^2, the first-cell density or the squared entries leave float64 here;
+    # RuntimeWarnings are errors, so none may leak from the scalar checks
+    with pytest.raises(ValueError, match="underflows|overflow when squared"):
+        assemble_tridiagonal(model, radius, 100)
+    # the largest radius each model refuses on 100 cells: the next smaller
+    # one assembles and solves
+    first_refused = {"real_hyperbolic": 1e-75, "complex_hyperbolic": 1e-29}
+    allowed = first_refused[model.describe()["kind"]] * 10.0
+    res = lambda0_estimate(model, allowed, 100)
+    assert res.refined and res.residual <= 1e-15 * res.lambda_min
+
+
+def test_a_sweep_checks_every_radius_before_the_first_solve(monkeypatch):
+    from kahlerlab import spectral
+
+    solves = _failing(
+        monkeypatch, spectral, "lambda0_estimate", spectral.lambda0_estimate
+    )
+    with pytest.raises(ValueError, match="overflow"):
+        sharpness_report(1, radii=(10.0, 15.0, 400.0), cells=4000)
+    with pytest.raises(ValueError, match="distinct"):
+        sharpness_report(1, radii=(10.0, 10.0), cells=4000)
+    with pytest.raises(ValueError, match="ceiling"):
+        sharpness_report(1, radii=(10.0, 15.0), cells=10 ** 7)
+    assert solves == []
+
+
+def test_neighbouring_weights_must_not_underflow_their_product():
+    # w_1 w_2 ~ (h/2)^29 (3h/2)^29 underflows at h = 1e-6, though h^2 and
+    # the entries are far inside float64
+    with pytest.raises(ValueError, match="underflows"):
+        assemble_tridiagonal(RealHyperbolic(30), 1.0, 10 ** 6)
+
+
 def test_neighbouring_weights_must_not_overflow_their_product():
     # sinh(400) is finite but its square is not: sqrt(w_j w_j+1) would
     # overflow, zero an off-diagonal and split the matrix
@@ -454,28 +491,71 @@ def test_no_coarse_grid_below_32_cells(monkeypatch):
     assert sizes == [20000, 1250]
 
 
+def _after_the_bracket(monkeypatch, replacement):
+    """Route spectral._ldlt, which the inertia checks share with the polish,
+    through replacement once the bracket is certified, counting the calls
+    made from then on; earlier calls reach the original."""
+    from kahlerlab import spectral
+
+    brackets = _recorded(monkeypatch, "smallest_eigenvalue_detailed")
+    ldlt, polished = spectral._ldlt, []
+
+    def routed(*args):
+        if not brackets:
+            return ldlt(*args)
+        polished.append(args[2])
+        return replacement(ldlt, *args)
+
+    monkeypatch.setattr(spectral, "_ldlt", routed)
+    return polished
+
+
 def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
-    # every LU factorization of T - shift reports a zero pivot
-    dgttrf = lapack.dgttrf
-
-    def zero_pivot(dl, d, du):
-        *factors, _ = dgttrf(dl, d, du)
-        return (*factors, 1)
-
-    calls = _failing(monkeypatch, lapack, "dgttrf", zero_pivot)
+    # every LDL^T factorization of T - shift in the polish finds a pivot <= 0
+    shifts = _after_the_bracket(monkeypatch, lambda ldlt, *args: None)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
-    assert len(calls) == 6  # the guess's first, then one per shift
+    assert len(shifts) == 5  # one per margin, each 100 times the last
+    assert all(a > b for a, b in zip(shifts, shifts[1:]))
+
+
+def _solves(monkeypatch, correction=None):
+    """Record every spectral._pttrs call as (kind, copy of its right-hand
+    side), kind "correction" inside _refined_solve and "sweep" outside it;
+    correction, if given, replaces the corrections' solves."""
+    from kahlerlab import spectral
+
+    refined_solve, pttrs = spectral._refined_solve, spectral._pttrs
+    depth, calls = [0], []
+
+    def refined(*args):
+        depth[0] += 1
+        try:
+            return refined_solve(*args)
+        finally:
+            depth[0] -= 1
+
+    def solve(factors, rhs):
+        calls.append(("correction" if depth[0] else "sweep", rhs.copy()))
+        if depth[0] and correction is not None:
+            return correction(factors, rhs)
+        return pttrs(factors, rhs)
+
+    monkeypatch.setattr(spectral, "_refined_solve", refined)
+    monkeypatch.setattr(spectral, "_pttrs", solve)
+    return calls
 
 
 def test_inverse_iteration_raises_when_every_correction_solve_fails(monkeypatch):
-    def singular(*args, **kwargs):
+    def singular(*args):
         raise np.linalg.LinAlgError("singular")
 
-    calls = _failing(monkeypatch, lapack, "dgttrs", singular)
+    calls = _solves(monkeypatch, correction=singular)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
-    assert len(calls) == 6  # the guess's first solve, then one per shift
+    # per shift, one float64 sweep from the guess's vector, then the first
+    # correction fails
+    assert [kind for kind, _ in calls] == ["sweep", "correction"] * 5
 
 
 def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkeypatch):
@@ -508,23 +588,74 @@ def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkey
 def test_each_shift_refines_only_its_last_sweep(monkeypatch):
     from kahlerlab import spectral
 
-    dgttrf = lapack.dgttrf
     refined = _failing(monkeypatch, spectral, "_refined_solve", spectral._refined_solve)
-    factored = _failing(monkeypatch, lapack, "dgttrf", dgttrf)
+    factored = _after_the_bracket(monkeypatch, lambda ldlt, *args: ldlt(*args))
     assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
-    assert len(refined) == 1
-    assert len(factored) == 2 + 1  # the guess's two shifts, then one
+    assert len(refined) == 1 and len(factored) == 1
 
-    # the first two inverse-iteration shifts fail to factor: only the one
-    # that solves is refined
-    def zero_pivot_twice(dl, d, du):
-        *factors, info = dgttrf(dl, d, du)
-        return (*factors, 1 if 3 <= len(factored) <= 4 else info)
+    # the first two shifts of the polish fail to factor: only the one that
+    # solves is refined
+    def fails_twice(ldlt, *args):
+        return None if len(factored) <= 2 else ldlt(*args)
 
     refined.clear()
-    factored = _failing(monkeypatch, lapack, "dgttrf", zero_pivot_twice)
+    factored = _after_the_bracket(monkeypatch, fails_twice)
     assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
-    assert len(factored) == 2 + 3 and len(refined) == 1
+    assert len(factored) == 3 and len(refined) == 1
+
+
+def test_the_certified_path_polishes_the_guess_vector_without_a_flat_start(monkeypatch):
+    from kahlerlab import spectral
+
+    brackets = _recorded(monkeypatch, "smallest_eigenvalue_detailed")
+    calls = _solves(monkeypatch)
+    model, radius, cells = RealHyperbolic(2), 10.0, 200
+    res = lambda0_estimate(model, radius, cells)
+    (bis,) = brackets
+    assert res.refined and bis.iterations == 2
+    # one float64 sweep from the guess's unit vector, which the polish does
+    # not overwrite, and two corrections: the second correction's residual
+    # is at the long-double rounding floor
+    assert [kind for kind, _ in calls] == ["sweep", "correction", "correction"]
+    assert np.array_equal(calls[0][1], bis.vector)
+    assert np.dot(bis.vector, bis.vector) == pytest.approx(1.0, abs=1e-14)
+    # stebz gives no vector: the polish sweeps twice from the flat start
+    diag, off = assemble_tridiagonal(model, radius, cells)
+    plain = smallest_eigenvalue_detailed(diag, off)
+    assert plain.vector is None
+    calls.clear()
+    spectral._inverse_iteration(diag, off, plain.lo, plain.hi, plain.vector)
+    kinds = [kind for kind, _ in calls]
+    assert kinds[:3] == ["sweep", "sweep", "correction"] and "sweep" not in kinds[3:]
+    assert np.all(calls[0][1] == 1.0 / math.sqrt(cells))
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_high_density_powers_keep_residuals_far_below_the_norm(n):
+    # the first row, ~2^(2n-1) / h^2, dominates ||T||_1: a rounding floor
+    # from the norm stopped the refinement at 1.1e-11 on CH^6, and at CH^10
+    # the guess's vector kept a lambda_2 component one sweep could not remove
+    res = lambda0_estimate(ComplexHyperbolic(n), 10.0, 3000)
+    assert res.refined and res.sturm_counts == 2
+    assert res.residual <= 1e-13 * res.lambda_min
+
+
+@pytest.mark.parametrize("cells", [2, 3, 4])
+@pytest.mark.parametrize(
+    "model", [RealHyperbolic(2), ComplexHyperbolic(1), ComplexHyperbolic(3)]
+)
+def test_grids_of_two_to_four_cells_match_the_dense_oracle(model, cells):
+    diag, off = assemble_tridiagonal(model, 5.0, cells)
+    expected = np.linalg.eigvalsh(_dense(diag, off))[0]
+    res = lambda0_estimate(model, 5.0, cells)
+    assert res.refined and res.sturm_counts == 2
+    assert res.bracket_lo <= expected <= res.bracket_hi
+    assert res.lambda_min == pytest.approx(expected, rel=1e-12)
+    # a guess factors by gttrf, whose scipy wrapper rejects two rows: on two
+    # cells it is skipped, and from three it certifies
+    guided = smallest_eigenvalue_detailed(diag, off, near=expected)
+    assert guided.lo <= expected <= guided.hi
+    assert (guided.vector is None) == (cells == 2)
 
 
 @pytest.mark.parametrize(
