@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor
+from math import factorial
 
 
 def _check_dim(n: int) -> None:
@@ -43,10 +43,10 @@ def c_k(n: int, k: int) -> Fraction:
         raise ValueError(f"degree {k} out of range for n={n}")
     if k == n:
         raise ValueError("middle degree has no uniform bound")
-    if k > n:
-        return c_k(n, 2 * n - k)
-    return Fraction(factorial(n - k) ** 4, 4) * Fraction(
-        factorial(ceil(k / 2) + 1) ** 4, factorial(n - floor(k / 2)) ** 4
+    k = min(k, 2 * n - k)  # c_k(n, k) = c_k(n, 2n - k)
+    return Fraction(
+        factorial(n - k) ** 4 * factorial((k + 1) // 2 + 1) ** 4,
+        4 * factorial(n - k // 2) ** 4,
     )
 
 
@@ -107,12 +107,10 @@ def middle_pq_bound(
 
 
 def middle_k_bound(n: int, dbar_normalization: bool = False) -> Fraction:
-    """Middle-degree bound min(c_k at n-1, n+1)."""
+    """Middle-degree bound min(c_k at n-1, n+1), which is c_k(n, n-1): the
+    two adjacent degrees reflect into each other."""
     _check_dim(n)
-    if n == 1:
-        value = c_k(1, 0)
-    else:
-        value = min(c_k(n, n - 1), c_k(n, n + 1))
+    value = c_k(n, n - 1)
     return value / 2 if dbar_normalization else value
 
 
@@ -161,19 +159,20 @@ class BoundConstant:
 
 
 def constant_table(n: int) -> list[BoundConstant]:
-    """Degree-constant rows for every k, middle degree substituted."""
+    """Degree-constant rows for every k, middle degree substituted.
+
+    Each constant below the middle is built once and mirrored to 2n - k.
+    """
     _check_dim(n)
-    rows = []
-    for k in range(0, 2 * n + 1):
-        if k == n:
-            rows.append(
-                BoundConstant(
-                    label="middle degree, adjacent-degree substitute",
-                    value=middle_k_bound(n),
-                    n=n,
-                    k=k,
-                )
-            )
-        else:
-            rows.append(BoundConstant(label="degree", value=c_k(n, k), n=n, k=k))
-    return rows
+    lower = [BoundConstant(label="degree", value=c_k(n, k), n=n, k=k) for k in range(n)]
+    middle = BoundConstant(
+        label="middle degree, adjacent-degree substitute",
+        value=middle_k_bound(n),
+        n=n,
+        k=n,
+    )
+    upper = [
+        BoundConstant(label="degree", value=row.value, n=n, k=2 * n - row.k)
+        for row in reversed(lower)
+    ]
+    return lower + [middle] + upper

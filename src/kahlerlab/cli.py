@@ -3,8 +3,10 @@
 Subcommands: `verify` (randomized exact identity suites), `constants`
 (exact bound-constant tables), `bsd` (classical domain tables), and
 `spectrum` (radial eigensolver runs).  Exit codes: 0 on success, 1 when a
-verification suite reports failures, 2 on usage errors.  The parser is
-built on the first call and reused by every later call in the process.
+verification suite reports failures, 2 on usage errors, and 1 when the
+reader of stdout closes it early.  `--format json` prints one compact
+document per call.  The parser is built on the first call and reused by
+every later call in the process.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -143,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit_table(rows: list[dict], fmt: str) -> None:
     """Rows are ordered dicts of printable values."""
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps(rows))
         return
     if not rows:
         return
@@ -176,7 +179,7 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps([rep.to_dict() for rep in reports], indent=2))
+        print(json.dumps([rep.to_dict() for rep in reports]))
     else:
         for rep in reports:
             status = "pass" if rep.passed else f"FAIL ({len(rep.failures)})"
@@ -223,28 +226,30 @@ def _constant_rows(args, parser) -> list[BoundConstant]:
     return constant_table(n)
 
 
+def _constant_item(row: BoundConstant, eta_sq: Optional[Fraction]) -> dict:
+    item = {
+        "n": row.n,
+        "k": "" if row.k is None else row.k,
+        "p": "" if row.p is None else row.p,
+        "q": "" if row.q is None else row.q,
+        "label": row.label,
+        "constant": str(row.value),
+        "approx": f"{float(row.value):.12g}",
+    }
+    if eta_sq is not None:
+        bound = row.with_eta(eta_sq)
+        item["spectral_bound"] = str(bound)
+        item["spectral_approx"] = f"{float(bound):.12g}"
+    return item
+
+
 def _cmd_constants(args, parser) -> int:
     try:
         rows = _constant_rows(args, parser)
+        printable = [_constant_item(row, args.eta_sq) for row in rows]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    printable = []
-    for row in rows:
-        item = {
-            "n": row.n,
-            "k": "" if row.k is None else row.k,
-            "p": "" if row.p is None else row.p,
-            "q": "" if row.q is None else row.q,
-            "label": row.label,
-            "constant": str(row.value),
-            "approx": f"{float(row.value):.12g}",
-        }
-        if args.eta_sq is not None:
-            bound = row.with_eta(args.eta_sq)
-            item["spectral_bound"] = str(bound)
-            item["spectral_approx"] = f"{float(bound):.12g}"
-        printable.append(item)
     _emit_table(printable, args.format)
     return 0
 
@@ -299,11 +304,11 @@ def _cmd_bsd(args, parser) -> int:
             reports = classical_table(ricci=args.ricci)
             _emit_table([_bsd_row(rep) for rep in reports], args.format)
             return 0
-        report = BoundReport.build(spec, args.ricci)
         if args.degrees:
+            label = spec.label()
             rows = [
                 {
-                    "domain": spec.label(),
+                    "domain": label,
                     "k": row.k,
                     "bound": str(row.value),
                     "approx": f"{float(row.value):.12g}",
@@ -313,7 +318,7 @@ def _cmd_bsd(args, parser) -> int:
             ]
             _emit_table(rows, args.format)
             return 0
-        _emit_table([_bsd_row(report)], args.format)
+        _emit_table([_bsd_row(BoundReport.build(spec, args.ricci))], args.format)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -364,7 +369,7 @@ def _cmd_spectrum(args, parser) -> int:
         "extrapolated_scaled": extrapolated,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         for res in results:
             print(
@@ -389,7 +394,16 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return cli_dispatch(argv)
+    try:
+        code = cli_dispatch(argv)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  Point stdout at devnull so
+        # the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

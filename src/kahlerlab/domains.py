@@ -215,23 +215,20 @@ def degree_k_bounds(
     """Per-degree spectral bounds c * 2 ricci / L^2.
 
     Degree zero gets a second, sharper function-route row; the middle degree
-    uses the adjacent-degree substitute and is labeled as such.
+    uses the adjacent-degree substitute and is labeled as such.  Each
+    constant below the middle is built and scaled once, then mirrored to
+    degree 2n - k.
     """
     ricci = _check_ricci(ricci)
     n = spec.dimension
     scale = 2 * ricci / kh_length_sq(spec)
-    rows = [
-        DegreeBound(0, lambda0_bound(spec, ricci), "function route (sharper)"),
-        DegreeBound(0, c_k(n, 0) * scale, "degree constant"),
-    ]
-    for k in range(1, 2 * n + 1):
-        if k == n:
-            rows.append(
-                DegreeBound(k, middle_k_bound(n) * scale, "middle degree substitute")
-            )
-        else:
-            rows.append(DegreeBound(k, c_k(n, k) * scale, "degree constant"))
-    return rows
+    lower = [DegreeBound(k, c_k(n, k) * scale, "degree constant") for k in range(n)]
+    return (
+        [DegreeBound(0, lambda0_bound(spec, ricci), "function route (sharper)")]
+        + lower
+        + [DegreeBound(n, middle_k_bound(n) * scale, "middle degree substitute")]
+        + [DegreeBound(2 * n - row.k, row.value, row.route) for row in reversed(lower)]
+    )
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ class SuiteReport:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2)
+        return json.dumps(self.to_dict(include_timing))
 
 
 def random_form(n: int, p: int, q: int, rspec: RandomSpec, trial: int = 0) -> Form:

@@ -45,10 +45,14 @@ def test_degree_constant_pinned_values():
 
 
 def test_degree_constant_closed_form():
-    for n in range(1, 8):
-        for k in range(n):
-            expected = Fraction(factorial(n - k) ** 4, 4) * Fraction(
-                factorial(ceil(k / 2) + 1) ** 4, factorial(n - floor(k / 2)) ** 4
+    # the two-factor product form, reflected through the middle degree
+    for n in range(1, 51):
+        for k in range(2 * n + 1):
+            if k == n:
+                continue
+            j = k if k < n else 2 * n - k
+            expected = Fraction(factorial(n - j) ** 4, 4) * Fraction(
+                factorial(ceil(j / 2) + 1) ** 4, factorial(n - floor(j / 2)) ** 4
             )
             assert c_k(n, k) == expected
 
@@ -251,6 +255,18 @@ def test_constant_table_layout():
     assert rows[0].label == "degree"
     assert rows[0].with_eta(Fraction(2)) == Fraction(1, 8)
     assert isinstance(rows[0], BoundConstant)
+
+
+def test_constant_table_matches_the_per_degree_constants():
+    for n in range(1, 51):
+        rows = constant_table(n)
+        assert [row.k for row in rows] == list(range(2 * n + 1))
+        for row in rows:
+            expected = middle_k_bound(n) if row.k == n else c_k(n, row.k)
+            assert (row.value, row.n) == (expected, n)
+            assert row.label == (
+                "middle degree, adjacent-degree substitute" if row.k == n else "degree"
+            )
 
 
 @given(

@@ -89,6 +89,27 @@ def test_constants_usage_errors(capsys):
     _run_expect_usage_error(capsys, ["constants", "--dim", "2", "--format", "xml"])
 
 
+@pytest.mark.parametrize("eta_sq", ["0", "-2"])
+def test_constants_refuses_a_nonpositive_eta_sq(capsys, eta_sq):
+    code, out, err = _run(capsys, ["constants", "--dim", "3", "--eta-sq", eta_sq])
+    assert (code, out) == (2, "")
+    assert err == "error: squared potential norm must be positive\n"
+
+
+def test_constants_json_is_one_compact_document(capsys):
+    code, out, _ = _run(capsys, ["constants", "--dim", "1", "--format", "json"])
+    assert code == 0
+    assert out == (
+        '[{"n": 1, "k": 0, "p": "", "q": "", "label": "degree", '
+        '"constant": "1/4", "approx": "0.25"}, '
+        '{"n": 1, "k": 1, "p": "", "q": "", '
+        '"label": "middle degree, adjacent-degree substitute", '
+        '"constant": "1/4", "approx": "0.25"}, '
+        '{"n": 1, "k": 2, "p": "", "q": "", "label": "degree", '
+        '"constant": "1/4", "approx": "0.25"}]\n'
+    )
+
+
 def test_bsd_pinned_type_iv_value(capsys):
     code, out, _ = _run(capsys, ["bsd", "--family", "IV", "--m", "5"])
     assert code == 0
@@ -382,3 +403,25 @@ def test_only_an_eigensolve_imports_scipy():
     assert sample["refined"] and sample["sturm_counts"] == 2
     assert sample["bracket_lo"] <= sample["lambda_min"] <= sample["bracket_hi"]
     assert sample["residual"] < 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--dim", "400", "--format", "csv"],
+    ["bsd", "--product", "IV(400)", "--degrees", "--format", "md"],
+])
+def test_a_reader_that_stops_early_gets_no_traceback(argv):
+    # Both print far more than a pipe holds, so the writer meets the closed end.
+    src = Path(kahlerlab.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kahlerlab", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(("n,k,", "| domain "))
+    assert code == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from kahlerlab.bounds import c_k, middle_k_bound
 from kahlerlab.domains import (
     BoundReport,
+    DegreeBound,
     DomainFactor,
     classical_table,
     degree_k_bounds,
@@ -160,6 +162,25 @@ def test_degree_k_bounds_disc():
     assert rows[1].value == Fraction(1, 4)
     assert rows[2].value == Fraction(1, 4)
     assert rows[2].route == "middle degree substitute"
+
+
+@pytest.mark.parametrize("label", [
+    "III(1)", "I(2,3)xIV(5)", "II(5)xIII(3)xI(1,4)", "VxI(3,8)", "IV(20)xIII(6)xI(1,9)",
+])
+@pytest.mark.parametrize("ricci", [Fraction(1), Fraction(3, 2)])
+def test_degree_k_bounds_match_the_per_degree_constants(label, ricci):
+    spec = parse_product(label)
+    n = spec.dimension
+    scale = 2 * ricci / kh_length_sq(spec)
+    rows = degree_k_bounds(spec, ricci)
+    assert rows[0] == DegreeBound(0, lambda0_bound(spec, ricci), "function route (sharper)")
+    assert [row.k for row in rows[1:]] == list(range(2 * n + 1))
+    for row in rows[1:]:
+        if row.k == n:
+            expected = DegreeBound(n, middle_k_bound(n) * scale, "middle degree substitute")
+        else:
+            expected = DegreeBound(row.k, c_k(n, row.k) * scale, "degree constant")
+        assert row == expected
 
 
 def test_bound_report_build():
