@@ -20,6 +20,12 @@ composed and combined exactly from the L and dual Lefschetz tables, so no
 matrix is inverted and no form is pushed through an operator to learn its
 matrix.  The operators below take a `Form` or a `Batch`: a batch goes
 through the table at once, a form as one-row batches, one per degree.
+
+The primitive bases are written down rather than solved for: in the basis
+of products of the 2-forms dz_a ^ dzb_a with dz^A ^ dzb^B, the dual
+Lefschetz operator only drops one such 2-form, and its kernel on each block
+(A, B) is spanned by the standard polytabloids of a two-row shape, with
+entries +-1.  Nothing here runs a Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from itertools import combinations, product
+from math import comb, factorial
 from typing import Mapping
 
 import numpy as np
 
-from . import rational_linalg as rl
 from .exterior import (
     Batch,
     Form,
@@ -50,7 +56,6 @@ from .exterior import (
     _table,
     _wedge_by,
     _wedge_table,
-    bidegree_basis,
     inner,  # kept as kaehler.inner, which perfbench/test_perfbench.py traces
     monomial_basis,
 )
@@ -208,38 +213,74 @@ def is_primitive(a: Form) -> bool:
     return dual_lefschetz(a).is_zero()
 
 
-def _integerized(vec: list[GaussRational]) -> list[GaussRational]:
-    """Scale a rational vector to a primitive Gaussian-integer vector."""
-    den = lcm(1, *(c._d for c in vec if c))
-    nums = [(c._x * (den // c._d), c._y * (den // c._d)) for c in vec]
-    g = gcd(*(v for xy in nums for v in xy))
-    if g == 0:
-        return vec
-    return [GaussRational._raw(x // g, y // g, 1) for x, y in nums]
+def _wedge_sign(word: list[int]) -> int:
+    """The sign that sorts a wedge of distinct one-forms into canonical
+    order, given the word of their keys (a for dz_a, n + a for dzb_a)."""
+    inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _standard_tableaux(m: int, j: int):
+    """The standard tableaux of shape (m - j, j) on 0..m-1, each as its
+    columns of length two, (first-row entry, second-row entry); none
+    unless j <= m - j."""
+    if 2 * j > m:
+        return
+    for second in combinations(range(m), j):
+        first = [x for x in range(m) if x not in second]
+        if all(a < b for a, b in zip(first, second)):
+            yield zip(first, second)
 
 
 @lru_cache(maxsize=None)
-def _primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
-    cols = bidegree_basis(n, p, q)
-    if not cols:
-        return ()
-    # the rows of the matrix of the dual Lefschetz operator on (p, q)-forms:
-    # it sends them to (p - 1, q - 1), so no row mixes in another bidegree
-    rank = _basis_rank(n, p + q)
-    position = {rank[mono]: j for j, mono in enumerate(cols)}
-    matrix = [
-        {position[i]: c for i, c in row.items()}
-        for row in _dual_lefschetz_table(n, p + q).rows().values()
-        if next(iter(row)) in position
-    ]
-    kernel = rl.nullspace(matrix, cols=len(cols))
-    forms = []
-    for vec in kernel:
-        vec = _integerized(vec)
-        forms.append(
-            Form(n, {mono: c for mono, c in zip(cols, vec) if c})
-        )
-    return tuple(forms)
+def _primitive_batch(n: int, k: int) -> Batch:
+    """The primitive basis of degree k, as the rows of one batch.
+
+    With A, B and P pairwise disjoint, e_(P;A,B) = wedge_(c in P)
+    (dz_c ^ dzb_c) ^ dz^A ^ dzb^B is +- a monomial, and in this basis the
+    dual Lefschetz operator is -i times the map D that drops one element
+    of P.  For a block (A, B) of bidegree (p, q), P ranges over the
+    j-subsets of the m = n - |A| - |B| other indices F, j = p - |A| =
+    q - |B|, and the kernel of D there is the Specht module S^(m-j, j).
+    Each standard tableau of shape (m - j, j) on F, with columns (a_i, b_i),
+    gives the polytabloid sum over c_i in {a_i, b_i} of
+    (-1)^(number of a_i chosen) e_({c_i};A,B), which D kills pair by pair;
+    together they are a basis (Sagan, The Symmetric Group, 2.3-2.6).  Rows
+    are ordered by bidegree, then by j, block (A, B) and tableau; entries
+    are +-1.  Above the middle degree 2j > m, so there are no rows.
+    """
+    rank, indices = _basis_rank(n, k), range(1, n + 1)
+    rows, cols, signs = [], [], []
+    t = 0
+    for p in range(max(0, k - n), min(k, n) + 1):
+        q = k - p
+        for j in range(min(p, q) + 1):
+            for A in combinations(indices, p - j):
+                rest = [x for x in indices if x not in A]
+                for B in combinations(rest, q - j):
+                    F = [x for x in rest if x not in B]
+                    for tableau in _standard_tableaux(len(F), j):
+                        pairs = [(F[a], F[b]) for a, b in tableau]
+                        for P in product(*pairs):
+                            word = [key for c in P for key in (c, n + c)]
+                            word += [*A, *(n + b for b in B)]
+                            chosen_a = sum(c == a for c, (a, _) in zip(P, pairs))
+                            rows.append(t)
+                            cols.append(rank[Monomial(tuple(sorted(P + A)),
+                                                      tuple(sorted(P + B)))])
+                            signs.append((-1) ** chosen_a * _wedge_sign(word))
+                        t += 1
+    re = np.zeros((t, comb(2 * n, k)), dtype=np.int64)
+    re[rows, cols] = signs
+    return Batch(n, k, re, np.zeros(re.shape, dtype=np.int64), np.ones(t, dtype=np.int64))
+
+
+def _holomorphic_degrees(batch: Batch) -> np.ndarray:
+    """The p of each row of a batch of nonzero forms, each of one bidegree
+    (p, q), read from the row's first nonzero entry."""
+    basis = monomial_basis(batch.n, batch.k)
+    first = np.argmax((batch.re != 0) | (batch.im != 0), axis=1)
+    return np.array([len(basis[j].s) for j in first.tolist()], dtype=np.int64)
 
 
 def primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
@@ -248,7 +289,9 @@ def primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
         raise ValueError("dimension must be at least 1")
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
-    return _primitive_bidegree_basis(n, p, q)
+    batch = _primitive_batch(n, p + q)
+    rows = np.flatnonzero(_holomorphic_degrees(batch) == p)
+    return tuple(batch.form(t) for t in rows.tolist())
 
 
 def primitive_basis(n: int, k: int) -> tuple[Form, ...]:
@@ -260,16 +303,8 @@ def primitive_basis(n: int, k: int) -> tuple[Form, ...]:
         raise ValueError("dimension must be at least 1")
     if k < 0 or k > 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
-    out: list[Form] = []
-    for p in range(max(0, k - n), min(k, n) + 1):
-        out.extend(_primitive_bidegree_basis(n, p, k - p))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _primitive_batch(n: int, k: int) -> Batch:
-    """primitive_basis(n, k) as the rows of one batch, packed once."""
-    return Batch.of(n, k, primitive_basis(n, k))
+    batch = _primitive_batch(n, k)
+    return tuple(batch.form(t) for t in range(batch.rows))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Gaussian rationals, on sparse rows.
+"""Exact rank over Gaussian rationals, by elimination on sparse rows.
 
 A matrix is a list of rows.  A row is either a dense list of entries or a
 sparse map {column: nonzero entry}; elimination always works on the sparse
@@ -12,23 +12,10 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence, Union
 
-from .exterior import ONE, ZERO, GaussRational
+from .exterior import GaussRational
 
 Row = Union[Sequence[GaussRational], Mapping[int, GaussRational]]
-Matrix = list[list[GaussRational]]
 SparseRow = dict[int, GaussRational]
-Vector = list[GaussRational]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(size: int) -> Matrix:
-    out = zeros(size, size)
-    for i in range(size):
-        out[i][i] = ONE
-    return out
 
 
 def _sparse(row: Row) -> SparseRow:
@@ -78,50 +65,5 @@ def _reduced(m: Sequence[Row]) -> tuple[list[SparseRow], list[int]]:
     return [pivot_rows[c] for c in pivots], pivots
 
 
-def _width(m: Sequence[Row], cols: int | None) -> int:
-    if cols is not None:
-        return cols
-    if not m or isinstance(m[0], Mapping):
-        raise ValueError("empty or sparse matrix needs an explicit column count")
-    return len(m[0])
-
-
 def rank(m: Sequence[Row]) -> int:
     return len(_reduced(m)[1])
-
-
-def nullspace(m: Sequence[Row], cols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel; `cols` is needed for no rows or sparse rows."""
-    cols = _width(m, cols)
-    reduced, pivots = _reduced(m)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        vec = [ZERO] * cols
-        vec[fc] = ONE
-        for row, pc in zip(reduced, pivots):
-            v = row.get(fc)
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
-
-
-def invert(m: Sequence[Row]) -> list[SparseRow]:
-    """Inverse of a square matrix, as sparse rows {column: nonzero entry}."""
-    size = len(m)
-    if any(len(row) != size for row in m if not isinstance(row, Mapping)):
-        raise ValueError("matrix must be square")
-    aug = []
-    for i, row in enumerate(m):
-        v = _sparse(row)
-        if any(c >= size for c in v):
-            raise ValueError("matrix must be square")
-        v[size + i] = ONE
-        aug.append(v)
-    reduced, pivots = _reduced(aug)
-    if pivots[:size] != list(range(size)):
-        raise ValueError("matrix is singular")
-    return [{c - size: v for c, v in row.items() if c >= size} for row in reduced]

@@ -34,6 +34,7 @@ from kahlerlab.kaehler import (
     _decomposition_coefficient,
     _decomposition_tables,
     _dual_lefschetz_table,
+    _holomorphic_degrees,
     _primitive_batch,
     _power_table,
     _projection_table,
@@ -57,9 +58,10 @@ from kahlerlab.kaehler import (
     volume_form,
     weil_operator,
 )
-from kahlerlab.rational_linalg import invert, rank
+from kahlerlab.rational_linalg import rank
 
 from test_exterior import pushed, same_fields
+from test_rational_linalg import _oracle_rref
 
 I = GaussRational(0, 1)
 
@@ -205,6 +207,39 @@ def test_primitive_bidegree_basis_refines_the_degree_basis():
                 assert b.bidegree() == (p, q)
                 assert is_primitive(b)
         assert total == primitive_dimension(n, k)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tableau_basis_is_signed_primitive_and_injective_under_the_top_power(n):
+    """Per bidegree: every row is homogeneous and killed by the dual
+    Lefschetz table, with entries in {-1, 0, 1}; the counts are those of
+    the primitive (p, q)-forms, and L^(n-k) keeps each degree's rows
+    independent."""
+    for k in range(2 * n + 1):
+        batch = _primitive_batch(n, k)
+        assert not batch.im.any() and (batch.den == 1).all()
+        assert set(np.unique(batch.re).tolist()) <= {-1, 0, 1}
+        assert _dual_lefschetz_table(n, k)(batch).is_zero().all()
+        column_p = np.array([len(mono.s) for mono in monomial_basis(n, k)])
+        row_p = _holomorphic_degrees(batch)
+        for p in range(max(0, k - n), min(k, n) + 1):
+            q = k - p
+            rows = batch.re[row_p == p]
+            assert not rows[:, column_p != p].any()
+            want = comb(n, p) * comb(n, q) - (comb(n, p - 1) * comb(n, q - 1) if p and q else 0)
+            assert len(rows) == (want if k <= n else 0)
+        if k <= n:
+            assert rank(lefschetz_power(batch, n - k).sparse_rows()) == batch.rows
+
+
+def test_tableau_basis_fixture_at_dimension_two():
+    # blocks (A, B) = ({1}, {2}) and ({2}, {1}) with j = 0, then the one
+    # standard tableau 1|2 on F = {1, 2}: e_{2} - e_{1}
+    assert primitive_bidegree_basis(2, 1, 1) == (
+        _mono_form(2, Monomial((1,), (2,))),
+        _mono_form(2, Monomial((2,), (1,))),
+        _mono_form(2, Monomial((2,), (2,))) - _mono_form(2, Monomial((1,), (1,))),
+    )
 
 
 def test_primitive_decompose_fixture():
@@ -379,10 +414,15 @@ def _reference_decomposition_data(n, k):
 
 
 def _dense_inverse(matrix):
+    """Inverse of a nonsingular square matrix: the right half of the dense
+    Gauss-Jordan reduction of [matrix | 1]."""
     size = len(matrix)
-    return [
-        [row.get(c, GaussRational(0)) for c in range(size)] for row in invert(matrix)
-    ]
+    one, zero = GaussRational(1), GaussRational(0)
+    reduced, pivots = _oracle_rref(
+        [row + [one if i == j else zero for j in range(size)] for i, row in enumerate(matrix)]
+    )
+    assert pivots[:size] == list(range(size))
+    return [row[size:] for row in reduced]
 
 
 def _matvec(m, v):

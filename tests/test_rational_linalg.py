@@ -1,26 +1,18 @@
-"""Exact Gaussian-rational matrix routines: rank, nullspace, invert.
+"""Exact Gaussian-rational elimination: rank and the reduced row echelon form.
 
-The routines eliminate on sparse rows; a dense Gauss-Jordan elimination
-kept here is the oracle they must reproduce entry for entry.  Its pivots
-and kernel basis together determine the reduced row echelon form, so rank
-and nullspace pin the whole elimination.
+`_reduced` eliminates on sparse rows; a dense Gauss-Jordan elimination
+kept here is the oracle it must reproduce entry for entry, reduced rows
+and pivots alike.
 """
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerlab.exterior import GaussRational
-from kahlerlab.rational_linalg import (
-    identity,
-    invert,
-    nullspace,
-    rank,
-    zeros,
-)
+from kahlerlab.rational_linalg import _reduced, rank
 
 
 def _gr(re, im=0):
@@ -52,24 +44,17 @@ def _matvec(m, v):
     return out
 
 
-def _matmul(a, b):
-    rows, inner_dim, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            acc = GaussRational(0)
-            for t in range(inner_dim):
-                acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
-    return out
-
-
-def test_identity_and_zeros_shapes():
-    eye = identity(3)
-    assert len(eye) == 3 and all(len(row) == 3 for row in eye)
-    assert eye[0][0] == _gr(1) and eye[0][1] == _gr(0)
-    z = zeros(2, 4)
-    assert all(entry == _gr(0) for row in z for entry in row)
+def _kernel(m, cols):
+    """A kernel basis read off the reduced rows: one vector per free column."""
+    reduced, pivots = _reduced(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [GaussRational(0)] * cols
+        vec[fc] = GaussRational(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row.get(fc, GaussRational(0))
+        basis.append(vec)
+    return basis
 
 
 def test_rref_fixed_example():
@@ -80,44 +65,24 @@ def test_rref_fixed_example():
     ]
     # reduced rows [1, 0, 1] and [0, 1, 1]: pivots 0 and 1, kernel (-1, -1, 1)
     assert rank(m) == 2
-    assert nullspace(m) == [[_gr(-1), _gr(-1), _gr(1)]]
-
-
-def test_invert_fixed_complex_matrix():
-    m = [
-        [GaussRational(1), GaussRational(0, 1)],
-        [GaussRational(0), GaussRational(2)],
-    ]
-    inv = _dense(invert(m), 2)
-    assert _matmul(m, inv) == identity(2)
-    assert _matmul(inv, m) == identity(2)
-
-
-def test_invert_rejects_singular():
-    m = [
-        [_gr(1), _gr(2)],
-        [_gr(2), _gr(4)],
-    ]
-    with pytest.raises(ValueError):
-        invert(m)
+    assert _reduced(m) == ([{0: _gr(1), 2: _gr(1)}, {1: _gr(1), 2: _gr(1)}], [0, 1])
+    assert _kernel(m, 3) == [[_gr(-1), _gr(-1), _gr(1)]]
 
 
 def test_random_square_matrices_round_trip():
+    """Every row is the combination of the reduced rows weighted by its own
+    entries in the pivot columns."""
     rng = random.Random(20240817)
     for trial in range(25):
         size = rng.randint(1, 5)
         m = _random_matrix(rng, size, size)
-        r = rank(m)
-        assert 0 <= r <= size
-        basis = nullspace(m)
-        assert len(basis) == size - r
-        for vec in basis:
-            assert _matvec(m, vec) == [GaussRational(0)] * size
-            assert any(not entry.is_zero() for entry in vec)
-        if r == size:
-            inv = _dense(invert(m), size)
-            assert _matmul(m, inv) == identity(size)
-            assert _matmul(inv, m) == identity(size)
+        reduced, pivots = _reduced(m)
+        assert 0 <= rank(m) == len(pivots) <= size
+        for row in m:
+            back = [GaussRational(0)] * size
+            for red, pc in zip(_dense(reduced, size), pivots):
+                back = [x + row[pc] * y for x, y in zip(back, red)]
+            assert back == row
 
 
 def test_random_rectangular_nullspace_dimension():
@@ -126,9 +91,8 @@ def test_random_rectangular_nullspace_dimension():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols, bound=2)
-        r = rank(m)
-        basis = nullspace(m)
-        assert len(basis) == cols - r
+        basis = _kernel(m, cols)
+        assert len(basis) == cols - rank(m)
         for vec in basis:
             assert _matvec(m, vec) == [GaussRational(0)] * rows
 
@@ -159,28 +123,6 @@ def _oracle_rref(m):
         if r == rows:
             break
     return a, pivots
-
-
-def _oracle_nullspace(m, cols):
-    red, pivots = _oracle_rref(m)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [GaussRational(0)] * cols
-        vec[fc] = GaussRational(1)
-        for r, pc in enumerate(pivots):
-            if red[r][fc]:
-                vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _oracle_invert(m):
-    size = len(m)
-    aug = [row[:] + ident_row for row, ident_row in zip(m, identity(size))]
-    red, pivots = _oracle_rref(aug)
-    if pivots[:size] != list(range(size)):
-        return None
-    return [row[size:] for row in red]
 
 
 _ENTRIES = st.builds(
@@ -217,21 +159,9 @@ def _sparse_rows(m):
 @given(_matrices())
 def test_sparse_elimination_matches_the_dense_oracle(case):
     m, cols = case
-    _, want_pivots = _oracle_rref(m)
+    want_rows, want_pivots = _oracle_rref(m)
     for given_rows in (m, _sparse_rows(m)):
+        reduced, pivots = _reduced(given_rows)
+        assert pivots == want_pivots
+        assert _dense(reduced, cols) == want_rows[: len(want_pivots)]
         assert rank(given_rows) == len(want_pivots)
-        assert nullspace(given_rows, cols) == _oracle_nullspace(m, cols)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_matrices())
-def test_sparse_inverse_matches_the_dense_oracle(case):
-    m, cols = case
-    square = [row[: len(m)] for row in m[:cols]]
-    want = _oracle_invert(square)
-    for given_rows in (square, _sparse_rows(square)):
-        if want is None:
-            with pytest.raises(ValueError):
-                invert(given_rows)
-        else:
-            assert _dense(invert(given_rows), len(square)) == want
