@@ -8,8 +8,8 @@ There are no tolerances anywhere in this module.
 The trials of a suite run together: each trial keeps its own stream, and
 the draws of all trials are stacked into one `Batch`, so every operator is
 applied once per check to all trials.  The recorder still sees one
-comparison per (identity, trial), of integer cross-products; a form is
-rendered only when its check fails.
+comparison per (identity, trial), made on integer cross-products; a
+form is rendered only when its check fails.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial
 from operator import add
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -64,17 +64,6 @@ from .kaehler import (
 )
 
 _ONE_MONOMIAL = Monomial((), ())
-
-SUITES = (
-    "prop31",
-    "lemma32",
-    "prop33",
-    "federer",
-    "lefschetz",
-    "star",
-    "hodge-riemann",
-    "sl2",
-)
 
 
 @dataclass(frozen=True)
@@ -177,12 +166,6 @@ def simple_random_form(n: int, k: int, rspec: RandomSpec, trial: int = 0) -> For
 _TRIAL_BLOCK = 1024
 
 
-def _trial_blocks(rspec: RandomSpec, suite: str, n: int, trials: int, *extra: int):
-    """(first trial, one stream per trial) for consecutive blocks of trials."""
-    for block in row_blocks(trials, _TRIAL_BLOCK):
-        yield block.start, [rspec.generator(suite, n, t, *extra) for t in block]
-
-
 def _drawn(rngs, columns: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-integer coefficients for `columns` monomials, one row per stream.
 
@@ -277,22 +260,18 @@ def _shown(batch: Batch, t: int, scalar: bool) -> Callable[[], object]:
 
 
 Check = Callable[["_Recorder", int, int], None]  # (recorder, row, trial)
-Side = Union[Batch, list]  # a batch, or one form per trial
 
 
-def _equal(identity: str, inputs, lhs: Side, rhs: Batch, scalar: bool = False) -> Check:
+def _equal(identity: str, inputs, lhs: Batch, rhs: Batch, scalar: bool = False) -> Check:
     """lhs == rhs, trial by trial; scalar sides are degree-0 batches shown as
-    numbers.  A list lhs holds forms computed one trial at a time."""
-    if isinstance(lhs, list):
-        def check(rec, t, trial):
-            rec.equal(identity, trial, _at(inputs, t), lhs[t], rhs.form(t))
-        return check
-    left, right = (keys.tolist() for keys in lhs.cross(rhs))
+    numbers."""
+    left, right = lhs.cross(rhs)
+    held = (left == right).all(axis=1).tolist()
 
     def check(rec, t, trial):
         rec.equal(identity, trial, _at(inputs, t),
-                  _Value(left[t], _shown(lhs, t, scalar)),
-                  _Value(right[t], _shown(rhs, t, scalar)))
+                  _Value(held[t], _shown(lhs, t, scalar)),
+                  _Value(True, _shown(rhs, t, scalar)))
     return check
 
 
@@ -328,10 +307,24 @@ def _record(rec: "_Recorder", rows: int, checks: Sequence[Check], first: int = 0
 
 
 class _Recorder:
-    """Collects failures for one suite invocation."""
+    """One suite invocation: refuses a dimension or trial count below 1,
+    hands out the trial streams, collects the failures and builds the
+    report."""
 
-    def __init__(self):
+    def __init__(self, suite: str, n: int, trials: int, rspec: RandomSpec):
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        if trials < 1:
+            raise ValueError("trial count must be positive")
+        self.suite, self.n, self.trials, self.rspec = suite, n, trials, rspec
         self.failures: list[FailureRecord] = []
+        self.t0 = time.perf_counter()
+
+    def blocks(self, *extra: int):
+        """(first trial, one stream per trial) for consecutive blocks of trials."""
+        for block in row_blocks(self.trials, _TRIAL_BLOCK):
+            yield block.start, [self.rspec.generator(self.suite, self.n, t, *extra)
+                                for t in block]
 
     def equal(self, identity: str, trial: int, inputs, lhs, rhs) -> None:
         if lhs != rhs:
@@ -351,16 +344,9 @@ class _Recorder:
                 FailureRecord(identity, trial, str(inputs), "false", "true")
             )
 
-
-def _report(suite: str, n: int, trials: int, rspec: RandomSpec, rec: _Recorder, t0: float) -> SuiteReport:
-    return SuiteReport(
-        suite=suite,
-        n=n,
-        trials=trials,
-        seed=rspec.seed,
-        failures=tuple(rec.failures),
-        elapsed=time.perf_counter() - t0,
-    )
+    def report(self) -> SuiteReport:
+        return SuiteReport(self.suite, self.n, self.trials, self.rspec.seed,
+                           tuple(self.failures), time.perf_counter() - self.t0)
 
 
 def check_prop_31(n: int, k: int, j: int, trials: int, rspec: RandomSpec) -> SuiteReport:
@@ -369,15 +355,14 @@ def check_prop_31(n: int, k: int, j: int, trials: int, rspec: RandomSpec) -> Sui
     For primitive degree-k forms, <L^j a, L^j b> = j!(n-k)!/(n-k-j)! <a, b>
     for 0 <= j <= n-k, and L^j kills primitives for j beyond n-k.
     """
+    rec = _Recorder("prop31", n, trials, rspec)
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} out of range for n={n}")
     if not 0 <= j <= n - k:
         raise ValueError(f"power {j} outside 0..{n - k}")
-    t0 = time.perf_counter()
-    rec = _Recorder()
     factor = Fraction(factorial(j) * factorial(n - k), factorial(n - k - j))
     tag = f"[k={k},j={j}]"
-    for first, rngs in _trial_blocks(rspec, "prop31", n, trials, k, j):
+    for first, rngs in rec.blocks(k, j):
         a = _draw_primitive(rngs, n, k, rspec.coeff_bound)
         b = _draw_primitive(rngs, n, k, rspec.coeff_bound)
         ins = dict(a=a, b=b)
@@ -388,7 +373,7 @@ def check_prop_31(n: int, k: int, j: int, trials: int, rspec: RandomSpec) -> Sui
             checks.append(_equal("power-vanishing" + tag, ins, vanished,
                                  Batch.zero(n, vanished.k, len(rngs))))
         _record(rec, len(rngs), checks, first)
-    return _report("prop31", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
 _DECOMP_COEFFS = (
@@ -414,12 +399,11 @@ def check_lemma_32(n: int, k: int, trials: int, rspec: RandomSpec) -> SuiteRepor
     products <L^j a, L^j b> for j in {0, n-k, n-k-1} expand into weighted
     sums of <a_r, b_r> with explicit factorial weights.
     """
+    rec = _Recorder("lemma32", n, trials, rspec)
     if not 0 <= k < n:
         raise ValueError(f"needs degree k < n, got k={k}, n={n}")
-    t0 = time.perf_counter()
-    rec = _Recorder()
     m = n - k
-    for first, rngs in _trial_blocks(rspec, "lemma32", n, trials, k):
+    for first, rngs in rec.blocks(k):
         a = _draw_degree(rngs, n, k, rspec.coeff_bound)
         b = _draw_degree(rngs, n, k, rspec.coeff_bound)
         ins = dict(a=a, b=b)
@@ -431,7 +415,7 @@ def check_lemma_32(n: int, k: int, trials: int, rspec: RandomSpec) -> SuiteRepor
             rhs = _expansion(parts_a, parts_b, lambda r: coeff(m, r))
             checks.append(_equal(f"{tag}[k={k}]", ins, lhs, rhs, scalar=True))
         _record(rec, len(rngs), checks, first)
-    return _report("lemma32", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
 def check_prop_33(n: int, p: int, q: int, trials: int, rspec: RandomSpec) -> SuiteReport:
@@ -441,13 +425,12 @@ def check_prop_33(n: int, p: int, q: int, trials: int, rspec: RandomSpec) -> Sui
     pinched between explicit factorial multiples of |a|^2; the sesquilinear
     version is checked against the decomposition expansion (polarization).
     """
+    rec = _Recorder("prop33", n, trials, rspec)
     if not (0 <= p <= q <= n):
         raise ValueError(f"needs 0 <= p <= q <= n, got ({p},{q}), n={n}")
     k = p + q
     if k >= n:
         raise ValueError(f"needs p+q < n, got p+q={k}, n={n}")
-    t0 = time.perf_counter()
-    rec = _Recorder()
     m = n - k
     lower_top = Fraction(factorial(m)) ** 2
     upper_top = Fraction(factorial(n - q), factorial(p)) ** 2
@@ -456,7 +439,7 @@ def check_prop_33(n: int, p: int, q: int, trials: int, rspec: RandomSpec) -> Sui
         factorial(n - q - 1) * factorial(n - q), factorial(p) * factorial(p + 1)
     )
     tag = f"[p={p},q={q}]"
-    for first, rngs in _trial_blocks(rspec, "prop33", n, trials, p, q):
+    for first, rngs in rec.blocks(p, q):
         a = _draw_bidegree(rngs, n, p, q, rspec.coeff_bound)
         b = _draw_bidegree(rngs, n, p, q, rspec.coeff_bound)
         ins = dict(a=a)
@@ -475,7 +458,7 @@ def check_prop_33(n: int, p: int, q: int, trials: int, rspec: RandomSpec) -> Sui
             _equal("polarization-expansion" + tag, dict(a=a, b=b),
                    inner(lefschetz_power(a, m), lefschetz_power(b, m)), rhs, scalar=True),
         ], first)
-    return _report("prop33", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
 def check_federer(
@@ -489,6 +472,7 @@ def check_federer(
     |a ^ b|^2 <= C(da+db, da) |a|^2 |b|^2 in general, and without the
     binomial factor when one factor is simple.
     """
+    rec = _Recorder("federer", n, trials, rspec)
     if degrees is None:
         degrees = [
             (da, db)
@@ -496,13 +480,14 @@ def check_federer(
             for db in range(da, 2 * n + 1)
             if da + db <= 2 * n
         ]
-    t0 = time.perf_counter()
-    rec = _Recorder()
+    if not degrees:
+        raise ValueError("needs at least one degree pair")
     for da, db in degrees:
         if da < 0 or db < 0 or da + db > 2 * n:
             raise ValueError(f"degree pair ({da},{db}) out of range for n={n}")
+    for da, db in degrees:
         tag = f"[{da},{db}]"
-        for first, rngs in _trial_blocks(rspec, "federer", n, trials, da, db):
+        for first, rngs in rec.blocks(da, db):
             a = _draw_degree(rngs, n, da, rspec.coeff_bound)
             b = _draw_degree(rngs, n, db, rspec.coeff_bound)
             s = _draw_simple(rngs, n, db, rspec.coeff_bound)
@@ -513,7 +498,7 @@ def check_federer(
                 _less_equal("simple-bound" + tag, dict(a=a, s=s),
                             norm_sq(a.wedge(s)), nsq_a * norm_sq(s)),
             ], first)
-    return _report("federer", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
 def _shown_entries(n: int, k: int, table: Table, other: Table) -> Callable[[], str]:
@@ -541,8 +526,7 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
     operator (the adjoint of L) with star^-1 o L o star.  Per trial:
     decomposition round-trips and adjointness on random forms.
     """
-    t0 = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("lefschetz", n, trials, rspec)
     bound = rspec.coeff_bound
     killed = Counter()  # basis rows of each bidegree that the dual Lefschetz kills
     for k in range(2 * n + 1):
@@ -607,7 +591,7 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
             _Value(_equal_tables(adjoint, route), _shown_entries(n, k, adjoint, route)),
             _Value(True, _shown_entries(n, k, route, adjoint)),
         )
-    for first, rngs in _trial_blocks(rspec, "lefschetz", n, trials):
+    for first, rngs in rec.blocks():
         checks = []
         for k in range(2 * n + 1):
             a = _draw_degree(rngs, n, k, bound)
@@ -627,14 +611,13 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
                 inner(lefschetz_L(a), b), inner(a, dual_lefschetz(b)), scalar=True,
             ))
         _record(rec, len(rngs), checks, first)
-    return _report("lefschetz", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
-def _rowwise(star_fn: Callable[[Form], Form]) -> Callable[[Side], list]:
+def _rowwise(star_fn: Callable[[Form], Form]) -> Callable[[Batch], Batch]:
     """An injected Form -> Form star, applied one trial at a time."""
-    def star(a: Side) -> list:
-        forms = a if isinstance(a, list) else [a.form(t) for t in range(a.rows)]
-        return [star_fn(form) for form in forms]
+    def star(a: Batch) -> Batch:
+        return Batch.of(a.n, 2 * a.n - a.k, [star_fn(a.form(t)) for t in range(a.rows)])
     return star
 
 
@@ -651,9 +634,8 @@ def check_star_primitive(
     bidegree rotation; star_fn is injectable so the suite can be pointed
     at a deliberately perturbed operator to prove it would notice.
     """
+    rec = _Recorder("star", n, trials, rspec)
     star = hodge_star if star_fn is None else _rowwise(star_fn)
-    t0 = time.perf_counter()
-    rec = _Recorder()
     for k in range(n + 1):
         prims = _primitive_batch(n, k)
         # the trial of a check is the index of b in the primitive basis
@@ -671,14 +653,14 @@ def check_star_primitive(
                     lefschetz_power(rotated, n - k - r) * scale,
                 ))
             _record(rec, basis.rows, checks, first=block.start)
-    for first, rngs in _trial_blocks(rspec, "star", n, trials):
+    for first, rngs in rec.blocks():
         checks = []
         for k in range(2 * n + 1):
             a = _draw_degree(rngs, n, k, rspec.coeff_bound)
             sign = 1 if k % 2 == 0 else -1
             checks.append(_equal(f"double-star[k={k}]", dict(a=a), star(star(a)), a * sign))
         _record(rec, len(rngs), checks, first)
-    return _report("star", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
 def check_hodge_riemann(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
@@ -687,13 +669,12 @@ def check_hodge_riemann(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     i^(p-q) Q(a, conj(b)) = (n-p-q)! <a, b> with Q the pairing against
     omega^(n-k), checked for independently drawn primitive a, b.
     """
-    t0 = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("hodge-riemann", n, trials, rspec)
     for p in range(n + 1):
         for q in range(n - p + 1):
             factor = Fraction(factorial(n - p - q))
             rotation = GaussRational.i_power(p - q)
-            for first, rngs in _trial_blocks(rspec, "hodge-riemann", n, trials, p, q):
+            for first, rngs in rec.blocks(p, q):
                 a = primitive_projection(_draw_bidegree(rngs, n, p, q, rspec.coeff_bound))
                 b = primitive_projection(_draw_bidegree(rngs, n, p, q, rspec.coeff_bound))
                 _record(rec, len(rngs), [_equal(
@@ -701,72 +682,55 @@ def check_hodge_riemann(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
                     hr_pairing(a, conjugate(b)) * rotation,
                     inner(a, b) * factor, scalar=True,
                 )], first)
-    return _report("hodge-riemann", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
 def check_sl2(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Commutator [L, dual L] = (k - n) id on homogeneous degree k."""
-    t0 = time.perf_counter()
-    rec = _Recorder()
-    for first, rngs in _trial_blocks(rspec, "sl2", n, trials):
+    rec = _Recorder("sl2", n, trials, rspec)
+    for first, rngs in rec.blocks():
         checks = []
         for k in range(2 * n + 1):
             a = _draw_degree(rngs, n, k, rspec.coeff_bound)
             commutator = lefschetz_L(dual_lefschetz(a)) - dual_lefschetz(lefschetz_L(a))
             checks.append(_equal(f"commutator[k={k}]", dict(a=a), commutator, a * (k - n)))
         _record(rec, len(rngs), checks, first)
-    return _report("sl2", n, trials, rspec, rec, t0)
+    return rec.report()
 
 
-def _merge(suite: str, n: int, trials: int, rspec: RandomSpec,
-           reports: Sequence[SuiteReport]) -> SuiteReport:
-    failures: list[FailureRecord] = []
-    elapsed = 0.0
-    for rep in reports:
-        failures.extend(rep.failures)
-        elapsed += rep.elapsed
-    return SuiteReport(
-        suite=suite, n=n, trials=trials, seed=rspec.seed,
-        failures=tuple(failures), elapsed=elapsed,
-    )
+# Each suite's checks over its parameter points at dimension n, in report
+# order, called with (n, trials, rspec).  The bodies name each check, so a
+# call runs whatever the module binds to that name at the time.
+_SWEEPS: dict[str, Callable[..., list[SuiteReport]]] = {
+    "prop31": lambda n, *run: [
+        check_prop_31(n, k, j, *run) for k in range(n + 1) for j in range(n - k + 1)
+    ],
+    "lemma32": lambda n, *run: [check_lemma_32(n, k, *run) for k in range(n)],
+    "prop33": lambda n, *run: [
+        check_prop_33(n, p, q, *run) for p in range(n + 1) for q in range(p, n - p)
+    ],
+    "federer": lambda n, *run: [check_federer(n, None, *run)],
+    "lefschetz": lambda n, *run: [check_lefschetz_structure(n, *run)],
+    "star": lambda n, *run: [check_star_primitive(n, *run)],
+    "hodge-riemann": lambda n, *run: [check_hodge_riemann(n, *run)],
+    "sl2": lambda n, *run: [check_sl2(n, *run)],
+}
+
+SUITES = tuple(_SWEEPS)
 
 
 def run_suite(suite: str, n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Run one named suite over its full parameter sweep at dimension n.
 
-    The returned trial count is per parameter combination.
+    The returned trial count is per parameter combination, and the elapsed
+    time covers the whole sweep.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if trials < 1:
-        raise ValueError("trial count must be positive")
-    if suite == "prop31":
-        parts = [
-            check_prop_31(n, k, j, trials, rspec)
-            for k in range(n + 1)
-            for j in range(n - k + 1)
-        ]
-    elif suite == "lemma32":
-        parts = [check_lemma_32(n, k, trials, rspec) for k in range(n)]
-    elif suite == "prop33":
-        parts = [
-            check_prop_33(n, p, q, trials, rspec)
-            for p in range(n + 1)
-            for q in range(p, n - p)
-        ]
-    elif suite == "federer":
-        parts = [check_federer(n, None, trials, rspec)]
-    elif suite == "lefschetz":
-        parts = [check_lefschetz_structure(n, trials, rspec)]
-    elif suite == "star":
-        parts = [check_star_primitive(n, trials, rspec)]
-    elif suite == "hodge-riemann":
-        parts = [check_hodge_riemann(n, trials, rspec)]
-    elif suite == "sl2":
-        parts = [check_sl2(n, trials, rspec)]
-    else:
+    if suite not in _SWEEPS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return _merge(suite, n, trials, rspec, parts)
+    rec = _Recorder(suite, n, trials, rspec)
+    for part in _SWEEPS[suite](n, trials, rspec):
+        rec.failures.extend(part.failures)
+    return rec.report()
 
 
 def run_all(n: int, trials: int, rspec: RandomSpec) -> list[SuiteReport]:

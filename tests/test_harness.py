@@ -25,6 +25,7 @@ from kahlerlab.harness import (
     RandomSpec,
     SuiteReport,
     check_federer,
+    check_hodge_riemann,
     check_lefschetz_structure,
     check_lemma_32,
     check_prop_31,
@@ -164,13 +165,29 @@ def test_precondition_errors():
         run_suite("sl2", 0, 1, rspec)
     with pytest.raises(ValueError):
         run_suite("sl2", 2, 0, rspec)
+    # a run that would make no check, or report a trial count it never ran
+    with pytest.raises(ValueError):
+        check_sl2(2, 0, rspec)
+    with pytest.raises(ValueError):
+        check_hodge_riemann(2, -3, rspec)
+    with pytest.raises(ValueError):
+        check_prop_31(0, 0, 0, 1, rspec)
 
 
-def test_federer_accepts_an_explicit_degree_list():
+def test_federer_accepts_an_explicit_degree_list(monkeypatch):
     report = check_federer(2, [(1, 1)], 4, RandomSpec(seed=42))
     assert report.passed
     with pytest.raises(ValueError):
         check_federer(2, [(3, 2)], 4, RandomSpec(seed=42))
+    with pytest.raises(ValueError):
+        check_federer(2, [], 4, RandomSpec(seed=42))
+
+    def drawn(*args):
+        raise AssertionError("a form was drawn before every degree pair was checked")
+
+    monkeypatch.setattr(harness, "_draw_degree", drawn)
+    with pytest.raises(ValueError):
+        check_federer(3, [(1, 1), (2, 2), (3, 3), (4, 3)], 4, RandomSpec(seed=42))
 
 
 def test_suite_report_passed_property():
@@ -291,7 +308,7 @@ def test_batched_comparisons_are_exact():
     # and the third cross-multiplies beyond int64
     lhs = Batch(n, 0, np.array([[3], [7], [2 ** 61]]), zeros, np.array([4, 9, 3]))
     rhs = Batch(n, 0, np.array([[3], [7], [2 ** 62]]), zeros, np.array([4, 10, 6]))
-    rec = harness._Recorder()
+    rec = harness._Recorder("x", n, 3, RandomSpec())
     harness._record(rec, 3, [harness._less_equal("x", "n=2", lhs, rhs)])
     assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [(1, "7/9", "7/10")]
     # the same forms, but row 1 differs in one imaginary part of its last
@@ -301,14 +318,24 @@ def test_batched_comparisons_are_exact():
     im[1, -1] += 1
     b = Batch(n, 2, a.re * np.array([[1], [1], [5]]), im * np.array([[1], [1], [5]]),
               a.den * np.array([1, 1, 5]))
-    rec = harness._Recorder()
+    rec = harness._Recorder("y", n, 3, RandomSpec())
     harness._record(rec, 3, [harness._equal("y", {"a": a}, a, b)])
     assert [f.trial for f in rec.failures] == [1]
     assert rec.failures[0].inputs == f"a = {a.form(1)}"
     assert rec.failures[0].rhs == str(b.form(1))
+    # 2^61/3 = 2^62/6, 2^61/3 != (2^61 + 2)/3 and 5/7 = 10/14: the
+    # cross-products leave int64, so the rows compare as Python ints
+    lhs = Batch(n, 0, np.array([[2 ** 61], [2 ** 61], [5]]), zeros, np.array([3, 3, 7]))
+    rhs = Batch(n, 0, np.array([[2 ** 62], [2 ** 62 + 4], [10]]), zeros, np.array([6, 6, 14]))
+    assert lhs.cross(rhs)[0].dtype == object
+    rec = harness._Recorder("z", n, 3, RandomSpec())
+    harness._record(rec, 3, [harness._equal("z", "n=2", lhs, rhs, scalar=True)])
+    assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [
+        (1, f"{2 ** 61}/3", f"{2 ** 61 + 2}/3")]
 
 
-def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
+def _counted_checks(monkeypatch) -> Counter:
+    """Recorder calls per identity from here on."""
     calls = Counter()
     for name in ("equal", "less_equal", "true"):
         def counting(self, identity, *args, _original=getattr(harness._Recorder, name)):
@@ -316,6 +343,83 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
             return _original(self, identity, *args)
 
         monkeypatch.setattr(harness._Recorder, name, counting)
+    return calls
+
+
+# Recorder calls per identity of run_all(2, 3, RandomSpec(seed=42)): a
+# parameter point, trial or check dropped from a sweep changes a count.
+_SWEEP_AT_2_3 = {
+    "adjointness[k=0]": 3, "adjointness[k=1]": 3, "adjointness[k=2]": 3,
+    "bilinear-relation[p=0,q=0]": 3, "bilinear-relation[p=0,q=1]": 3,
+    "bilinear-relation[p=0,q=2]": 3, "bilinear-relation[p=1,q=0]": 3,
+    "bilinear-relation[p=1,q=1]": 3, "bilinear-relation[p=2,q=0]": 3,
+    "binomial-bound[0,0]": 3, "binomial-bound[0,1]": 3, "binomial-bound[0,2]": 3,
+    "binomial-bound[0,3]": 3, "binomial-bound[0,4]": 3, "binomial-bound[1,1]": 3,
+    "binomial-bound[1,2]": 3, "binomial-bound[1,3]": 3, "binomial-bound[2,2]": 3,
+    "commutator[k=0]": 3, "commutator[k=1]": 3, "commutator[k=2]": 3, "commutator[k=3]": 3,
+    "commutator[k=4]": 3, "decomposition-parts-primitive[k=0]": 3,
+    "decomposition-parts-primitive[k=1]": 3, "decomposition-parts-primitive[k=2]": 3,
+    "decomposition-parts-primitive[k=3]": 3, "decomposition-parts-primitive[k=4]": 3,
+    "decomposition-round-trip[k=0]": 3, "decomposition-round-trip[k=1]": 3,
+    "decomposition-round-trip[k=2]": 3, "decomposition-round-trip[k=3]": 3,
+    "decomposition-round-trip[k=4]": 3, "double-star[k=0]": 3, "double-star[k=1]": 3,
+    "double-star[k=2]": 3, "double-star[k=3]": 3, "double-star[k=4]": 3,
+    "dual-lefschetz-star-route[k=2]": 1, "dual-lefschetz-star-route[k=3]": 1,
+    "dual-lefschetz-star-route[k=4]": 1, "hard-lefschetz-bijective[k=0]": 1,
+    "hard-lefschetz-bijective[k=1]": 1, "hard-lefschetz-bijective[k=2]": 1,
+    "hard-lefschetz-primitive-injective[k=0]": 1,
+    "hard-lefschetz-primitive-injective[k=1]": 1,
+    "hard-lefschetz-primitive-injective[k=2]": 1, "norm-expansion[k=0]": 3,
+    "norm-expansion[k=1]": 3, "polarization-expansion[p=0,q=0]": 3,
+    "polarization-expansion[p=0,q=1]": 3, "power-scaling[k=0,j=0]": 3,
+    "power-scaling[k=0,j=1]": 3, "power-scaling[k=0,j=2]": 3, "power-scaling[k=1,j=0]": 3,
+    "power-scaling[k=1,j=1]": 3, "power-scaling[k=2,j=0]": 3,
+    "power-vanishing[k=0,j=2]": 3, "power-vanishing[k=1,j=1]": 3,
+    "power-vanishing[k=2,j=0]": 3, "primitive-bidegree-dimension[p=0,q=0]": 1,
+    "primitive-bidegree-dimension[p=0,q=1]": 1, "primitive-bidegree-dimension[p=0,q=2]": 1,
+    "primitive-bidegree-dimension[p=1,q=0]": 1, "primitive-bidegree-dimension[p=1,q=1]": 1,
+    "primitive-bidegree-dimension[p=1,q=2]": 1, "primitive-bidegree-dimension[p=2,q=0]": 1,
+    "primitive-bidegree-dimension[p=2,q=1]": 1, "primitive-bidegree-dimension[p=2,q=2]": 1,
+    "primitive-dimension-formula[k=0]": 1, "primitive-dimension-formula[k=1]": 1,
+    "primitive-dimension-formula[k=2]": 1, "primitive-dimension[k=0]": 1,
+    "primitive-dimension[k=1]": 1, "primitive-dimension[k=2]": 1,
+    "primitive-dimension[k=3]": 1, "primitive-dimension[k=4]": 1,
+    "primitive-kernel-dimension[k=0]": 1, "primitive-kernel-dimension[k=1]": 1,
+    "primitive-kernel-dimension[k=2]": 1, "primitive-kernel-member[k=0]": 1,
+    "primitive-kernel-member[k=1]": 4, "primitive-kernel-member[k=2]": 5,
+    "simple-bound[0,0]": 3, "simple-bound[0,1]": 3, "simple-bound[0,2]": 3,
+    "simple-bound[0,3]": 3, "simple-bound[0,4]": 3, "simple-bound[1,1]": 3,
+    "simple-bound[1,2]": 3, "simple-bound[1,3]": 3, "simple-bound[2,2]": 3,
+    "star-of-power[k=0,r=0]": 1, "star-of-power[k=0,r=1]": 1, "star-of-power[k=0,r=2]": 1,
+    "star-of-power[k=1,r=0]": 4, "star-of-power[k=1,r=1]": 4, "star-of-power[k=2,r=0]": 5,
+    "subtop-power-expansion[k=0]": 3, "subtop-power-expansion[k=1]": 3,
+    "subtop-power-lower[p=0,q=0]": 3, "subtop-power-lower[p=0,q=1]": 3,
+    "subtop-power-upper[p=0,q=0]": 3, "subtop-power-upper[p=0,q=1]": 3,
+    "top-power-expansion[k=0]": 3, "top-power-expansion[k=1]": 3,
+    "top-power-lower[p=0,q=0]": 3, "top-power-lower[p=0,q=1]": 3,
+    "top-power-upper[p=0,q=0]": 3, "top-power-upper[p=0,q=1]": 3,
+}
+
+
+def test_every_suite_sweeps_every_parameter_point(monkeypatch):
+    calls = _counted_checks(monkeypatch)
+    assert all(r.passed for r in run_all(2, 3, RandomSpec(seed=42)))
+    assert dict(calls) == _SWEEP_AT_2_3
+    # the sweep calls each check by its module name, so a patched one runs
+    seen = []
+
+    def federer(n, degrees, trials, rspec):
+        seen.append((n, degrees, trials))
+        return original(n, degrees, trials, rspec)
+
+    original = harness.check_federer
+    monkeypatch.setattr(harness, "check_federer", federer)
+    assert run_suite("federer", 2, 3, RandomSpec(seed=42)).passed
+    assert seen == [(2, None, 3)]
+
+
+def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
+    calls = _counted_checks(monkeypatch)
 
     def off_at_the_end(a):
         out = original(a)
