@@ -13,9 +13,11 @@ Gaussian-integer numerator arrays of shape (T, C(2n, k)) over the ranks of
 operator is compiled once into a `Table` of signed (gather index,
 coefficient) pairs sorted by output, and applied to a whole batch by one
 take and one np.add.reduceat; tables compose and combine exactly, and the
-exterior product uses the same layout with two gathers.  Arithmetic is int64 under a bound checked before each
-operation and Python ints otherwise.  The dict operations run on one-row
-batches, except products of a few terms, which loop over term pairs.
+exterior product of batches uses the same layout with two gathers.
+Arithmetic is int64 under a bound checked before each operation and Python
+ints otherwise.  The product of two dict forms loops over their term pairs,
+so a sparse product costs its terms, not its degrees; fixed operators reach
+a dict form as one-row batches, one per degree.
 
 The exterior product works on bitmasks: a monomial is the 2n-bit set of its
 1-forms in the order dz_1..dz_n, dzb_1..dzb_n, and the reorder sign of a
@@ -283,13 +285,6 @@ class Form:
         return cls._trusted(n, {Monomial((), ()): ONE})
 
     @classmethod
-    def scalar(cls, n: int, value: Scalarish) -> "Form":
-        v = value if isinstance(value, GaussRational) else GaussRational(value)
-        if v.is_zero():
-            return cls.zero(n)
-        return cls._trusted(n, {Monomial((), ()): v})
-
-    @classmethod
     def monomial(
         cls,
         n: int,
@@ -390,18 +385,7 @@ class Form:
 
     def wedge(self, other: "Form") -> "Form":
         self._require_same_space(other)
-        n = self.n
-        parts_b = other.homogeneous_parts()
-        pieces = [
-            Form._trusted(n, _part_product(n, da, pa, db, pb))
-            for da, pa in self.homogeneous_parts().items()
-            for db, pb in parts_b.items()
-            if da + db <= 2 * n
-        ]
-        out = pieces[0] if pieces else Form.zero(n)
-        for piece in pieces[1:]:
-            out = out + piece
-        return out
+        return Form._trusted(self.n, _sparse_product(self.n, self, other))
 
     def conjugate(self) -> "Form":
         return _per_degree(self, Batch.conjugate)
@@ -731,6 +715,14 @@ def _per_degree(a: Form, op: Callable[[Batch], Batch]) -> Form:
     return Form._trusted(a.n, terms)
 
 
+def _apply(table_of: Callable[[int, int], Table], a):
+    """The fixed operator whose table on degree k at dimension n is
+    table_of(n, k), applied to a batch, or to a form degree by degree."""
+    if isinstance(a, Batch):
+        return table_of(a.n, a.k)(a)
+    return _per_degree(a, lambda row: table_of(row.n, row.k)(row))
+
+
 # ---- compiled tables ---------------------------------------------------------
 
 
@@ -900,63 +892,36 @@ def _conjugation_table(n: int, k: int) -> Table:
     })
 
 
-# ---- compiled exterior product ---------------------------------------------
+# ---- exterior product: bitmasks, the term-pair loop and compiled tables ----
 
-# A product of homogeneous parts with at most this many term pairs loops over
-# them in Python; above it, and once the operands fill at least 1/_DENSE_FILL
-# of the compiled table, it runs on one-row batches.
-_SPARSE_PAIRS = 64
-_DENSE_FILL = 16
-
-
-class _Masks(dict):
-    """Bitmask and suffix parities of each monomial at dimension n.
+@lru_cache(maxsize=None)
+def _bits(n: int, mono: Monomial) -> tuple[int, int]:
+    """Bitmask and suffix parities of a monomial at dimension n.
 
     Bit a-1 stands for dz_a and bit n+a-1 for dzb_a.  Bit y of the suffix
     parity mask is the parity of the bits of the monomial above y, so
     mu ^ nu reorders with sign (-1)^popcount(parities(mu) & mask(nu)).
-    Entries are filled on first use; `monomials` is the inverse map.
     """
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-        self.monomials = _Monomials(self)
-
-    def __missing__(self, mono: Monomial) -> tuple[int, int]:
-        mask = 0
-        for a in mono.s:
-            mask |= 1 << (a - 1)
-        for a in mono.t:
-            mask |= 1 << (self.n + a - 1)
-        parities = 0
-        rest = mask >> 1
-        while rest:
-            parities ^= rest
-            rest >>= 1
-        self[mono] = (mask, parities)
-        self.monomials[mask] = mono
-        return mask, parities
-
-
-class _Monomials(dict):
-    def __init__(self, masks: _Masks):
-        super().__init__()
-        self.masks = masks
-
-    def __missing__(self, mask: int) -> Monomial:
-        n = self.masks.n
-        mono = Monomial(
-            tuple(a for a in range(1, n + 1) if mask >> (a - 1) & 1),
-            tuple(a for a in range(1, n + 1) if mask >> (n + a - 1) & 1),
-        )
-        self.masks[mono]  # records both directions
-        return mono
+    mask = 0
+    for a in mono.s:
+        mask |= 1 << (a - 1)
+    for a in mono.t:
+        mask |= 1 << (n + a - 1)
+    parities = 0
+    rest = mask >> 1
+    while rest:
+        parities ^= rest
+        rest >>= 1
+    return mask, parities
 
 
 @lru_cache(maxsize=None)
-def _masks(n: int) -> _Masks:
-    return _Masks(n)
+def _monomial_of(n: int, mask: int) -> Monomial:
+    """The monomial whose bitmask at dimension n is mask."""
+    return Monomial(
+        tuple(a for a in range(1, n + 1) if mask >> (a - 1) & 1),
+        tuple(a for a in range(1, n + 1) if mask >> (n + a - 1) & 1),
+    )
 
 
 class _WedgeTable(NamedTuple):
@@ -977,8 +942,7 @@ class _WedgeTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _basis_bits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    masks = _masks(n)
-    bits = [masks[mono] for mono in monomial_basis(n, k)]
+    bits = [_bits(n, mono) for mono in monomial_basis(n, k)]
     dtype = np.int64 if 2 * n < 63 else object  # wider masks stay Python ints
     return (
         np.array([m for m, _ in bits], dtype=dtype),
@@ -1040,28 +1004,17 @@ def _wedge_by(fixed: Form, d: int, k: int) -> Table:
                   row.im[0, w.left] * w.sign, int(row.den[0]))
 
 
-def _numerators(a: Form) -> tuple[int, list[tuple[Monomial, int, int]]]:
-    den = lcm(1, *(c._d for c in a.terms.values()))
-    return den, [(m, c._x * (den // c._d), c._y * (den // c._d)) for m, c in a.terms.items()]
-
-
-def _part_product(n: int, da: int, a: Form, db: int, b: Form) -> dict[Monomial, GaussRational]:
-    """Terms of (degree-da form a) ^ (degree-db form b)."""
-    pairs = len(a.terms) * len(b.terms)
-    table_pairs = comb(2 * n, da) * comb(2 * n - da, db)
-    if pairs <= _SPARSE_PAIRS or table_pairs > _DENSE_FILL * pairs:
-        return _sparse_product(n, a, b)
-    return _wedge_rows(Batch.of(n, da, [a]), Batch.of(n, db, [b])).terms(0)
-
-
 def _sparse_product(n: int, a: Form, b: Form) -> dict[Monomial, GaussRational]:
-    masks = _masks(n)
-    den_a, terms_a = _numerators(a)
-    den_b, terms_b = _numerators(b)
-    terms_b = [(masks[mono][0], xb, yb) for mono, xb, yb in terms_b]
+    """Terms of a ^ b, term pair by term pair, over the numerators of a and
+    b on their least common denominators."""
+    den_a = lcm(1, *(c._d for c in a.terms.values()))
+    den_b = lcm(1, *(c._d for c in b.terms.values()))
+    terms_b = [(_bits(n, mono)[0], c._x * (den_b // c._d), c._y * (den_b // c._d))
+               for mono, c in b.terms.items()]
     acc: dict[int, list[int]] = {}
-    for mono, xa, ya in terms_a:
-        mask_a, par_a = masks[mono]
+    for mono, c in a.terms.items():
+        mask_a, par_a = _bits(n, mono)
+        xa, ya = c._x * (den_a // c._d), c._y * (den_a // c._d)
         for mask_b, xb, yb in terms_b:
             if mask_a & mask_b:
                 continue
@@ -1078,4 +1031,4 @@ def _sparse_product(n: int, a: Form, b: Form) -> dict[Monomial, GaussRational]:
                 hit[1] += y
     den = den_a * den_b
     make = GaussRational._raw if den == 1 else GaussRational._norm
-    return {masks.monomials[key]: make(x, y, den) for key, (x, y) in acc.items() if x or y}
+    return {_monomial_of(n, key): make(x, y, den) for key, (x, y) in acc.items() if x or y}

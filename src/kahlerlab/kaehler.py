@@ -19,7 +19,8 @@ operator given in closed form by the sl_2 relations; their tables are
 composed and combined exactly from the L and dual Lefschetz tables, so no
 matrix is inverted and no form is pushed through an operator to learn its
 matrix.  The operators below take a `Form` or a `Batch`: a batch goes
-through the table at once, a form as one-row batches, one per degree.
+through the table at once, a form as one-row batches, one per degree
+(`exterior._apply`).  L on a form is the term-pair product with omega^j.
 
 The primitive bases are written down rather than solved for: in the basis
 of products of the 2-forms dz_a ^ dzb_a with dz^A ^ dzb^B, the dual
@@ -47,6 +48,7 @@ from .exterior import (
     ZERO,
     Table,
     _adjoint,
+    _apply,
     _basis_rank,
     _combined,
     _compiled,
@@ -140,9 +142,7 @@ def hodge_star(a):
     """Hodge star, extended linearly over monomials."""
     if a.n < 1:
         raise ValueError("dimension must be at least 1")
-    if isinstance(a, Batch):
-        return _star_table(a.n, a.k)(a)
-    return _per_degree(a, hodge_star)
+    return _apply(_star_table, a)
 
 
 def star_inverse(a):
@@ -162,9 +162,7 @@ def _weil_table(n: int, k: int) -> Table:
 
 def weil_operator(a):
     """Multiply each (p,q) component by i^(p-q)."""
-    if isinstance(a, Batch):
-        return _weil_table(a.n, a.k)(a)
-    return _per_degree(a, weil_operator)
+    return _apply(_weil_table, a)
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +174,7 @@ def _dual_lefschetz_table(n: int, k: int) -> Table:
 
 def dual_lefschetz(a):
     """Adjoint of the Lefschetz operator (degree -2)."""
-    if isinstance(a, Batch):
-        return _dual_lefschetz_table(a.n, a.k)(a)
-    return _per_degree(a, dual_lefschetz)
+    return _apply(_dual_lefschetz_table, a)
 
 
 def hr_pairing(a, b):
@@ -401,9 +397,7 @@ def _projection_table(n: int, k: int) -> Table:
 
 def primitive_projection(a):
     """Exact orthogonal projection onto the primitive subspace."""
-    if isinstance(a, Batch):
-        return _projection_table(a.n, a.k)(a)
-    return _per_degree(a, primitive_projection)
+    return _apply(_projection_table, a)
 
 
 def primitive_dimension(n: int, k: int) -> int:

@@ -1,11 +1,13 @@
-"""Exact rank over Gaussian rationals, by elimination on sparse rows.
+"""Exact rank over Gaussian rationals, by forward elimination on sparse rows.
 
 A matrix is a list of rows.  A row is either a dense list of entries or a
 sparse map {column: nonzero entry}; elimination always works on the sparse
-form, so its cost follows the nonzeros rather than rows x columns.  Pivots
-are the first nonzero column of each reduced row; the arithmetic is exact,
-so no pivoting heuristic is needed, and because the reduced row echelon
-form is unique the results do not depend on the order of the row updates.
+form, so its cost follows the nonzeros rather than rows x columns.  Rows
+enter one at a time and are cleared of the known pivot columns, lowest
+first; what is left, if anything, is a new pivot row, scaled to 1 at its
+first nonzero column.  A pivot row starts at its pivot, so each subtraction
+only fills columns to its right, and earlier pivot rows are never touched:
+the rank needs the pivot count, not the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -37,33 +39,17 @@ def _subtract(row: SparseRow, f: GaussRational, pivot_row: SparseRow) -> None:
                 del row[c]
 
 
-def _reduced(m: Sequence[Row]) -> tuple[list[SparseRow], list[int]]:
-    """Nonzero rows of the reduced row echelon form of m, and their pivots.
-
-    Rows enter one at a time: each is cleared of the pivot columns found so
-    far, and if anything is left its first nonzero column becomes a new
-    pivot, which is then cleared from the earlier pivot rows.
-    """
+def rank(m: Sequence[Row]) -> int:
+    """The rank of m: the number of pivots of its row echelon form."""
     pivot_rows: dict[int, SparseRow] = {}
     for row in m:
         v = _sparse(row)
-        for p in [c for c in v if c in pivot_rows]:
-            f = v.get(p)
-            if f:
-                _subtract(v, f, pivot_rows[p])
-        if not v:
-            continue
-        c = min(v)
-        inv = v[c].inverse()
-        v = {col: x * inv for col, x in v.items()}
-        for prow in pivot_rows.values():
-            f = prow.get(c)
-            if f:
-                _subtract(prow, f, v)
-        pivot_rows[c] = v
-    pivots = sorted(pivot_rows)
-    return [pivot_rows[c] for c in pivots], pivots
-
-
-def rank(m: Sequence[Row]) -> int:
-    return len(_reduced(m)[1])
+        while v:
+            c = min(v)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                inv = v[c].inverse()
+                pivot_rows[c] = {col: x * inv for col, x in v.items()}
+                break
+            _subtract(v, v[c], prow)
+    return len(pivot_rows)

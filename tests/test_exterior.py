@@ -346,15 +346,22 @@ def _drawn_form(rnd, n, degrees, bound=3, dens=(1,)) -> Form:
 
 
 def _assert_matches_reference(a: Form, b: Form) -> None:
+    """a ^ b on forms, and summed over one-row batch products of each pair of
+    homogeneous parts, equals the reference product."""
     got, want = a.wedge(b), _reference_wedge(a, b)
     assert got == want
     assert str(got) == str(want)
+    n, via_batches = a.n, Form.zero(a.n)
+    for da, pa in a.homogeneous_parts().items():
+        for db, pb in b.homogeneous_parts().items():
+            via_batches += Batch.of(n, da, [pa]).wedge(Batch.of(n, db, [pb])).form(0)
+    assert via_batches == want
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts of the products run on the compiled table (one-row batches)
-    and of those run by the term-pair loop."""
+    """Counts of the products run on the compiled table (batches) and of
+    those run by the term-pair loop (forms)."""
     from kahlerlab import exterior
 
     counts = {"table": 0, "sparse": 0}
@@ -382,9 +389,7 @@ def test_compiled_wedge_matches_reference_for_every_degree_pair(n, evaluations):
             _assert_matches_reference(b, single)
             _assert_matches_reference(Form.zero(n), b)
             _assert_matches_reference(a, Form.zero(n))
-    assert evaluations["sparse"] > 0
-    if n >= 3:  # below that every product is small enough for the term loop
-        assert evaluations["table"] > 0
+    assert evaluations["sparse"] > 0 and evaluations["table"] > 0
 
 
 def test_compiled_wedge_matches_reference_on_a_sample_at_n5(evaluations):
@@ -412,7 +417,7 @@ def test_compiled_wedge_falls_back_to_python_ints_beyond_the_certificate(evaluat
     bound = 2 ** 31 - 1
     a = _drawn_form(rnd, 4, [2], bound=bound)
     b = _drawn_form(rnd, 4, [3], bound=bound, dens=(1, 3))
-    product = a.wedge(b)
+    product = Batch.of(4, 2, [a]).wedge(Batch.of(4, 3, [b])).form(0)
     assert evaluations["table"] == 1
     # int64 numerators would have wrapped on this product
     scale = 3 * 3
@@ -427,7 +432,35 @@ def test_compiled_wedge_matches_reference_beyond_64_bit_masks(evaluations):
     a = Form(n, {Monomial((i,), ()): GaussRational(i, 1) for i in range(1, n + 1)})
     a = a + Form(n, {Monomial((), (i,)): GaussRational(1, -i) for i in range(1, n + 1)})
     _assert_matches_reference(a, a.conjugate())
-    assert evaluations["table"] == 1
+    assert evaluations["table"] == 1 and evaluations["sparse"] == 1
+
+
+def test_sparse_products_at_large_n_build_no_wedge_table(monkeypatch):
+    """Products of few-term forms loop over their term pairs whatever their
+    degrees: the table for 10 x 5 at n = 10 alone holds 184 756 * 252
+    nonvanishing pairs."""
+    from kahlerlab import exterior
+
+    def refuse(*args):
+        raise AssertionError("a form product built a wedge table")
+
+    monkeypatch.setattr(exterior, "_wedge_table", refuse)
+    half = GaussRational(Fraction(1, 2), -1)
+    cases = [
+        (Form.monomial(10, range(1, 6), range(1, 6), half)
+         + Form.monomial(10, range(6, 11), range(1, 6)),
+         Form.monomial(10, (6, 7), (6, 7, 8)) + Form.monomial(10, (1, 2, 3), (9, 10), 3)),
+        (Form.monomial(12, range(1, 7), range(7, 13)),
+         Form.monomial(12, range(7, 13), range(1, 7), half)),
+        (Form.one(10) + Form.monomial(10, (1, 2), (3,)) + Form.monomial(10, (4,), (4, 5, 6, 7), 2),
+         Form.monomial(10, (5,), (), half) + Form.monomial(10, (8, 9), (8, 9, 10), -1)),
+    ]
+    for a, b in cases:
+        want = _reference_wedge(a, b)
+        assert not want.is_zero() and a.wedge(b) == want
+        assert b.wedge(a) == _reference_wedge(b, a)
+    top = cases[1][0].wedge(cases[1][1])
+    assert len(top.terms) == 1 and top.degree() == 24
 
 
 # ---- batches against the dict path and the reference product -----------------

@@ -1,8 +1,9 @@
-"""Exact Gaussian-rational elimination: rank and the reduced row echelon form.
+"""Exact Gaussian-rational elimination: rank.
 
-`_reduced` eliminates on sparse rows; a dense Gauss-Jordan elimination
-kept here is the oracle it must reproduce entry for entry, reduced rows
-and pivots alike.
+`rank` eliminates forward on sparse rows; a dense Gauss-Jordan elimination
+kept here is the oracle.  Its pivot count is the rank, and its pivot
+columns are where the rank of the column prefixes goes up.  The kernel and
+round-trip checks read the oracle's reduced rows.
 """
 
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerlab.exterior import GaussRational
-from kahlerlab.rational_linalg import _reduced, rank
+from kahlerlab.rational_linalg import rank
 
 
 def _gr(re, im=0):
@@ -29,11 +30,6 @@ def _random_matrix(rng, rows, cols, bound=4):
     ]
 
 
-def _dense(rows, cols):
-    """Dense copy of sparse rows {column: entry}."""
-    return [[row.get(c, GaussRational(0)) for c in range(cols)] for row in rows]
-
-
 def _matvec(m, v):
     out = []
     for row in m:
@@ -45,14 +41,15 @@ def _matvec(m, v):
 
 
 def _kernel(m, cols):
-    """A kernel basis read off the reduced rows: one vector per free column."""
-    reduced, pivots = _reduced(m)
+    """A kernel basis read off the oracle's reduced rows: one vector per
+    free column."""
+    reduced, pivots = _oracle_rref(m)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         vec = [GaussRational(0)] * cols
         vec[fc] = GaussRational(1)
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -row.get(fc, GaussRational(0))
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -65,7 +62,8 @@ def test_rref_fixed_example():
     ]
     # reduced rows [1, 0, 1] and [0, 1, 1]: pivots 0 and 1, kernel (-1, -1, 1)
     assert rank(m) == 2
-    assert _reduced(m) == ([{0: _gr(1), 2: _gr(1)}, {1: _gr(1), 2: _gr(1)}], [0, 1])
+    reduced, pivots = _oracle_rref(m)
+    assert (reduced[:2], pivots) == ([[_gr(1), _gr(0), _gr(1)], [_gr(0), _gr(1), _gr(1)]], [0, 1])
     assert _kernel(m, 3) == [[_gr(-1), _gr(-1), _gr(1)]]
 
 
@@ -76,11 +74,11 @@ def test_random_square_matrices_round_trip():
     for trial in range(25):
         size = rng.randint(1, 5)
         m = _random_matrix(rng, size, size)
-        reduced, pivots = _reduced(m)
+        reduced, pivots = _oracle_rref(m)
         assert 0 <= rank(m) == len(pivots) <= size
         for row in m:
             back = [GaussRational(0)] * size
-            for red, pc in zip(_dense(reduced, size), pivots):
+            for red, pc in zip(reduced, pivots):
                 back = [x + row[pc] * y for x, y in zip(back, red)]
             assert back == row
 
@@ -155,13 +153,17 @@ def _sparse_rows(m):
     return [{c: v for c, v in enumerate(row) if v} for row in m]
 
 
+def _prefix_pivots(rows, cols):
+    """The columns c where rank of the columns 0..c exceeds that of 0..c-1."""
+    ranks = [rank([{j: v for j, v in row.items() if j < c} for row in rows])
+             for c in range(cols + 1)]
+    return [c for c in range(cols) if ranks[c + 1] > ranks[c]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
 def test_sparse_elimination_matches_the_dense_oracle(case):
     m, cols = case
-    want_rows, want_pivots = _oracle_rref(m)
-    for given_rows in (m, _sparse_rows(m)):
-        reduced, pivots = _reduced(given_rows)
-        assert pivots == want_pivots
-        assert _dense(reduced, cols) == want_rows[: len(want_pivots)]
-        assert rank(given_rows) == len(want_pivots)
+    _, want_pivots = _oracle_rref(m)
+    assert rank(m) == rank(_sparse_rows(m)) == len(want_pivots)
+    assert _prefix_pivots(_sparse_rows(m), cols) == want_pivots
