@@ -14,9 +14,12 @@ and the polish starts from the flat start.  The polish shifts below the
 bracket, so T - shift is positive definite: one pttrf factorization,
 float64 pttrs sweeps, and one sweep of mixed-precision iterative
 refinement that stops when the long-double residual reaches its rounding
-floor.  check_grid refuses, from scalars and before any array exists, a
-grid the solve cannot finish: fewer than two or more than MAX_CELLS
-cells, or a density or matrix entries that leave float64 at that radius.
+floor.  T stays float64 throughout: the long-double arithmetic writes
+into three vectors allocated once per polish, so a solve peaks at about
+97 B of arrays per cell.  check_grid refuses, from scalars and before any
+array exists, a grid the solve cannot finish: fewer than two or more than
+MAX_CELLS cells, or a density or matrix entries that leave float64 at
+that radius.
 scipy is imported by the first eigensolve, not with the module: the exact
 layers never load it.
 
@@ -42,8 +45,11 @@ _BISECT_TOL = 1e-12  # absolute tolerance handed to stebz
 # bracket eightfold, at most 8 times.
 _BRACKET_UNITS = 4.0
 _WIDENINGS = 8
-# About 0.2 kB of work arrays per cell.  The long-double residual floor,
-# ~1e-19 (N/R)^2, passes 1e-10 beyond this grid at radii up to 30.
+# A solve peaks at about 97 B of arrays per cell, in the polish: float64 T,
+# its pttrf factors, the start vector and the correction (48 B) and three
+# long-double vectors (48 B); 9.7 MB traced at N = 1e5, and 94 MB of RSS at
+# this ceiling.  The long-double residual floor, ~1e-19 (N/R)^2, passes
+# 1e-10 beyond this grid at radii up to 30.
 MAX_CELLS = 1_000_000
 _COARSE_CELLS = 1024  # fewest cells of the coarse grid, if the full grid has them
 _SWEEPS = 3  # inverse-iteration sweeps from the flat start vector
@@ -267,7 +273,8 @@ def smallest_eigenvalue(
 
 
 def _tridiagonal_matvec(diag, off, v, out=None, tmp=None):
-    """T v into out, with tmp (len(v) - 1 entries) as a work buffer; in v's dtype."""
+    """T v into out, with tmp (len(v) - 1 entries) as a work buffer; in the
+    wider of the dtypes of T and v, or out's."""
     w = np.multiply(diag, v, out=out)
     tmp = np.multiply(off, v[1:], out=tmp)
     w[:-1] += tmp
@@ -295,27 +302,43 @@ def _gttrs(factors, rhs):
     return x[:, 0]
 
 
-def _refined_solve(factors, shifted_ld, off_ld, v):
-    """x with (T - shift) x = v, in long double, overwriting the float64 v:
-    float64 pttrs corrections on the LDL^T factors of T - shift, driven by
-    the long-double residual v - (T - shift) x, until that residual reaches
-    the rounding floor of its own evaluation, 2 eps_ld || |T - shift| |x| ||
-    (Higham, ch. 3), or stops halving."""
-    v_ld = v.astype(np.longdouble)
-    x = _pttrs(factors, v)
-    # the floor from the first solve: later corrections move x by far less
-    # than 1%, and float64 magnitudes are ample for a bound
-    floor = 2.0 * _EPS_LD * float(np.linalg.norm(_tridiagonal_matvec(
-        np.abs(shifted_ld.astype(float)), np.abs(off_ld.astype(float)), np.abs(x))))
-    x, rhs = x.astype(np.longdouble), v  # v's memory holds each correction
-    r, tmp, size = np.empty_like(v_ld), np.empty_like(v_ld[1:]), math.inf
+def _rounding_floor(diag, off, shift, x) -> float:
+    """2 eps_ld || |T - shift| |x| ||, the rounding floor of a long-double
+    evaluation of (T - shift) x (Higham, ch. 3), from float64 magnitudes."""
+    bound = np.subtract(diag, shift)
+    bound *= x
+    np.abs(bound, out=bound)
+    tmp = np.multiply(off, x[1:])
+    bound[:-1] += np.abs(tmp, out=tmp)
+    bound[1:] += np.abs(np.multiply(off, x[:-1], out=tmp), out=tmp)
+    return 2.0 * _EPS_LD * float(np.linalg.norm(bound))
+
+
+def _refined_solve(factors, diag, off, shift, v):
+    """x with (T - shift) x = v in long double, and the two long-double work
+    vectors it used: float64 pttrs corrections on the LDL^T factors of
+    T - shift, driven by the long-double residual v - (T - shift) x, until
+    that residual reaches the rounding floor of its own evaluation or stops
+    halving.  T and v stay float64: mixed-dtype ufuncs write into the
+    long-double vectors, so T is never copied."""
+    step = _pttrs(factors, v.copy())  # later holds each correction
+    # the floor from the first solve, taken before the long-double vectors
+    # exist: later corrections move x by far less than 1%
+    floor = _rounding_floor(diag, off, shift, step)
+    x = step.astype(np.longdouble)
+    r, work = np.empty_like(x), np.empty_like(x)
+    size = math.inf
     while True:
-        np.subtract(v_ld, _tridiagonal_matvec(shifted_ld, off_ld, x, r, tmp), out=r)
-        rhs[...] = r
-        last, size = size, math.sqrt(np.dot(rhs, rhs))
+        # the diagonal of T - shift, subtracted in long double so that it
+        # rounds at eps_ld, is formed in r and multiplied by x in place
+        shifted = np.subtract(diag, shift, out=r, dtype=np.longdouble)
+        _tridiagonal_matvec(shifted, off, x, r, work[1:])
+        np.subtract(v, r, out=r)
+        step[...] = r
+        last, size = size, math.sqrt(np.dot(step, step))
         if size <= floor or not size < 0.5 * last:
-            return x
-        x += _pttrs(factors, rhs)
+            return x, r, work
+        x += _pttrs(factors, step)
 
 
 def _inverse_iteration(
@@ -331,56 +354,56 @@ def _inverse_iteration(
     Algorithms, ch. 12) on one LDL^T factorization of T - shift per shift.
     The shift sits four bracket widths below lo, so T - shift is positive
     definite and a float64 correction shrinks the error by eps * norm(T)
-    over that gap, <= 1/32.  start is the guess's vector, if it certified.
+    over that gap, <= 1/32.  start is the guess's vector, if it certified;
+    the polish overwrites it.
     """
-    d_ld = diag.astype(np.longdouble)
-    e_ld = off.astype(np.longdouble)
     margin = max(1e-9 * max(1.0, abs(lo)), 4.0 * (hi - lo))
     for attempt in range(5):
         try:
-            v = _polish(diag, off, d_ld, e_ld, lo - margin, start)
-            break
+            return _polish(diag, off, lo - margin, start)
         except np.linalg.LinAlgError:
             margin *= 100.0
-    else:
-        raise np.linalg.LinAlgError("inverse iteration could not solve the shifted system")
-    return (*_rayleigh_residual(d_ld, e_ld, v), v)
+    raise np.linalg.LinAlgError("inverse iteration could not solve the shifted system")
 
 
-def _polish(diag, off, d_ld, e_ld, shift, start):
-    """Unit long-double vector after inverse-iteration sweeps at shift, all on
-    one LAPACK pttrf factorization of T - shift (LinAlgError unless positive
-    definite): one float64 sweep from start, or _SWEEPS - 1 from the flat
-    start without it, then one refined sweep.  Solve error along the
-    eigenvector does not slow inverse iteration (Peters and Wilkinson, SIAM
-    Rev. 21, 1979).  A guess's vector can keep a lambda_2 component of 1e-5
-    (CH^10, R = 10, N = 3000), and each sweep shrinks it only by
-    (lambda_1 - shift) / (lambda_2 - shift)."""
+def _polish(diag, off, shift, start):
+    """Rayleigh quotient, residual and unit long-double vector after
+    inverse-iteration sweeps at shift, all on one LAPACK pttrf factorization
+    of T - shift (LinAlgError unless positive definite): one float64 sweep
+    from start, in place, or _SWEEPS - 1 from the flat start without it,
+    then one refined sweep.  Solve error along the eigenvector does not slow
+    inverse iteration (Peters and Wilkinson, SIAM Rev. 21, 1979).  A guess's
+    vector can keep a lambda_2 component of 1e-5 (CH^10, R = 10, N = 3000),
+    and each sweep shrinks it only by (lambda_1 - shift) / (lambda_2 - shift).
+    The residual is a fresh T v of the returned vector, in the refinement's
+    work vectors."""
     factors = _ldlt(diag, off, shift)
     if factors is None:
         raise np.linalg.LinAlgError("pttrf: T - shift is not positive definite")
     if start is None:
         v, sweeps = np.full(len(diag), 1.0 / math.sqrt(len(diag))), _SWEEPS - 1
     else:
-        v, sweeps = start.copy(), 1  # pttrs solves in place; start is the caller's
+        v, sweeps = start, 1
     for _ in range(sweeps):
         v = _pttrs(factors, v)
         v /= math.sqrt(np.dot(v, v))
-    v = _refined_solve(factors, d_ld - shift, e_ld, v)
-    v /= np.sqrt(np.dot(v, v))
-    return v
+    x, w, work = _refined_solve(factors, diag, off, shift, v)
+    x /= np.sqrt(np.dot(x, x))
+    return (*_rayleigh_residual(diag, off, x, w, work), x)
 
 
-def _rayleigh_residual(d_ld, e_ld, v_ld, lam=None) -> tuple[float, float]:
-    """lam and the residual norm |T v - lam v| / |v|, in extended precision.
+def _rayleigh_residual(diag, off, v, w, work, lam=None) -> tuple[float, float]:
+    """lam and the residual norm |T v - lam v| / |v| of the float64 T and the
+    long-double v, in long double, into the vectors w and work (len(v)
+    entries each).
 
     lam defaults to the Rayleigh quotient of v.
     """
-    w = _tridiagonal_matvec(d_ld, e_ld, v_ld)
-    vv = np.dot(v_ld, v_ld)
+    _tridiagonal_matvec(diag, off, v, w, work[1:])
+    vv = np.dot(v, v)
     if lam is None:
-        lam = np.dot(v_ld, w) / vv
-    w -= lam * v_ld
+        lam = np.dot(v, w) / vv
+    w -= np.multiply(v, lam, out=work)
     return float(lam), float(np.sqrt(np.dot(w, w) / vv))
 
 
@@ -435,7 +458,7 @@ def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResu
     refined = bis.lo - resid <= lam <= bis.hi + resid
     if not refined:
         lam, resid = _rayleigh_residual(
-            diag.astype(np.longdouble), off.astype(np.longdouble), vec,
+            diag, off, vec, np.empty_like(vec), np.empty_like(vec),
             np.longdouble(bis.value),
         )
     return EigenResult(

@@ -244,14 +244,34 @@ def test_spectrum_multi_radius_extrapolates(capsys):
     assert all("extrapolated" not in sample for sample in payload["samples"])
 
 
-def test_spectrum_text_output(capsys):
-    code, out, _ = _run(
-        capsys,
-        ["spectrum", "--model", "ch", "--n", "1", "--radius", "8", "--grid", "400"],
-    )
+def test_spectrum_text_output(capsys, monkeypatch):
+    argv = ["spectrum", "--model", "ch", "--n", "1", "--radii", "8,12", "--grid", "400"]
+    code, out, _ = _run(capsys, argv)
     assert code == 0
     assert out.startswith("R=8")
     assert "scaled=" in out and "residual=" in out
+    # each sample's line carries its certificate, exactly as the JSON does
+    code, payload, _ = _run(capsys, argv + ["--format", "json"])
+    samples = json.loads(payload)["samples"]
+    lines = out.splitlines()[:2]
+    for line, sample in zip(lines, samples):
+        assert sample["refined"]
+        lo, hi = sample["bracket_lo"], sample["bracket_hi"]
+        assert line.endswith(f"bracket=[{lo!r}, {hi!r}]")
+    # a sample whose Rayleigh value left its bracket is marked
+    from kahlerlab import spectral
+
+    solve = spectral._inverse_iteration
+
+    def wandered(*args):
+        lam, resid, vec = solve(*args)
+        return lam + 1.0, resid, vec
+
+    monkeypatch.setattr(spectral, "_inverse_iteration", wandered)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()[:2]
+    assert all(line.endswith("] unrefined") for line in lines)
 
 
 def test_spectrum_curvature_scale(capsys):

@@ -607,17 +607,27 @@ def test_each_shift_refines_only_its_last_sweep(monkeypatch):
 def test_the_certified_path_polishes_the_guess_vector_without_a_flat_start(monkeypatch):
     from kahlerlab import spectral
 
-    brackets = _recorded(monkeypatch, "smallest_eigenvalue_detailed")
+    brackets, detailed = [], spectral.smallest_eigenvalue_detailed
+
+    def recorded(*args, **kwargs):
+        bis = detailed(*args, **kwargs)
+        brackets.append((bis, bis.vector.copy()))
+        return bis
+
+    monkeypatch.setattr(spectral, "smallest_eigenvalue_detailed", recorded)
     calls = _solves(monkeypatch)
     model, radius, cells = RealHyperbolic(2), 10.0, 200
     res = lambda0_estimate(model, radius, cells)
-    (bis,) = brackets
+    ((bis, guess),) = brackets
     assert res.refined and bis.iterations == 2
-    # one float64 sweep from the guess's unit vector, which the polish does
-    # not overwrite, and two corrections: the second correction's residual
-    # is at the long-double rounding floor
+    # one float64 sweep from the guess's unit vector, and two corrections:
+    # the second correction's residual is at the long-double rounding floor
     assert [kind for kind, _ in calls] == ["sweep", "correction", "correction"]
-    assert np.array_equal(calls[0][1], bis.vector)
+    assert np.array_equal(calls[0][1], guess)
+    assert np.dot(guess, guess) == pytest.approx(1.0, abs=1e-14)
+    # the sweep ran in place: the guess's own array holds the swept unit
+    # vector that the refined solve starts from
+    assert np.array_equal(calls[1][1], bis.vector)
     assert np.dot(bis.vector, bis.vector) == pytest.approx(1.0, abs=1e-14)
     # stebz gives no vector: the polish sweeps twice from the flat start
     diag, off = assemble_tridiagonal(model, radius, cells)
@@ -670,3 +680,48 @@ def test_refined_value_is_pinned_within_its_residual(model, radius, cells, expec
     res = lambda0_estimate(model, radius, cells)
     assert res.refined
     assert abs(res.lambda_min - expected) <= res.residual
+
+
+def test_a_solve_keeps_no_long_double_copy_of_the_matrix():
+    import tracemalloc
+
+    lambda0_estimate(RealHyperbolic(2), 25.0, 2000)  # first-call set-up
+    tracemalloc.start()
+    try:
+        lambda0_estimate(RealHyperbolic(2), 25.0, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the polish peaks at ~96 B per cell: float64 T, its pttrf factors, the
+    # guess's vector and the correction, and three long-double vectors; a
+    # long-double copy of T adds 32 B per cell (16.1 MB when it had them)
+    assert peak <= 11_000_000
+
+
+@pytest.mark.parametrize(
+    "model, radius, cells",
+    [(RealHyperbolic(2), 25.0, 100000), (ComplexHyperbolic(3), 30.0, 30000)],
+)
+def test_the_reported_residual_is_that_of_the_returned_vector(
+    monkeypatch, model, radius, cells
+):
+    from kahlerlab import spectral
+
+    seen, original = [], spectral._inverse_iteration
+
+    def recorded(diag, off, *args):
+        seen.append((diag, off, original(diag, off, *args)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(spectral, "_inverse_iteration", recorded)
+    res = lambda0_estimate(model, radius, cells)
+    ((diag, off, (lam, resid, vec)),) = seen
+    assert res.refined and (res.lambda_min, res.residual) == (lam, resid)
+    # |T v - lam v| / |v| from explicit long-double copies of T
+    d_ld, e_ld = diag.astype(np.longdouble), off.astype(np.longdouble)
+    t_vec = d_ld * vec
+    t_vec[:-1] += e_ld * vec[1:]
+    t_vec[1:] += e_ld * vec[:-1]
+    t_vec -= np.longdouble(lam) * vec
+    expected = float(np.sqrt(np.dot(t_vec, t_vec) / np.dot(vec, vec)))
+    assert resid == pytest.approx(expected, rel=0.01)
