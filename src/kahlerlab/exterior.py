@@ -372,13 +372,11 @@ class Form:
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
 
-    def sorted_terms(self) -> list[tuple[Monomial, GaussRational]]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].degree, kv[0]))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"({c})*{m.label()}" for m, c in self.sorted_terms())
+        terms = sorted(self.terms.items(), key=lambda kv: (kv[0].degree, kv[0]))
+        return " + ".join(f"({c})*{m.label()}" for m, c in terms)
 
     def __repr__(self) -> str:
         return f"Form(n={self.n}, {str(self)})"
@@ -417,18 +415,10 @@ def inner(a, b):
     if isinstance(a, Batch):
         return a.inner(b)
     a._require_same_space(b)
-    if len(b.terms) < len(a.terms):
-        acc = ZERO
-        for mono, cb in b.terms.items():
-            ca = a.terms.get(mono)
-            if ca is not None:
-                acc = acc + ca * cb.conjugate()
-        return acc
     acc = ZERO
-    for mono, ca in a.terms.items():
-        cb = b.terms.get(mono)
-        if cb is not None:
-            acc = acc + ca * cb.conjugate()
+    for mono in b.terms if len(b.terms) < len(a.terms) else a.terms:
+        if mono in a.terms and mono in b.terms:
+            acc = acc + a.terms[mono] * b.terms[mono].conjugate()
     return acc
 
 
@@ -446,41 +436,24 @@ def norm_sq(a):
     return total
 
 
+@lru_cache(maxsize=None)
 def monomial_basis(n: int, k: int) -> tuple[Monomial, ...]:
     """All degree-k monomials in canonical order."""
-    return _monomial_basis(n, k)
+    indices = range(1, n + 1)
+    return tuple(sorted(
+        Monomial(s, t)
+        for p in range(max(0, k - n), min(k, n) + 1)
+        for s in combinations(indices, p)
+        for t in combinations(indices, k - p)
+    ))
 
 
 @lru_cache(maxsize=None)
-def _monomial_basis(n: int, k: int) -> tuple[Monomial, ...]:
-    if k < 0 or k > 2 * n:
-        return ()
-    out = []
-    for p in range(max(0, k - n), min(k, n) + 1):
-        q = k - p
-        for s in combinations(range(1, n + 1), p):
-            for t in combinations(range(1, n + 1), q):
-                out.append(Monomial(s, t))
-    out.sort()
-    return tuple(out)
-
-
 def bidegree_basis(n: int, p: int, q: int) -> tuple[Monomial, ...]:
     """All (p, q) monomials in canonical order."""
-    return _bidegree_basis(n, p, q)
-
-
-@lru_cache(maxsize=None)
-def _bidegree_basis(n: int, p: int, q: int) -> tuple[Monomial, ...]:
     if not (0 <= p <= n and 0 <= q <= n):
         return ()
-    return tuple(
-        sorted(
-            Monomial(s, t)
-            for s in combinations(range(1, n + 1), p)
-            for t in combinations(range(1, n + 1), q)
-        )
-    )
+    return tuple(mono for mono in monomial_basis(n, p + q) if mono.bidegree == (p, q))
 
 
 # ---- numerator batches -------------------------------------------------------
@@ -533,13 +506,6 @@ def _basis_rank(n: int, k: int) -> dict[Monomial, int]:
     return {mono: i for i, mono in enumerate(monomial_basis(n, k))}
 
 
-def row_blocks(rows: int, size: int = 64) -> list[range]:
-    """Consecutive ranges of at most size rows covering range(rows): batches
-    of many rows are processed a block at a time, so that dense arrays stay
-    small."""
-    return [range(start, min(start + size, rows)) for start in range(0, rows, size)]
-
-
 class Batch:
     """T forms of degree k at dimension n, as Gaussian-integer numerators.
 
@@ -580,31 +546,16 @@ class Batch:
     def rows(self) -> int:
         return len(self.den)
 
-    def __getitem__(self, rows: slice) -> "Batch":
-        """The rows in a slice, as a batch."""
-        return Batch(self.n, self.k, self.re[rows], self.im[rows], self.den[rows])
-
-    def _entries(self, t: int):
-        """(column, re, im) of the nonzero coefficients of row t, as ints."""
-        re, im = self.re[t], self.im[t]
-        cols = np.flatnonzero((re != 0) | (im != 0))
-        return zip(cols.tolist(), re[cols].tolist(), im[cols].tolist())
-
     def terms(self, t: int) -> dict[Monomial, GaussRational]:
         basis, den = monomial_basis(self.n, self.k), int(self.den[t])
         make = GaussRational._raw if den == 1 else GaussRational._norm
-        return {basis[j]: make(x, y, den) for j, x, y in self._entries(t)}
+        re, im = self.re[t], self.im[t]
+        cols = np.flatnonzero((re != 0) | (im != 0))
+        return {basis[j]: make(x, y, den)
+                for j, x, y in zip(cols.tolist(), re[cols].tolist(), im[cols].tolist())}
 
     def form(self, t: int) -> Form:
         return Form._trusted(self.n, self.terms(t))
-
-    def sparse_rows(self) -> list[dict[int, GaussRational]]:
-        """Every row as {column: nonzero coefficient}, for rational_linalg."""
-        out = []
-        for t in range(self.rows):
-            den = int(self.den[t])
-            out.append({j: GaussRational._norm(x, y, den) for j, x, y in self._entries(t)})
-        return out
 
     def is_zero(self) -> np.ndarray:
         """Per row, whether the form vanishes."""
@@ -771,7 +722,10 @@ _CHUNK_ENTRIES = 1 << 15
 
 
 def _chunks(rows: int, pairs: int) -> list[slice]:
-    return [slice(b.start, b.stop) for b in row_blocks(rows, _CHUNK_ENTRIES // pairs or 1)]
+    """Consecutive slices covering range(rows), each small enough for the
+    (rows x pairs) temporary."""
+    step = _CHUNK_ENTRIES // pairs or 1
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _summed(table, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -799,7 +753,7 @@ def _table(k: int, size: int, out, src, re, im, den: int) -> Table:
     out, src = np.asarray(out, dtype=np.int64), np.asarray(src, dtype=np.int64)
     order = np.lexsort((src, out))
     out, src, re, im = out[order], src[order], _ints(re)[order], _ints(im)[order]
-    first = np.flatnonzero(np.r_[True, (out[1:] != out[:-1]) | (src[1:] != src[:-1])])
+    first = np.flatnonzero(np.concatenate(([True], (out[1:] != out[:-1]) | (src[1:] != src[:-1]))))
     if first.size < out.size:  # sum the repeated pairs, with room for the sums
         re, im = _cast(_maxabs(re, im) * out.size, re, im)
         out, src = out[first], src[first]
@@ -809,33 +763,38 @@ def _table(k: int, size: int, out, src, re, im, den: int) -> Table:
     g = gcd(den, *re.tolist(), *im.tolist())
     re, im = _cast(g, re, im)  # g itself may leave int64
     re, im = _ints(re // g), _ints(im // g)
-    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]]) if out.size else out
-    longest = int(np.diff(np.r_[starts, out.size]).max()) if out.size else 0
+    starts = np.flatnonzero(np.concatenate(([True], out[1:] != out[:-1]))) if out.size else out
+    longest = int(np.diff(np.append(starts, out.size)).max()) if out.size else 0
     return Table(k, size, src, re, im, starts, out[starts], den // g,
                  2 * _maxabs(re, im) * longest)
 
 
-def _compiled(
-    n: int, k_in: int, k_out: int,
-    columns: Mapping[Monomial, Mapping[Monomial, GaussRational]],
-) -> Table:
+def _compiled(n: int, k_in: int, k_out: int,
+              columns: Mapping[Monomial, Mapping[Monomial, GaussRational]]) -> Table:
     """Table of the map sending each degree-k_in monomial mu to
     sum_nu columns[mu][nu] * nu."""
     rank_in, rank_out = _basis_rank(n, k_in), _basis_rank(n, k_out)
-    den = lcm(1, *(c._d for col in columns.values() for c in col.values()))
-    out, src, re, im = [], [], [], []
-    for mu, col in columns.items():
-        for nu, c in col.items():
-            out.append(rank_out[nu])
-            src.append(rank_in[mu])
-            re.append(c._x * (den // c._d))
-            im.append(c._y * (den // c._d))
-    return _table(k_out, _size(n, k_out), out, src, re, im, den)
+    pairs = [(rank_out[nu], rank_in[mu], c)
+             for mu, col in columns.items() for nu, c in col.items()]
+    den = lcm(1, *(c._d for *_, c in pairs))
+    return _table(k_out, _size(n, k_out), [o for o, _, _ in pairs], [s for _, s, _ in pairs],
+                  [c._x * (den // c._d) for *_, c in pairs],
+                  [c._y * (den // c._d) for *_, c in pairs], den)
 
 
 def _pair_outputs(table: Table) -> np.ndarray:
     """The output column of every pair of a table."""
-    return np.repeat(table.outputs, np.diff(np.r_[table.starts, table.src.size]))
+    return np.repeat(table.outputs, np.diff(np.append(table.starts, table.src.size)))
+
+
+def _images(n: int, table: Table, inputs: int) -> list[Form]:
+    """The image of each of the inputs 0..inputs-1 of a table, as forms."""
+    basis = monomial_basis(n, table.k)
+    terms: list[dict[Monomial, GaussRational]] = [{} for _ in range(inputs)]
+    for o, s, x, y in zip(_pair_outputs(table).tolist(), table.src.tolist(),
+                          table.re.tolist(), table.im.tolist()):
+        terms[s][basis[o]] = GaussRational._norm(x, y, table.den)
+    return [Form._trusted(n, t) for t in terms]
 
 
 def _adjoint(table: Table, n: int, k_in: int) -> Table:
@@ -950,25 +909,48 @@ def _basis_bits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-@lru_cache(maxsize=None)
-def _wedge_table(n: int, da: int, db: int) -> _WedgeTable:
-    mask_a, par_a = _basis_bits(n, da)
+def _ranked(masks: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """The index in `masks` of each entry of `of`, all of which occur there."""
+    order = np.argsort(masks)
+    return order[np.searchsorted(masks[order], of)]
+
+
+def _disjoint_pairs(n: int, lefts: np.ndarray, da: int, db: int):
+    """Every product of a degree-da monomial of index in lefts by a
+    degree-db monomial disjoint from it, as (position in lefts, right,
+    sign, output), left by left and rights ascending.
+
+    The rights of a left monomial are the db-subsets of its complement: one
+    combinations index array over the 2n - da free bit positions, mapped
+    through each left's own, so no left x right mask matrix is formed."""
+    mask_a, par_a = (bits[lefts] for bits in _basis_bits(n, da))
     mask_b, _ = _basis_bits(n, db)
-    mask_c, _ = _basis_bits(n, da + db)
-    left, right = np.nonzero((mask_a[:, None] & mask_b[None, :]) == 0)
-    order_c = np.argsort(mask_c)
-    out = order_c[np.searchsorted(mask_c, mask_a[left] | mask_b[right], sorter=order_c)]
+    free = np.nonzero(((mask_a[:, None] >> np.arange(2 * n)) & 1) == 0)[1]
+    free = free.reshape(len(mask_a), 2 * n - da)
+    subsets = np.array(list(combinations(range(2 * n - da), db)),
+                       dtype=np.int64).reshape(comb(2 * n - da, db), db)
+    rmask = np.zeros((len(mask_a), len(subsets)), dtype=mask_a.dtype)
+    for column in subsets.T:
+        rmask |= np.ones((), dtype=mask_a.dtype) << free[:, column]
+    right = np.sort(_ranked(mask_b, rmask), axis=1).ravel()
+    left = np.repeat(np.arange(len(mask_a)), len(subsets))
+    out = _ranked(_basis_bits(n, da + db)[0], mask_a[left] | mask_b[right])
     odd = par_a[left] & mask_b[right]
     shift = 1
     while shift < 2 * n:
         odd ^= odd >> shift
         shift *= 2
-    sign = (1 - 2 * (odd & 1)).astype(np.int64)
+    return left, right, (1 - 2 * (odd & 1)).astype(np.int64), out
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, da: int, db: int) -> _WedgeTable:
+    left, right, sign, out = _disjoint_pairs(n, np.arange(_size(n, da)), da, db)
     by_out = np.argsort(out, kind="stable")
     left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
-    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
-    longest = int(np.diff(np.r_[starts, out.size]).max())
-    return _WedgeTable(da + db, len(mask_c), left, right, sign, starts, out[starts],
+    starts = np.flatnonzero(np.concatenate(([True], out[1:] != out[:-1])))
+    longest = int(np.diff(np.append(starts, out.size)).max())
+    return _WedgeTable(da + db, _size(n, da + db), left, right, sign, starts, out[starts],
                        2 * longest)
 
 
@@ -993,15 +975,16 @@ def _wedge_rows(a: Batch, b: Batch) -> Batch:
 
 
 def _wedge_by(fixed: Form, d: int, k: int) -> Table:
-    """Table of b -> fixed ^ b on degree-k forms, for fixed of degree d."""
+    """Table of b -> fixed ^ b on degree-k forms, for fixed of degree d; only
+    the terms of fixed are paired."""
     n = fixed.n
     if not (_size(n, d + k) and _size(n, k) and _size(n, d)):
         return _table(d + k, _size(n, d + k), [], [], [], [], 1)
     row = Batch.of(n, d, [fixed])
-    w = _wedge_table(n, d, k)
-    out = np.repeat(w.outputs, np.diff(np.r_[w.starts, w.left.size]))
-    return _table(d + k, w.size, out, w.right, row.re[0, w.left] * w.sign,
-                  row.im[0, w.left] * w.sign, int(row.den[0]))
+    terms = np.flatnonzero((row.re[0] != 0) | (row.im[0] != 0))
+    left, right, sign, out = _disjoint_pairs(n, terms, d, k)
+    return _table(d + k, _size(n, d + k), out, right, row.re[0, terms[left]] * sign,
+                  row.im[0, terms[left]] * sign, int(row.den[0]))
 
 
 def _sparse_product(n: int, a: Form, b: Form) -> dict[Monomial, GaussRational]:

@@ -1,15 +1,15 @@
-"""Randomized exact verification suites for the pointwise operator identities.
+"""Exact verification suites for the pointwise operator identities.
 
-Every suite draws forms with Gaussian-integer coefficients from seeded,
-splittable streams, evaluates both sides of an identity (or inequality) in
-exact arithmetic, and records any nonzero discrepancy as a counterexample.
-There are no tolerances anywhere in this module.
-
-The trials of a suite run together: each trial keeps its own stream, and
-the draws of all trials are stacked into one `Batch`, so every operator is
-applied once per check to all trials.  The recorder still sees one
-comparison per (identity, trial), made on integer cross-products; a
-form is rendered only when its check fails.
+Every check evaluates both sides of an identity (or inequality) in exact
+arithmetic and records any nonzero discrepancy as a counterexample; there
+are no tolerances anywhere in this module.  The checks on the primitive
+basis are table identities: both sides are composed once and cached per
+operator, and each run compares them table against table, one comparison
+per basis index.  The other checks draw forms with Gaussian-integer
+coefficients from seeded, splittable streams, one per trial, and stack the
+draws of all trials into one `Batch`, so every operator is applied once
+per check to all trials.  The recorder sees one comparison per (identity,
+trial); a form is rendered only when its check fails.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import time
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import rational_linalg as rl
+from . import kaehler, rational_linalg as rl
 from .exterior import (
     ZERO,
     Batch,
@@ -37,30 +37,33 @@ from .exterior import (
     Table,
     _basis_rank,
     _combined,
+    _compiled,
     _composed,
     _equal_tables,
+    _images,
+    _pair_outputs,
+    _table,
     bidegree_basis,
     conjugate,
     inner,
     monomial_basis,
     norm_sq,
-    row_blocks,
 )
 from .kaehler import (
     _dual_lefschetz_table,
-    _holomorphic_degrees,
+    _inputs,
     _power_table,
-    _primitive_batch,
+    _primitive_table,
     _star_table,
+    _weil_table,
     dual_lefschetz,
-    hodge_star,
     hr_pairing,
     lefschetz_L,
     lefschetz_power,
+    primitive_basis,
     primitive_decompose,
     primitive_dimension,
     primitive_projection,
-    weil_operator,
 )
 
 _ONE_MONOMIAL = Monomial((), ())
@@ -107,13 +110,7 @@ class FailureRecord:
     rhs: str
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "trial": self.trial,
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -130,14 +127,8 @@ class SuiteReport:
         return not self.failures
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "suite": self.suite,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": [f.to_dict() for f in self.failures],
-            "pass": self.passed,
-        }
+        out = {"suite": self.suite, "n": self.n, "trials": self.trials, "seed": self.seed,
+               "failures": [f.to_dict() for f in self.failures], "pass": self.passed}
         if include_timing:
             out["elapsed"] = self.elapsed
         return out
@@ -212,21 +203,6 @@ def _draw_primitive(rngs, n: int, k: int, bound: int) -> Batch:
     return primitive_projection(_draw_degree(rngs, n, k, bound))
 
 
-class _Inputs:
-    """Named input forms of a check at one trial, rendered only when it fails."""
-
-    __slots__ = ("row", "batches")
-
-    def __init__(self, row: int, batches: dict[str, Batch]):
-        self.row = row
-        self.batches = batches
-
-    def __str__(self) -> str:
-        return "; ".join(
-            f"{name} = {batch.form(self.row)}" for name, batch in self.batches.items()
-        )
-
-
 class _Value:
     """One trial's side of a batched check.
 
@@ -246,8 +222,6 @@ class _Value:
 
     def __le__(self, other: "_Value") -> bool:
         return self.key <= other.key
-
-    __hash__ = None
 
     def __str__(self) -> str:
         return str(self.show())
@@ -295,7 +269,12 @@ def _true(identity: str, inputs, conditions: np.ndarray) -> Check:
 
 
 def _at(inputs, t: int):
-    return inputs if isinstance(inputs, str) else _Inputs(t, inputs)
+    """The inputs of a check at trial t: a fixed string, or the named input
+    batches, whose row t is rendered only when the check fails."""
+    if isinstance(inputs, str):
+        return inputs
+    return _Value(None, lambda: "; ".join(
+        f"{name} = {batch.form(t)}" for name, batch in inputs.items()))
 
 
 def _record(rec: "_Recorder", rows: int, checks: Sequence[Check], first: int = 0) -> None:
@@ -322,27 +301,22 @@ class _Recorder:
 
     def blocks(self, *extra: int):
         """(first trial, one stream per trial) for consecutive blocks of trials."""
-        for block in row_blocks(self.trials, _TRIAL_BLOCK):
-            yield block.start, [self.rspec.generator(self.suite, self.n, t, *extra)
-                                for t in block]
+        for start in range(0, self.trials, _TRIAL_BLOCK):
+            yield start, [self.rspec.generator(self.suite, self.n, t, *extra)
+                          for t in range(start, min(start + _TRIAL_BLOCK, self.trials))]
+
+    def _held(self, held: bool, identity: str, trial: int, inputs, lhs, rhs) -> None:
+        if not held:
+            self.failures.append(FailureRecord(identity, trial, *map(str, (inputs, lhs, rhs))))
 
     def equal(self, identity: str, trial: int, inputs, lhs, rhs) -> None:
-        if lhs != rhs:
-            self.failures.append(
-                FailureRecord(identity, trial, str(inputs), str(lhs), str(rhs))
-            )
+        self._held(lhs == rhs, identity, trial, inputs, lhs, rhs)
 
     def less_equal(self, identity: str, trial: int, inputs, lhs, rhs) -> None:
-        if not lhs <= rhs:
-            self.failures.append(
-                FailureRecord(identity, trial, str(inputs), str(lhs), str(rhs))
-            )
+        self._held(lhs <= rhs, identity, trial, inputs, lhs, rhs)
 
     def true(self, identity: str, trial: int, inputs, condition: bool) -> None:
-        if not condition:
-            self.failures.append(
-                FailureRecord(identity, trial, str(inputs), "false", "true")
-            )
+        self._held(condition, identity, trial, inputs, "false", "true")
 
     def report(self) -> SuiteReport:
         return SuiteReport(self.suite, self.n, self.trials, self.rspec.seed,
@@ -505,92 +479,109 @@ def _shown_entries(n: int, k: int, table: Table, other: Table) -> Callable[[], s
     """The entries of table, a map on degree k, where other's differ, as
     output <- input: entry; rendered when called."""
     def show() -> str:
-        mine, theirs = ({(o, i): c for o, row in t.rows().items() for i, c in row.items()}
-                        for t in (table, other))
+        rows, diff = table.rows(), _combined([(1, table), (-1, other)])
         outs, ins = monomial_basis(n, table.k), monomial_basis(n, k)
         return "; ".join(
-            f"{outs[o].label()} <- {ins[i].label()}: {mine.get((o, i), ZERO)}"
-            for o, i in sorted(mine.keys() | theirs.keys())
-            if mine.get((o, i)) != theirs.get((o, i))
-        )
+            f"{outs[o].label()} <- {ins[i].label()}: {rows.get(o, {}).get(i, ZERO)}"
+            for o, i in zip(_pair_outputs(diff).tolist(), diff.src.tolist()))
     return show
+
+
+def _on_basis(identity: str, n: int, k: int, lhs: Table, rhs: Table,
+              inputs: Optional[str] = None) -> Check:
+    """lhs == rhs on each primitive basis form of degree k, for two tables on
+    the basis indices; a check's trial is the index, its inputs the basis
+    form unless given.  The tables are compared once: when they differ, the
+    failing indices are the inputs of their difference."""
+    failing = set() if _equal_tables(lhs, rhs) else set(
+        _combined([(1, lhs), (-1, rhs)]).src.tolist())
+    count = _inputs(_primitive_table(n, k))
+
+    def check(rec, t, trial):
+        rec.equal(identity, trial,
+                  inputs or _Value(None, lambda: f"a = {primitive_basis(n, k)[t]}"),
+                  _Value(t not in failing, lambda: _images(n, lhs, count)[t]),
+                  _Value(True, lambda: _images(n, rhs, count)[t]))
+    return check
+
+
+def _scalar(n: int, k: int, c: int | Fraction) -> Table:
+    """c times the identity on degree k."""
+    c, ids = Fraction(c), np.arange(comb(2 * n, k))
+    return _table(k, ids.size, ids, ids, [c.numerator] * ids.size, [0] * ids.size,
+                  c.denominator)
+
+
+@lru_cache(maxsize=None)
+def _chain(n: int, k: int, *ops: tuple) -> Table:
+    """The table of the operators ops, each (table function, *args), applied
+    in turn as function(n, degree, *args), from degree k on.  Cached per
+    operator, so a patched or injected operator gets entries of its own and
+    never replaces those of the genuine one."""
+    function, *args = ops[-1]
+    if len(ops) == 1:
+        return function(n, k, *args)
+    inner = _chain(n, k, *ops[:-1])
+    return _composed(function(n, inner.k, *args), inner)
 
 
 def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Dimensions, ranks, and round-trips of the Lefschetz decomposition.
 
-    Exhaustive once per dimension: primitive dimension counts, per
-    bidegree the basis rows the dual Lefschetz operator kills, injectivity
-    of L^(n-k) on primitives, bijectivity on the full degree, the kernel
-    characterization of primitives, and agreement of the dual Lefschetz
-    operator (the adjoint of L) with star^-1 o L o star.  Per trial:
-    decomposition round-trips and adjointness on random forms.
+    Exhaustive once per dimension, on the primitive basis tables: primitive
+    dimension counts, per bidegree the basis forms the dual Lefschetz
+    operator kills, injectivity of L^(n-k) on primitives, bijectivity on
+    the full degree, the kernel characterization of primitives, and
+    agreement of the dual Lefschetz operator (the adjoint of L) with
+    star^-1 o L o star.  Per trial: decomposition round-trips and
+    adjointness on random forms.
     """
     rec = _Recorder("lefschetz", n, trials, rspec)
-    bound = rspec.coeff_bound
-    killed = Counter()  # basis rows of each bidegree that the dual Lefschetz kills
+    bound, at = rspec.coeff_bound, f"n={n}"
+
+    def by_bidegree(p: int, q: int) -> int:
+        return comb(n, p) * comb(n, q) - (comb(n, p - 1) * comb(n, q - 1) if p and q else 0)
+    killed = Counter()  # basis forms of each bidegree that the dual Lefschetz kills
     for k in range(2 * n + 1):
-        expected = primitive_dimension(n, k)
-        basis = _primitive_batch(n, k)
-        rec.equal(
-            f"primitive-dimension[k={k}]", 0, f"n={n}", basis.rows, expected
-        )
-        holomorphic = _holomorphic_degrees(basis)[dual_lefschetz(basis).is_zero()]
-        killed.update((p, k - p) for p in holomorphic.tolist())
-        if k <= n:
-            # C(2n,k) - C(2n,k-2) against the sum of the bidegree counts
-            by_bidegree = sum(
-                comb(n, p) * comb(n, k - p)
-                - (comb(n, p - 1) * comb(n, k - p - 1) if 0 < p < k else 0)
-                for p in range(k + 1)
-            )
-            rec.equal(
-                f"primitive-dimension-formula[k={k}]", 0, f"n={n}",
-                expected, by_bidegree,
-            )
+        expected, basis = primitive_dimension(n, k), _primitive_table(n, k)
+        count = _inputs(basis)
+        rec.equal(f"primitive-dimension[k={k}]", 0, at, count, expected)
+        holomorphic = np.zeros(count, dtype=np.int64)
+        holomorphic[basis.src] = np.array(
+            [len(mono.s) for mono in monomial_basis(n, k)])[_pair_outputs(basis)]
+        # the dual Lefschetz operator as `dual_lefschetz` applies it; the
+        # star route below checks this module's `_dual_lefschetz_table`
+        kept = np.ones(count, dtype=bool)
+        kept[_chain(n, k, (_primitive_table,), (kaehler._dual_lefschetz_table,)).src] = False
+        killed.update((p, k - p) for p in holomorphic[kept].tolist())
+        if k <= n:  # C(2n,k) - C(2n,k-2) against the sum of the bidegree counts
+            rec.equal(f"primitive-dimension-formula[k={k}]", 0, at, expected,
+                      sum(by_bidegree(p, k - p) for p in range(k + 1)))
     for p in range(n + 1):
         for q in range(n + 1):
-            got = killed[p, q]
-            if p + q <= n:
-                want = comb(n, p) * comb(n, q)
-                if p >= 1 and q >= 1:
-                    want -= comb(n, p - 1) * comb(n, q - 1)
-            else:
-                want = 0
-            rec.equal(
-                f"primitive-bidegree-dimension[p={p},q={q}]", 0, f"n={n}", got, want
-            )
+            rec.equal(f"primitive-bidegree-dimension[p={p},q={q}]", 0, at,
+                      killed[p, q], by_bidegree(p, q) if p + q <= n else 0)
     for k in range(n + 1):
-        rec.equal(
-            f"hard-lefschetz-bijective[k={k}]", 0, f"n={n}",
-            rl.rank(list(_power_table(n, k, n - k).rows().values())), comb(2 * n, k),
-        )
-        basis = _primitive_batch(n, k)
-        rec.equal(
-            f"hard-lefschetz-primitive-injective[k={k}]", 0, f"n={n}",
-            rl.rank(lefschetz_power(basis, n - k).sparse_rows()), basis.rows,
-        )
-        killer = list(_power_table(n, k, n - k + 1).rows().values())
-        kernel_dim = comb(2 * n, k) - rl.rank(killer)
-        rec.equal(
-            f"primitive-kernel-dimension[k={k}]", 0, f"n={n}",
-            kernel_dim, basis.rows,
-        )
-        killed = lefschetz_power(basis, n - k + 1)
-        _record(rec, basis.rows, [
-            _equal(f"primitive-kernel-member[k={k}]", f"n={n}",
-                   killed, Batch.zero(n, killed.k, basis.rows)),
-        ])
+        count = _inputs(_primitive_table(n, k))
+        top, beyond = _power_table(n, k, n - k), _power_table(n, k, n - k + 1)
+        on_basis = _chain(n, k, (_primitive_table,), (_power_table, n - k))
+        killer = _chain(n, k, (_primitive_table,), (_power_table, n - k + 1))
+        rec.equal(f"hard-lefschetz-bijective[k={k}]", 0, at,
+                  rl.component_rank(top.rows().values()), comb(2 * n, k))
+        rec.equal(f"hard-lefschetz-primitive-injective[k={k}]", 0, at,
+                  rl.component_rank(on_basis.rows().values()), count)
+        rec.equal(f"primitive-kernel-dimension[k={k}]", 0, at,
+                  comb(2 * n, k) - rl.component_rank(beyond.rows().values()), count)
+        _record(rec, count, [_on_basis(f"primitive-kernel-member[k={k}]", n, k, killer,
+                                       _table(killer.k, killer.size, [], [], [], [], 1), at)])
     for k in range(2, 2 * n + 1):
         # star^-1 o L o star, with star^-1 = (-1)^k star on degree 2n - k + 2
-        via = _composed(_power_table(n, 2 * n - k, 1), _star_table(n, k))
-        route = _combined([((-1) ** k, _composed(_star_table(n, 2 * n - k + 2), via))])
+        route = _chain(n, k, (_star_table,), (_power_table, 1), (_star_table,),
+                       (_scalar, (-1) ** k))
         adjoint = _dual_lefschetz_table(n, k)
-        rec.equal(
-            f"dual-lefschetz-star-route[k={k}]", 0, f"n={n}",
-            _Value(_equal_tables(adjoint, route), _shown_entries(n, k, adjoint, route)),
-            _Value(True, _shown_entries(n, k, route, adjoint)),
-        )
+        rec.equal(f"dual-lefschetz-star-route[k={k}]", 0, at,
+                  _Value(_equal_tables(adjoint, route), _shown_entries(n, k, adjoint, route)),
+                  _Value(True, _shown_entries(n, k, route, adjoint)))
     for first, rngs in rec.blocks():
         checks = []
         for k in range(2 * n + 1):
@@ -614,51 +605,48 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
     return rec.report()
 
 
-def _rowwise(star_fn: Callable[[Form], Form]) -> Callable[[Batch], Batch]:
-    """An injected Form -> Form star, applied one trial at a time."""
-    def star(a: Batch) -> Batch:
-        return Batch.of(a.n, 2 * a.n - a.k, [star_fn(a.form(t)) for t in range(a.rows)])
+@lru_cache(maxsize=None)
+def _compiled_star(star_fn: Callable[[Form], Form]) -> Callable[[int, int], Table]:
+    """An injected linear Form -> Form star, as its table on each degree."""
+    @lru_cache(maxsize=None)
+    def star(n: int, k: int) -> Table:
+        return _compiled(n, k, 2 * n - k, {
+            mu: star_fn(Form.monomial(n, mu.s, mu.t)).terms for mu in monomial_basis(n, k)
+        })
     return star
 
 
-def check_star_primitive(
-    n: int,
-    trials: int,
-    rspec: RandomSpec,
-    star_fn: Optional[Callable[[Form], Form]] = None,
-) -> SuiteReport:
+def check_star_primitive(n: int, trials: int, rspec: RandomSpec,
+                         star_fn: Optional[Callable[[Form], Form]] = None) -> SuiteReport:
     """Star of Lefschetz powers of primitive forms, and the double star.
 
     For a primitive degree-k form a and 0 <= r <= n-k,
     star(L^r a) = i^(k(k+1)) * r!/(n-k-r)! * L^(n-k-r) I(a), with I the
-    bidegree rotation; star_fn is injectable so the suite can be pointed
-    at a deliberately perturbed operator to prove it would notice.
+    bidegree rotation, checked as a table identity on the primitive basis.
+    star_fn is injectable so the suite can be pointed at a deliberately
+    perturbed operator to prove it would notice; it is compiled into a
+    table from its value on each monomial and checked on the same route.
     """
     rec = _Recorder("star", n, trials, rspec)
-    star = hodge_star if star_fn is None else _rowwise(star_fn)
+    star = _star_table if star_fn is None else _compiled_star(star_fn)
     for k in range(n + 1):
-        prims = _primitive_batch(n, k)
-        # the trial of a check is the index of b in the primitive basis
-        for block in row_blocks(prims.rows):
-            basis = prims[block.start:block.stop]
-            rotated = weil_operator(basis)
-            checks = []
-            for r in range(n - k + 1):
-                scale = GaussRational.i_power(k * (k + 1)) * Fraction(
-                    factorial(r), factorial(n - k - r)
-                )
-                checks.append(_equal(
-                    f"star-of-power[k={k},r={r}]", dict(a=basis),
-                    star(lefschetz_power(basis, r)),
-                    lefschetz_power(rotated, n - k - r) * scale,
-                ))
-            _record(rec, basis.rows, checks, first=block.start)
+        checks = []
+        for r in range(n - k + 1):
+            scale = (-1) ** (k * (k + 1) // 2) * Fraction(factorial(r), factorial(n - k - r))
+            checks.append(_on_basis(
+                f"star-of-power[k={k},r={r}]", n, k,
+                _chain(n, k, (_primitive_table,), (_power_table, r), (star,)),
+                _chain(n, k, (_primitive_table,), (_weil_table,), (_power_table, n - k - r),
+                       (_scalar, scale)),
+            ))
+        _record(rec, _inputs(_primitive_table(n, k)), checks)
     for first, rngs in rec.blocks():
         checks = []
         for k in range(2 * n + 1):
             a = _draw_degree(rngs, n, k, rspec.coeff_bound)
             sign = 1 if k % 2 == 0 else -1
-            checks.append(_equal(f"double-star[k={k}]", dict(a=a), star(star(a)), a * sign))
+            checks.append(_equal(f"double-star[k={k}]", dict(a=a),
+                                 star(n, 2 * n - k)(star(n, k)(a)), a * sign))
         _record(rec, len(rngs), checks, first)
     return rec.report()
 

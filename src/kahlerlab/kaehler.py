@@ -26,7 +26,8 @@ The primitive bases are written down rather than solved for: in the basis
 of products of the 2-forms dz_a ^ dzb_a with dz^A ^ dzb^B, the dual
 Lefschetz operator only drops one such 2-form, and its kernel on each block
 (A, B) is spanned by the standard polytabloids of a two-row shape, with
-entries +-1.  Nothing here runs a Gaussian elimination.
+entries +-1.  Each degree's basis is a table from basis index to
+monomials; nothing here runs a Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -54,26 +55,23 @@ from .exterior import (
     _compiled,
     _composed,
     _conjugation_table,
+    _disjoint_pairs,
+    _images,
     _per_degree,
     _table,
     _wedge_by,
-    _wedge_table,
     inner,  # kept as kaehler.inner, which perfbench/test_perfbench.py traces
     monomial_basis,
+    norm_sq,
 )
 
 
+@lru_cache(maxsize=None)
 def kahler_form(n: int) -> Form:
     """Fundamental (1,1)-form i * sum dz^a ^ dzb^a."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return _kahler_form(n)
-
-
-@lru_cache(maxsize=None)
-def _kahler_form(n: int) -> Form:
-    i = GaussRational(0, 1)
-    return Form(n, {Monomial((a,), (a,)): i for a in range(1, n + 1)})
+    return Form(n, {Monomial((a,), (a,)): GaussRational(0, 1) for a in range(1, n + 1)})
 
 
 def volume_form(n: int) -> Form:
@@ -87,7 +85,7 @@ def volume_form(n: int) -> Form:
 def _omega_power(n: int, j: int) -> Form:
     if j == 0:
         return Form.one(n)
-    return _kahler_form(n).wedge(_omega_power(n, j - 1))
+    return kahler_form(n).wedge(_omega_power(n, j - 1))
 
 
 @lru_cache(maxsize=None)
@@ -126,15 +124,14 @@ def _star_table(n: int, k: int) -> Table:
     """The star on degree k, monomial by monomial: *mu is a multiple of the
     monomial nu with the complementary index sets swapped, fixed by
     mu ^ conj(*mu) = dV.  The pairing mu ^ conj(nu) = +-top takes its sign
-    from the conjugation table and the (k, 2n - k) wedge pair table."""
-    wedge, conj = _wedge_table(n, k, 2 * n - k), _conjugation_table(n, 2 * n - k)
-    by_mu = np.argsort(wedge.left)
-    complement = wedge.right[by_mu]  # mu ^ complement = +-top
+    from the conjugation table and the product of mu with its complement."""
+    mus, conj = np.arange(comb(2 * n, k)), _conjugation_table(n, 2 * n - k)
+    _, complement, sign, _ = _disjoint_pairs(n, mus, k, 2 * n - k)  # one per mu
     # conj(nu) = +-complement: the conjugation table's only pair feeding the
     # complement comes from nu
-    pairing = wedge.sign[by_mu] * conj.re[complement]
+    pairing = sign * conj.re[complement]
     v = volume_form(n).coefficient(_top_monomial(n))
-    return _table(2 * n - k, conj.size, conj.src[complement], np.arange(len(by_mu)),
+    return _table(2 * n - k, conj.size, conj.src[complement], mus,
                   v._x * pairing, -v._y * pairing, v._d)
 
 
@@ -229,8 +226,9 @@ def _standard_tableaux(m: int, j: int):
 
 
 @lru_cache(maxsize=None)
-def _primitive_batch(n: int, k: int) -> Batch:
-    """The primitive basis of degree k, as the rows of one batch.
+def _primitive_table(n: int, k: int) -> Table:
+    """The primitive basis of degree k, as the table of the map sending
+    basis index t to the t-th basis form.
 
     With A, B and P pairwise disjoint, e_(P;A,B) = wedge_(c in P)
     (dz_c ^ dzb_c) ^ dz^A ^ dzb^B is +- a monomial, and in this basis the
@@ -241,9 +239,9 @@ def _primitive_batch(n: int, k: int) -> Batch:
     Each standard tableau of shape (m - j, j) on F, with columns (a_i, b_i),
     gives the polytabloid sum over c_i in {a_i, b_i} of
     (-1)^(number of a_i chosen) e_({c_i};A,B), which D kills pair by pair;
-    together they are a basis (Sagan, The Symmetric Group, 2.3-2.6).  Rows
-    are ordered by bidegree, then by j, block (A, B) and tableau; entries
-    are +-1.  Above the middle degree 2j > m, so there are no rows.
+    together they are a basis (Sagan, The Symmetric Group, 2.3-2.6).  The
+    indices run by bidegree, then by j, block (A, B) and tableau; entries
+    are +-1.  Above the middle degree 2j > m, so there are no indices.
     """
     rank, indices = _basis_rank(n, k), range(1, n + 1)
     rows, cols, signs = [], [], []
@@ -266,17 +264,12 @@ def _primitive_batch(n: int, k: int) -> Batch:
                                                       tuple(sorted(P + B)))])
                             signs.append((-1) ** chosen_a * _wedge_sign(word))
                         t += 1
-    re = np.zeros((t, comb(2 * n, k)), dtype=np.int64)
-    re[rows, cols] = signs
-    return Batch(n, k, re, np.zeros(re.shape, dtype=np.int64), np.ones(t, dtype=np.int64))
+    return _table(k, comb(2 * n, k), cols, rows, signs, [0] * len(signs), 1)
 
 
-def _holomorphic_degrees(batch: Batch) -> np.ndarray:
-    """The p of each row of a batch of nonzero forms, each of one bidegree
-    (p, q), read from the row's first nonzero entry."""
-    basis = monomial_basis(batch.n, batch.k)
-    first = np.argmax((batch.re != 0) | (batch.im != 0), axis=1)
-    return np.array([len(basis[j].s) for j in first.tolist()], dtype=np.int64)
+def _inputs(table: Table) -> int:
+    """The number of forms of a primitive basis table; none of them is zero."""
+    return int(table.src.max()) + 1 if table.src.size else 0
 
 
 def primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
@@ -285,11 +278,10 @@ def primitive_bidegree_basis(n: int, p: int, q: int) -> tuple[Form, ...]:
         raise ValueError("dimension must be at least 1")
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
-    batch = _primitive_batch(n, p + q)
-    rows = np.flatnonzero(_holomorphic_degrees(batch) == p)
-    return tuple(batch.form(t) for t in rows.tolist())
+    return tuple(f for f in primitive_basis(n, p + q) if f.bidegree() == (p, q))
 
 
+@lru_cache(maxsize=None)
 def primitive_basis(n: int, k: int) -> tuple[Form, ...]:
     """Exact basis of primitive degree-k forms, ordered by bidegree.
 
@@ -299,8 +291,8 @@ def primitive_basis(n: int, k: int) -> tuple[Form, ...]:
         raise ValueError("dimension must be at least 1")
     if k < 0 or k > 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
-    batch = _primitive_batch(n, k)
-    return tuple(batch.form(t) for t in range(batch.rows))
+    table = _primitive_table(n, k)
+    return tuple(_images(n, table, _inputs(table)))
 
 
 @dataclass(frozen=True)
@@ -409,8 +401,6 @@ def primitive_dimension(n: int, k: int) -> int:
 
 def norm_ratio(numer: Form, denom: Form) -> Fraction:
     """Exact |numer|^2 / |denom|^2, for saturation checks."""
-    from .exterior import norm_sq
-
     d = norm_sq(denom)
     if d == 0:
         raise ValueError("zero denominator form")

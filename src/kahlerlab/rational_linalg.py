@@ -8,11 +8,17 @@ first; what is left, if anything, is a new pivot row, scaled to 1 at its
 first nonzero column.  A pivot row starts at its pivot, so each subtraction
 only fills columns to its right, and earlier pivot rows are never touched:
 the rank needs the pivot count, not the reduced row echelon form.
+
+A block-diagonal matrix, with its rows and columns in any order, splits
+into connected components: columns are joined when a row holds both.  Its
+rank is the sum of the ranks of the components, each eliminated alone.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Union
+from collections import Counter
+from collections.abc import Mapping, Sequence
+from typing import Union
 
 from .exterior import GaussRational
 
@@ -53,3 +59,31 @@ def rank(m: Sequence[Row]) -> int:
                 break
             _subtract(v, v[c], prow)
     return len(pivot_rows)
+
+
+def component_rank(m: Sequence[Row]) -> int:
+    """The rank of m, as the sum of the ranks of its connected components.
+    Components that are the same matrix once their columns are numbered in
+    order of appearance are eliminated once."""
+    rows = [_sparse(row) for row in m]
+    parent: dict[int, int] = {}
+
+    def root(c: int) -> int:
+        while parent.setdefault(c, c) != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in rows:
+        roots = [root(c) for c in row]
+        for r in roots[1:]:
+            parent[r] = roots[0]
+    components: dict[int, list[SparseRow]] = {}
+    for row in rows:
+        if row:
+            components.setdefault(root(next(iter(row))), []).append(row)
+    shapes = Counter()
+    for part in components.values():
+        label: dict[int, int] = {}
+        shapes[tuple(tuple((label.setdefault(c, len(label)), v) for c, v in row.items())
+                     for row in part)] += 1
+    return sum(times * rank([dict(row) for row in shape]) for shape, times in shapes.items())

@@ -6,6 +6,7 @@ concatenation sort.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -19,11 +20,14 @@ from kahlerlab.exterior import (
     GaussRational,
     Monomial,
     Table,
+    _WedgeTable,
+    _basis_bits,
     _combined,
     _compiled,
     _composed,
     _equal_tables,
     _table,
+    _wedge_table,
     bidegree_basis,
     bidegree_project,
     conjugate,
@@ -463,6 +467,55 @@ def test_sparse_products_at_large_n_build_no_wedge_table(monkeypatch):
     assert len(top.terms) == 1 and top.degree() == 24
 
 
+def _dense_wedge_table(n: int, da: int, db: int) -> _WedgeTable:
+    """The wedge table from the dense left x right mask matrix: every pair
+    of degree-da and degree-db monomials, kept when disjoint."""
+    mask_a, par_a = _basis_bits(n, da)
+    mask_b, _ = _basis_bits(n, db)
+    mask_c, _ = _basis_bits(n, da + db)
+    left, right = np.nonzero((mask_a[:, None] & mask_b[None, :]) == 0)
+    order_c = np.argsort(mask_c)
+    out = order_c[np.searchsorted(mask_c, mask_a[left] | mask_b[right], sorter=order_c)]
+    odd = par_a[left] & mask_b[right]
+    shift = 1
+    while shift < 2 * n:
+        odd ^= odd >> shift
+        shift *= 2
+    sign = (1 - 2 * (odd & 1)).astype(np.int64)
+    by_out = np.argsort(out, kind="stable")
+    left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
+    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
+    longest = int(np.diff(np.r_[starts, out.size]).max())
+    return _WedgeTable(da + db, len(mask_c), left, right, sign, starts, out[starts],
+                       2 * longest)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_wedge_tables_by_complement_match_the_dense_mask_matrix(n):
+    """Every field, dtypes included, for every degree pair."""
+    for da in range(2 * n + 1):
+        for db in range(2 * n + 1 - da):
+            got, want = _wedge_table(n, da, db), _dense_wedge_table(n, da, db)
+            assert got._fields == want._fields
+            for field, x, y in zip(got._fields, got, want):
+                assert np.array_equal(x, y), (da, db, field)
+                assert np.asarray(x).dtype == np.asarray(y).dtype, (da, db, field)
+
+
+def test_the_middle_wedge_table_at_n8_builds_without_the_dense_mask_matrix():
+    """(8, 8) at n = 8 has 12870 pairs, one per left monomial; the dense
+    mask matrix alone would be 12870^2 entries (166 MB as booleans)."""
+    _basis_bits(8, 8), _basis_bits(8, 16)  # the cached bitmasks are not the table's
+    tracemalloc.start()
+    try:
+        table = _wedge_table.__wrapped__(8, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.left.size == comb(16, 8) and table.outputs.tolist() == [0]
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 # ---- batches against the dict path and the reference product -----------------
 
 
@@ -597,10 +650,9 @@ def pushed(op, n, k_in, k_out):
                   np.ones(size, dtype=np.int64))
     images = op(units)
     assert images.k == k_out
-    basis_in, basis_out = monomial_basis(n, k_in), monomial_basis(n, k_out)
+    basis_in = monomial_basis(n, k_in)
     return _compiled(n, k_in, k_out, {
-        basis_in[j]: {basis_out[i]: c for i, c in row.items()}
-        for j, row in enumerate(images.sparse_rows())
+        basis_in[j]: images.form(j).terms for j in range(size)
     })
 
 

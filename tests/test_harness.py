@@ -7,15 +7,17 @@ inspected end to end.
 
 import json
 from collections import Counter
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 from kahlerlab.exterior import (
-    Batch, Form, GaussRational, _pair_outputs, bidegree_basis, monomial_basis, norm_sq,
+    Batch, Form, GaussRational, _images, _pair_outputs, bidegree_basis, monomial_basis,
+    norm_sq,
 )
-from kahlerlab import harness
+from kahlerlab import harness, kaehler
 from kahlerlab.harness import (
     SUITES,
     _draw_bidegree,
@@ -37,7 +39,9 @@ from kahlerlab.harness import (
     run_suite,
     simple_random_form,
 )
-from kahlerlab.kaehler import hodge_star, primitive_basis
+from kahlerlab.kaehler import (
+    _inputs, _primitive_table, hodge_star, lefschetz_power, primitive_basis, weil_operator,
+)
 
 
 def test_suite_names_are_stable():
@@ -464,3 +468,135 @@ def test_star_route_compares_the_tables_and_renders_only_differing_entries(monke
     (failure,) = report.failures
     assert failure.identity == "dual-lefschetz-star-route[k=4]"
     assert (failure.lhs, failure.rhs) == (entry + str(c + 1), entry + str(c))
+
+
+# ---- the deterministic checks as table identities on the primitive basis ------
+
+
+def _basis_batch(n, k):
+    """The primitive basis of degree k as the rows of one dense batch, read
+    from the basis table."""
+    table = _primitive_table(n, k)
+    re = np.zeros((_inputs(table), comb(2 * n, k)), dtype=np.int64)
+    re[table.src, _pair_outputs(table)] = table.re
+    return Batch(n, k, re, np.zeros_like(re), np.ones(len(re), dtype=np.int64))
+
+
+def _off_by_one(table_of, at, entry=0):
+    """table_of with one entry of its table at the arguments (k, *args) = at
+    raised by one."""
+    def perturbed(n, k, *args):
+        table = table_of(n, k, *args)
+        if (k, *args) != at:
+            return table
+        re = table.re.copy()
+        re[entry] += table.den
+        return table._replace(re=re)
+    return perturbed
+
+
+def _differing_rows(lhs, rhs):
+    left, right = lhs.cross(rhs)
+    return set(np.flatnonzero(~(left == right).all(axis=1)).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_route_verdicts_match_the_batch_route(n):
+    """star-of-power per basis index, against a genuine and a perturbed star;
+    the basis indices that L^(n-k+1) and the dual Lefschetz operator do not
+    kill, against a genuine and a perturbed table: the table route and the
+    batch route rebuilt from the basis rows agree."""
+    mu, nu = monomial_basis(n, n)[-1], monomial_basis(n, n)[0]
+
+    def bent(a):  # the star plus mu -> nu, still linear
+        return hodge_star(a) + Form.monomial(n, nu.s, nu.t, a.coefficient(mu))
+
+    for star_fn in (hodge_star, bent):
+        report = check_star_primitive(n, 1, RandomSpec(seed=3), star_fn=star_fn)
+        got = {(f.identity, f.trial) for f in report.failures
+               if f.identity.startswith("star-of-power")}
+        want = set()
+        for k in range(n + 1):
+            basis = _basis_batch(n, k)
+            for r in range(n - k + 1):
+                powered = lefschetz_power(basis, r)
+                lhs = Batch.of(n, 2 * n - k - 2 * r,
+                               [star_fn(powered.form(t)) for t in range(basis.rows)])
+                scale = GaussRational.i_power(k * (k + 1)) * Fraction(
+                    factorial(r), factorial(n - k - r))
+                rhs = lefschetz_power(weil_operator(basis), n - k - r) * scale
+                want |= {(f"star-of-power[k={k},r={r}]", t) for t in _differing_rows(lhs, rhs)}
+        assert got == want
+        assert bool(got) == (star_fn is bent)
+    missed = []  # the basis indices a perturbed table does not kill
+    for k in range(n + 1):
+        basis, j = _basis_batch(n, k), n - k + 1
+        for table_of, args in ((harness._power_table, (j,)),
+                               (kaehler._dual_lefschetz_table, ())):
+            ops = [table_of]
+            if table_of(n, k, *args).src.size:
+                ops.append(_off_by_one(table_of, (k, *args)))
+            for op in ops:
+                image = harness._chain(n, k, (_primitive_table,), (op, *args))
+                applied = op(n, k, *args)(basis)
+                alive = set(np.flatnonzero(~applied.is_zero()).tolist())
+                assert set(image.src.tolist()) == alive
+                forms = [applied.form(t) for t in range(basis.rows)]
+                assert _images(n, image, basis.rows) == forms
+                if op is table_of:
+                    assert not alive
+                else:
+                    missed.append(alive)
+    assert any(missed) == (n > 1)  # at n = 1 both tables are empty
+
+
+def test_a_perturbed_star_fails_exactly_the_basis_indices_it_reaches(monkeypatch):
+    # one entry of the star on degree 3 at n = 3 is off by one: star-of-power
+    # [k, r] with k + 2r = 3 fails at the basis forms whose L^r image has a
+    # nonzero coefficient at that entry's input monomial, and renders the
+    # perturbed image
+    n, degree = 3, 3
+    monkeypatch.setattr(harness, "_star_table", _off_by_one(harness._star_table, (degree,)))
+    table = harness._star_table(n, degree)
+    mu = monomial_basis(n, degree)[int(table.src[0])]
+    want = {}
+    for k in range(degree % 2, degree + 1, 2):
+        r = (degree - k) // 2
+        for t, b in enumerate(primitive_basis(n, k)):
+            image = lefschetz_power(b, r)
+            if image.coefficient(mu):
+                want[f"star-of-power[k={k},r={r}]", t] = (b, image)
+    report = check_star_primitive(n, 1, RandomSpec(seed=5))
+    failed = [f for f in report.failures if f.identity.startswith("star-of-power")]
+    assert {(f.identity, f.trial) for f in failed} == set(want) and want
+    for f in failed:
+        b, image = want[f.identity, f.trial]
+        assert f.inputs == f"a = {b}"
+        rows = Batch.of(n, degree, [image])
+        assert f.lhs == str(table(rows).form(0))
+
+
+def test_no_cache_keeps_a_table_built_while_an_operator_was_patched(monkeypatch):
+    """The composed tables are cached per operator: a patched star, L^j or
+    dual Lefschetz table gets entries of its own, and once the patch is gone
+    the suites read the genuine tables again."""
+    n, rspec = 3, RandomSpec(seed=11)
+
+    def reports():
+        return [check(n, 1, rspec).to_dict(include_timing=False)
+                for check in (check_lefschetz_structure, check_star_primitive)]
+
+    def genuine():
+        return [harness._chain(n, k, (_primitive_table,), (harness._power_table, r),
+                               (harness._star_table,))
+                for k in range(n + 1) for r in range(n - k + 1)]
+
+    clean, before = reports(), genuine()
+    assert all(report["pass"] for report in clean)
+    with monkeypatch.context() as patched:
+        for name, at in (("_star_table", (3,)), ("_dual_lefschetz_table", (4,)),
+                         ("_power_table", (1, 1))):
+            patched.setattr(harness, name, _off_by_one(getattr(harness, name), at))
+        assert not any(report["pass"] for report in reports())
+    assert reports() == clean
+    assert all(a is b for a, b in zip(genuine(), before))

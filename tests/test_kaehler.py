@@ -23,6 +23,8 @@ from kahlerlab.exterior import (
     _composed,
     _conjugation_table,
     _equal_tables,
+    _images,
+    _pair_outputs,
     bidegree_project,
     conjugate,
     inner,
@@ -34,9 +36,9 @@ from kahlerlab.kaehler import (
     _decomposition_coefficient,
     _decomposition_tables,
     _dual_lefschetz_table,
-    _holomorphic_degrees,
-    _primitive_batch,
+    _inputs,
     _power_table,
+    _primitive_table,
     _projection_table,
     _star_table,
     _weil_table,
@@ -185,12 +187,10 @@ def test_primitive_dimension_formula_and_basis_sizes():
             for b in basis:
                 assert is_primitive(b)
                 assert b.degree() == k
-            if k <= n:  # the same basis, packed once as the rows of one batch
-                rows = _primitive_batch(n, k)
-                assert rows is _primitive_batch(n, k)
-                assert [rows.form(t) for t in range(rows.rows)] == list(basis)
-                tail = rows[1:]
-                assert [tail.form(t) for t in range(tail.rows)] == list(basis[1:])
+            # the same basis, compiled once into a table on the basis indices
+            table = _primitive_table(n, k)
+            assert table is _primitive_table(n, k)
+            assert _images(n, table, _inputs(table)) == list(basis)
 
 
 def test_primitive_bidegree_basis_refines_the_degree_basis():
@@ -211,25 +211,28 @@ def test_primitive_bidegree_basis_refines_the_degree_basis():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tableau_basis_is_signed_primitive_and_injective_under_the_top_power(n):
-    """Per bidegree: every row is homogeneous and killed by the dual
-    Lefschetz table, with entries in {-1, 0, 1}; the counts are those of
-    the primitive (p, q)-forms, and L^(n-k) keeps each degree's rows
+    """Per bidegree: every basis form is homogeneous and killed by the dual
+    Lefschetz table, with entries +-1; the counts are those of the
+    primitive (p, q)-forms, and L^(n-k) keeps each degree's basis forms
     independent."""
     for k in range(2 * n + 1):
-        batch = _primitive_batch(n, k)
-        assert not batch.im.any() and (batch.den == 1).all()
-        assert set(np.unique(batch.re).tolist()) <= {-1, 0, 1}
-        assert _dual_lefschetz_table(n, k)(batch).is_zero().all()
+        table = _primitive_table(n, k)
+        count = _inputs(table)
+        assert not table.im.any() and table.den == 1
+        assert set(table.re.tolist()) <= {-1, 1}
+        assert _composed(_dual_lefschetz_table(n, k), table).src.size == 0
         column_p = np.array([len(mono.s) for mono in monomial_basis(n, k)])
-        row_p = _holomorphic_degrees(batch)
+        pair_p = column_p[_pair_outputs(table)]
+        index_p = np.zeros(count, dtype=np.int64)
+        index_p[table.src] = pair_p
+        assert np.array_equal(index_p[table.src], pair_p)  # one bidegree per form
         for p in range(max(0, k - n), min(k, n) + 1):
             q = k - p
-            rows = batch.re[row_p == p]
-            assert not rows[:, column_p != p].any()
             want = comb(n, p) * comb(n, q) - (comb(n, p - 1) * comb(n, q - 1) if p and q else 0)
-            assert len(rows) == (want if k <= n else 0)
+            assert np.count_nonzero(index_p == p) == (want if k <= n else 0)
         if k <= n:
-            assert rank(lefschetz_power(batch, n - k).sparse_rows()) == batch.rows
+            image = _composed(_power_table(n, k, n - k), table)
+            assert rank(list(image.rows().values())) == count
 
 
 def test_tableau_basis_fixture_at_dimension_two():

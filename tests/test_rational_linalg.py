@@ -1,19 +1,22 @@
-"""Exact Gaussian-rational elimination: rank.
+"""Exact Gaussian-rational elimination: rank, whole and per component.
 
 `rank` eliminates forward on sparse rows; a dense Gauss-Jordan elimination
-kept here is the oracle.  Its pivot count is the rank, and its pivot
-columns are where the rank of the column prefixes goes up.  The kernel and
-round-trip checks read the oracle's reduced rows.
+kept here is the oracle, for it and for `component_rank`.  Its pivot count
+is the rank, and its pivot columns are where the rank of the column
+prefixes goes up.  The kernel and round-trip checks read the oracle's
+reduced rows.
 """
 
 import random
 from fractions import Fraction
+from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerlab.exterior import GaussRational
-from kahlerlab.rational_linalg import rank
+from kahlerlab.rational_linalg import component_rank, rank
 
 
 def _gr(re, im=0):
@@ -167,3 +170,48 @@ def test_sparse_elimination_matches_the_dense_oracle(case):
     _, want_pivots = _oracle_rref(m)
     assert rank(m) == rank(_sparse_rows(m)) == len(want_pivots)
     assert _prefix_pivots(_sparse_rows(m), cols) == want_pivots
+
+
+# ---- rank per connected component -------------------------------------------
+
+
+@st.composite
+def _block_diagonal(draw):
+    """Blocks on disjoint rows and columns, some repeated, with the rows and
+    the columns of the whole matrix then permuted."""
+    blocks = draw(st.lists(_matrices(), min_size=1, max_size=4))
+    blocks += [blocks[0]] * draw(st.integers(0, 2))
+    cols = sum(c for _, c in blocks)
+    zero = GaussRational(0)
+    m, offset = [], 0
+    for block, c in blocks:
+        m += [[zero] * offset + row + [zero] * (cols - offset - c) for row in block]
+        offset += c
+    perm = draw(st.permutations(range(cols)))
+    m = [[row[p] for p in perm] for row in m]
+    return draw(st.permutations(m)), cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_diagonal())
+def test_component_rank_matches_the_whole_matrix_and_the_oracle(case):
+    m, _ = case
+    want = len(_oracle_rref(m)[1])
+    assert component_rank(_sparse_rows(m)) == rank(m) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_component_rank_of_every_lefschetz_power_table(n):
+    """Every L^j table: per component against the whole matrix, and against
+    the dense oracle while it stays cheap (n <= 3)."""
+    from kahlerlab.kaehler import _power_table
+
+    for k in range(2 * n + 1):
+        for j in range((2 * n - k) // 2 + 1):
+            rows = list(_power_table(n, k, j).rows().values())
+            got = component_rank(rows)
+            assert got == rank(rows), (k, j)
+            if n <= 3:
+                cols = comb(2 * n, k)
+                dense = [[row.get(c, GaussRational(0)) for c in range(cols)] for row in rows]
+                assert got == len(_oracle_rref(dense)[1]), (k, j)
