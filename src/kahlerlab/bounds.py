@@ -84,14 +84,8 @@ def verify_ck_is_min(n: int, k: int) -> MinimalityReport:
     return MinimalityReport(n, k, ck, minimum, argmin, ck == minimum)
 
 
-def middle_pq_bound(
-    n: int, p: int, q: int, dbar_normalization: bool = False
-) -> Fraction:
-    """Middle-degree (p+q = n) bound from the two adjacent bidegrees.
-
-    With dbar_normalization the constant is halved, matching the one-sided
-    Laplacian convention that appears before the final doubling step.
-    """
+def middle_pq_bound(n: int, p: int, q: int) -> Fraction:
+    """Middle-degree (p+q = n) bound from the two adjacent bidegrees."""
     _check_dim(n)
     if p + q != n:
         raise ValueError(f"expected p+q = n = {n}, got p+q = {p + q}")
@@ -102,16 +96,14 @@ def middle_pq_bound(
         candidates.append(c_pq(n, p, q + 1))
     if not candidates:
         raise ValueError("no adjacent bidegree is defined")
-    value = min(candidates)
-    return value / 2 if dbar_normalization else value
+    return min(candidates)
 
 
-def middle_k_bound(n: int, dbar_normalization: bool = False) -> Fraction:
+def middle_k_bound(n: int) -> Fraction:
     """Middle-degree bound min(c_k at n-1, n+1), which is c_k(n, n-1): the
     two adjacent degrees reflect into each other."""
     _check_dim(n)
-    value = c_k(n, n - 1)
-    return value / 2 if dbar_normalization else value
+    return c_k(n, n - 1)
 
 
 def _check_eta_sq(eta_sq: Fraction) -> Fraction:

@@ -2,11 +2,14 @@
 
 Subcommands: `verify` (randomized exact identity suites), `constants`
 (exact bound-constant tables), `bsd` (classical domain tables), and
-`spectrum` (radial eigensolver runs).  Exit codes: 0 on success, 1 when a
-verification suite reports failures, 2 on usage errors, and 1 when the
-reader of stdout closes it early.  `--format json` prints one compact
-document per call.  The parser is built on the first call and reused by
-every later call in the process.
+`spectrum` (radial eigensolver runs).  `bsd --family` hands its --p/--q/--m
+to `DomainFactor`, which checks them against the family table in
+`domains`; `spectrum` reads the flags each radial model takes from
+`_MODELS`.  Exit codes: 0 on success, 1 when a verification suite reports
+failures, 2 on usage errors (a bad domain or model parameter prints
+`error: ...`), and 1 when the reader of stdout closes it early.
+`--format json` prints one compact document per call.  The parser is built
+on the first call and reused by every later call in the process.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from .bounds import (
     spectral_bound,
 )
 from .domains import (
+    _FAMILIES,
     BoundReport,
+    DomainFactor,
     classical_table,
     degree_k_bounds,
     domain,
     parse_product,
-    type_I,
-    DomainFactor,
 )
 from .harness import SUITES, RandomSpec, run_all, run_suite
 from .spectral import (
@@ -47,6 +50,14 @@ from .spectral import (
     lambda0_estimate,
     richardson_extrapolate,
 )
+
+
+# The radial models and the flags each takes, its required flag first.
+_MODELS = {
+    "rh": (RealHyperbolic, ("m", "curvature")),
+    "ch": (ComplexHyperbolic, ("n",)),
+}
+_MODEL_FLAGS = ("m", "n", "curvature")
 
 
 def _fraction(text: str) -> Fraction:
@@ -106,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsd = sub.add_parser(
         "bsd", help="bounded symmetric domain invariant and bound tables"
     )
-    p_bsd.add_argument("--family", choices=("I", "II", "III", "IV", "V", "VI"))
+    p_bsd.add_argument("--family", choices=tuple(_FAMILIES))
     p_bsd.add_argument("--p", type=int, default=None)
     p_bsd.add_argument("--q", type=int, default=None)
     p_bsd.add_argument("--m", type=int, default=None)
@@ -122,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsd.add_argument("--format", choices=("csv", "json", "md"), default="csv")
 
     p_spec = sub.add_parser("spectrum", help="radial Dirichlet eigensolves")
-    p_spec.add_argument("--model", choices=("rh", "ch"), required=True)
+    p_spec.add_argument("--model", choices=tuple(_MODELS), required=True)
     p_spec.add_argument("--m", type=int, default=None, help="real dimension (rh)")
     p_spec.add_argument("--n", type=int, default=None, help="complex dimension (ch)")
     p_spec.add_argument(
@@ -255,31 +266,15 @@ def _cmd_constants(args, parser) -> int:
 
 
 def _select_domain(args, parser):
-    chosen = args.product is not None
-    if args.family is not None and chosen:
+    if args.family is not None and args.product is not None:
         parser.error("give either --family or --product, not both")
     if args.product is not None:
         return parse_product(args.product)
-    if args.family is None:
-        if any(v is not None for v in (args.p, args.q, args.m)):
-            parser.error("--p/--q/--m need --family")
-        return None
-    fam = args.family
-    if fam == "I":
-        if args.p is None or args.q is None:
-            parser.error("family I needs --p and --q")
-        if args.m is not None:
-            parser.error("family I takes --p/--q, not --m")
-        return domain(type_I(args.p, args.q))
-    if fam in ("II", "III", "IV"):
-        if args.m is None:
-            parser.error(f"family {fam} needs --m")
-        if args.p is not None or args.q is not None:
-            parser.error(f"family {fam} takes --m, not --p/--q")
-        return domain(DomainFactor(fam, m=args.m))
-    if args.p is not None or args.q is not None or args.m is not None:
-        parser.error(f"family {fam} takes no parameters")
-    return domain(DomainFactor(fam))
+    if args.family is not None:
+        return domain(DomainFactor(args.family, p=args.p, q=args.q, m=args.m))
+    if any(v is not None for v in (args.p, args.q, args.m)):
+        parser.error("--p/--q/--m need --family")
+    return None
 
 
 def _bsd_row(report: BoundReport) -> dict:
@@ -326,24 +321,15 @@ def _cmd_bsd(args, parser) -> int:
 
 
 def _cmd_spectrum(args, parser) -> int:
-    if args.model == "rh":
-        if args.m is None:
-            parser.error("rh model needs --m")
-        if args.n is not None:
-            parser.error("rh model takes --m, not --n")
-        model = RealHyperbolic(
-            args.m, curvature=1.0 if args.curvature is None else args.curvature
-        )
-    else:
-        if args.n is None:
-            parser.error("ch model needs --n")
-        if args.m is not None:
-            parser.error("ch model takes --n, not --m")
-        if args.curvature is not None:
-            parser.error("the ch model has a fixed normalization; --curvature "
-                         "applies to rh only")
-        model = ComplexHyperbolic(args.n)
-    radii = args.radii if args.radii is not None else None
+    build, flags = _MODELS[args.model]
+    given = {flag: getattr(args, flag) for flag in _MODEL_FLAGS
+             if getattr(args, flag) is not None}
+    if flags[0] not in given:
+        parser.error(f"{args.model} model needs --{flags[0]}")
+    if not given.keys() <= set(flags):
+        parser.error(f"{args.model} model takes only "
+                     + ", ".join(f"--{flag}" for flag in flags))
+    radii = args.radii
     if radii is None:
         if args.radius is None:
             parser.error("give --radius or --radii")
@@ -351,6 +337,7 @@ def _cmd_spectrum(args, parser) -> int:
     elif args.radius is not None:
         parser.error("give either --radius or --radii, not both")
     try:
+        model = build(**given)
         for radius in radii:  # refuse any radius before the first solve
             check_grid(model, radius, args.grid)
         results = [lambda0_estimate(model, radius, args.grid) for radius in radii]

@@ -1,97 +1,88 @@
 """Classical bounded symmetric domains and their spectral bound tables.
 
-Each irreducible factor carries the invariants (dimension, genus, rank)
-from the classical list; products combine additively through the squared
-length of the canonical Kaehler potential gradient, L^2 = sum rank * genus.
-With the Ricci normalization Ric = -ricci * g the holomorphic sectional
-curvature is bounded above by -K with K = 2 * ricci / L^2, and the bottom
-of the Laplace spectrum on functions is at least n^2 * ricci / (2 L^2).
+The six classical families live in one table, `_FAMILIES`: each family's
+parameter names in label order, the least value of its parameters, which
+must also be nondecreasing (1 <= p <= q for type I), and one function
+giving the invariants (dimension, genus, rank).  Factor validation and
+invariants, labels, the arity check of `parse_product` and the default sweep
+of `classical_table` all read that table.
+
+Products combine additively through the squared length of the canonical
+Kaehler potential gradient, L^2 = sum rank * genus.  With the Ricci
+normalization Ric = -ricci * g the holomorphic sectional curvature is
+bounded above by -K with K = 2 * ricci / L^2, and the bottom of the Laplace
+spectrum on functions is at least n^2 * ricci / (2 L^2).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple
 
 from .bounds import c_k, middle_k_bound
 
-_FAMILIES = ("I", "II", "III", "IV", "V", "VI")
+
+class _Family(NamedTuple):
+    """One row of the family table: the parameter names in label order, their
+    least value, and (dimension, genus, rank) as a function of them."""
+
+    params: tuple[str, ...]
+    least: int
+    invariants: Callable[..., tuple[int, int, int]]
+
+
+_FAMILIES = {
+    "I": _Family(("p", "q"), 1, lambda p, q: (p * q, p + q, p)),
+    "II": _Family(("m",), 2, lambda m: (m * (m - 1) // 2, 2 * (m - 1), m // 2)),
+    "III": _Family(("m",), 1, lambda m: (m * (m + 1) // 2, m + 1, m)),
+    "IV": _Family(("m",), 3, lambda m: (m, m, 2)),
+    "V": _Family((), 0, lambda: (16, 12, 2)),
+    "VI": _Family((), 0, lambda: (27, 18, 3)),
+}
+_SWEEP_TOP = 6  # largest parameter of the default classical_table sweep
+
+
+def _label(family: str, params) -> str:
+    return f"{family}({','.join(map(str, params))})" if params else family
 
 
 @dataclass(frozen=True)
 class DomainFactor:
-    """One irreducible classical domain."""
+    """One irreducible classical domain; its invariants are worked out once,
+    from the family table, when the factor is made."""
 
     family: str
     p: int | None = None
     q: int | None = None
     m: int | None = None
+    dimension: int = field(init=False, repr=False, compare=False)
+    genus: int = field(init=False, repr=False, compare=False)
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f = self.family
-        if f not in _FAMILIES:
-            raise ValueError(f"unknown family {f!r}")
-        if f == "I":
-            if self.p is None or self.q is None or not (1 <= self.p <= self.q):
-                raise ValueError("family I needs integers 1 <= p <= q")
-            if self.m is not None:
-                raise ValueError("family I takes (p, q), not m")
-        elif f in ("II", "III", "IV"):
-            floor = {"II": 2, "III": 1, "IV": 3}[f]
-            if self.m is None or self.m < floor:
-                raise ValueError(f"family {f} needs integer m >= {floor}")
-            if self.p is not None or self.q is not None:
-                raise ValueError(f"family {f} takes m, not (p, q)")
-        else:
-            if self.p is not None or self.q is not None or self.m is not None:
-                raise ValueError(f"family {f} takes no parameters")
-
-    @property
-    def dimension(self) -> int:
-        f = self.family
-        if f == "I":
-            return self.p * self.q
-        if f == "II":
-            return self.m * (self.m - 1) // 2
-        if f == "III":
-            return self.m * (self.m + 1) // 2
-        if f == "IV":
-            return self.m
-        return 16 if f == "V" else 27
-
-    @property
-    def genus(self) -> int:
-        f = self.family
-        if f == "I":
-            return self.p + self.q
-        if f == "II":
-            return 2 * (self.m - 1)
-        if f == "III":
-            return self.m + 1
-        if f == "IV":
-            return self.m
-        return 12 if f == "V" else 18
-
-    @property
-    def rank(self) -> int:
-        f = self.family
-        if f == "I":
-            return self.p
-        if f == "II":
-            return self.m // 2
-        if f == "III":
-            return self.m
-        if f == "IV":
-            return 2
-        return 2 if f == "V" else 3
+        family = _FAMILIES.get(self.family)
+        if family is None:
+            raise ValueError(f"unknown family {self.family!r}")
+        names, least, invariants = family
+        values = [least, *[getattr(self, name) for name in names]]
+        # the family's parameters and no others, nondecreasing from least
+        if ((self.p, self.q, self.m).count(None) + len(names) != 3
+                or None in values or sorted(values) != values):
+            takes = " <= ".join(map(str, [least, *names]))
+            takes = f"integer{'s' * (len(names) > 1)} {takes}" if names else "no parameters"
+            got = ", ".join(f"{name}={getattr(self, name)}" for name in ("p", "q", "m")
+                            if getattr(self, name) is not None)
+            raise ValueError(f"family {self.family} takes {takes}, got {got or 'none'}")
+        dimension, genus, rank = invariants(*values[1:])
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "rank", rank)
 
     def label(self) -> str:
-        if self.family == "I":
-            return f"I({self.p},{self.q})"
-        if self.family in ("II", "III", "IV"):
-            return f"{self.family}({self.m})"
-        return self.family
+        return _label(self.family, [getattr(self, name) for name in _FAMILIES[self.family].params])
 
 
 def type_I(p: int, q: int) -> DomainFactor:
@@ -140,29 +131,22 @@ def domain(*factors: DomainFactor) -> DomainSpec:
     return DomainSpec(tuple(factors))
 
 
-_FACTOR_RE = re.compile(r"^(VI|V|IV|III|II|I)(?:\(([0-9]+)(?:,([0-9]+))?\))?$")
+_FACTOR_RE = re.compile(r"^([A-Z]+)(?:\(([0-9]+(?:,[0-9]+)*)\))?$")
 
 
 def parse_product(text: str) -> DomainSpec:
     """Parse 'I(2,3)xIV(5)' style product labels ('x' or '*' separated)."""
     factors = []
     for chunk in re.split(r"[x*]", text.replace(" ", "")):
-        m = _FACTOR_RE.match(chunk)
-        if not m:
+        match = _FACTOR_RE.match(chunk)
+        if not match or match.group(1) not in _FAMILIES:
             raise ValueError(f"cannot parse domain factor {chunk!r}")
-        fam, a, b = m.group(1), m.group(2), m.group(3)
-        if fam == "I":
-            if a is None or b is None:
-                raise ValueError("family I needs two parameters, e.g. I(2,3)")
-            factors.append(type_I(int(a), int(b)))
-        elif fam in ("II", "III", "IV"):
-            if a is None or b is not None:
-                raise ValueError(f"family {fam} needs one parameter")
-            factors.append(DomainFactor(fam, m=int(a)))
-        else:
-            if a is not None:
-                raise ValueError(f"family {fam} takes no parameters")
-            factors.append(DomainFactor(fam))
+        family, values = match.groups()
+        values = values.split(",") if values else ()
+        names = _FAMILIES[family].params
+        if len(values) != len(names):
+            raise ValueError(f"family {family} is written {_label(family, names)}, not {chunk!r}")
+        factors.append(DomainFactor(family, **{n: int(v) for n, v in zip(names, values)}))
     return DomainSpec(tuple(factors))
 
 
@@ -257,37 +241,14 @@ class BoundReport:
         )
 
 
-def classical_table(
-    ranges: dict[str, list] | None = None,
-    ricci: Fraction = Fraction(1),
-    max_param: int = 6,
-) -> list[BoundReport]:
-    """Reports for a sweep of the classical families.
-
-    `ranges` maps family name to parameter lists ((p,q) pairs for I, m for
-    II/III/IV, anything truthy for V/VI); when omitted a default sweep up to
-    max_param is used.
-    """
-    if ranges is None:
-        ranges = {
-            "I": [(p, q) for p in range(1, max_param + 1) for q in range(p, max_param + 1)],
-            "II": list(range(2, max_param + 1)),
-            "III": list(range(1, max_param + 1)),
-            "IV": list(range(3, max_param + 1)),
-            "V": [()],
-            "VI": [()],
-        }
-    reports = []
-    for fam in _FAMILIES:
-        for params in ranges.get(fam, []):
-            if fam == "I":
-                factor = type_I(*params)
-            elif fam in ("II", "III", "IV"):
-                factor = DomainFactor(fam, m=params)
-            else:
-                factor = DomainFactor(fam)
-            reports.append(BoundReport.build(domain(factor), ricci))
-    return reports
+def classical_table(ricci: Fraction = Fraction(1)) -> list[BoundReport]:
+    """Reports for every classical factor whose parameters are at most 6,
+    family by family in table order, parameters in lexicographic order."""
+    return [
+        BoundReport.build(domain(DomainFactor(family, **dict(zip(names, values)))), ricci)
+        for family, (names, least, _) in _FAMILIES.items()
+        for values in combinations_with_replacement(range(least, _SWEEP_TOP + 1), len(names))
+    ]
 
 
 __all__ = [

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import kaehler, rational_linalg as rl
+from . import rational_linalg as rl
 from .exterior import (
     ZERO,
     Batch,
@@ -81,9 +81,6 @@ class RandomSpec:
 
     seed: int = 42
     coeff_bound: int = 3
-    p: Optional[int] = None
-    q: Optional[int] = None
-    k: Optional[int] = None
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
@@ -549,10 +546,8 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
         holomorphic = np.zeros(count, dtype=np.int64)
         holomorphic[basis.src] = np.array(
             [len(mono.s) for mono in monomial_basis(n, k)])[_pair_outputs(basis)]
-        # the dual Lefschetz operator as `dual_lefschetz` applies it; the
-        # star route below checks this module's `_dual_lefschetz_table`
         kept = np.ones(count, dtype=bool)
-        kept[_chain(n, k, (_primitive_table,), (kaehler._dual_lefschetz_table,)).src] = False
+        kept[_chain(n, k, (_primitive_table,), (_dual_lefschetz_table,)).src] = False
         killed.update((p, k - p) for p in holomorphic[kept].tolist())
         if k <= n:  # C(2n,k) - C(2n,k-2) against the sum of the bidegree counts
             rec.equal(f"primitive-dimension-formula[k={k}]", 0, at, expected,

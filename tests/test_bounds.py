@@ -134,13 +134,6 @@ def test_middle_substitutes_take_the_adjacent_minimum():
             assert middle_pq_bound(n, p, q) == min(candidates)
 
 
-def test_dbar_normalization_halves():
-    assert middle_pq_bound(2, 1, 1, dbar_normalization=True) == Fraction(1, 8)
-    assert middle_k_bound(3, dbar_normalization=True) == Fraction(1, 8)
-    for n in (1, 2, 3):
-        assert middle_k_bound(n, dbar_normalization=True) * 2 == middle_k_bound(n)
-
-
 def test_minimality_spot_check_passes_at_small_parameters():
     rep = verify_ck_is_min(3, 1)
     assert rep.passed

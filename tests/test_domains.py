@@ -192,10 +192,23 @@ def test_bound_report_build():
     assert rep.eta_sq == Fraction(5)
 
 
+# every classical factor with parameters at most 6, family by family
+SWEEP_LABELS = [
+    "I(1,1)", "I(1,2)", "I(1,3)", "I(1,4)", "I(1,5)", "I(1,6)",
+    "I(2,2)", "I(2,3)", "I(2,4)", "I(2,5)", "I(2,6)",
+    "I(3,3)", "I(3,4)", "I(3,5)", "I(3,6)",
+    "I(4,4)", "I(4,5)", "I(4,6)", "I(5,5)", "I(5,6)", "I(6,6)",
+    "II(2)", "II(3)", "II(4)", "II(5)", "II(6)",
+    "III(1)", "III(2)", "III(3)", "III(4)", "III(5)", "III(6)",
+    "IV(3)", "IV(4)", "IV(5)", "IV(6)", "V", "VI",
+]
+
+
 def test_classical_table_default_sweep():
-    table = classical_table(max_param=6)
-    labels = {rep.spec.label() for rep in table}
-    assert "IV(5)" in labels and "V" in labels and "VI" in labels
+    table = classical_table()
+    assert [rep.spec.label() for rep in table] == SWEEP_LABELS
+    for rep in table:
+        assert parse_product(rep.spec.label()) == rep.spec
     by_label = {rep.spec.label(): rep for rep in table}
     assert by_label["IV(5)"].lambda0 == Fraction(5, 4)
     assert by_label["I(1,1)"].lambda0 == Fraction(1, 4)
@@ -203,8 +216,4 @@ def test_classical_table_default_sweep():
         assert rep.lambda0 > 0
         assert rep.eta_sq == rep.length_sq / 2
 
-
-def test_classical_table_custom_ranges():
-    table = classical_table(ranges={"IV": [9, 10]}, ricci=Fraction(2))
-    assert [rep.spec.label() for rep in table] == ["IV(9)", "IV(10)"]
-    assert table[0].lambda0 == Fraction(9, 2)
+    assert classical_table(Fraction(2))[SWEEP_LABELS.index("IV(5)")].lambda0 == Fraction(5, 2)
