@@ -363,7 +363,6 @@ def _cmd_spectrum(args, parser) -> int:
                 f"R={res.radius:g} N={res.cells} lambda={res.lambda_min:.12g} "
                 f"scaled={res.scaled_lambda:.12g} residual={res.residual:.3e} "
                 f"bracket=[{res.bracket_lo!r}, {res.bracket_hi!r}]"
-                + ("" if res.refined else " unrefined")
             )
         if extrapolated is not None:
             print(f"extrapolated scaled bottom: {extrapolated:.12g}")

@@ -68,12 +68,14 @@ class DomainFactor:
             raise ValueError(f"unknown family {self.family!r}")
         names, least, invariants = family
         values = [least, *[getattr(self, name) for name in names]]
-        # the family's parameters and no others, nondecreasing from least
+        # the family's parameters and no others, of type int (not bool),
+        # nondecreasing from least
         if ((self.p, self.q, self.m).count(None) + len(names) != 3
-                or None in values or sorted(values) != values):
+                or not all(type(v) is int for v in values)
+                or sorted(values) != values):
             takes = " <= ".join(map(str, [least, *names]))
             takes = f"integer{'s' * (len(names) > 1)} {takes}" if names else "no parameters"
-            got = ", ".join(f"{name}={getattr(self, name)}" for name in ("p", "q", "m")
+            got = ", ".join(f"{name}={getattr(self, name)!r}" for name in ("p", "q", "m")
                             if getattr(self, name) is not None)
             raise ValueError(f"family {self.family} takes {takes}, got {got or 'none'}")
         dimension, genus, rank = invariants(*values[1:])

@@ -4,22 +4,21 @@ The radial Laplacian -(1/w) d/drho (w du/drho) on a geodesic ball of radius
 R is discretized in flux form on the cell-centered grid rho_j = (j - 1/2) h,
 h = R/N.  The interface weight at the axis vanishes with the volume density,
 which closes the first row without any boundary fudge; the outer boundary is
-a Dirichlet ghost cell.  Conjugating by sqrt(w) makes the matrix symmetric
-tridiagonal.  The bottom eigenvalue of a grid 16 times coarser, but of at
-least 1024 cells, is a shift for one inverse-iteration sweep and one
-Rayleigh-quotient step on the full grid; the inertia of two LAPACK pttrf
-LDL^T factorizations certifies the quotient, and its vector is polished.
-Otherwise the eigenvalue comes from LAPACK stebz (Kahan-Demmel bisection)
-and the polish starts from the flat start.  The polish shifts below the
-bracket, so T - shift is positive definite: one pttrf factorization,
-float64 pttrs sweeps, and one sweep of mixed-precision iterative
-refinement that stops when the long-double residual reaches its rounding
-floor.  T stays float64 throughout: the long-double arithmetic writes
-into three vectors allocated once per polish, so a solve peaks at about
-97 B of arrays per cell.  check_grid refuses, from scalars and before any
-array exists, a grid the solve cannot finish: fewer than two or more than
-MAX_CELLS cells, or a density or matrix entries that leave float64 at
-that radius.
+a Dirichlet ghost cell.  Conjugating by sqrt(w) makes the matrix T symmetric
+tridiagonal.  The two lowest eigenvalues of a grid 16 times coarser, but of
+at least 1024 cells, guide a float64 inverse-iteration guess on the full
+grid.  Its vector is polished below the guess on one LAPACK pttrf
+factorization, the last sweep by mixed-precision iterative refinement in
+long double, to a Rayleigh quotient rho and residual r.  One LAPACK stebz
+Sturm count that finds exactly one eigenvalue at or below mu, midway between
+rho and the coarse lambda_2, makes [rho - r^2 / (mu - rho), rho] a bracket of
+lambda_1 by Temple's inequality, widened by the rounding of rho, r and the
+count so that it holds for the float64 T.  A guess that fails or a gap the
+count refuses falls back once to stebz's two lowest eigenvalues of T.  T stays
+float64 throughout; a solve peaks at about 97 B of arrays per cell, in the
+polish.  check_grid refuses, from scalars and before any array exists, a
+grid the solve cannot finish: fewer than two or more than MAX_CELLS cells,
+or a density or matrix entries that leave float64 at that radius.
 scipy is imported by the first eigensolve, not with the module: the exact
 layers never load it.
 
@@ -34,17 +33,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
 _BISECT_TOL = 1e-12  # absolute tolerance handed to stebz
-# stebz's pivots, a float64 Rayleigh quotient and LDL^T pivots each round to
-# about eps ||T||_1; an inertia check that disagrees with stebz widens the
-# bracket eightfold, at most 8 times.
-_BRACKET_UNITS = 4.0
-_WIDENINGS = 8
+_GUESS_TOL = 1e-6  # the coarse pair only guides: its grid is off by far more
 # A solve peaks at about 97 B of arrays per cell, in the polish: float64 T,
 # its pttrf factors, the start vector and the correction (48 B) and three
 # long-double vectors (48 B); 9.7 MB traced at N = 1e5, and 94 MB of RSS at
@@ -53,6 +49,7 @@ _WIDENINGS = 8
 MAX_CELLS = 1_000_000
 _COARSE_CELLS = 1024  # fewest cells of the coarse grid, if the full grid has them
 _SWEEPS = 3  # inverse-iteration sweeps from the flat start vector
+_EPS = sys.float_info.epsilon
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
@@ -164,23 +161,15 @@ def assemble_tridiagonal(
 
 @dataclass(frozen=True)
 class BisectionResult:
-    """A certified bracket [lo, hi] around value; vector is the unit float64
-    vector whose Rayleigh quotient value is, when a guess certified."""
+    """The polished Rayleigh quotient value, its residual, and [lo, hi]
+    around lambda_1 of the float64 matrix by Temple's inequality; iterations
+    is the number of Sturm counts run (1, 2 after a refused gap, 0 on one row)."""
 
     value: float
     lo: float
     hi: float
     iterations: int
-    vector: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-def _ldlt(diag, off, shift):
-    """LAPACK pttrf factors (d, e) of T - shift = L D L^T, or None when
-    T - shift is not positive definite (pttrf stops at the first pivot <= 0)."""
-    from scipy.linalg.lapack import dpttrf
-
-    d, e, info = dpttrf(diag - shift, off, overwrite_d=1)
-    return (d, e) if info == 0 else None
+    residual: float
 
 
 def _pttrs(factors, rhs):
@@ -193,63 +182,79 @@ def _pttrs(factors, rhs):
     return x
 
 
-def _definite(diag: np.ndarray, off: np.ndarray, shift: float) -> bool:
-    """Whether T - shift is positive definite: by Sylvester's law of inertia,
-    no eigenvalue lies at or below shift exactly when every LDL^T pivot is
-    positive."""
-    if len(diag) == 1:
-        return bool(diag[0] - shift > 0.0)
-    return _ldlt(diag, off, shift) is not None
+def _count_below(diag, off, mu) -> int:
+    """The number of eigenvalues at or below mu: one Sturm count in LAPACK
+    stebz, range 'V' from below its Gershgorin bound, with an abstol so large
+    that its bisection stops at once."""
+    from scipy.linalg.lapack import dstebz
 
-
-def _certified(diag, off, lam, width, widenings) -> BisectionResult:
-    """Bracket lam -/+ width, widened eightfold up to widenings times, until
-    T - lo is positive definite and T - hi is not (LinAlgError if never)."""
-    for attempt in range(1, widenings + 2):
-        lo, hi = lam - width, lam + width
-        lo_holds, hi_holds = _definite(diag, off, lo), not _definite(diag, off, hi)
-        if lo_holds and hi_holds:
-            return BisectionResult(lam, lo, hi, 2 * attempt)
-        width *= 8.0
-    raise np.linalg.LinAlgError("LDL^T inertia does not certify the eigenvalue")
+    huge = sys.float_info.max
+    count, *_, info = dstebz(diag, off, 1, -huge, mu, 0, 0, huge, b"E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz: info {info}")
+    return count
 
 
 def smallest_eigenvalue_detailed(
-    diag: np.ndarray, off: np.ndarray, tol: float = _BISECT_TOL,
-    near: float | None = None,
+    diag: np.ndarray, off: np.ndarray, coarse: tuple[float, float] | None = None,
 ) -> BisectionResult:
-    """Smallest eigenvalue and a bracket value -/+ (tol + 4 eps ||T||_1)
-    certified by T - lo positive definite and T - hi not; iterations is the
-    number of LDL^T inertia checks behind the returned bracket.  value is the
-    Rayleigh quotient a shift near leads to, with its vector, if its
-    unwidened bracket holds on a matrix of at least three rows, and otherwise
-    LAPACK stebz's, to tol, with the bracket widened."""
+    """Smallest eigenvalue of T = (diag, off) and its Temple bracket (Temple
+    1928; Kato 1949; Parlett, The Symmetric Eigenvalue Problem, ch. 10),
+    from coarse, a coarser grid's two lowest eigenvalues, through a guess on
+    three rows or more, or else from stebz's (LinAlgError if both fail)."""
     if len(diag) < 1:
         raise ValueError("empty matrix")
     if len(off) != len(diag) - 1:
         raise ValueError("off-diagonal length must be len(diag) - 1")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    column = np.abs(diag)
-    column[:-1] += np.abs(off)
-    column[1:] += np.abs(off)
-    norm1 = float(column.max())
-    width = tol + _BRACKET_UNITS * sys.float_info.epsilon * norm1
-    # scipy's dgttrf wrapper, which the guess factors with, rejects two rows
-    if near is not None and len(diag) > 2:
+    if len(diag) == 1:  # exact; LAPACK's wrappers reject an empty off-diagonal
+        lam = float(diag[0])
+        return BisectionResult(lam, lam, lam, 0, 0.0)
+    # The count is exact for T with each d moved by eps/2 |d| and each e by
+    # 1.25 eps |e|, or zeroed where stebz splits T (|e| <= eps max|d| +
+    # sqrt(tiny)), and tiny pivots set to -pivmin (Kahan 1966; Demmel,
+    # Applied Numerical Linear Algebra, 5.3.4): lambda_2 moves by < slack.
+    scale = max(float(np.abs(diag).max()), float(np.abs(off).max()))
+    slack = Fraction(4.0 * _EPS * scale + 2.0 * math.sqrt(sys.float_info.min))
+    counts = 0
+    for lam, second, start in _estimates(diag, off, coarse):
         try:
-            lam, vector = _rayleigh_guess(diag, off, near)
-            return replace(_certified(diag, off, lam, width, 0), vector=vector)
+            value, residual, x = _inverse_iteration(diag, off, lam, start)
         except np.linalg.LinAlgError:
-            pass  # the guess found another eigenvalue or none: bisect
+            continue  # lam lies above lambda_1 by more than every margin
+        spread, bound = map(Fraction, _rounding(diag, off, x, value, residual))
+        del x  # the count's work arrays take its place
+        mu = 0.5 * (value + second)
+        rho = Fraction(value)
+        gap = Fraction(mu) - slack - rho - spread  # <= lambda_2 - exact quotient
+        if gap > 0:
+            counts += 1
+            if _count_below(diag, off, mu) == 1:
+                # the float64 next to the nearest, outward, is on the far side
+                lo = math.nextafter(float(rho - spread - bound * bound / gap), -math.inf)
+                hi = math.nextafter(float(rho + spread), math.inf)
+                return BisectionResult(value, lo, hi, counts, residual)
+    raise np.linalg.LinAlgError("no estimate of lambda_1 was polished and certified")
+
+
+def _estimates(diag, off, coarse):
+    """(lambda_1, lambda_2, float64 start vector or None) in the order the
+    solve tries them: the guess from coarse, unless it fails, then stebz's."""
+    # scipy's dgttrf wrapper, which the guess factors with, rejects two rows
+    if coarse is not None and len(diag) > 2:
+        try:
+            lam, vector = _rayleigh_guess(diag, off, coarse[0])
+        except np.linalg.LinAlgError:
+            pass  # a zero pivot or a failed solve: bisect
+        else:
+            yield lam, coarse[1], vector
     from scipy.linalg import eigh_tridiagonal
 
-    lam = float(eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, 0), tol=tol
-    )[0])
-    return _certified(diag, off, lam, width, _WIDENINGS)
+    first, second = eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, 1), tol=_BISECT_TOL
+    )
+    yield float(first), float(second), None
 
 
 def _rayleigh_guess(diag, off, near) -> tuple[float, np.ndarray]:
@@ -266,10 +271,8 @@ def _rayleigh_guess(diag, off, near) -> tuple[float, np.ndarray]:
     return shift, v
 
 
-def smallest_eigenvalue(
-    diag: np.ndarray, off: np.ndarray, tol: float = _BISECT_TOL
-) -> float:
-    return smallest_eigenvalue_detailed(diag, off, tol).value
+def smallest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
+    return smallest_eigenvalue_detailed(diag, off).value
 
 
 def _tridiagonal_matvec(diag, off, v, out=None, tmp=None):
@@ -302,16 +305,35 @@ def _gttrs(factors, rhs):
     return x[:, 0]
 
 
-def _rounding_floor(diag, off, shift, x) -> float:
-    """2 eps_ld || |T - shift| |x| ||, the rounding floor of a long-double
-    evaluation of (T - shift) x (Higham, ch. 3), from float64 magnitudes."""
+def _magnitudes(diag, off, shift, x) -> np.ndarray:
+    """|T - shift| |x| for a float64 x: the componentwise scale of the
+    rounding of (T - shift) x and, weighted by |x|, of x^T T x (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3)."""
     bound = np.subtract(diag, shift)
     bound *= x
     np.abs(bound, out=bound)
-    tmp = np.multiply(off, x[1:])
-    bound[:-1] += np.abs(tmp, out=tmp)
+    tmp = np.empty_like(off)
+    bound[:-1] += np.abs(np.multiply(off, x[1:], out=tmp), out=tmp)
     bound[1:] += np.abs(np.multiply(off, x[:-1], out=tmp), out=tmp)
-    return 2.0 * _EPS_LD * float(np.linalg.norm(bound))
+    return bound
+
+
+def _rounding(diag, off, x, value, residual) -> tuple[float, float]:
+    """How far value, the Rayleigh quotient of the long-double unit x taken in
+    long double and rounded to float64, may lie from the exact one, and a
+    bound on the exact |T x - value x| from residual, its computed value.
+    A long-double T x rounds by at most 1.5 eps_ld |T| |x|, a dot product of
+    n terms by n/2 eps_ld of its magnitudes, a float64 result by eps/2; the
+    factor 2 on the scales and 4 eps on residual cover these sums' own
+    float64 evaluation."""
+    n, x = len(x), x.astype(float)
+    scales = _magnitudes(diag, off, 0.0, x)
+    norm = float(np.linalg.norm(scales))
+    weighted = float(np.dot(scales, np.abs(x, out=x)))
+    bound = (1.0 + (n + 3) * _EPS_LD + 4.0 * _EPS) * residual
+    bound += _EPS_LD * (2.0 * norm + abs(value))
+    spread = 2.0 * _EPS_LD * weighted + ((n + 2) * _EPS_LD + _EPS) * (abs(value) + bound)
+    return spread, bound
 
 
 def _refined_solve(factors, diag, off, shift, v):
@@ -324,7 +346,7 @@ def _refined_solve(factors, diag, off, shift, v):
     step = _pttrs(factors, v.copy())  # later holds each correction
     # the floor from the first solve, taken before the long-double vectors
     # exist: later corrections move x by far less than 1%
-    floor = _rounding_floor(diag, off, shift, step)
+    floor = 2.0 * _EPS_LD * np.linalg.norm(_magnitudes(diag, off, shift, step))
     x = step.astype(np.longdouble)
     r, work = np.empty_like(x), np.empty_like(x)
     size = math.inf
@@ -341,49 +363,41 @@ def _refined_solve(factors, diag, off, shift, v):
         x += _pttrs(factors, step)
 
 
-def _inverse_iteration(
-    diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
-    start: np.ndarray | None = None,
-) -> tuple[float, float, np.ndarray]:
-    """Rayleigh-refined eigenvalue, residual and vector from a certified bracket.
-
-    A float64 vector alone cannot certify residuals below eps * norm(T),
-    which the acceptance grids push past the reporting threshold, so the
-    last sweep's vector is long double and its solve is mixed-precision
-    iterative refinement (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 12) on one LDL^T factorization of T - shift per shift.
-    The shift sits four bracket widths below lo, so T - shift is positive
-    definite and a float64 correction shrinks the error by eps * norm(T)
-    over that gap, <= 1/32.  start is the guess's vector, if it certified;
-    the polish overwrites it.
-    """
-    margin = max(1e-9 * max(1.0, abs(lo)), 4.0 * (hi - lo))
+def _inverse_iteration(diag, off, lam, start) -> tuple[float, float, np.ndarray]:
+    """Rayleigh quotient, residual and long-double unit vector polished from
+    an estimate lam of lambda_1 and its float64 vector start, if any, which
+    the polish overwrites.  The last sweep is mixed-precision iterative
+    refinement (Higham, ch. 12): a float64 vector cannot certify residuals
+    below eps * norm(T).  The shift sits 64 eps |v|^T |T| |v| below lam, past
+    the rounding of a float64 quotient, so a float64 correction shrinks the
+    error by about 1/64 or better; a pttrf that fails moves it 100 times
+    further down, and one that succeeds shows shift < lambda_1."""
+    sweeps = 1
+    if start is None:
+        start, sweeps = np.full(len(diag), 1.0 / math.sqrt(len(diag))), _SWEEPS - 1
+    weighted = np.dot(_magnitudes(diag, off, 0.0, start), np.abs(start))
+    margin = max(1e-9 * max(1.0, abs(lam)), 64.0 * _EPS * float(weighted))
     for attempt in range(5):
         try:
-            return _polish(diag, off, lo - margin, start)
+            return _polish(diag, off, lam - margin, start, sweeps)
         except np.linalg.LinAlgError:
             margin *= 100.0
     raise np.linalg.LinAlgError("inverse iteration could not solve the shifted system")
 
 
-def _polish(diag, off, shift, start):
-    """Rayleigh quotient, residual and unit long-double vector after
-    inverse-iteration sweeps at shift, all on one LAPACK pttrf factorization
-    of T - shift (LinAlgError unless positive definite): one float64 sweep
-    from start, in place, or _SWEEPS - 1 from the flat start without it,
-    then one refined sweep.  Solve error along the eigenvector does not slow
-    inverse iteration (Peters and Wilkinson, SIAM Rev. 21, 1979).  A guess's
-    vector can keep a lambda_2 component of 1e-5 (CH^10, R = 10, N = 3000),
-    and each sweep shrinks it only by (lambda_1 - shift) / (lambda_2 - shift).
-    The residual is a fresh T v of the returned vector, in the refinement's
-    work vectors."""
-    factors = _ldlt(diag, off, shift)
-    if factors is None:
+def _polish(diag, off, shift, v, sweeps):
+    """Rayleigh quotient, residual and unit long-double vector after sweeps
+    float64 inverse-iteration sweeps at shift from v, in place, and one
+    refined sweep, on one LAPACK pttrf factorization of T - shift
+    (LinAlgError unless positive definite).  Solve error along the
+    eigenvector does not slow inverse iteration (Peters and Wilkinson, SIAM
+    Rev. 21, 1979); a guess's lambda_2 component, up to 1e-5 on CH^10,
+    shrinks by (lambda_1 - shift) / (lambda_2 - shift) per sweep."""
+    from scipy.linalg.lapack import dpttrf
+
+    *factors, info = dpttrf(diag - shift, off, overwrite_d=1)
+    if info != 0:
         raise np.linalg.LinAlgError("pttrf: T - shift is not positive definite")
-    if start is None:
-        v, sweeps = np.full(len(diag), 1.0 / math.sqrt(len(diag))), _SWEEPS - 1
-    else:
-        v, sweeps = start, 1
     for _ in range(sweeps):
         v = _pttrs(factors, v)
         v /= math.sqrt(np.dot(v, v))
@@ -392,27 +406,21 @@ def _polish(diag, off, shift, start):
     return (*_rayleigh_residual(diag, off, x, w, work), x)
 
 
-def _rayleigh_residual(diag, off, v, w, work, lam=None) -> tuple[float, float]:
-    """lam and the residual norm |T v - lam v| / |v| of the float64 T and the
-    long-double v, in long double, into the vectors w and work (len(v)
-    entries each).
-
-    lam defaults to the Rayleigh quotient of v.
-    """
+def _rayleigh_residual(diag, off, v, w, work) -> tuple[float, float]:
+    """The Rayleigh quotient lam of the float64 T and the long-double v and
+    the residual |T v - lam v| / |v|, in long double, into the vectors w and
+    work (len(v) entries each)."""
     _tridiagonal_matvec(diag, off, v, w, work[1:])
     vv = np.dot(v, v)
-    if lam is None:
-        lam = np.dot(v, w) / vv
+    lam = np.dot(v, w) / vv
     w -= np.multiply(v, lam, out=work)
     return float(lam), float(np.sqrt(np.dot(w, w) / vv))
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """One eigensolve: model, grid, the bottom pair and its certificate;
-    sturm_counts is the number of LDL^T inertia checks behind the bracket
-    (2 when the first one holds), and refined is false when lambda_min is
-    the bracket's certified centre."""
+    """One eigensolve: model, grid, the polished bottom eigenvalue and its
+    certificate, the Temple bracket and the Sturm counts behind it."""
 
     model: RadialModel
     radius: float
@@ -423,7 +431,6 @@ class EigenResult:
     bracket_lo: float
     bracket_hi: float
     sturm_counts: int
-    refined: bool
 
     def to_dict(self) -> dict:
         return {
@@ -436,42 +443,31 @@ class EigenResult:
             "bracket_lo": self.bracket_lo,
             "bracket_hi": self.bracket_hi,
             "sturm_counts": self.sturm_counts,
-            "refined": self.refined,
         }
 
 
 def lambda0_estimate(model: RadialModel, radius: float, cells: int) -> EigenResult:
-    """Assemble, bracket, refine; the result carries the model normalization."""
+    """Assemble, polish and certify; the result carries the model normalization."""
     from scipy.linalg import eigh_tridiagonal
 
     diag, off = assemble_tridiagonal(model, radius, cells)
-    # a 16x coarser grid's bottom eigenvalue, a guess the full grid certifies;
-    # on a grid of 187 cells it can lie nearer lambda_2 than lambda_1
+    # a 16x coarser grid's two lowest eigenvalues guide the guess and the
+    # count; on a grid of 187 cells the first can lie nearer lambda_2
     coarse = min(cells, max(_COARSE_CELLS, cells // 16))
-    near = None if cells < 32 else float(eigh_tridiagonal(
+    pair = None if cells < 32 else tuple(map(float, eigh_tridiagonal(
         *assemble_tridiagonal(model, radius, coarse), eigvals_only=True,
-        select="i", select_range=(0, 0))[0])
-    bis = smallest_eigenvalue_detailed(diag, off, near=near)
-    lam, resid, vec = _inverse_iteration(diag, off, bis.lo, bis.hi, bis.vector)
-    # a Rayleigh quotient lies within its residual of an eigenvalue: outside
-    # the widened bracket, keep the certified value and its own residual
-    refined = bis.lo - resid <= lam <= bis.hi + resid
-    if not refined:
-        lam, resid = _rayleigh_residual(
-            diag, off, vec, np.empty_like(vec), np.empty_like(vec),
-            np.longdouble(bis.value),
-        )
+        select="i", select_range=(0, 1), tol=_GUESS_TOL)))
+    res = smallest_eigenvalue_detailed(diag, off, pair)
     return EigenResult(
         model=model,
         radius=radius,
         cells=cells,
-        lambda_min=lam,
-        scaled_lambda=model.scale(lam),
-        residual=resid,
-        bracket_lo=bis.lo,
-        bracket_hi=bis.hi,
-        sturm_counts=bis.iterations,
-        refined=refined,
+        lambda_min=res.value,
+        scaled_lambda=model.scale(res.value),
+        residual=res.residual,
+        bracket_lo=res.lo,
+        bracket_hi=res.hi,
+        sturm_counts=res.iterations,
     )
 
 

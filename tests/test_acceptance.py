@@ -288,13 +288,17 @@ def test_6_ball_sharpness_across_dimensions():
 
 def test_7_grid_convergence_second_order_with_tiny_residuals():
     """Observed eigenvalue convergence order in [1.8, 2.2] at R = 20 under
-    N -> 2N -> 4N, residuals certified at or below 1e-10 throughout."""
+    N -> 2N -> 4N, residuals at or below 1e-10 and Temple brackets at most
+    1e-10 either side throughout."""
     model = RealHyperbolic(2)
     radius = 20.0
     values = []
     for cells in (800, 1600, 3200):
         res = lambda0_estimate(model, radius, cells)
         assert res.residual <= 1e-10, f"N={cells} residual {res.residual}"
+        half_width = (res.bracket_hi - res.bracket_lo) / 2
+        assert res.bracket_lo <= res.lambda_min <= res.bracket_hi
+        assert half_width <= 1e-10, f"N={cells} bracket half-width {half_width}"
         values.append(res.lambda_min)
     import math
 

@@ -240,11 +240,10 @@ def test_spectrum_single_radius_json(capsys):
     assert 0.5 < sample["scaled_lambda"] < 0.7
     assert payload["extrapolated_scaled"] is None
     # the certificate of the returned value
-    assert sample["bracket_lo"] < sample["bracket_hi"]
-    assert sample["bracket_lo"] - sample["residual"] <= sample["lambda_min"]
-    assert sample["lambda_min"] <= sample["bracket_hi"] + sample["residual"]
-    assert sample["sturm_counts"] == 2
-    assert sample["refined"] is True
+    assert sample["bracket_lo"] <= sample["lambda_min"] <= sample["bracket_hi"]
+    assert sample["bracket_hi"] - sample["bracket_lo"] <= 2e-10
+    assert sample["sturm_counts"] == 1
+    assert "refined" not in sample  # retired: lambda_min is always polished
     # a single sample is not extrapolated; the run-level key says so
     assert "extrapolated" not in sample
 
@@ -262,7 +261,7 @@ def test_spectrum_multi_radius_extrapolates(capsys):
     assert all("extrapolated" not in sample for sample in payload["samples"])
 
 
-def test_spectrum_text_output(capsys, monkeypatch):
+def test_spectrum_text_output(capsys):
     argv = ["spectrum", "--model", "ch", "--n", "1", "--radii", "8,12", "--grid", "400"]
     code, out, _ = _run(capsys, argv)
     assert code == 0
@@ -273,23 +272,8 @@ def test_spectrum_text_output(capsys, monkeypatch):
     samples = json.loads(payload)["samples"]
     lines = out.splitlines()[:2]
     for line, sample in zip(lines, samples):
-        assert sample["refined"]
         lo, hi = sample["bracket_lo"], sample["bracket_hi"]
         assert line.endswith(f"bracket=[{lo!r}, {hi!r}]")
-    # a sample whose Rayleigh value left its bracket is marked
-    from kahlerlab import spectral
-
-    solve = spectral._inverse_iteration
-
-    def wandered(*args):
-        lam, resid, vec = solve(*args)
-        return lam + 1.0, resid, vec
-
-    monkeypatch.setattr(spectral, "_inverse_iteration", wandered)
-    code, out, _ = _run(capsys, argv)
-    assert code == 0
-    lines = out.splitlines()[:2]
-    assert all(line.endswith("] unrefined") for line in lines)
 
 
 def test_spectrum_curvature_scale(capsys):
@@ -389,7 +373,8 @@ def test_spectrum_on_a_two_cell_grid(capsys):
     )
     assert code == 0
     (sample,) = json.loads(out)["samples"]
-    assert sample["N"] == 2 and sample["refined"] is True
+    assert sample["N"] == 2 and sample["sturm_counts"] == 1
+    assert sample["bracket_lo"] <= sample["lambda_min"] <= sample["bracket_hi"]
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -446,7 +431,7 @@ def test_only_an_eigensolve_imports_scipy():
         "import": False, "constants": False, "verify": False, "spectrum": True,
     }
     (sample,) = result["spectrum"]["samples"]
-    assert sample["refined"] and sample["sturm_counts"] == 2
+    assert sample["sturm_counts"] == 1
     assert sample["bracket_lo"] <= sample["lambda_min"] <= sample["bracket_hi"]
     assert sample["residual"] < 1e-10
 

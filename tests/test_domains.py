@@ -59,6 +59,16 @@ def test_factor_parameter_validation():
         domain()
 
 
+def test_factor_parameters_must_be_integers():
+    # a float or a bool would make a factor labelled IV(3.5) or I(True,2)
+    with pytest.raises(ValueError, match="integers? 3 <= m, got m=3.5"):
+        DomainFactor("IV", m=3.5)
+    with pytest.raises(ValueError, match="got p=True, q=2"):
+        type_I(True, 2)
+    factor = DomainFactor("IV", m=3)
+    assert factor.label() == "IV(3)" and factor_invariants(factor) == (3, 3, 2)
+
+
 def _closed_form_lambda0(factor: DomainFactor) -> Fraction:
     f = factor.family
     if f == "I":

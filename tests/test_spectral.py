@@ -1,8 +1,9 @@
 """Radial eigensolver: assembly, certified bracket, refinement, extrapolation.
 
 Small dense assemblies are cross-checked against numpy's symmetric
-eigensolver, and the LDL^T inertia certificate against a pure-Python Sturm
-count; model scaling laws are exact by construction and asserted exactly.
+eigensolver, and the Temple brackets and the LAPACK Sturm count against a
+Python Sturm count in long double; model scaling laws are exact by
+construction and asserted exactly.
 """
 
 import math
@@ -62,7 +63,7 @@ def test_bisection_result_brackets_the_value():
     assert isinstance(res, BisectionResult)
     assert res.lo <= res.value <= res.hi
     assert res.hi - res.lo <= 1e-11
-    assert res.iterations == 2
+    assert res.iterations == 1
 
 
 def test_bisection_input_validation():
@@ -70,8 +71,6 @@ def test_bisection_input_validation():
         smallest_eigenvalue(np.array([]), np.array([]))
     with pytest.raises(ValueError):
         smallest_eigenvalue(np.array([1.0, 2.0]), np.array([]))
-    with pytest.raises(ValueError):
-        smallest_eigenvalue_detailed(np.array([1.0]), np.array([]), tol=0.0)
 
 
 def test_model_validation():
@@ -141,6 +140,7 @@ def test_eigen_result_payload():
     assert payload["R"] == 8.0 and payload["N"] == 400
     assert "extrapolated" not in payload  # extrapolation belongs to a radius sweep
     assert "pivot_perturbations" not in payload
+    assert "refined" not in payload  # lambda_min is always the polished quotient
     assert payload["residual"] < 1e-10
 
 
@@ -154,27 +154,38 @@ def test_refined_residual_is_certified_small():
         if cells <= 2000:  # small enough for the dense oracle
             v = np.linalg.eigvalsh(_dense(diag, off))[0]
             assert res.lambda_min == pytest.approx(v, rel=1e-9)
-            assert res.bracket_lo <= v <= res.bracket_hi
+            # the bracket is far narrower than eigvalsh's own rounding
+            _assert_certified(diag, off, res, 1e-13)
 
 
 def test_certified_bracket_holds_the_returned_eigenvalue():
-    # eps * ||T||_1 = 1.5e-8 here: a float64 LDL^T inertia check cannot
-    # certify a bracket much narrower than that
-    model, radius, cells = RealHyperbolic(2), 25.0, 100000
-    diag, off = assemble_tridiagonal(model, radius, cells)
-    bis = smallest_eigenvalue_detailed(diag, off)
-    res = lambda0_estimate(model, radius, cells)
-    lo, hi = res.bracket_lo, res.bracket_hi
-    assert lo - res.residual <= res.lambda_min <= hi + res.residual
-    # the bracket is centred on a Rayleigh quotient, not on the stebz value,
-    # but it is as wide, holds that value and is certified by the oracle
-    assert hi - lo == pytest.approx(bis.hi - bis.lo, rel=1e-15, abs=0.0)
-    assert lo <= bis.value <= hi
+    # an LDL^T inertia bracket cannot be narrower than eps * ||T||_1: 1.5e-8
+    # on the first grid and 0.019 on the second, where the first row,
+    # ~2^29 / h^2, dominates the norm; Temple's bracket follows the rounding
+    # of the quotient, eps_ld |v|^T |T| |v|, and r^2 / gap
+    for model, radius, cells, half_width in [
+        (RealHyperbolic(2), 25.0, 100000, 1e-10),
+        (RealHyperbolic(30), 10.0, 2000, 1e-8),
+    ]:
+        diag, off = assemble_tridiagonal(model, radius, cells)
+        res = lambda0_estimate(model, radius, cells)
+        _assert_certified(diag, off, res, half_width)
+        assert res.sturm_counts == 1
+        # far below eps * ||T||_1, where a float64 solve alone stops
+        assert res.residual < 1e-11
+
+
+def _assert_certified(diag, off, res, half_width):
+    """res's bracket holds its value, is at most 2 half_width wide, and the
+    oracle finds no eigenvalue at or below lo and at least one at hi."""
+    if isinstance(res, EigenResult):
+        lo, value, hi = res.bracket_lo, res.lambda_min, res.bracket_hi
+    else:
+        lo, value, hi = res.lo, res.value, res.hi
+    assert lo <= value <= hi
+    assert hi - lo <= 2.0 * half_width
     assert _reference_count(diag, off, lo) == 0
     assert _reference_count(diag, off, hi) >= 1
-    assert res.refined and res.sturm_counts == 2
-    # far below eps * ||T||_1, where a float64 solve alone stops
-    assert res.residual < 1e-11
 
 
 def _negative_pivots(diag: list, off_sq: list, shift: float, tiny: float) -> int:
@@ -196,17 +207,24 @@ def _negative_pivots(diag: list, off_sq: list, shift: float, tiny: float) -> int
 
 
 def _reference_count(diag, off, shift):
-    tiny = math.ulp(max(float(np.abs(diag).max()), 1.0))
-    return _negative_pivots(diag.tolist(), (off * off).tolist(), shift, tiny)
+    """The count in long double.  A count is exact for T with entries moved
+    by a few units of rounding times their size, which moves lambda_1 by up
+    to about eps |v|^T |T| |v|: 1.4e-8 in float64 on 10^5 cells, where the
+    brackets are 3e-11 wide, and 2048 times less in long double, where the
+    brackets keep at least 2 eps_ld |v|^T |T| |v| on either side."""
+    tiny = np.longdouble(math.ulp(max(float(np.abs(diag).max()), 1.0)))
+    diag, off = np.asarray(diag, np.longdouble), np.asarray(off, np.longdouble)
+    return _negative_pivots(list(diag), list(off * off), np.longdouble(shift), tiny)
 
 
 def test_inertia_check_agrees_with_the_sturm_count_oracle():
-    from kahlerlab.spectral import _definite
+    # the LAPACK count behind the bracket; solves of one row never count
+    from kahlerlab.spectral import _count_below
 
     rng = np.random.default_rng(20261018)
     seen = set()
     for _ in range(60):
-        n = int(rng.integers(1, 50))
+        n = int(rng.integers(2, 50))
         diag = rng.normal(size=n) * 3.0
         off = rng.normal(size=n - 1)
         eigs = np.linalg.eigvalsh(_dense(diag, off))
@@ -219,50 +237,51 @@ def test_inertia_check_agrees_with_the_sturm_count_oracle():
                 continue
             count = _reference_count(diag, off, float(shift))
             assert count == int(np.sum(eigs < shift))
-            assert _definite(diag, off, float(shift)) == (count == 0)
-            seen.add(count == 0)
-    assert seen == {True, False}
+            assert _count_below(diag, off, float(shift)) == count
+            seen.add(min(count, 2))
+    assert seen == {0, 1, 2}
 
 
 def test_inertia_check_on_one_cell_and_on_zero_pivots():
-    from kahlerlab.spectral import _definite
+    from kahlerlab.spectral import _count_below
 
     one, empty = np.array([3.0]), np.array([])
-    assert _definite(one, empty, 2.0)
-    assert not _definite(one, empty, 3.0)
-    assert not _definite(one, empty, 4.0)
     res = smallest_eigenvalue_detailed(one, empty)
-    assert res.lo < 3.0 < res.hi and res.iterations == 2
-    assert smallest_eigenvalue_detailed(one, empty, near=2.5) == res
-    # the first pivot is exactly zero: not definite, as the oracle counts it
+    assert (res.value, res.lo, res.hi, res.iterations, res.residual) == (3.0, 3.0, 3.0, 0, 0.0)
+    assert smallest_eigenvalue_detailed(one, empty, (2.5, 4.0)) == res
+    # the first pivot is exactly zero: counted, as the oracle counts it
     diag, off = np.array([2.0, 5.0, 7.0]), np.array([1.0, 1.0])
     assert _reference_count(diag, off, 2.0) >= 1
-    assert not _definite(diag, off, 2.0)
+    assert _count_below(diag, off, 2.0) >= 1
     # the last pivot is exactly zero: the shift is the eigenvalue 0
     diag, off = np.array([1.0, 1.0]), np.array([1.0])
     assert _reference_count(diag, off, 0.0) == 1
-    assert not _definite(diag, off, 0.0)
+    assert _count_below(diag, off, 0.0) == 1
 
 
-def test_bracket_widens_until_the_sturm_counts_agree(monkeypatch):
-    diag = np.array([2.0, 3.0, 4.0])
-    off = np.array([-1.0, -0.5])
-    exact = np.linalg.eigvalsh(_dense(diag, off))[0]
-    true_stebz = linalg.eigh_tridiagonal
-    shift = {"by": 1e-9}
+def test_a_gap_estimate_above_lambda_2_is_refused_by_the_count(monkeypatch):
+    model, radius, cells = RealHyperbolic(2), 25.0, 20000
+    diag, off = assemble_tridiagonal(model, radius, cells)
+    true = linalg.eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, 1)
+    )
+    stebz, patched = linalg.eigh_tridiagonal, {"below": cells}
 
-    def off_target(*args, **kwargs):
-        return true_stebz(*args, **kwargs) + shift["by"]
+    def above(d, e, **kwargs):
+        w = stebz(d, e, **kwargs)
+        if len(d) < patched["below"]:
+            # mu = (rho + w[1]) / 2 lies half a gap above lambda_2
+            w[1] += 2.0 * (true[1] - true[0])
+        return w
 
     # spectral imports scipy's routines where it calls them
-    monkeypatch.setattr(linalg, "eigh_tridiagonal", off_target)
-    res = smallest_eigenvalue_detailed(diag, off)
-    assert res.value == pytest.approx(exact + 1e-9, abs=2e-12)
-    assert res.lo <= exact <= res.hi
-    assert res.iterations > 2 and res.iterations % 2 == 0
-    shift["by"] = 1.0
+    monkeypatch.setattr(linalg, "eigh_tridiagonal", above)
+    res = lambda0_estimate(model, radius, cells)
+    assert res.sturm_counts == 2  # the coarse pair's count, then stebz's
+    _assert_certified(diag, off, res, 1e-10)
+    patched["below"] = cells + 1  # stebz's lambda_2 is moved too
     with pytest.raises(np.linalg.LinAlgError):
-        smallest_eigenvalue_detailed(diag, off)
+        lambda0_estimate(model, radius, cells)
 
 
 def test_oversized_inputs_are_refused_before_allocation():
@@ -297,7 +316,8 @@ def test_tiny_radii_are_refused_before_assembly(model, radius):
     first_refused = {"real_hyperbolic": 1e-75, "complex_hyperbolic": 1e-29}
     allowed = first_refused[model.describe()["kind"]] * 10.0
     res = lambda0_estimate(model, allowed, 100)
-    assert res.refined and res.residual <= 1e-15 * res.lambda_min
+    assert res.bracket_lo <= res.lambda_min <= res.bracket_hi
+    assert res.residual <= 1e-15 * res.lambda_min
 
 
 def test_a_sweep_checks_every_radius_before_the_first_solve(monkeypatch):
@@ -388,20 +408,6 @@ def _failing(monkeypatch, owner, entry, replacement):
     return calls
 
 
-def _recorded(monkeypatch, entry):
-    """Route the module's entry through itself, keeping every result."""
-    from kahlerlab import spectral
-
-    results, original = [], getattr(spectral, entry)
-
-    def recorded(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(spectral, entry, recorded)
-    return results
-
-
 @pytest.mark.parametrize(
     "model, radius, cells",
     [(RealHyperbolic(2), 25.0, 100000), (ComplexHyperbolic(3), 15.0, 30000)],
@@ -416,11 +422,10 @@ def test_guided_bracket_is_certified_by_the_sturm_count_oracle(
         lambda d, e, **kwargs: sizes.append(len(d)) or stebz(d, e, **kwargs),
     )
     res = lambda0_estimate(model, radius, cells)
-    assert sizes == [cells // 16]  # the coarse guess only: no full-grid stebz
+    assert sizes == [cells // 16]  # the coarse pair only: no full-grid stebz
     diag, off = assemble_tridiagonal(model, radius, cells)
-    assert _reference_count(diag, off, res.bracket_lo) == 0
-    assert _reference_count(diag, off, res.bracket_hi) >= 1
-    assert res.sturm_counts == 2 and res.refined
+    _assert_certified(diag, off, res, 1e-10)
+    assert res.sturm_counts == 1
 
 
 @pytest.mark.parametrize("model, radius", [
@@ -436,8 +441,8 @@ def test_a_coarse_grid_of_1024_cells_guides_grids_of_3000(monkeypatch, model, ra
         lambda d, e, **kwargs: sizes.append(len(d)) or stebz(d, e, **kwargs),
     )
     res = lambda0_estimate(model, radius, 3000)
-    assert sizes == [1024]  # the coarse guess only: no full-grid stebz
-    assert res.sturm_counts == 2 and res.refined
+    assert sizes == [1024]  # the coarse pair only: no full-grid stebz
+    assert res.sturm_counts == 1
 
 
 def _small_grid():
@@ -448,16 +453,19 @@ def _small_grid():
 def test_a_guess_that_finds_another_eigenvalue_falls_back_to_stebz():
     diag, off, eigs = _small_grid()
     plain = smallest_eigenvalue_detailed(diag, off)
-    assert smallest_eigenvalue_detailed(diag, off, near=eigs[0] + 1e-3) != plain
-    for near in (eigs[0] + 1.0, eigs[1]):
-        assert smallest_eigenvalue_detailed(diag, off, near=near) == plain
+    guided = smallest_eigenvalue_detailed(diag, off, (eigs[0] + 1e-3, eigs[1]))
+    assert guided != plain and guided.iterations == 1
+    # the guess lands on a higher eigenvalue: no shift below it factors, so
+    # no count runs, and stebz's estimates certify as if there were no guess
+    for pair in [(eigs[0] + 1.0, eigs[1]), (eigs[1], eigs[2])]:
+        assert smallest_eigenvalue_detailed(diag, off, pair) == plain
 
 
 @pytest.mark.parametrize("entry", ["dgttrf", "dgttrs"])
 def test_a_failing_guess_falls_back_to_stebz(monkeypatch, entry):
     diag, off, eigs = _small_grid()
     plain = smallest_eigenvalue_detailed(diag, off)
-    near = eigs[0] + 1e-3  # certifies when nothing fails, as above
+    pair = (eigs[0] + 1e-3, eigs[1])  # certifies when nothing fails, as above
     original = getattr(lapack, entry)
 
     def fails_first(*args, **kwargs):
@@ -468,7 +476,7 @@ def test_a_failing_guess_falls_back_to_stebz(monkeypatch, entry):
         raise np.linalg.LinAlgError("singular")
 
     calls = _failing(monkeypatch, lapack, entry, fails_first)
-    assert smallest_eigenvalue_detailed(diag, off, near=near) == plain
+    assert smallest_eigenvalue_detailed(diag, off, pair) == plain
     assert len(calls) == 1
 
 
@@ -491,32 +499,23 @@ def test_no_coarse_grid_below_32_cells(monkeypatch):
     assert sizes == [20000, 1250]
 
 
-def _after_the_bracket(monkeypatch, replacement):
-    """Route spectral._ldlt, which the inertia checks share with the polish,
-    through replacement once the bracket is certified, counting the calls
-    made from then on; earlier calls reach the original."""
-    from kahlerlab import spectral
-
-    brackets = _recorded(monkeypatch, "smallest_eigenvalue_detailed")
-    ldlt, polished = spectral._ldlt, []
-
-    def routed(*args):
-        if not brackets:
-            return ldlt(*args)
-        polished.append(args[2])
-        return replacement(ldlt, *args)
-
-    monkeypatch.setattr(spectral, "_ldlt", routed)
-    return polished
-
-
 def test_inverse_iteration_raises_when_every_float64_solve_fails(monkeypatch):
     # every LDL^T factorization of T - shift in the polish finds a pivot <= 0
-    shifts = _after_the_bracket(monkeypatch, lambda ldlt, *args: None)
+    dpttrf = lapack.dpttrf
+    firsts = []  # the first entry of T - shift grows as the shift falls
+
+    def not_definite(d, e, **kwargs):
+        firsts.append(float(d[0]))
+        return (*dpttrf(d, e, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(lapack, "dpttrf", not_definite)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
-    assert len(shifts) == 5  # one per margin, each 100 times the last
-    assert all(a > b for a, b in zip(shifts, shifts[1:]))
+    # one per margin, each 100 times the last, below the guess and then
+    # below stebz's value
+    assert len(firsts) == 10
+    for run in (firsts[:5], firsts[5:]):
+        assert all(a < b for a, b in zip(run, run[1:]))
 
 
 def _solves(monkeypatch, correction=None):
@@ -554,87 +553,62 @@ def test_inverse_iteration_raises_when_every_correction_solve_fails(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError):
         lambda0_estimate(RealHyperbolic(2), 10.0, 200)
     # per shift, one float64 sweep from the guess's vector, then the first
-    # correction fails
-    assert [kind for kind, _ in calls] == ["sweep", "correction"] * 5
-
-
-def test_fallback_to_bisection_reports_the_residual_of_the_returned_value(monkeypatch):
-    from kahlerlab import spectral
-
-    model, radius, cells = RealHyperbolic(2), 10.0, 200
-    diag, off = assemble_tridiagonal(model, radius, cells)
-    brackets = _recorded(monkeypatch, "smallest_eigenvalue_detailed")
-    seen = {}
-    original = spectral._inverse_iteration
-
-    def wandered(*args):
-        lam, resid, vec = original(*args)
-        seen.update(resid=resid, vec=vec)
-        return lam + 1.0, resid, vec
-
-    monkeypatch.setattr(spectral, "_inverse_iteration", wandered)
-    result = lambda0_estimate(model, radius, cells)
-    (bis,) = brackets  # the guided bracket and its certified centre
-    assert result.lambda_min == bis.value
-    vec = seen["vec"].astype(float)
-    t_vec = diag * vec
-    t_vec[:-1] += off * vec[1:]
-    t_vec[1:] += off * vec[:-1]
-    expected = np.linalg.norm(t_vec - bis.value * vec) / np.linalg.norm(vec)
-    assert result.residual == pytest.approx(expected, rel=1e-6)
-    assert result.residual != seen["resid"]
+    # correction fails; then per shift two sweeps from stebz's flat start
+    kinds = [kind for kind, _ in calls]
+    assert kinds == ["sweep", "correction"] * 5 + ["sweep", "sweep", "correction"] * 5
 
 
 def test_each_shift_refines_only_its_last_sweep(monkeypatch):
     from kahlerlab import spectral
 
+    dpttrf = lapack.dpttrf
     refined = _failing(monkeypatch, spectral, "_refined_solve", spectral._refined_solve)
-    factored = _after_the_bracket(monkeypatch, lambda ldlt, *args: ldlt(*args))
-    assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
+    factored = _failing(monkeypatch, lapack, "dpttrf", dpttrf)
+    lambda0_estimate(RealHyperbolic(2), 10.0, 200)
     assert len(refined) == 1 and len(factored) == 1
 
     # the first two shifts of the polish fail to factor: only the one that
     # solves is refined
-    def fails_twice(ldlt, *args):
-        return None if len(factored) <= 2 else ldlt(*args)
+    def fails_twice(*args, **kwargs):
+        factors = dpttrf(*args, **kwargs)
+        return (*factors[:-1], 1) if len(factored) <= 2 else factors
 
     refined.clear()
-    factored = _after_the_bracket(monkeypatch, fails_twice)
-    assert lambda0_estimate(RealHyperbolic(2), 10.0, 200).refined
+    factored = _failing(monkeypatch, lapack, "dpttrf", fails_twice)
+    res = lambda0_estimate(RealHyperbolic(2), 10.0, 200)
+    assert res.bracket_lo <= res.lambda_min <= res.bracket_hi
     assert len(factored) == 3 and len(refined) == 1
 
 
 def test_the_certified_path_polishes_the_guess_vector_without_a_flat_start(monkeypatch):
     from kahlerlab import spectral
 
-    brackets, detailed = [], spectral.smallest_eigenvalue_detailed
+    guesses, guess = [], spectral._rayleigh_guess
 
-    def recorded(*args, **kwargs):
-        bis = detailed(*args, **kwargs)
-        brackets.append((bis, bis.vector.copy()))
-        return bis
+    def recorded(*args):
+        lam, vector = guess(*args)
+        guesses.append((vector, vector.copy()))
+        return lam, vector
 
-    monkeypatch.setattr(spectral, "smallest_eigenvalue_detailed", recorded)
+    monkeypatch.setattr(spectral, "_rayleigh_guess", recorded)
     calls = _solves(monkeypatch)
     model, radius, cells = RealHyperbolic(2), 10.0, 200
     res = lambda0_estimate(model, radius, cells)
-    ((bis, guess),) = brackets
-    assert res.refined and bis.iterations == 2
+    ((vector, start),) = guesses
+    assert res.sturm_counts == 1
     # one float64 sweep from the guess's unit vector, and two corrections:
     # the second correction's residual is at the long-double rounding floor
     assert [kind for kind, _ in calls] == ["sweep", "correction", "correction"]
-    assert np.array_equal(calls[0][1], guess)
-    assert np.dot(guess, guess) == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(calls[0][1], start)
+    assert np.dot(start, start) == pytest.approx(1.0, abs=1e-14)
     # the sweep ran in place: the guess's own array holds the swept unit
     # vector that the refined solve starts from
-    assert np.array_equal(calls[1][1], bis.vector)
-    assert np.dot(bis.vector, bis.vector) == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(calls[1][1], vector)
+    assert np.dot(vector, vector) == pytest.approx(1.0, abs=1e-14)
     # stebz gives no vector: the polish sweeps twice from the flat start
     diag, off = assemble_tridiagonal(model, radius, cells)
-    plain = smallest_eigenvalue_detailed(diag, off)
-    assert plain.vector is None
     calls.clear()
-    spectral._inverse_iteration(diag, off, plain.lo, plain.hi, plain.vector)
+    smallest_eigenvalue_detailed(diag, off)
     kinds = [kind for kind, _ in calls]
     assert kinds[:3] == ["sweep", "sweep", "correction"] and "sweep" not in kinds[3:]
     assert np.all(calls[0][1] == 1.0 / math.sqrt(cells))
@@ -646,26 +620,30 @@ def test_high_density_powers_keep_residuals_far_below_the_norm(n):
     # from the norm stopped the refinement at 1.1e-11 on CH^6, and at CH^10
     # the guess's vector kept a lambda_2 component one sweep could not remove
     res = lambda0_estimate(ComplexHyperbolic(n), 10.0, 3000)
-    assert res.refined and res.sturm_counts == 2
+    assert res.sturm_counts == 1
     assert res.residual <= 1e-13 * res.lambda_min
+    _assert_certified(*assemble_tridiagonal(ComplexHyperbolic(n), 10.0, 3000), res, 1e-10)
 
 
 @pytest.mark.parametrize("cells", [2, 3, 4])
 @pytest.mark.parametrize(
     "model", [RealHyperbolic(2), ComplexHyperbolic(1), ComplexHyperbolic(3)]
 )
-def test_grids_of_two_to_four_cells_match_the_dense_oracle(model, cells):
+def test_grids_of_two_to_four_cells_match_the_dense_oracle(monkeypatch, model, cells):
+    from kahlerlab import spectral
+
     diag, off = assemble_tridiagonal(model, 5.0, cells)
-    expected = np.linalg.eigvalsh(_dense(diag, off))[0]
+    eigs = np.linalg.eigvalsh(_dense(diag, off))
     res = lambda0_estimate(model, 5.0, cells)
-    assert res.refined and res.sturm_counts == 2
-    assert res.bracket_lo <= expected <= res.bracket_hi
-    assert res.lambda_min == pytest.approx(expected, rel=1e-12)
+    assert res.sturm_counts == 1
+    _assert_certified(diag, off, res, 1e-12)  # up to 4 ulps of lambda ~ 400
+    assert res.lambda_min == pytest.approx(eigs[0], rel=1e-12)
     # a guess factors by gttrf, whose scipy wrapper rejects two rows: on two
     # cells it is skipped, and from three it certifies
-    guided = smallest_eigenvalue_detailed(diag, off, near=expected)
-    assert guided.lo <= expected <= guided.hi
-    assert (guided.vector is None) == (cells == 2)
+    guesses = _failing(monkeypatch, spectral, "_rayleigh_guess", spectral._rayleigh_guess)
+    guided = smallest_eigenvalue_detailed(diag, off, (eigs[0], eigs[1]))
+    assert guided.iterations == 1 and len(guesses) == (cells > 2)
+    _assert_certified(diag, off, guided, 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -678,7 +656,6 @@ def test_grids_of_two_to_four_cells_match_the_dense_oracle(model, cells):
 def test_refined_value_is_pinned_within_its_residual(model, radius, cells, expected):
     # expected is the value when every sweep was refined in long double
     res = lambda0_estimate(model, radius, cells)
-    assert res.refined
     assert abs(res.lambda_min - expected) <= res.residual
 
 
@@ -716,7 +693,7 @@ def test_the_reported_residual_is_that_of_the_returned_vector(
     monkeypatch.setattr(spectral, "_inverse_iteration", recorded)
     res = lambda0_estimate(model, radius, cells)
     ((diag, off, (lam, resid, vec)),) = seen
-    assert res.refined and (res.lambda_min, res.residual) == (lam, resid)
+    assert (res.lambda_min, res.residual) == (lam, resid)
     # |T v - lam v| / |v| from explicit long-double copies of T
     d_ld, e_ld = diag.astype(np.longdouble), off.astype(np.longdouble)
     t_vec = d_ld * vec
