@@ -27,7 +27,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import rational_linalg as rl
 from .exterior import (
     ZERO,
     Batch,
@@ -52,6 +51,7 @@ from .exterior import (
 from .kaehler import (
     _dual_lefschetz_table,
     _inputs,
+    _left_inverse_table,
     _power_table,
     _primitive_table,
     _star_table,
@@ -65,6 +65,7 @@ from .kaehler import (
     primitive_dimension,
     primitive_projection,
 )
+from .rational_linalg import independent_columns, is_left_inverse
 
 _ONE_MONOMIAL = Monomial((), ())
 
@@ -522,16 +523,37 @@ def _chain(n: int, k: int, *ops: tuple) -> Table:
     return _composed(function(n, inner.k, *args), inner)
 
 
-def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
-    """Dimensions, ranks, and round-trips of the Lefschetz decomposition.
+def _certified(rec: _Recorder, identity: str, at: str, conditions: dict[str, bool]) -> None:
+    """One comparison: every named condition holds.  A failure shows the
+    conditions that do not, against all of them."""
+    failed = [name for name, held in conditions.items() if not held]
+    rec.equal(identity, 0, at, _Value(not failed, lambda: "fails: " + "; ".join(failed)),
+              _Value(True, lambda: "holds: " + "; ".join(conditions)))
 
-    Exhaustive once per dimension, on the primitive basis tables: primitive
-    dimension counts, per bidegree the basis forms the dual Lefschetz
-    operator kills, injectivity of L^(n-k) on primitives, bijectivity on
-    the full degree, the kernel characterization of primitives, and
-    agreement of the dual Lefschetz operator (the adjoint of L) with
-    star^-1 o L o star.  Per trial: decomposition round-trips and
-    adjointness on random forms.
+
+def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
+    """Dimensions, hard Lefschetz, and round-trips of the Lefschetz
+    decomposition.
+
+    Exhaustive once per dimension, on tables: primitive dimension counts,
+    per bidegree the basis forms the dual Lefschetz operator kills, the
+    kernel characterization of primitives, and agreement of the dual
+    Lefschetz operator (the adjoint of L) with star^-1 o L o star.
+
+    Hard Lefschetz is certified without elimination.  X_k, a left inverse
+    of L^(n-k) on degree k <= n, is composed in `kaehler` from its own
+    tables; a wrong X_k can only fail a check.  B is the primitive basis
+    table, and its columns are independent when their largest nonzero
+    rows are pairwise distinct (`rational_linalg`).
+    - bijective: X_k o L^(n-k) = id, so L^(n-k) is injective between
+      degrees of equal dimension C(2n, k).
+    - primitive-injective: B has independent columns and
+      X_k o L^(n-k) o B = B, so L^(n-k) o B has independent columns.
+    - kernel dimension: L^(n-k+1) o B = 0 with B's C(2n,k) - C(2n,k-2)
+      columns independent bounds the kernel of L^(n-k+1) below, and
+      X_(k-2) o L^(n-k+1) o L = id, which puts an image of dimension
+      C(2n, k-2) inside that of L^(n-k+1), bounds it above.
+    Per trial: decomposition round-trips and adjointness on random forms.
     """
     rec = _Recorder("lefschetz", n, trials, rspec)
     bound, at = rspec.coeff_bound, f"n={n}"
@@ -557,16 +579,24 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
             rec.equal(f"primitive-bidegree-dimension[p={p},q={q}]", 0, at,
                       killed[p, q], by_bidegree(p, q) if p + q <= n else 0)
     for k in range(n + 1):
-        count = _inputs(_primitive_table(n, k))
-        top, beyond = _power_table(n, k, n - k), _power_table(n, k, n - k + 1)
+        basis, inverse = _primitive_table(n, k), _left_inverse_table(n, k)
+        count = _inputs(basis)
+        independent = independent_columns(
+            basis, comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0))
         on_basis = _chain(n, k, (_primitive_table,), (_power_table, n - k))
         killer = _chain(n, k, (_primitive_table,), (_power_table, n - k + 1))
-        rec.equal(f"hard-lefschetz-bijective[k={k}]", 0, at,
-                  rl.component_rank(top.rows().values()), comb(2 * n, k))
-        rec.equal(f"hard-lefschetz-primitive-injective[k={k}]", 0, at,
-                  rl.component_rank(on_basis.rows().values()), count)
-        rec.equal(f"primitive-kernel-dimension[k={k}]", 0, at,
-                  comb(2 * n, k) - rl.component_rank(beyond.rows().values()), count)
+        _certified(rec, f"hard-lefschetz-bijective[k={k}]", at, {
+            "X_k o L^(n-k) = id": is_left_inverse(inverse, _power_table(n, k, n - k))})
+        _certified(rec, f"hard-lefschetz-primitive-injective[k={k}]", at, {
+            "B has independent columns": independent,
+            "X_k o L^(n-k) o B = B": _equal_tables(_composed(inverse, on_basis), basis)})
+        kernel = {"L^(n-k+1) o B = 0": not killer.src.size,
+                  "B has independent columns": independent}
+        if k >= 2:
+            kernel["X_(k-2) o L^(n-k+1) o L = id"] = is_left_inverse(
+                _left_inverse_table(n, k - 2),
+                _chain(n, k - 2, (_power_table, 1), (_power_table, n - k + 1)))
+        _certified(rec, f"primitive-kernel-dimension[k={k}]", at, kernel)
         _record(rec, count, [_on_basis(f"primitive-kernel-member[k={k}]", n, k, killer,
                                        _table(killer.k, killer.size, [], [], [], [], 1), at)])
     for k in range(2, 2 * n + 1):

@@ -14,13 +14,14 @@ L^j, the dual Lefschetz operator, the star, the Weil operator, the
 Lefschetz decomposition and the primitive projector are fixed linear maps
 on each degree.  Each is compiled once per (n, k) into an
 `exterior.Table`.  The parts of the Lefschetz decomposition, and with them
-the primitive projector, are polynomials in L and the dual Lefschetz
-operator given in closed form by the sl_2 relations; their tables are
-composed and combined exactly from the L and dual Lefschetz tables, so no
-matrix is inverted and no form is pushed through an operator to learn its
-matrix.  The operators below take a `Form` or a `Batch`: a batch goes
-through the table at once, a form as one-row batches, one per degree
-(`exterior._apply`).  L on a form is the term-pair product with omega^j.
+the primitive projector and a left inverse of L^(n-k), are polynomials in
+L and the dual Lefschetz operator given in closed form by the sl_2
+relations; their tables are composed and combined exactly from the L and
+dual Lefschetz tables, so no matrix is inverted and no form is pushed
+through an operator to learn its matrix.  The operators below take a
+`Form` or a `Batch`: a batch goes through the table at once, a form as
+one-row batches, one per degree (`exterior._apply`).  L on a form is the
+term-pair product with omega^j.
 
 The primitive bases are written down rather than solved for: in the basis
 of products of the 2-forms dz_a ^ dzb_a with dz^A ^ dzb^B, the dual
@@ -337,6 +338,23 @@ def _decomposition_tables(n: int, k: int) -> tuple[tuple[int, Table], ...]:
         ]))
         for r in range(max(0, k - n), k // 2 + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def _left_inverse_table(n: int, k: int) -> Table:
+    """A left inverse of L^(n-k) on degree k <= n, as a map from degree
+    2n - k back to degree k.  Lambda^(n-k) o L^(n-k) is c_r =
+    ((n-k+r)!/r!)^2 on L^r of the primitives of degree k - 2r (the sl_2
+    relations), so the inverse is (sum_r c_r^-1 L^r o a -> a_r) o
+    Lambda^(n-k), composed from the L, Lambda and decomposition tables."""
+    lowering = _power_table(n, 2 * n - k, 0)  # Lambda^0 = 1 on degree 2n - k
+    for d in range(2 * n - k, k, -2):
+        lowering = _composed(_dual_lefschetz_table(n, d), lowering)
+    return _composed(_combined([
+        (Fraction(factorial(r), factorial(n - k + r)) ** 2,
+         _composed(_power_table(n, k - 2 * r, r), part) if r else part)
+        for r, part in _decomposition_tables(n, k)
+    ]), lowering)
 
 
 def primitive_decompose(a) -> PrimitiveDecomposition:

@@ -63,8 +63,8 @@ class RealHyperbolic:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("real hyperbolic model needs m >= 2")
-        if not self.curvature > 0:
-            raise ValueError("curvature scale must be positive")
+        if not 0 < self.curvature < math.inf:
+            raise ValueError("curvature scale must be positive and finite")
 
     def weight(self, rho: np.ndarray) -> np.ndarray:
         return np.sinh(rho) ** (self.m - 1)

@@ -312,12 +312,16 @@ def test_spectrum_usage_errors(capsys):
         ["spectrum", "--model", "rh", "--m", "2", "--radii", "bogus",
          "--grid", "100"],
     )
-    # a bad model parameter is refused by the model, inside the error handler
+    # a bad model parameter is refused by the model, inside the error handler;
+    # a non-finite curvature would print Infinity or NaN, which is not JSON
     for model in (["rh", "--m", "1"], ["ch", "--n", "0"],
-                  ["rh", "--m", "2", "--curvature", "-1"]):
+                  ["rh", "--m", "2", "--curvature", "-1"],
+                  ["rh", "--m", "2", "--curvature", "inf"],
+                  ["rh", "--m", "2", "--curvature", "nan"]):
         err = _run_expect_usage_error(
             capsys,
-            ["spectrum", "--model", *model, "--radius", "5", "--grid", "100"],
+            ["spectrum", "--model", *model, "--radius", "5", "--grid", "100",
+             "--format", "json"],
         )
         assert err.startswith("error:")
     # repeated radii are refused before any solve, not by the extrapolation

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from kahlerlab.exterior import (
-    Batch, Form, GaussRational, _images, _pair_outputs, bidegree_basis, monomial_basis,
-    norm_sq,
+    Batch, Form, GaussRational, _images, _pair_outputs, _table, bidegree_basis,
+    monomial_basis, norm_sq,
 )
 from kahlerlab import harness, kaehler
 from kahlerlab.harness import (
@@ -604,3 +604,94 @@ def test_no_cache_keeps_a_table_built_while_an_operator_was_patched(monkeypatch)
         assert not any(report["pass"] for report in reports())
     assert reports() == clean
     assert all(a is b for a, b in zip(genuine(), before))
+
+
+# ---- the hard-Lefschetz certificates fail under their perturbations -----------
+
+
+def _failed(n):
+    return {f.identity: f for f in check_lefschetz_structure(n, 1, RandomSpec(seed=42)).failures}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_an_off_by_one_top_power_fails_the_bijectivity_certificate(monkeypatch, k):
+    # one entry of L^(n-k) on degree k is off by one: X_k o L^(n-k) is no
+    # longer the identity at that k alone
+    n = 3
+    monkeypatch.setattr(harness, "_power_table", _off_by_one(harness._power_table, (k, n - k)))
+    failures = _failed(n)
+    bijective = f"hard-lefschetz-bijective[k={k}]"
+    assert [name for name in failures if name.startswith("hard-lefschetz-bijective")] == [
+        bijective]
+    assert (failures[bijective].lhs, failures[bijective].rhs) == (
+        "fails: X_k o L^(n-k) = id", "holds: X_k o L^(n-k) = id")
+
+
+def _reshaped_basis(at, move):
+    """_primitive_table with the pairs of its table at degree at rewritten:
+    move maps (inputs, count) to the new inputs, or to -1 for a dropped pair."""
+    def perturbed(n, k):
+        table = original(n, k)
+        if k != at:
+            return table
+        src = move(table.src, _inputs(table))
+        keep = src >= 0
+        return _table(table.k, table.size, _pair_outputs(table)[keep], src[keep],
+                              table.re[keep], table.im[keep], table.den)
+    original = harness._primitive_table
+    return perturbed
+
+
+@pytest.mark.parametrize("how, k", [
+    *(("empty", k) for k in range(4)),
+    *(("merge", k) for k in range(1, 4)),  # k = 0 has one column
+])
+def test_an_emptied_or_merged_basis_column_fails_the_primitive_certificates(
+        monkeypatch, how, k):
+    # the basis loses a column, its last one emptied or its first merged into
+    # the second, so it no longer has C(2n,k) - C(2n,k-2) independent columns;
+    # X_k o L^(n-k) is untouched
+    n = 3
+    if how == "empty":
+        def move(src, count):
+            return np.where(src == count - 1, -1, src)
+    else:
+        def move(src, count):
+            return np.where(src == 0, 1, src)
+    monkeypatch.setattr(harness, "_primitive_table", _reshaped_basis(k, move))
+    failures = _failed(n)
+    assert {f"hard-lefschetz-primitive-injective[k={k}]",
+            f"primitive-kernel-dimension[k={k}]"} <= set(failures)
+    assert not any(name.startswith("hard-lefschetz-bijective") for name in failures)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_vanishing_power_fails_the_kernel_dimension_certificate(monkeypatch, k):
+    # L^(n-k+1) on degree k replaced by zero still kills the basis, whose
+    # columns stay independent; only X_(k-2) o L^(n-k+1) o L = id, the bound
+    # of the kernel from above, sees that the whole degree is now its kernel
+    n = 3
+
+    def vanishing(n, degree, j):
+        table = original(n, degree, j)
+        if (degree, j) != (k, n - k + 1):
+            return table
+        return _table(table.k, table.size, [], [], [], [], 1)
+    original = harness._power_table
+    monkeypatch.setattr(harness, "_power_table", vanishing)
+    failure = _failed(n)[f"primitive-kernel-dimension[k={k}]"]
+    assert failure.lhs == "fails: X_(k-2) o L^(n-k+1) o L = id"
+
+
+def test_a_patched_dual_lefschetz_leaves_no_left_inverse_behind(monkeypatch):
+    # the left inverses are built while the dual Lefschetz table the suite
+    # reads is patched; they come from kaehler's own tables, so the
+    # certificates hold then and the suite passes once the patch is gone
+    n = 4
+    kaehler._left_inverse_table.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "_dual_lefschetz_table",
+                        _off_by_one(harness._dual_lefschetz_table, (4,)))
+        assert set(_failed(n)) == {"dual-lefschetz-star-route[k=4]",
+                                   "primitive-bidegree-dimension[p=1,q=3]"}
+    assert _failed(n) == {}

@@ -37,6 +37,7 @@ from kahlerlab.kaehler import (
     _decomposition_tables,
     _dual_lefschetz_table,
     _inputs,
+    _left_inverse_table,
     _power_table,
     _primitive_table,
     _projection_table,
@@ -60,10 +61,10 @@ from kahlerlab.kaehler import (
     volume_form,
     weil_operator,
 )
-from kahlerlab.rational_linalg import rank
+from kahlerlab.rational_linalg import independent_columns
 
 from test_exterior import pushed, same_fields
-from test_rational_linalg import _oracle_rref
+from test_rational_linalg import _dense_rows, _oracle_rref
 
 I = GaussRational(0, 1)
 
@@ -214,7 +215,8 @@ def test_tableau_basis_is_signed_primitive_and_injective_under_the_top_power(n):
     """Per bidegree: every basis form is homogeneous and killed by the dual
     Lefschetz table, with entries +-1; the counts are those of the
     primitive (p, q)-forms, and L^(n-k) keeps each degree's basis forms
-    independent."""
+    independent: they have distinct leading rows and X_k o L^(n-k) gives
+    them back, and the dense oracle agrees while it stays cheap (n <= 3)."""
     for k in range(2 * n + 1):
         table = _primitive_table(n, k)
         count = _inputs(table)
@@ -232,7 +234,10 @@ def test_tableau_basis_is_signed_primitive_and_injective_under_the_top_power(n):
             assert np.count_nonzero(index_p == p) == (want if k <= n else 0)
         if k <= n:
             image = _composed(_power_table(n, k, n - k), table)
-            assert rank(list(image.rows().values())) == count
+            assert independent_columns(table, count)
+            assert _equal_tables(_composed(_left_inverse_table(n, k), image), table)
+            if n <= 3:
+                assert len(_oracle_rref(_dense_rows(image, count))[1]) == count
 
 
 def test_tableau_basis_fixture_at_dimension_two():
@@ -386,10 +391,10 @@ def test_table_rows_give_the_rank_of_l_and_the_nullity_of_the_dual():
     lef = _power_table(n, 0, 1)
     assert (lef.k, lef.size) == (2, comb(2 * n, 2))
     assert lef.rows() == {lef.outputs[a]: {0: I} for a in range(n)}
-    assert rank(list(lef.rows().values())) == 1
+    assert len(_oracle_rref(_dense_rows(lef, 1))[1]) == 1
     for k in range(2, 2 * n + 1):
         lam = _dual_lefschetz_table(n, k)
-        nullity = comb(2 * n, k) - rank(list(lam.rows().values()))
+        nullity = comb(2 * n, k) - len(_oracle_rref(_dense_rows(lam, comb(2 * n, k)))[1])
         expected = primitive_dimension(n, k) if k <= n else 0
         assert nullity == expected
 

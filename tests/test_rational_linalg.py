@@ -1,22 +1,22 @@
-"""Exact Gaussian-rational elimination: rank, whole and per component.
+"""Exact certificates of injectivity, against a dense oracle.
 
-`rank` eliminates forward on sparse rows; a dense Gauss-Jordan elimination
-kept here is the oracle, for it and for `component_rank`.  Its pivot count
-is the rank, and its pivot columns are where the rank of the column
-prefixes goes up.  The kernel and round-trip checks read the oracle's
-reduced rows.
+`independent_columns` (distinct leading rows) and `is_left_inverse` are
+checked against a dense Gauss-Jordan elimination kept here as the oracle:
+its pivot count is the rank.  The kernel and round-trip checks read the
+oracle's reduced rows.
 """
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kahlerlab.exterior import GaussRational
-from kahlerlab.rational_linalg import component_rank, rank
+from kahlerlab.exterior import GaussRational, _composed, _table
+from kahlerlab.kaehler import _left_inverse_table, _power_table
+from kahlerlab.rational_linalg import independent_columns, is_left_inverse
 
 
 def _gr(re, im=0):
@@ -64,7 +64,6 @@ def test_rref_fixed_example():
         [_gr(1), _gr(0), _gr(1)],
     ]
     # reduced rows [1, 0, 1] and [0, 1, 1]: pivots 0 and 1, kernel (-1, -1, 1)
-    assert rank(m) == 2
     reduced, pivots = _oracle_rref(m)
     assert (reduced[:2], pivots) == ([[_gr(1), _gr(0), _gr(1)], [_gr(0), _gr(1), _gr(1)]], [0, 1])
     assert _kernel(m, 3) == [[_gr(-1), _gr(-1), _gr(1)]]
@@ -78,7 +77,7 @@ def test_random_square_matrices_round_trip():
         size = rng.randint(1, 5)
         m = _random_matrix(rng, size, size)
         reduced, pivots = _oracle_rref(m)
-        assert 0 <= rank(m) == len(pivots) <= size
+        assert len(pivots) <= size
         for row in m:
             back = [GaussRational(0)] * size
             for red, pc in zip(reduced, pivots):
@@ -93,7 +92,6 @@ def test_random_rectangular_nullspace_dimension():
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols, bound=2)
         basis = _kernel(m, cols)
-        assert len(basis) == cols - rank(m)
         for vec in basis:
             assert _matvec(m, vec) == [GaussRational(0)] * rows
 
@@ -152,66 +150,112 @@ def _matrices(draw):
     return m, cols
 
 
-def _sparse_rows(m):
-    return [{c: v for c, v in enumerate(row) if v} for row in m]
+def _as_table(m, cols, k=0):
+    """The table of the matrix m, rows x cols: input c to output r."""
+    entries = [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row) if v]
+    den = lcm(1, *(v._d for *_, v in entries))
+    return _table(k, len(m), [r for r, _, _ in entries], [c for _, c, _ in entries],
+                  [v._x * (den // v._d) for *_, v in entries],
+                  [v._y * (den // v._d) for *_, v in entries], den)
 
 
-def _prefix_pivots(rows, cols):
-    """The columns c where rank of the columns 0..c exceeds that of 0..c-1."""
-    ranks = [rank([{j: v for j, v in row.items() if j < c} for row in rows])
-             for c in range(cols + 1)]
-    return [c for c in range(cols) if ranks[c + 1] > ranks[c]]
+def _dense_rows(table, cols):
+    """The nonzero rows of a table's matrix, each as a list of cols entries."""
+    return [[row.get(c, GaussRational(0)) for c in range(cols)]
+            for row in table.rows().values()]
+
+
+def _oracle_inverse(m):
+    """The inverse of a square matrix, read off the reduced rows of [m | 1];
+    None if m is singular."""
+    size = len(m)
+    one = [[GaussRational(int(i == j)) for j in range(size)] for i in range(size)]
+    reduced, pivots = _oracle_rref([row + e for row, e in zip(m, one)])
+    return [row[size:] for row in reduced] if pivots[:size] == list(range(size)) else None
 
 
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
-def test_sparse_elimination_matches_the_dense_oracle(case):
+def test_independent_columns_implies_full_column_rank_in_the_oracle(case):
     m, cols = case
-    _, want_pivots = _oracle_rref(m)
-    assert rank(m) == rank(_sparse_rows(m)) == len(want_pivots)
-    assert _prefix_pivots(_sparse_rows(m), cols) == want_pivots
-
-
-# ---- rank per connected component -------------------------------------------
+    if independent_columns(_as_table(m, cols), cols):
+        assert len(_oracle_rref(m)[1]) == cols
 
 
 @st.composite
-def _block_diagonal(draw):
-    """Blocks on disjoint rows and columns, some repeated, with the rows and
-    the columns of the whole matrix then permuted."""
-    blocks = draw(st.lists(_matrices(), min_size=1, max_size=4))
-    blocks += [blocks[0]] * draw(st.integers(0, 2))
-    cols = sum(c for _, c in blocks)
+def _staircase(draw):
+    """A matrix whose columns have pairwise distinct last nonzero rows,
+    with anything above them."""
+    m, cols = draw(_matrices())
+    rows = len(m)
+    assume(rows >= cols)
     zero = GaussRational(0)
-    m, offset = [], 0
-    for block, c in blocks:
-        m += [[zero] * offset + row + [zero] * (cols - offset - c) for row in block]
-        offset += c
-    perm = draw(st.permutations(range(cols)))
-    m = [[row[p] for p in perm] for row in m]
-    return draw(st.permutations(m)), cols
+    leads = draw(st.permutations(range(rows)))[:cols]
+    nonzero = _ENTRIES.filter(bool)
+    for c, lead in enumerate(leads):
+        m[lead][c] = draw(nonzero)
+        for r in range(lead + 1, rows):
+            m[r][c] = zero
+    return m, cols
 
 
 @settings(max_examples=200, deadline=None)
-@given(_block_diagonal())
-def test_component_rank_matches_the_whole_matrix_and_the_oracle(case):
-    m, _ = case
-    want = len(_oracle_rref(m)[1])
-    assert component_rank(_sparse_rows(m)) == rank(m) == want
+@given(_staircase())
+def test_distinct_leading_rows_pass_and_a_repeated_or_missing_one_fails(case):
+    m, cols = case
+    table = _as_table(m, cols)
+    assert independent_columns(table, cols)
+    assert len(_oracle_rref(m)[1]) == cols
+    # one column more than the table has inputs: that column is empty
+    assert not independent_columns(table, cols + 1)
+    # fewer columns than the table has inputs
+    assert not independent_columns(table, cols - 1)
+    if cols >= 2:  # the last column a copy of the first: a repeated leading row
+        copy = [row[:-1] + row[:1] for row in m]
+        assert not independent_columns(_as_table(copy, cols), cols)
+
+
+@st.composite
+def _square(draw):
+    size = draw(st.integers(1, 6))
+    fill = draw(st.sampled_from((0.4, 1.0)))
+    zero = GaussRational(0)
+    return [[draw(_ENTRIES) if draw(st.floats(0, 1)) < fill else zero for _ in range(size)]
+            for _ in range(size)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square(), st.data())
+def test_the_oracle_inverse_is_a_left_inverse_and_a_perturbed_one_is_not(m, data):
+    inverse = _oracle_inverse(m)
+    assume(inverse is not None)
+    size = len(m)
+    assert is_left_inverse(_as_table(inverse, size), _as_table(m, size))
+    r, c = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    inverse[r][c] = inverse[r][c] + 1
+    assert not is_left_inverse(_as_table(inverse, size), _as_table(m, size))
+
+
+def test_a_left_inverse_must_cover_every_input():
+    # x o a is the identity on the first input of a, and x drops the second
+    one, zero = GaussRational(1), GaussRational(0)
+    x = _as_table([[one, zero]], 2)
+    assert not is_left_inverse(x, _as_table([[one, zero], [zero, one]], 2))
+    assert is_left_inverse(x, _as_table([[one], [zero]], 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_component_rank_of_every_lefschetz_power_table(n):
-    """Every L^j table: per component against the whole matrix, and against
-    the dense oracle while it stays cheap (n <= 3)."""
-    from kahlerlab.kaehler import _power_table
-
+def test_certificates_on_every_lefschetz_power_table(n):
+    """L^j on degree k is injective exactly when j = 0 or k + j <= n: the
+    dense oracle says so while it stays cheap (n <= 3), and for k + j <= n
+    X_k o L^(n-k-j) is a left inverse of L^j."""
     for k in range(2 * n + 1):
         for j in range((2 * n - k) // 2 + 1):
-            rows = list(_power_table(n, k, j).rows().values())
-            got = component_rank(rows)
-            assert got == rank(rows), (k, j)
+            power = _power_table(n, k, j)
+            if k + j <= n:
+                x = _composed(_left_inverse_table(n, k), _power_table(n, k + 2 * j, n - k - j))
+                assert is_left_inverse(x, power), (k, j)
             if n <= 3:
                 cols = comb(2 * n, k)
-                dense = [[row.get(c, GaussRational(0)) for c in range(cols)] for row in rows]
-                assert got == len(_oracle_rref(dense)[1]), (k, j)
+                rank = len(_oracle_rref(_dense_rows(power, cols))[1])
+                assert (rank == cols) == (j == 0 or k + j <= n), (k, j)
