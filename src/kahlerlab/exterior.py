@@ -9,11 +9,13 @@ conjugate-linear in the second.
 
 Beside the dict `Form` there is `Batch`: T forms of one degree k held as
 Gaussian-integer numerator arrays of shape (T, C(2n, k)) over the ranks of
-`monomial_basis(n, k)`, with one denominator per row.  Every fixed linear
-operator is compiled once into a `Table` of signed (gather index,
-coefficient) pairs sorted by output, and applied to a whole batch by one
-take and one np.add.reduceat; tables compose and combine exactly, and the
-exterior product of batches uses the same layout with two gathers.
+`monomial_basis(n, k)`, over one denominator shared by every row.  Every
+fixed linear operator is compiled once into a `Table` of signed (gather
+index, coefficient) pairs sorted by output, and applied to a whole batch by
+one take and one np.add.reduceat; tables compose and combine exactly.  The
+exterior product of degrees da and db is a `Table` on the right factor
+whose coefficients are the reorder signs, plus the left factor's column of
+each pair, and is applied to two batches with two gathers.
 Arithmetic is int64 under a bound checked before each operation and Python
 ints otherwise.  The product of two dict forms loops over their term pairs,
 so a sparse product costs its terms, not its degrees; fixed operators reach
@@ -31,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
+from numbers import Rational
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -45,14 +48,13 @@ class GaussRational:
     __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        if isinstance(re, GaussRational) or isinstance(im, GaussRational):
-            raise TypeError("components must be int or Fraction")
-        fr = re if isinstance(re, Fraction) else Fraction(re)
-        fi = im if isinstance(im, Fraction) else Fraction(im)
-        d = fr.denominator * fi.denominator // gcd(fr.denominator, fi.denominator)
-        self._x = fr.numerator * (d // fr.denominator)
-        self._y = fi.numerator * (d // fi.denominator)
-        self._d = d
+        if not (isinstance(re, Rational) and isinstance(im, Rational)):
+            raise TypeError(f"components must be rational, got {re!r} and {im!r}")
+        # lowest terms by the Rational contract; Python ints, as numpy ones wrap
+        xn, xd = int(re.numerator), int(re.denominator)
+        yn, yd = int(im.numerator), int(im.denominator)
+        d = lcm(xd, yd)
+        self._x, self._y, self._d = xn * (d // xd), yn * (d // yd), d
 
     @classmethod
     def _raw(cls, x: int, y: int, d: int) -> "GaussRational":
@@ -487,11 +489,6 @@ def _cast(bound: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
     return [a.astype(object) for a in arrays]
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _cast(_maxabs(a) * _maxabs(b), a, b)
-    return a * b
-
-
 def _ints(values) -> np.ndarray:
     """Python ints as an int64 array when they fit, else an object array."""
     if isinstance(values, np.ndarray) and values.dtype != object:
@@ -509,45 +506,46 @@ def _basis_rank(n: int, k: int) -> dict[Monomial, int]:
 class Batch:
     """T forms of degree k at dimension n, as Gaussian-integer numerators.
 
-    Row t is sum_j (re[t, j] + i im[t, j]) / den[t] * basis[j] over
-    basis = monomial_basis(n, k); den > 0.  A degree-0 batch doubles as a
-    column of scalars.  Batches are never changed in place.
+    Row t is sum_j (re[t, j] + i im[t, j]) / den * basis[j] over
+    basis = monomial_basis(n, k); den is a positive int shared by every
+    row.  A degree-0 batch doubles as a column of scalars.  Batches are
+    never changed in place.
     """
 
     __slots__ = ("n", "k", "re", "im", "den", "_max")
 
-    def __init__(self, n: int, k: int, re: np.ndarray, im: np.ndarray, den: np.ndarray):
+    def __init__(self, n: int, k: int, re: np.ndarray, im: np.ndarray, den: int):
         self.n, self.k, self.re, self.im, self.den = n, k, re, im, den
         self._max = None
 
     @classmethod
     def of(cls, n: int, k: int, forms: Sequence[Form]) -> "Batch":
-        """Degree-k forms as rows; a term of another degree is a ValueError."""
+        """Degree-k forms as rows, over the least common denominator of all
+        their coefficients; a term of another degree is a ValueError."""
         rank, size = _basis_rank(n, k), _size(n, k)
-        re, im, dens = [0] * (len(forms) * size), [0] * (len(forms) * size), []
+        den = lcm(1, *(c._d for form in forms for c in form.terms.values()))
+        re, im = [0] * (len(forms) * size), [0] * (len(forms) * size)
         for t, form in enumerate(forms):
-            den = lcm(1, *(c._d for c in form.terms.values()))
             for mono, c in form.terms.items():
                 j = rank.get(mono)
                 if j is None:
                     raise ValueError(f"{mono.label()} is not of degree {k} at n={n}")
                 re[t * size + j] = c._x * (den // c._d)
                 im[t * size + j] = c._y * (den // c._d)
-            dens.append(den)
         shape = (len(forms), size)
-        return cls(n, k, _ints(re).reshape(shape), _ints(im).reshape(shape), _ints(dens))
+        return cls(n, k, _ints(re).reshape(shape), _ints(im).reshape(shape), den)
 
     @classmethod
-    def zero(cls, n: int, k: int, rows: int, den: np.ndarray | None = None) -> "Batch":
+    def zero(cls, n: int, k: int, rows: int, den: int = 1) -> "Batch":
         re = np.zeros((rows, _size(n, k)), dtype=np.int64)
-        return cls(n, k, re, re, np.ones(rows, dtype=np.int64) if den is None else den)
+        return cls(n, k, re, re, den)
 
     @property
     def rows(self) -> int:
-        return len(self.den)
+        return len(self.re)
 
     def terms(self, t: int) -> dict[Monomial, GaussRational]:
-        basis, den = monomial_basis(self.n, self.k), int(self.den[t])
+        basis, den = monomial_basis(self.n, self.k), self.den
         make = GaussRational._raw if den == 1 else GaussRational._norm
         re, im = self.re[t], self.im[t]
         cols = np.flatnonzero((re != 0) | (im != 0))
@@ -574,28 +572,11 @@ class Batch:
                 f"!= {(other.n, other.k, other.rows)}"
             )
 
-    def cross(self, other: "Batch") -> tuple[np.ndarray, np.ndarray]:
-        """Rows [re | im] of self and of other over one denominator per row;
-        a row of one equals the row of the other exactly when the forms do,
-        and for real scalars the order of the rows is the order of the values."""
-        self._require_like(other)
-        if np.array_equal(self.den, other.den):
-            a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
-        else:
-            a_re, a_im, b_re, b_im, _ = _common(self, other)
-        return np.hstack((a_re, a_im)), np.hstack((b_re, b_im))
-
     def __add__(self, other: "Batch") -> "Batch":
         if not isinstance(other, Batch):
             return NotImplemented
         self._require_like(other)
-        if np.array_equal(self.den, other.den):
-            a_re, a_im, b_re, b_im = _cast(
-                self._bound() + other._bound(), self.re, self.im, other.re, other.im
-            )
-            den = self.den
-        else:
-            a_re, a_im, b_re, b_im, den = _common(self, other)
+        a_re, a_im, b_re, b_im, den = _common(self, other)
         return Batch(self.n, self.k, a_re + b_re, a_im + b_im, den)
 
     def __neg__(self) -> "Batch":
@@ -607,23 +588,18 @@ class Batch:
         return self + (-other)
 
     def __mul__(self, scalar) -> "Batch":
-        """Times a constant, or row by row times a degree-0 batch."""
+        """Row by row times a degree-0 batch; a constant is a one-row one."""
         if not isinstance(scalar, Batch):
             c = GaussRational._coerce(scalar)
             if c is NotImplemented:
                 return NotImplemented
-            if c._y == 0:  # x / d scales the numerators by x, the denominators by d
-                re, im = _cast(max(self._bound(), 1) * abs(c._x), self.re, self.im)
-                return Batch(self.n, self.k, re * c._x, im * c._x,
-                             _product(self.den, np.asarray(c._d)))
-            scalar = Batch(self.n, 0, np.array([[c._x]], dtype=object),
-                           np.array([[c._y]], dtype=object), np.array([c._d], dtype=object))
+            scalar = Batch(self.n, 0, _ints([c._x]).reshape(1, 1),
+                           _ints([c._y]).reshape(1, 1), c._d)
         elif scalar.k != 0:
             raise ValueError("only a degree-0 batch multiplies a batch")
         re, im, x, y = _cast(2 * self._bound() * scalar._bound(),
                              self.re, self.im, scalar.re, scalar.im)
-        return Batch(self.n, self.k, re * x - im * y, re * y + im * x,
-                     _product(self.den, scalar.den))
+        return Batch(self.n, self.k, re * x - im * y, re * y + im * x, self.den * scalar.den)
 
     __rmul__ = __mul__
 
@@ -640,21 +616,26 @@ class Batch:
         a_re, a_im, b_re, b_im = _cast(bound, self.re, self.im, other.re, other.im)
         re = (a_re * b_re + a_im * b_im).sum(axis=1, keepdims=True)
         im = (a_im * b_re - a_re * b_im).sum(axis=1, keepdims=True)
-        return Batch(self.n, 0, re, im, _product(self.den, other.den))
+        return Batch(self.n, 0, re, im, self.den * other.den)
 
     def norm_sq(self) -> "Batch":
         re, im = _cast(2 * self.re.shape[1] * self._bound() ** 2, self.re, self.im)
         total = (re * re + im * im).sum(axis=1, keepdims=True)
-        return Batch(self.n, 0, total, np.zeros_like(total), _product(self.den, self.den))
+        return Batch(self.n, 0, total, np.zeros_like(total), self.den * self.den)
 
 
 def _common(a: Batch, b: Batch):
-    """Numerators of a and b over den_a * den_b, with room to add them, and
-    that denominator."""
-    den_a, den_b = a.den[:, None], b.den[:, None]
-    bound = 2 * max(a._bound() * _maxabs(den_b), b._bound() * _maxabs(den_a))
-    a_re, a_im, b_re, b_im, den_a, den_b = _cast(bound, a.re, a.im, b.re, b.im, den_a, den_b)
-    return a_re * den_b, a_im * den_b, b_re * den_a, b_im * den_a, _product(a.den, b.den)
+    """Numerators of a and b over the least common multiple of their
+    denominators, with room to add them, and that denominator."""
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    bound = max(a._bound(), 1) * fa + max(b._bound(), 1) * fb  # fa, fb themselves fit
+    a_re, a_im, b_re, b_im = _cast(bound, a.re, a.im, b.re, b.im)
+    if fa > 1:
+        a_re, a_im = a_re * fa, a_im * fa
+    if fb > 1:
+        b_re, b_im = b_re * fb, b_im * fb
+    return a_re, a_im, b_re, b_im, den
 
 
 def _per_degree(a: Form, op: Callable[[Batch], Batch]) -> Form:
@@ -684,7 +665,9 @@ class Table(NamedTuple):
     coefficient re[i] + i im[i]; pairs are sorted by output, segment g
     (from starts[g]) feeding column outputs[g].  gain bounds the ratio of
     the largest output numerator to the largest input one.  `_table` builds
-    every table reduced: no pair repeats or is zero, and den is least.
+    every table reduced: no pair repeats or is zero, and den is least.  The
+    exterior product's tables (`_wedge_table`) are the other kind: their
+    pairs also carry a left factor, read by `_wedge_rows` alone.
     """
 
     k: int
@@ -698,7 +681,7 @@ class Table(NamedTuple):
     gain: int
 
     def __call__(self, a: Batch) -> Batch:
-        den = a.den if self.den == 1 else _product(a.den, np.asarray(self.den))
+        den = a.den * self.den
         if not (self.src.size and a.rows):
             return Batch.zero(a.n, self.k, a.rows, den)
         x_re, x_im, c_re, c_im = _cast(self.gain * a._bound(), a.re, a.im, self.re, self.im)
@@ -728,13 +711,13 @@ def _chunks(rows: int, pairs: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _summed(table, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _summed(table: Table, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns whose entry outputs[g] sums segment g of the pair values."""
     return (np.add.reduceat(re, table.starts, axis=1),
             np.add.reduceat(im, table.starts, axis=1))
 
 
-def _stacked(n: int, table, pieces: list, den: np.ndarray) -> Batch:
+def _stacked(n: int, table: Table, pieces: list, den: int) -> Batch:
     """The batch of the summed chunks, with the output columns in place."""
     re = np.vstack([p[0] for p in pieces])
     im = np.vstack([p[1] for p in pieces])
@@ -883,22 +866,6 @@ def _monomial_of(n: int, mask: int) -> Monomial:
     )
 
 
-class _WedgeTable(NamedTuple):
-    """Nonvanishing products of degree-da by degree-db basis monomials.
-
-    Pairs are sorted by output; indices are ranks in `monomial_basis`.
-    """
-
-    k: int  # da + db
-    size: int
-    left: np.ndarray
-    right: np.ndarray
-    sign: np.ndarray
-    starts: np.ndarray  # first pair of each output
-    outputs: np.ndarray  # rank of each output in degree da + db
-    gain: int  # twice the most pairs feeding one output
-
-
 @lru_cache(maxsize=None)
 def _basis_bits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     bits = [_bits(n, mono) for mono in monomial_basis(n, k)]
@@ -944,32 +911,38 @@ def _disjoint_pairs(n: int, lefts: np.ndarray, da: int, db: int):
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(n: int, da: int, db: int) -> _WedgeTable:
+def _wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
+    """The nonvanishing products of degree-da by degree-db basis monomials,
+    as a `Table` on the right factor whose coefficient is the reorder sign,
+    and the left factor's column of each pair.  No pair is imaginary, so
+    the table's im is a zero that holds no memory per pair."""
     left, right, sign, out = _disjoint_pairs(n, np.arange(_size(n, da)), da, db)
     by_out = np.argsort(out, kind="stable")
     left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
     starts = np.flatnonzero(np.concatenate(([True], out[1:] != out[:-1])))
     longest = int(np.diff(np.append(starts, out.size)).max())
-    return _WedgeTable(da + db, _size(n, da + db), left, right, sign, starts, out[starts],
-                       2 * longest)
+    im = np.broadcast_to(np.zeros((), dtype=np.int64), sign.shape)
+    return Table(da + db, _size(n, da + db), right, sign, im, starts, out[starts], 1,
+                 2 * longest), left
 
 
 def _wedge_rows(a: Batch, b: Batch) -> Batch:
-    """Row-by-row exterior products a_t ^ b_t on the compiled table."""
+    """Row-by-row exterior products a_t ^ b_t on the compiled table; its own
+    loop, as the signs need no complex product."""
     if a.n != b.n or a.rows != b.rows:
         raise ValueError("batch mismatch in the exterior product")
     n, k = a.n, a.k + b.k
-    den = _product(a.den, b.den)
+    den = a.den * b.den
     if not (_size(n, k) and a.re.shape[1] and b.re.shape[1] and a.rows):
         return Batch.zero(n, k, a.rows, den)
-    table = _wedge_table(n, a.k, b.k)
+    table, left = _wedge_table(n, a.k, b.k)
     a_re, a_im, b_re, b_im = _cast(table.gain * a._bound() * b._bound(),
                                    a.re, a.im, b.re, b.im)
     pieces = []
-    for rows in _chunks(a.rows, table.left.size):
-        x_re, x_im = a_re[rows][:, table.left], a_im[rows][:, table.left]
-        y_re = b_re[rows][:, table.right] * table.sign
-        y_im = b_im[rows][:, table.right] * table.sign
+    for rows in _chunks(a.rows, left.size):
+        x_re, x_im = a_re[rows][:, left], a_im[rows][:, left]
+        y_re = b_re[rows][:, table.src] * table.re
+        y_im = b_im[rows][:, table.src] * table.re
         pieces.append(_summed(table, x_re * y_re - x_im * y_im, x_re * y_im + x_im * y_re))
     return _stacked(n, table, pieces, den)
 
@@ -984,7 +957,7 @@ def _wedge_by(fixed: Form, d: int, k: int) -> Table:
     terms = np.flatnonzero((row.re[0] != 0) | (row.im[0] != 0))
     left, right, sign, out = _disjoint_pairs(n, terms, d, k)
     return _table(d + k, _size(n, d + k), out, right, row.re[0, terms[left]] * sign,
-                  row.im[0, terms[left]] * sign, int(row.den[0]))
+                  row.im[0, terms[left]] * sign, row.den)
 
 
 def _sparse_product(n: int, a: Form, b: Form) -> dict[Monomial, GaussRational]:

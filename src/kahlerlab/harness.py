@@ -170,7 +170,7 @@ def _drawn(rngs, columns: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _draw_degree(rngs, n: int, k: int, bound: int) -> Batch:
     re, im = _drawn(rngs, comb(2 * n, k), bound)
-    return Batch(n, k, re, im, np.ones(len(rngs), dtype=np.int64))
+    return Batch(n, k, re, im, 1)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +185,7 @@ def _draw_bidegree(rngs, n: int, p: int, q: int, bound: int) -> Batch:
     re = np.zeros((len(rngs), comb(2 * n, p + q)), dtype=np.int64)
     im = np.zeros_like(re)
     re[:, cols], im[:, cols] = _drawn(rngs, len(cols), bound)
-    return Batch(n, p + q, re, im, np.ones(len(rngs), dtype=np.int64))
+    return Batch(n, p + q, re, im, 1)
 
 
 def _draw_simple(rngs, n: int, k: int, bound: int) -> Batch:
@@ -204,9 +204,9 @@ def _draw_primitive(rngs, n: int, k: int, bound: int) -> Batch:
 class _Value:
     """One trial's side of a batched check.
 
-    key holds the side's numerators over a denominator shared with the
-    other side, so keys compare exactly as the values do; show renders
-    the value, which happens only when the check fails.
+    key is what the recorder compares: whether an equality held, or, for
+    an inequality, 0 against the numerator of rhs - lhs; show renders the
+    value, which happens only when the check fails.
     """
 
     __slots__ = ("key", "show")
@@ -237,8 +237,7 @@ Check = Callable[["_Recorder", int, int], None]  # (recorder, row, trial)
 def _equal(identity: str, inputs, lhs: Batch, rhs: Batch, scalar: bool = False) -> Check:
     """lhs == rhs, trial by trial; scalar sides are degree-0 batches shown as
     numbers."""
-    left, right = lhs.cross(rhs)
-    held = (left == right).all(axis=1).tolist()
+    held = (lhs - rhs).is_zero().tolist()
 
     def check(rec, t, trial):
         rec.equal(identity, trial, _at(inputs, t),
@@ -248,13 +247,14 @@ def _equal(identity: str, inputs, lhs: Batch, rhs: Batch, scalar: bool = False) 
 
 
 def _less_equal(identity: str, inputs, lhs: Batch, rhs: Batch) -> Check:
-    """lhs <= rhs, trial by trial, for real degree-0 batches."""
-    left, right = (keys[:, 0].tolist() for keys in lhs.cross(rhs))
+    """lhs <= rhs, trial by trial, for real degree-0 batches: rhs - lhs has
+    a nonnegative numerator over its positive denominator."""
+    gap = (rhs - lhs).re[:, 0].tolist()
 
     def check(rec, t, trial):
         rec.less_equal(identity, trial, _at(inputs, t),
-                       _Value(left[t], _shown(lhs, t, True)),
-                       _Value(right[t], _shown(rhs, t, True)))
+                       _Value(0, _shown(lhs, t, True)),
+                       _Value(gap[t], _shown(rhs, t, True)))
     return check
 
 

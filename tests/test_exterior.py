@@ -20,7 +20,6 @@ from kahlerlab.exterior import (
     GaussRational,
     Monomial,
     Table,
-    _WedgeTable,
     _basis_bits,
     _combined,
     _compiled,
@@ -118,6 +117,28 @@ def test_scalar_division_by_zero():
         GaussRational(1) / GaussRational(0)
     with pytest.raises(ZeroDivisionError):
         GaussRational(0).inverse()
+
+
+def test_scalars_accept_only_rational_components():
+    # no float or string reaches the exact layer, not even one that is exact
+    for bad in (0.1, 0.5, "1/3", "2", 1j, GaussRational(1)):
+        with pytest.raises(TypeError):
+            GaussRational(bad)
+        with pytest.raises(TypeError):
+            GaussRational(1, bad)
+    with pytest.raises(TypeError):
+        Form(1, {Monomial((1,), ()): 0.1})
+    with pytest.raises(TypeError):
+        Form.monomial(2, (1,), (2,), 0.5)
+    with pytest.raises(TypeError):
+        GaussRational(1) * 0.5
+    # int, bool, Fraction and numpy integers are rational, and numpy ones
+    # are held as Python ints, so products do not wrap at 2^63
+    assert GaussRational(np.int64(3), Fraction(-1, 2)) == GaussRational(3, Fraction(-1, 2))
+    assert GaussRational(True, np.int32(2)) == GaussRational(1, 2)
+    big = GaussRational(np.int64(2 ** 62), Fraction(np.int64(1), np.int64(6)))
+    assert big * 4 == GaussRational(2 ** 64, Fraction(2, 3))
+    assert all(type(v) is int for v in (big._x, big._y, big._d))
 
 
 def test_i_power_cycle():
@@ -467,9 +488,10 @@ def test_sparse_products_at_large_n_build_no_wedge_table(monkeypatch):
     assert len(top.terms) == 1 and top.degree() == 24
 
 
-def _dense_wedge_table(n: int, da: int, db: int) -> _WedgeTable:
-    """The wedge table from the dense left x right mask matrix: every pair
-    of degree-da and degree-db monomials, kept when disjoint."""
+def _dense_wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
+    """The wedge table and its left column from the dense left x right mask
+    matrix: every pair of degree-da and degree-db monomials, kept when
+    disjoint."""
     mask_a, par_a = _basis_bits(n, da)
     mask_b, _ = _basis_bits(n, db)
     mask_c, _ = _basis_bits(n, da + db)
@@ -486,20 +508,31 @@ def _dense_wedge_table(n: int, da: int, db: int) -> _WedgeTable:
     left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
     starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
     longest = int(np.diff(np.r_[starts, out.size]).max())
-    return _WedgeTable(da + db, len(mask_c), left, right, sign, starts, out[starts],
-                       2 * longest)
+    return Table(da + db, len(mask_c), right, sign, np.zeros_like(sign), starts, out[starts],
+                 1, 2 * longest), left
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_wedge_tables_by_complement_match_the_dense_mask_matrix(n):
-    """Every field, dtypes included, for every degree pair."""
+    """Every field of the table and the left column, dtypes included, for
+    every degree pair."""
     for da in range(2 * n + 1):
         for db in range(2 * n + 1 - da):
-            got, want = _wedge_table(n, da, db), _dense_wedge_table(n, da, db)
-            assert got._fields == want._fields
-            for field, x, y in zip(got._fields, got, want):
+            (got, got_left), (want, want_left) = (_wedge_table(n, da, db),
+                                                  _dense_wedge_table(n, da, db))
+            for field, x, y in zip((*got._fields, "left"), (*got, got_left),
+                                   (*want, want_left)):
                 assert np.array_equal(x, y), (da, db, field)
                 assert np.asarray(x).dtype == np.asarray(y).dtype, (da, db, field)
+
+
+def test_the_product_table_holds_no_imaginary_part_per_pair():
+    """The signs are real: im is one zero broadcast over the pairs, so the
+    24.6 M cached pairs at n = 8 carry no third array."""
+    table, left = _wedge_table(4, 3, 4)
+    assert table.im.shape == table.re.shape == left.shape and table.im.size > 1
+    assert table.im.strides == (0,) and table.im.base.nbytes == table.im.itemsize
+    assert not table.im.any() and table.den == 1
 
 
 def test_the_middle_wedge_table_at_n8_builds_without_the_dense_mask_matrix():
@@ -508,11 +541,11 @@ def test_the_middle_wedge_table_at_n8_builds_without_the_dense_mask_matrix():
     _basis_bits(8, 8), _basis_bits(8, 16)  # the cached bitmasks are not the table's
     tracemalloc.start()
     try:
-        table = _wedge_table.__wrapped__(8, 8, 8)
+        table, left = _wedge_table.__wrapped__(8, 8, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.left.size == comb(16, 8) and table.outputs.tolist() == [0]
+    assert left.size == table.src.size == comb(16, 8) and table.outputs.tolist() == [0]
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
@@ -576,7 +609,7 @@ def test_batch_conjugation_and_arithmetic_match_the_dict_path(n):
         assert _rows_of(ba - bb) == [x - y for x, y in zip(a, b)]
         c = GaussRational(Fraction(2, 3), Fraction(-1, 2))
         assert _rows_of(ba * c) == [x * c for x in a]
-        # a real scalar scales the numerators and the denominators directly
+        # a constant is a one-row degree-0 batch, on either side
         for r in (Fraction(-5, 7), 3, 0):
             assert _rows_of(ba * r) == [x * r for x in a]
             assert _rows_of(r * ba) == [x * r for x in a]
@@ -587,9 +620,11 @@ def test_batch_conjugation_and_arithmetic_match_the_dict_path(n):
         assert [s.coefficient(Monomial((), ())) for s in _rows_of(norm_sq(ba))] == [
             norm_sq(x) for x in a]
         assert _rows_of(ba * scalars) == [x * inner(x, y) for x, y in zip(a, b)]
-        # cross-multiplied rows agree exactly where the forms do
-        left, right = ba.cross(Batch.of(n, k, [x * 1 for x in a[:-1]] + [b[0]]))
-        same = [lhs == rhs for lhs, rhs in zip(left.tolist(), right.tolist())]
+        # a difference vanishes exactly on the rows where the forms agree,
+        # here with the rows of a over another denominator
+        other = Batch.of(n, k, [x * Fraction(1, 35) for x in a[:-1]] + [b[0]]) * 35
+        assert other.den != ba.den
+        same = (ba - other).is_zero().tolist()
         assert same == [True] * (len(a) - 1) + [b[0] == a[-1]]
 
 
@@ -623,20 +658,35 @@ def test_batches_beyond_int64_run_on_python_ints():
 
 
 def test_batch_sums_over_large_denominators_leave_int64():
-    # numerators near 2^40 over denominators near 2^25: the cross-multiplied
-    # numerators of a sum pass 2^63
+    # numerators near 2^40 over coprime denominators near 2^25: over their
+    # product, the numerators of a sum or a difference pass 2^63
     rnd = random.Random(43)
     n, k, big = 2, 2, 2 ** 40
-    a = _rational_rows(rnd, n, k, dens=(2 ** 25 + 1, 3), bound=big)
-    b = _rational_rows(rnd, n, k, dens=(2 ** 25 + 3, 5), bound=big)
+    a = _rational_rows(rnd, n, k, dens=(2 ** 25 + 1,) * 3, bound=big)
+    b = _rational_rows(rnd, n, k, dens=(2 ** 25 + 3,) * 3, bound=big)
     ba, bb = Batch.of(n, k, a), Batch.of(n, k, b)
+    assert (ba.den, bb.den) == (2 ** 25 + 1, 2 ** 25 + 3)
     assert ba.re.dtype == bb.re.dtype == np.int64
     total = ba + bb
-    assert total.re.dtype == object
+    assert total.re.dtype == object and total.den == ba.den * bb.den
     assert _rows_of(total) == [x + y for x, y in zip(a, b)]
-    left, right = ba.cross(bb)
-    assert [lhs == rhs for lhs, rhs in zip(left.tolist(), right.tolist())] == [
-        x == y for x, y in zip(a, b)]
+    difference = ba - bb
+    assert difference.re.dtype == object
+    assert difference.is_zero().tolist() == [x == y for x, y in zip(a, b)] == [
+        False, False, False, True]
+
+
+def test_batch_of_puts_every_row_over_the_least_common_denominator():
+    rnd = random.Random(47)
+    n, k = 3, 2
+    forms = _rational_rows(rnd, n, k, dens=(1, 2, 3, 6))
+    assert {c._d for x in forms for c in x.terms.values()} == {1, 2, 3, 6}
+    batch = Batch.of(n, k, forms)
+    assert type(batch.den) is int and batch.den == 6
+    assert _rows_of(batch) == forms
+    halves = Batch.of(n, k, [x * Fraction(1, 2) for x in forms[:1]])
+    assert type(halves.den) is int and halves.den == 2
+    assert Batch.of(n, k, []).den == 1 and Batch.of(n, k, [Form.zero(n)]).den == 1
 
 
 # ---- table algebra against pushing the identity through the tables -----------
@@ -647,7 +697,7 @@ def pushed(op, n, k_in, k_out):
     through it: the reference route for composed and combined tables."""
     size = comb(2 * n, k_in)
     units = Batch(n, k_in, np.eye(size, dtype=np.int64), np.zeros((size, size), dtype=np.int64),
-                  np.ones(size, dtype=np.int64))
+                  1)
     images = op(units)
     assert images.k == k_out
     basis_in = monomial_basis(n, k_in)

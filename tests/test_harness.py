@@ -308,30 +308,31 @@ def test_batched_checks_compare_every_column(monkeypatch):
 def test_batched_comparisons_are_exact():
     n = 2
     zeros = np.zeros((3, 1), dtype=np.int64)
-    # 3/4 <= 3/4, 7/9 <= 7/10 and 2^61/3 <= 2^62/6: only the second fails,
-    # and the third cross-multiplies beyond int64
-    lhs = Batch(n, 0, np.array([[3], [7], [2 ** 61]]), zeros, np.array([4, 9, 3]))
-    rhs = Batch(n, 0, np.array([[3], [7], [2 ** 62]]), zeros, np.array([4, 10, 6]))
+    # 2/3 <= 4/6, 7/3 <= 13/6 and 2^61/3 <= 2^62/6: only the second fails,
+    # and over the common denominator 6 the third difference leaves int64
+    lhs = Batch(n, 0, np.array([[2], [7], [2 ** 61]]), zeros, 3)
+    rhs = Batch(n, 0, np.array([[4], [13], [2 ** 62]]), zeros, 6)
+    assert (rhs - lhs).re.dtype == object
     rec = harness._Recorder("x", n, 3, RandomSpec())
     harness._record(rec, 3, [harness._less_equal("x", "n=2", lhs, rhs)])
-    assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [(1, "7/9", "7/10")]
-    # the same forms, but row 1 differs in one imaginary part of its last
-    # column and row 2 is written over another denominator
+    assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [(1, "7/3", "13/6")]
+    # the same forms written over another denominator, but row 1 differs in
+    # one imaginary part of its last column
     a = Batch.of(n, 2, [random_form(n, 1, 1, RandomSpec(seed=s)) for s in range(3)])
-    im = a.im.copy()
+    im = a.im * 5
     im[1, -1] += 1
-    b = Batch(n, 2, a.re * np.array([[1], [1], [5]]), im * np.array([[1], [1], [5]]),
-              a.den * np.array([1, 1, 5]))
+    b = Batch(n, 2, a.re * 5, im, a.den * 5)
     rec = harness._Recorder("y", n, 3, RandomSpec())
     harness._record(rec, 3, [harness._equal("y", {"a": a}, a, b)])
     assert [f.trial for f in rec.failures] == [1]
     assert rec.failures[0].inputs == f"a = {a.form(1)}"
     assert rec.failures[0].rhs == str(b.form(1))
-    # 2^61/3 = 2^62/6, 2^61/3 != (2^61 + 2)/3 and 5/7 = 10/14: the
-    # cross-products leave int64, so the rows compare as Python ints
-    lhs = Batch(n, 0, np.array([[2 ** 61], [2 ** 61], [5]]), zeros, np.array([3, 3, 7]))
-    rhs = Batch(n, 0, np.array([[2 ** 62], [2 ** 62 + 4], [10]]), zeros, np.array([6, 6, 14]))
-    assert lhs.cross(rhs)[0].dtype == object
+    # 2^61/3 = 2^62/6, 2^61/3 != (2^61 + 2)/3 and 5/3 = 10/6: over the
+    # common denominator 6 the difference leaves int64, so the rows compare
+    # as Python ints
+    lhs = Batch(n, 0, np.array([[2 ** 61], [2 ** 61], [5]]), zeros, 3)
+    rhs = Batch(n, 0, np.array([[2 ** 62], [2 ** 62 + 4], [10]]), zeros, 6)
+    assert (lhs - rhs).re.dtype == object
     rec = harness._Recorder("z", n, 3, RandomSpec())
     harness._record(rec, 3, [harness._equal("z", "n=2", lhs, rhs, scalar=True)])
     assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [
@@ -483,7 +484,7 @@ def _basis_batch(n, k):
     table = _primitive_table(n, k)
     re = np.zeros((_inputs(table), comb(2 * n, k)), dtype=np.int64)
     re[table.src, _pair_outputs(table)] = table.re
-    return Batch(n, k, re, np.zeros_like(re), np.ones(len(re), dtype=np.int64))
+    return Batch(n, k, re, np.zeros_like(re), 1)
 
 
 def _off_by_one(table_of, at, entry=0):
@@ -500,8 +501,7 @@ def _off_by_one(table_of, at, entry=0):
 
 
 def _differing_rows(lhs, rhs):
-    left, right = lhs.cross(rhs)
-    return set(np.flatnonzero(~(left == right).all(axis=1)).tolist())
+    return set(np.flatnonzero(~(lhs - rhs).is_zero()).tolist())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
