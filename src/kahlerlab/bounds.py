@@ -17,15 +17,19 @@ def _check_dim(n: int) -> None:
         raise ValueError("dimension must be at least 1")
 
 
+def _check_bidegree(n: int, p: int, q: int) -> None:
+    _check_dim(n)
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
+
+
 def c_pq(n: int, p: int, q: int) -> Fraction:
     """Constant for (p,q)-forms, k = p + q != n.
 
     ((n-k)!^4 / 4) * ((p+1)!^4 / (n-q)!^4) below the middle degree; above
     it the value at the reflected bidegree (n-p, n-q).
     """
-    _check_dim(n)
-    if not (0 <= p <= n and 0 <= q <= n):
-        raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
+    _check_bidegree(n, p, q)
     k = p + q
     if k == n:
         raise ValueError("middle degree has no uniform bound")
@@ -85,18 +89,12 @@ def verify_ck_is_min(n: int, k: int) -> MinimalityReport:
 
 
 def middle_pq_bound(n: int, p: int, q: int) -> Fraction:
-    """Middle-degree (p+q = n) bound from the two adjacent bidegrees."""
-    _check_dim(n)
+    """Middle-degree (p+q = n) bound from the adjacent bidegrees (p, q-1)
+    and (p, q+1); with n >= 1, at least one of them is in range."""
+    _check_bidegree(n, p, q)
     if p + q != n:
         raise ValueError(f"expected p+q = n = {n}, got p+q = {p + q}")
-    candidates = []
-    if q - 1 >= 0:
-        candidates.append(c_pq(n, p, q - 1))
-    if q + 1 <= n:
-        candidates.append(c_pq(n, p, q + 1))
-    if not candidates:
-        raise ValueError("no adjacent bidegree is defined")
-    return min(candidates)
+    return min(c_pq(n, p, q + d) for d in (-1, 1) if 0 <= q + d <= n)
 
 
 def middle_k_bound(n: int) -> Fraction:

@@ -107,6 +107,11 @@ def test_out_of_range_arguments():
         c_k(0, 0)
     with pytest.raises(ValueError):
         middle_pq_bound(2, 1, 0)
+    # the bidegree asked for is named, not a neighbour of it
+    with pytest.raises(ValueError, match=r"bidegree \(3,-1\) out of range for n=2"):
+        middle_pq_bound(2, 3, -1)
+    with pytest.raises(ValueError, match=r"bidegree \(-1,3\) out of range for n=2"):
+        middle_pq_bound(2, -1, 3)
 
 
 def test_middle_substitute_pinned_values():

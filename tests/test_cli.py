@@ -87,6 +87,8 @@ def test_constants_usage_errors(capsys):
     _run_expect_usage_error(capsys, ["constants", "--dim", "2", "--p", "1"])
     _run_expect_usage_error(capsys, ["constants"])
     _run_expect_usage_error(capsys, ["constants", "--dim", "2", "--format", "xml"])
+    err = _run_expect_usage_error(capsys, ["constants", "--dim", "2", "--p", "3", "--q", "-1"])
+    assert "(3,-1)" in err
 
 
 @pytest.mark.parametrize("eta_sq", ["0", "-2"])
