@@ -16,10 +16,14 @@ one take and one np.add.reduceat; tables compose and combine exactly.  The
 exterior product of degrees da and db is a `Table` on the right factor
 whose coefficients are the reorder signs, plus the left factor's column of
 each pair, and is applied to two batches with two gathers.
-Arithmetic is int64 under a bound checked before each operation and Python
-ints otherwise.  The product of two dict forms loops over their term pairs,
-so a sparse product costs its terms, not its degrees; fixed operators reach
-a dict form as one-row batches, one per degree.
+Every batch carries an upper bound on its numerators, set by the operation
+that made it from its operands' bounds; arithmetic is int64 while that bound
+stays below 2^63, and Python ints otherwise.  Only when the carried bound
+reaches 2^63 are the operands measured and the bound recomputed, so the
+int64 choice is always the one the measured numerators give.  The product
+of two dict forms loops over their term pairs, so a sparse product costs
+its terms, not its degrees; fixed operators reach a dict form as one-row
+batches, one per degree.
 
 The exterior product works on bitmasks: a monomial is the 2n-bit set of its
 1-forms in the order dz_1..dz_n, dzb_1..dzb_n, and the reorder sign of a
@@ -508,15 +512,18 @@ class Batch:
 
     Row t is sum_j (re[t, j] + i im[t, j]) / den * basis[j] over
     basis = monomial_basis(n, k); den is a positive int shared by every
-    row.  A degree-0 batch doubles as a column of scalars.  Batches are
-    never changed in place.
+    row.  A degree-0 batch doubles as a column of scalars.  bound, when
+    given, is an upper bound on every |numerator|; without it the
+    numerators are measured when first needed.  Batches are never changed
+    in place.
     """
 
-    __slots__ = ("n", "k", "re", "im", "den", "_max")
+    __slots__ = ("n", "k", "re", "im", "den", "_max", "_measured")
 
-    def __init__(self, n: int, k: int, re: np.ndarray, im: np.ndarray, den: int):
+    def __init__(self, n: int, k: int, re: np.ndarray, im: np.ndarray, den: int,
+                 bound: int | None = None):
         self.n, self.k, self.re, self.im, self.den = n, k, re, im, den
-        self._max = None
+        self._max, self._measured = bound, False
 
     @classmethod
     def of(cls, n: int, k: int, forms: Sequence[Form]) -> "Batch":
@@ -538,7 +545,7 @@ class Batch:
     @classmethod
     def zero(cls, n: int, k: int, rows: int, den: int = 1) -> "Batch":
         re = np.zeros((rows, _size(n, k)), dtype=np.int64)
-        return cls(n, k, re, re, den)
+        return cls(n, k, re, re, den, 0)
 
     @property
     def rows(self) -> int:
@@ -559,10 +566,11 @@ class Batch:
         """Per row, whether the form vanishes."""
         return ~((self.re != 0).any(axis=1) | (self.im != 0).any(axis=1))
 
-    def _bound(self) -> int:
-        """The largest |numerator|, found once."""
-        if self._max is None:
-            self._max = _maxabs(self.re, self.im)
+    def _bound(self, measured: bool = False) -> int:
+        """An upper bound on |numerator|: the carried one, or, when there is
+        none or measured is set, the largest |numerator| itself, found once."""
+        if self._max is None or (measured and not self._measured):
+            self._max, self._measured = _maxabs(self.re, self.im), True
         return self._max
 
     def _require_like(self, other: "Batch") -> None:
@@ -576,11 +584,11 @@ class Batch:
         if not isinstance(other, Batch):
             return NotImplemented
         self._require_like(other)
-        a_re, a_im, b_re, b_im, den = _common(self, other)
-        return Batch(self.n, self.k, a_re + b_re, a_im + b_im, den)
+        a_re, a_im, b_re, b_im, den, bound = _common(self, other)
+        return Batch(self.n, self.k, a_re + b_re, a_im + b_im, den, bound)
 
     def __neg__(self) -> "Batch":
-        return Batch(self.n, self.k, -self.re, -self.im, self.den)
+        return Batch(self.n, self.k, -self.re, -self.im, self.den, self._max)
 
     def __sub__(self, other: "Batch") -> "Batch":
         if not isinstance(other, Batch):
@@ -594,12 +602,13 @@ class Batch:
             if c is NotImplemented:
                 return NotImplemented
             scalar = Batch(self.n, 0, _ints([c._x]).reshape(1, 1),
-                           _ints([c._y]).reshape(1, 1), c._d)
+                           _ints([c._y]).reshape(1, 1), c._d, max(abs(c._x), abs(c._y)))
         elif scalar.k != 0:
             raise ValueError("only a degree-0 batch multiplies a batch")
-        re, im, x, y = _cast(2 * self._bound() * scalar._bound(),
-                             self.re, self.im, scalar.re, scalar.im)
-        return Batch(self.n, self.k, re * x - im * y, re * y + im * x, self.den * scalar.den)
+        bound = _bounded(lambda a, b: 2 * a * b, self, scalar)
+        re, im, x, y = _cast(bound, self.re, self.im, scalar.re, scalar.im)
+        return Batch(self.n, self.k, re * x - im * y, re * y + im * x,
+                     self.den * scalar.den, bound)
 
     __rmul__ = __mul__
 
@@ -607,35 +616,50 @@ class Batch:
         return _wedge_rows(self, other)
 
     def conjugate(self) -> "Batch":
-        flipped = Batch(self.n, self.k, self.re, -self.im, self.den)
-        return _conjugation_table(self.n, self.k)(flipped)
+        flipped = Batch(self.n, self.k, self.re, -self.im, self.den, self._max)
+        out = _conjugation_table(self.n, self.k)(flipped)  # a signed permutation
+        return Batch(self.n, self.k, out.re, out.im, out.den, flipped._bound())
 
     def inner(self, other: "Batch") -> "Batch":
         self._require_like(other)
-        bound = 2 * self.re.shape[1] * self._bound() * other._bound()
+        cols = self.re.shape[1]
+        bound = _bounded(lambda a, b: 2 * cols * a * b, self, other)
         a_re, a_im, b_re, b_im = _cast(bound, self.re, self.im, other.re, other.im)
         re = (a_re * b_re + a_im * b_im).sum(axis=1, keepdims=True)
         im = (a_im * b_re - a_re * b_im).sum(axis=1, keepdims=True)
-        return Batch(self.n, 0, re, im, self.den * other.den)
+        return Batch(self.n, 0, re, im, self.den * other.den, bound)
 
     def norm_sq(self) -> "Batch":
-        re, im = _cast(2 * self.re.shape[1] * self._bound() ** 2, self.re, self.im)
+        cols = self.re.shape[1]
+        bound = _bounded(lambda a: 2 * cols * a * a, self)
+        re, im = _cast(bound, self.re, self.im)
         total = (re * re + im * im).sum(axis=1, keepdims=True)
-        return Batch(self.n, 0, total, np.zeros_like(total), self.den * self.den)
+        return Batch(self.n, 0, total, np.zeros_like(total), self.den * self.den, bound)
+
+
+def _bounded(rule: Callable[..., int], *batches: Batch) -> int:
+    """rule applied to the carried numerator bounds of the batches; when
+    that reaches 2^63, to their measured ones, so the int64 choice is the
+    one measuring the operands gives."""
+    bound = rule(*(b._bound() for b in batches))
+    if bound >= _INT64_LIMIT:
+        bound = rule(*(b._bound(measured=True) for b in batches))
+    return bound
 
 
 def _common(a: Batch, b: Batch):
     """Numerators of a and b over the least common multiple of their
-    denominators, with room to add them, and that denominator."""
+    denominators, with room to add them, that denominator and a bound on
+    the sums."""
     den = lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
-    bound = max(a._bound(), 1) * fa + max(b._bound(), 1) * fb  # fa, fb themselves fit
+    bound = _bounded(lambda x, y: max(x, 1) * fa + max(y, 1) * fb, a, b)  # fa, fb fit
     a_re, a_im, b_re, b_im = _cast(bound, a.re, a.im, b.re, b.im)
     if fa > 1:
         a_re, a_im = a_re * fa, a_im * fa
     if fb > 1:
         b_re, b_im = b_re * fb, b_im * fb
-    return a_re, a_im, b_re, b_im, den
+    return a_re, a_im, b_re, b_im, den, bound
 
 
 def _per_degree(a: Form, op: Callable[[Batch], Batch]) -> Form:
@@ -684,12 +708,13 @@ class Table(NamedTuple):
         den = a.den * self.den
         if not (self.src.size and a.rows):
             return Batch.zero(a.n, self.k, a.rows, den)
-        x_re, x_im, c_re, c_im = _cast(self.gain * a._bound(), a.re, a.im, self.re, self.im)
+        bound = _bounded(lambda x: self.gain * x, a)
+        x_re, x_im, c_re, c_im = _cast(bound, a.re, a.im, self.re, self.im)
         pieces = []
         for rows in _chunks(a.rows, self.src.size):
             p_re, p_im = x_re[rows][:, self.src], x_im[rows][:, self.src]
             pieces.append(_summed(self, p_re * c_re - p_im * c_im, p_re * c_im + p_im * c_re))
-        return _stacked(a.n, self, pieces, den)
+        return _stacked(a.n, self, pieces, den, bound)
 
     def rows(self) -> dict[int, dict[int, GaussRational]]:
         """The rows of the map's matrix, {output: {input: nonzero entry}}."""
@@ -717,8 +742,9 @@ def _summed(table: Table, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, n
             np.add.reduceat(im, table.starts, axis=1))
 
 
-def _stacked(n: int, table: Table, pieces: list, den: int) -> Batch:
-    """The batch of the summed chunks, with the output columns in place."""
+def _stacked(n: int, table: Table, pieces: list, den: int, bound: int) -> Batch:
+    """The batch of the summed chunks, with the output columns in place;
+    bound bounds every sum."""
     re = np.vstack([p[0] for p in pieces])
     im = np.vstack([p[1] for p in pieces])
     if len(table.outputs) < table.size:
@@ -726,7 +752,7 @@ def _stacked(n: int, table: Table, pieces: list, den: int) -> Batch:
         full_im = np.zeros((len(im), table.size), dtype=im.dtype)
         full_re[:, table.outputs], full_im[:, table.outputs] = re, im
         re, im = full_re, full_im
-    return Batch(n, table.k, re, im, den)
+    return Batch(n, table.k, re, im, den, bound)
 
 
 def _table(k: int, size: int, out, src, re, im, den: int) -> Table:
@@ -827,11 +853,16 @@ def _equal_tables(a: Table, b: Table) -> bool:
 @lru_cache(maxsize=None)
 def _conjugation_table(n: int, k: int) -> Table:
     """The monomial part of conjugation, dz^S ^ dzb^T -> (-1)^(pq) dz^T ^ dzb^S;
-    the coefficients are conjugated before it is applied."""
-    return _compiled(n, k, k, {
-        mono: {Monomial(mono.t, mono.s): GaussRational((-1) ** (len(mono.s) * len(mono.t)))}
-        for mono in monomial_basis(n, k)
-    })
+    the coefficients are conjugated before it is applied.  The output of
+    each bitmask is the mask with its holomorphic and antiholomorphic halves
+    swapped."""
+    masks, _ = _basis_bits(n, k)
+    low = (1 << n) - 1
+    swapped = (masks >> n) | ((masks & low) << n)
+    p = np.array([len(mono.s) for mono in monomial_basis(n, k)], dtype=np.int64)
+    sign = 1 - 2 * (p * (k - p) & 1)
+    return _table(k, _size(n, k), _ranked(masks, swapped), np.arange(masks.size), sign,
+                  np.zeros_like(sign), 1)
 
 
 # ---- exterior product: bitmasks, the term-pair loop and compiled tables ----
@@ -936,15 +967,15 @@ def _wedge_rows(a: Batch, b: Batch) -> Batch:
     if not (_size(n, k) and a.re.shape[1] and b.re.shape[1] and a.rows):
         return Batch.zero(n, k, a.rows, den)
     table, left = _wedge_table(n, a.k, b.k)
-    a_re, a_im, b_re, b_im = _cast(table.gain * a._bound() * b._bound(),
-                                   a.re, a.im, b.re, b.im)
+    bound = _bounded(lambda x, y: table.gain * x * y, a, b)
+    a_re, a_im, b_re, b_im = _cast(bound, a.re, a.im, b.re, b.im)
     pieces = []
     for rows in _chunks(a.rows, left.size):
         x_re, x_im = a_re[rows][:, left], a_im[rows][:, left]
         y_re = b_re[rows][:, table.src] * table.re
         y_im = b_im[rows][:, table.src] * table.re
         pieces.append(_summed(table, x_re * y_re - x_im * y_im, x_re * y_im + x_im * y_re))
-    return _stacked(n, table, pieces, den)
+    return _stacked(n, table, pieces, den, bound)
 
 
 def _wedge_by(fixed: Form, d: int, k: int) -> Table:

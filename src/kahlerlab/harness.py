@@ -174,7 +174,7 @@ def _drawn(rngs, columns: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _draw_degree(rngs, n: int, k: int, bound: int) -> Batch:
     re, im = _drawn(rngs, comb(2 * n, k), bound)
-    return Batch(n, k, re, im, 1)
+    return Batch(n, k, re, im, 1, bound)
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +189,7 @@ def _draw_bidegree(rngs, n: int, p: int, q: int, bound: int) -> Batch:
     re = np.zeros((len(rngs), comb(2 * n, p + q)), dtype=np.int64)
     im = np.zeros_like(re)
     re[:, cols], im[:, cols] = _drawn(rngs, len(cols), bound)
-    return Batch(n, p + q, re, im, 1)
+    return Batch(n, p + q, re, im, 1, bound)
 
 
 def _draw_simple(rngs, n: int, k: int, bound: int) -> Batch:
@@ -712,6 +712,33 @@ _SWEEPS: dict[str, Callable[..., list[SuiteReport]]] = {
 
 SUITES = tuple(_SWEEPS)
 
+# A wedge pair that `federer` caches holds about this many bytes (24.6 M
+# pairs took 590 MB at n = 8); a run whose pairs need more than the budget
+# is refused before any suite starts.
+_BYTES_PER_WEDGE_PAIR = 24
+_MEMORY_BUDGET = 8 << 30
+
+
+def _wedge_pairs(n: int) -> int:
+    """The wedge pairs `federer` caches at dimension n: over its degree
+    pairs da <= db, each degree-da monomial times each degree-db monomial
+    disjoint from it."""
+    return sum(comb(2 * n, da) * comb(2 * n - da, db)
+               for da in range(2 * n + 1) for db in range(da, 2 * n + 1 - da))
+
+
+def _refuse_infeasible(suites: Sequence[str], n: int) -> None:
+    """A ValueError, with the estimate, when the suites cannot run at n
+    within the memory budget."""
+    if "federer" in suites:
+        pairs = _wedge_pairs(n)
+        need = pairs * _BYTES_PER_WEDGE_PAIR
+        if need > _MEMORY_BUDGET:
+            raise ValueError(
+                f"federer at n={n} would cache about {pairs:,} wedge pairs, about "
+                f"{need / 2 ** 30:.1f} GiB at {_BYTES_PER_WEDGE_PAIR} bytes each, over "
+                f"the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+
 
 def run_suite(suite: str, n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Run one named suite over its full parameter sweep at dimension n.
@@ -721,6 +748,7 @@ def run_suite(suite: str, n: int, trials: int, rspec: RandomSpec) -> SuiteReport
     """
     if suite not in _SWEEPS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    _refuse_infeasible([suite], n)
     rec = _Recorder(suite, n, trials, rspec)
     for part in _SWEEPS[suite](n, trials, rspec):
         rec.failures.extend(part.failures)
@@ -728,5 +756,7 @@ def run_suite(suite: str, n: int, trials: int, rspec: RandomSpec) -> SuiteReport
 
 
 def run_all(n: int, trials: int, rspec: RandomSpec) -> list[SuiteReport]:
-    """All suites in canonical order."""
+    """All suites in canonical order; an infeasible dimension is refused
+    before any of them runs."""
+    _refuse_infeasible(SUITES, n)
     return [run_suite(s, n, trials, rspec) for s in SUITES]

@@ -198,7 +198,7 @@ def hr_pairing(a, b):
     scale = GaussRational.i_power(ka * (ka - 1)) / volume_form(n).coefficient(_top_monomial(n))
     if isinstance(a, Batch):
         top = lefschetz_power(a, n - ka).wedge(b)  # one column, the top monomial
-        return Batch(n, 0, top.re, top.im, top.den) * scale
+        return Batch(n, 0, top.re, top.im, top.den, top._bound()) * scale
     product = _omega_power(n, n - ka).wedge(a).wedge(b)
     return scale * product.coefficient(_top_monomial(n))
 

@@ -224,6 +224,8 @@ def test_verify_usage_errors(capsys):
     _run_expect_usage_error(capsys, ["verify", "--dim", "0"])
     _run_expect_usage_error(capsys, ["verify", "--trials", "0"])
     _run_expect_usage_error(capsys, ["verify", "--seed", "-2"])
+    err = _run_expect_usage_error(capsys, ["verify", "--dim", "10"])
+    assert "1,932,081,885 wedge pairs" in err and "GiB" in err
 
 
 def test_spectrum_single_radius_json(capsys):

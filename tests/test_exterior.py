@@ -24,7 +24,9 @@ from kahlerlab.exterior import (
     _combined,
     _compiled,
     _composed,
+    _conjugation_table,
     _equal_tables,
+    _maxabs,
     _table,
     _wedge_table,
     bidegree_basis,
@@ -780,3 +782,95 @@ def test_table_algebra_leaves_int64_only_when_the_entries_do():
                   _combined([(0, big)])):
         assert same_fields(table, _compiled(n, 2, 2, {}))
     assert same_fields(_composed(_table(2, 6, range(6), range(6), [1] * 6, [0] * 6, 1), big), _combined([(1, big)]))
+
+
+def test_conjugation_tables_match_their_monomial_construction():
+    """The index-array tables equal, field by field, the tables compiled from
+    dz^S ^ dzb^T -> (-1)^(pq) dz^T ^ dzb^S monomial by monomial."""
+    for n in range(1, 6):
+        for k in range(2 * n + 1):
+            want = _compiled(n, k, k, {
+                mono: {Monomial(mono.t, mono.s): GaussRational((-1) ** (len(mono.s) * len(mono.t)))}
+                for mono in monomial_basis(n, k)
+            })
+            assert same_fields(_conjugation_table(n, k), want), (n, k)
+
+
+# ---- carried numerator bounds ----------------------------------------------
+
+_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 31), 2 ** 31),
+                        st.sampled_from([2 ** 62, -(2 ** 62) - 1, 2 ** 63 - 1, -(2 ** 64) - 5]))
+
+
+@st.composite
+def carried_batches(draw, n, k, rows):
+    """A batch whose numerators may lie near 2^63 or beyond, held as int64 or
+    as an object array even when they fit, carrying no bound or one at least
+    its largest |numerator|."""
+    size = comb(2 * n, k)
+    values = draw(st.lists(_NUMERATORS, min_size=2 * rows * size, max_size=2 * rows * size))
+    fits = all(abs(v) < 2 ** 63 for v in values)
+    dtype = np.int64 if fits and draw(st.booleans()) else object
+    re = np.array(values[0::2], dtype=dtype).reshape(rows, size)
+    im = np.array(values[1::2], dtype=dtype).reshape(rows, size)
+    slack = draw(st.one_of(st.none(), st.just(0), st.integers(0, 2 ** 40),
+                           st.integers(0, 90).map(lambda e: 2 ** e)))
+    bound = None if slack is None else max(map(abs, values), default=0) + slack
+    return Batch(n, k, re, im, draw(st.sampled_from([1, 3, 2 ** 25 + 1])), bound)
+
+
+def _measured(a: Batch) -> Batch:
+    """The same batch without a carried bound: its numerators are measured."""
+    return Batch(a.n, a.k, a.re, a.im, a.den)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_carried_bounds_cover_every_result_and_pick_the_measured_dtype(data):
+    n = data.draw(st.integers(1, 2))
+    k, rows = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(1, 3))
+    kc = data.draw(st.integers(0, 2 * n - k))
+    a, b = data.draw(carried_batches(n, k, rows)), data.draw(carried_batches(n, k, rows))
+    c, s = data.draw(carried_batches(n, kc, rows)), data.draw(carried_batches(n, 0, rows))
+    table = data.draw(sparse_tables(n, k, data.draw(st.integers(0, 2 * n))))
+    constant = GaussRational(data.draw(_NUMERATORS), Fraction(data.draw(_NUMERATORS), 3))
+    ops = {
+        "add": lambda a, b, c, s: a + b,
+        "sub": lambda a, b, c, s: a - b,
+        "neg": lambda a, b, c, s: -a,
+        "scale": lambda a, b, c, s: a * s,
+        "constant": lambda a, b, c, s: a * constant,
+        "wedge": lambda a, b, c, s: a.wedge(c),
+        "inner": lambda a, b, c, s: inner(a, b),
+        "norm_sq": lambda a, b, c, s: norm_sq(a),
+        "conjugate": lambda a, b, c, s: a.conjugate(),
+        "table": lambda a, b, c, s: table(a),
+        "chain": lambda a, b, c, s: norm_sq((a - b).conjugate().wedge(c) * s) + inner(b, a) * s,
+    }
+    for name, op in ops.items():
+        got = op(a, b, c, s)
+        want = op(*map(_measured, (a, b, c, s)))
+        assert (got.re.dtype, got.im.dtype) == (want.re.dtype, want.im.dtype), name
+        assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im), name
+        assert got.den == want.den, name
+        assert got._bound() >= _maxabs(got.re, got.im), name
+
+
+def test_a_chain_whose_carried_bound_passes_int64_still_computes_in_int64():
+    """Ten degree-1 factors at n = 5 multiply their carried bounds by each
+    product's gain; norm_sq then measures the product instead of leaving
+    int64, as the numerators themselves stay far below 2^63."""
+    n, rows = 5, 4
+    rng = np.random.default_rng(9)
+    factors = [Batch(n, 1, rng.integers(-3, 4, (rows, 2 * n)), rng.integers(-3, 4, (rows, 2 * n)),
+                     1, 3) for _ in range(2 * n)]
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product.wedge(factor)
+        assert product.re.dtype == np.int64
+    cols = product.re.shape[1]
+    assert 2 * cols * product._bound() ** 2 >= 2 ** 63
+    assert 2 * cols * _maxabs(product.re, product.im) ** 2 < 2 ** 63
+    got = norm_sq(product)
+    assert got.re.dtype == np.int64 and got._bound() < 2 ** 63
+    assert np.array_equal(got.re, norm_sq(_measured(product)).re)

@@ -721,3 +721,45 @@ def test_a_patched_dual_lefschetz_leaves_no_left_inverse_behind(monkeypatch):
         assert set(_failed(n)) == {"dual-lefschetz-star-route[k=4]",
                                    "primitive-bidegree-dimension[p=1,q=3]"}
     assert _failed(n) == {}
+
+
+def test_verify_suites_up_to_n5_never_leave_int64(monkeypatch):
+    """With the default coefficient bound, no batch operation of any suite at
+    n <= 5 takes the object path: every bound it casts under, carried or
+    measured, stays below 2^63."""
+    from kahlerlab import exterior
+
+    cast, bounds = exterior._cast, []
+
+    def int64_only(bound, *arrays):
+        bounds.append(bound)
+        out = cast(bound, *arrays)
+        assert all(x.dtype == np.int64 for x in out), f"object path under bound {bound}"
+        return out
+
+    monkeypatch.setattr(exterior, "_cast", int64_only)
+    for n in range(1, 6):
+        assert all(report.passed for report in run_all(n, 2, RandomSpec(seed=17)))
+    assert bounds and max(bounds) < 2 ** 63
+
+
+def test_federer_wedge_pair_estimate_counts_its_tables():
+    from kahlerlab.exterior import _wedge_table
+
+    for n in range(1, 4):
+        assert harness._wedge_pairs(n) == sum(
+            _wedge_table(n, da, db)[1].size
+            for da in range(2 * n + 1) for db in range(da, 2 * n + 1 - da))
+    assert harness._wedge_pairs(8) == 24_121_674
+
+
+def test_runs_beyond_the_memory_budget_are_refused_up_front(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(harness, "_Recorder", unreachable)
+    for run in (lambda: run_all(10, 1, RandomSpec()),
+                lambda: run_suite("federer", 10, 1, RandomSpec())):
+        with pytest.raises(ValueError, match=r"1,932,081,885 wedge pairs, about 43\.2 GiB"):
+            run()
+    harness._refuse_infeasible(SUITES, 9)  # 216 M pairs, 4.8 GiB: within the budget
