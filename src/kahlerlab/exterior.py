@@ -11,11 +11,11 @@ Beside the dict `Form` there is `Batch`: T forms of one degree k held as
 Gaussian-integer numerator arrays of shape (T, C(2n, k)) over the ranks of
 `monomial_basis(n, k)`, over one denominator shared by every row.  Every
 fixed linear operator is compiled once into a `Table` of signed (gather
-index, coefficient) pairs sorted by output, and applied to a whole batch by
-one take and one np.add.reduceat; tables compose and combine exactly.  The
-exterior product of degrees da and db is a `Table` on the right factor
-whose coefficients are the reorder signs, plus the left factor's column of
-each pair, and is applied to two batches with two gathers.
+index, coefficient) pairs sorted by output; tables compose and combine
+exactly.  The exterior product of degrees da and db is a `Table` on the
+right factor whose coefficients are the reorder signs, plus the left
+factor's column of each pair.  One kernel applies both to a whole batch,
+chunk by chunk: one gather (a table) or two (a product), np.add.reduceat.
 Every batch carries an upper bound on its numerators, set by the operation
 that made it from its operands' bounds; arithmetic is int64 while that bound
 stays below 2^63, and Python ints otherwise.  Only when the carried bound
@@ -528,7 +528,10 @@ class Batch:
     @classmethod
     def of(cls, n: int, k: int, forms: Sequence[Form]) -> "Batch":
         """Degree-k forms as rows, over the least common denominator of all
-        their coefficients; a term of another degree is a ValueError."""
+        their coefficients; a form of another dimension or a term of another
+        degree is a ValueError."""
+        if any(form.n != n for form in forms):
+            raise ValueError(f"batch mismatch: a form of another dimension at n={n}")
         rank, size = _basis_rank(n, k), _size(n, k)
         den = lcm(1, *(c._d for form in forms for c in form.terms.values()))
         re, im = [0] * (len(forms) * size), [0] * (len(forms) * size)
@@ -596,15 +599,17 @@ class Batch:
         return self + (-other)
 
     def __mul__(self, scalar) -> "Batch":
-        """Row by row times a degree-0 batch; a constant is a one-row one."""
+        """Row by row times a degree-0 batch of as many rows or of one row;
+        a constant is a one-row one."""
         if not isinstance(scalar, Batch):
             c = GaussRational._coerce(scalar)
             if c is NotImplemented:
                 return NotImplemented
             scalar = Batch(self.n, 0, _ints([c._x]).reshape(1, 1),
                            _ints([c._y]).reshape(1, 1), c._d, max(abs(c._x), abs(c._y)))
-        elif scalar.k != 0:
-            raise ValueError("only a degree-0 batch multiplies a batch")
+        elif (scalar.n, scalar.k) != (self.n, 0) or scalar.rows not in (1, self.rows):
+            raise ValueError(f"batch mismatch: (n, k, rows) {(scalar.n, scalar.k, scalar.rows)} "
+                             f"for a degree-0 factor of 1 or {self.rows} rows at n={self.n}")
         bound = _bounded(lambda a, b: 2 * a * b, self, scalar)
         re, im, x, y = _cast(bound, self.re, self.im, scalar.re, scalar.im)
         return Batch(self.n, self.k, re * x - im * y, re * y + im * x,
@@ -691,7 +696,7 @@ class Table(NamedTuple):
     the largest output numerator to the largest input one.  `_table` builds
     every table reduced: no pair repeats or is zero, and den is least.  The
     exterior product's tables (`_wedge_table`) are the other kind: their
-    pairs also carry a left factor, read by `_wedge_rows` alone.
+    pairs also carry a left factor, gathered by `_wedge_rows`.
     """
 
     k: int
@@ -705,16 +710,14 @@ class Table(NamedTuple):
     gain: int
 
     def __call__(self, a: Batch) -> Batch:
-        den = a.den * self.den
-        if not (self.src.size and a.rows):
-            return Batch.zero(a.n, self.k, a.rows, den)
         bound = _bounded(lambda x: self.gain * x, a)
         x_re, x_im, c_re, c_im = _cast(bound, a.re, a.im, self.re, self.im)
-        pieces = []
-        for rows in _chunks(a.rows, self.src.size):
+
+        def pairs(rows: slice):
             p_re, p_im = x_re[rows][:, self.src], x_im[rows][:, self.src]
-            pieces.append(_summed(self, p_re * c_re - p_im * c_im, p_re * c_im + p_im * c_re))
-        return _stacked(a.n, self, pieces, den, bound)
+            return p_re * c_re - p_im * c_im, p_re * c_im + p_im * c_re
+
+        return _reduced(a.n, self, a.rows, pairs, a.den * self.den, bound)
 
     def rows(self) -> dict[int, dict[int, GaussRational]]:
         """The rows of the map's matrix, {output: {input: nonzero entry}}."""
@@ -729,29 +732,21 @@ class Table(NamedTuple):
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _chunks(rows: int, pairs: int) -> list[slice]:
-    """Consecutive slices covering range(rows), each small enough for the
-    (rows x pairs) temporary."""
-    step = _CHUNK_ENTRIES // pairs or 1
-    return [slice(start, start + step) for start in range(0, rows, step)]
-
-
-def _summed(table: Table, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns whose entry outputs[g] sums segment g of the pair values."""
-    return (np.add.reduceat(re, table.starts, axis=1),
-            np.add.reduceat(im, table.starts, axis=1))
-
-
-def _stacked(n: int, table: Table, pieces: list, den: int, bound: int) -> Batch:
-    """The batch of the summed chunks, with the output columns in place;
-    bound bounds every sum."""
-    re = np.vstack([p[0] for p in pieces])
-    im = np.vstack([p[1] for p in pieces])
-    if len(table.outputs) < table.size:
-        full_re = np.zeros((len(re), table.size), dtype=re.dtype)
-        full_im = np.zeros((len(im), table.size), dtype=im.dtype)
-        full_re[:, table.outputs], full_im[:, table.outputs] = re, im
-        re, im = full_re, full_im
+def _reduced(n: int, table: Table, rows: int, pairs: Callable, den: int, bound: int) -> Batch:
+    """The batch whose row t holds, in column outputs[g], the sum of segment
+    g of row t's pair values; pairs(rows) gives the (re, im) values of a
+    slice of rows.  The rows go through in chunks of at most _CHUNK_ENTRIES
+    pair values (or of one row).  The output takes the dtype of the sums,
+    int64 zeros when there are none; bound bounds every sum."""
+    re = im = np.zeros((rows, table.size), dtype=np.int64)
+    step = _CHUNK_ENTRIES // max(table.src.size, 1) or 1
+    for start in range(0, rows if table.src.size else 0, step):
+        chunk = slice(start, start + step)
+        p_re, p_im = pairs(chunk)
+        if not start:
+            re, im = np.zeros(re.shape, p_re.dtype), np.zeros(im.shape, p_im.dtype)
+        re[chunk, table.outputs] = np.add.reduceat(p_re, table.starts, axis=1)
+        im[chunk, table.outputs] = np.add.reduceat(p_im, table.starts, axis=1)
     return Batch(n, table.k, re, im, den, bound)
 
 
@@ -958,24 +953,24 @@ def _wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
 
 
 def _wedge_rows(a: Batch, b: Batch) -> Batch:
-    """Row-by-row exterior products a_t ^ b_t on the compiled table; its own
-    loop, as the signs need no complex product."""
+    """Row-by-row exterior products a_t ^ b_t on the compiled table: each
+    pair is a left column times a right one times the real reorder sign."""
     if a.n != b.n or a.rows != b.rows:
         raise ValueError("batch mismatch in the exterior product")
     n, k = a.n, a.k + b.k
-    den = a.den * b.den
-    if not (_size(n, k) and a.re.shape[1] and b.re.shape[1] and a.rows):
-        return Batch.zero(n, k, a.rows, den)
+    if not (_size(n, a.k) and _size(n, b.k) and _size(n, k)):  # no table to build
+        return Batch.zero(n, k, a.rows, a.den * b.den)
     table, left = _wedge_table(n, a.k, b.k)
     bound = _bounded(lambda x, y: table.gain * x * y, a, b)
     a_re, a_im, b_re, b_im = _cast(bound, a.re, a.im, b.re, b.im)
-    pieces = []
-    for rows in _chunks(a.rows, left.size):
+
+    def pairs(rows: slice):
         x_re, x_im = a_re[rows][:, left], a_im[rows][:, left]
         y_re = b_re[rows][:, table.src] * table.re
         y_im = b_im[rows][:, table.src] * table.re
-        pieces.append(_summed(table, x_re * y_re - x_im * y_im, x_re * y_im + x_im * y_re))
-    return _stacked(n, table, pieces, den, bound)
+        return x_re * y_re - x_im * y_im, x_re * y_im + x_im * y_re
+
+    return _reduced(n, table, a.rows, pairs, a.den * b.den, bound)
 
 
 def _wedge_by(fixed: Form, d: int, k: int) -> Table:

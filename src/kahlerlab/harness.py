@@ -90,10 +90,11 @@ class RandomSpec:
     coeff_bound: int = 3
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.coeff_bound < 1:
-            raise ValueError("coefficient bound must be a positive integer")
+        # the largest bound rng.integers(-b, b + 1) takes is 2^63 - 1
+        for name, value, low, high in (("seed", self.seed, 0, 2 ** 64 - 1),
+                                       ("coefficient bound", self.coeff_bound, 1, 2 ** 63 - 1)):
+            if type(value) is bool or not isinstance(value, int) or not low <= value <= high:
+                raise ValueError(f"{name} must be an integer in {low}..{high}, got {value!r}")
 
     def generator(self, suite: str, n: int, trial: int, *extra: int) -> np.random.Generator:
         key = zlib.crc32(suite.encode("utf-8"))

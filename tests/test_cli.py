@@ -226,6 +226,9 @@ def test_verify_usage_errors(capsys):
     _run_expect_usage_error(capsys, ["verify", "--seed", "-2"])
     err = _run_expect_usage_error(capsys, ["verify", "--dim", "10"])
     assert "1,932,081,885 wedge pairs" in err and "GiB" in err
+    err = _run_expect_usage_error(
+        capsys, ["verify", "--dim", "2", "--coeff-bound", str(2 ** 63)])
+    assert "coefficient bound" in err and str(2 ** 63 - 1) in err
 
 
 def test_spectrum_single_radius_json(capsys):

@@ -27,6 +27,7 @@ from kahlerlab.exterior import (
     _conjugation_table,
     _equal_tables,
     _maxabs,
+    _size,
     _table,
     _wedge_table,
     bidegree_basis,
@@ -36,6 +37,17 @@ from kahlerlab.exterior import (
     monomial_basis,
     norm_sq,
     wedge,
+)
+from kahlerlab.kaehler import (
+    _decomposition_tables,
+    _dual_lefschetz_table,
+    _inputs,
+    _left_inverse_table,
+    _power_table,
+    _primitive_table,
+    _projection_table,
+    _star_table,
+    _weil_table,
 )
 
 
@@ -874,3 +886,135 @@ def test_a_chain_whose_carried_bound_passes_int64_still_computes_in_int64():
     got = norm_sq(product)
     assert got.re.dtype == np.int64 and got._bound() < 2 ** 63
     assert np.array_equal(got.re, norm_sq(_measured(product)).re)
+
+
+def test_batch_products_refuse_factors_of_another_shape():
+    a = Batch.of(2, 1, [Form.monomial(2, (1,))])
+    two = Batch.of(2, 0, [Form.one(2), Form.one(2)])
+    with pytest.raises(ValueError, match="batch mismatch"):
+        a * two  # one row against two
+    three = Batch.of(2, 1, [Form.monomial(2, (1,))] * 3)
+    with pytest.raises(ValueError, match="batch mismatch"):
+        three * two  # three rows against two
+    with pytest.raises(ValueError, match="batch mismatch"):
+        three * Batch.of(3, 0, [Form.one(3)] * 3)  # another dimension
+    with pytest.raises(ValueError, match="batch mismatch"):
+        three * three  # not of degree 0
+    # one row multiplies every row; as many rows multiply row by row
+    five = Batch.of(2, 0, [Form.one(2) * 5])
+    assert _rows_of(three * five) == [Form.monomial(2, (1,), (), 5)] * 3
+    assert _rows_of(a * five) == [Form.monomial(2, (1,), (), 5)]
+
+
+def test_batch_of_refuses_a_form_of_another_dimension():
+    with pytest.raises(ValueError, match="batch mismatch"):
+        Batch.of(3, 1, [Form.monomial(2, (1,))])
+    with pytest.raises(ValueError, match="batch mismatch"):
+        Batch.of(3, 1, [Form.monomial(3, (1,)), Form.zero(2)])
+
+
+def _kernel_tables(n: int):
+    """Every table the Kaehler operators apply at dimension n, with the
+    width of its input rows."""
+    for k in range(2 * n + 1):
+        yield f"conjugation k={k}", _conjugation_table(n, k), _size(n, k)
+        yield f"star k={k}", _star_table(n, k), _size(n, k)
+        yield f"weil k={k}", _weil_table(n, k), _size(n, k)
+        yield f"Lambda k={k}", _dual_lefschetz_table(n, k), _size(n, k)
+        yield f"projection k={k}", _projection_table(n, k), _size(n, k)
+        for j in range(n + 1):
+            yield f"L^{j} k={k}", _power_table(n, k, j), _size(n, k)
+        for r, part in _decomposition_tables(n, k):
+            yield f"part {r} k={k}", part, _size(n, k)
+        if k <= n:
+            yield f"left inverse k={k}", _left_inverse_table(n, k), _size(n, 2 * n - k)
+            basis = _primitive_table(n, k)
+            yield f"primitive basis k={k}", basis, _inputs(basis)
+
+
+def _kernel_rows(rng, n: int, k: int, width: int, big: bool) -> Batch:
+    """Seven rows of the given width: small numerators over den = 6 with a
+    zero row, or object numerators of size about 2^62 in every row."""
+    if big:
+        magnitude = rng.integers(2 ** 62, 2 ** 62 + 1000, (2, 7, width))
+        values = (magnitude * rng.choice([-1, 1], (2, 7, width))).astype(object)
+        values[:, :, 0] = 2 ** 62  # so every row of every width >= 1 is large
+    else:
+        values = rng.integers(-3, 4, (2, 7, width))
+        values[:, 2] = 0
+    return Batch(n, k, values[0], values[1], 1 if big else 6)
+
+
+def _same_batch(got: Batch, want: Batch, name: str) -> None:
+    assert (got.n, got.k, got.den) == (want.n, want.k, want.den), name
+    assert got.re.dtype == want.re.dtype and got.im.dtype == want.im.dtype, name
+    assert got.re.shape == want.re.shape, name
+    assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im), name
+
+
+def _row_by_row(op, *batches: Batch) -> Batch:
+    """op on one-row batches, one per row, with the rows stacked again."""
+    rows = [op(*(Batch(b.n, b.k, b.re[t:t + 1], b.im[t:t + 1], b.den) for b in batches))
+            for t in range(batches[0].rows)]
+    return Batch(rows[0].n, rows[0].k, np.vstack([r.re for r in rows]),
+                 np.vstack([r.im for r in rows]), rows[0].den)
+
+
+# chunk sizes, in (rows x pairs) entries, as a function of the pairs:
+# one row per chunk, and chunks of three rows, which split seven unevenly
+_CHUNKINGS = (lambda pairs: 1, lambda pairs: 3 * pairs + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_applications_match_across_chunk_boundaries(n, monkeypatch):
+    from kahlerlab import exterior
+
+    rng = np.random.default_rng(70 + n)
+    for name, table, width in _kernel_tables(n):
+        for big in (False, True):
+            a = _kernel_rows(rng, n, 0, width, big)
+            whole = table(a)
+            assert whole.re.dtype == (object if big and table.src.size else np.int64), name
+            _same_batch(_row_by_row(table, a), whole, name)
+            for chunking in _CHUNKINGS:
+                monkeypatch.setattr(exterior, "_CHUNK_ENTRIES", chunking(table.src.size))
+                _same_batch(table(a), whole, name)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exterior_products_match_across_chunk_boundaries(n, monkeypatch):
+    from kahlerlab import exterior
+
+    rng = np.random.default_rng(80 + n)
+    for da in range(2 * n + 1):
+        for db in range(2 * n + 1):
+            pairs = _wedge_table(n, da, db)[1].size if da + db <= 2 * n else 0
+            for big in (False, True):
+                a = _kernel_rows(rng, n, da, _size(n, da), big)
+                b = _kernel_rows(rng, n, db, _size(n, db), big)
+                name = f"n={n} ({da}, {db}) big={big}"
+                whole = a.wedge(b)
+                assert whole.re.dtype == (object if big and pairs else np.int64), name
+                _same_batch(_row_by_row(wedge, a, b), whole, name)
+                for chunking in _CHUNKINGS:
+                    monkeypatch.setattr(exterior, "_CHUNK_ENTRIES", chunking(pairs))
+                    _same_batch(a.wedge(b), whole, name)
+                monkeypatch.undo()
+
+
+def test_zero_rows_and_empty_tables_give_the_zero_batch():
+    """An empty map, or a batch of no rows, gives int64 zeros over the
+    product of the denominators, whatever the numerators and their dtype."""
+    n = 3
+    for table, k_in, rows in ((_projection_table(n, 4), 4, 7), (_dual_lefschetz_table(n, 1), 1, 7),
+                              (_star_table(n, 2), 2, 0), (_projection_table(n, 4), 4, 0)):
+        for values, big in ((np.int64, 3), (object, 2 ** 70)):
+            a = Batch(n, k_in, np.full((rows, _size(n, k_in)), big, dtype=values),
+                      np.zeros((rows, _size(n, k_in)), dtype=values), 5)
+            _same_batch(table(a), Batch.zero(n, table.k, rows, 5 * table.den), f"{k_in} {rows}")
+    for da, db in ((1, 2), (3, 3), (0, 6), (4, 4)):
+        a = Batch.zero(n, da, 0, 2)
+        b = Batch(n, db, np.zeros((0, _size(n, db)), dtype=object),
+                  np.zeros((0, _size(n, db)), dtype=object), 3, 2 ** 80)
+        _same_batch(a.wedge(b), Batch.zero(n, da + db, 0, 6), f"({da}, {db})")

@@ -64,6 +64,16 @@ def test_random_spec_validation():
         RandomSpec(seed=2 ** 64)
     with pytest.raises(ValueError):
         RandomSpec(coeff_bound=0)
+    # rng.integers(-b, b + 1) takes b up to 2^63 - 1; ints only, not bools
+    for bad in (2 ** 63, 2.5, True, 3.0):
+        with pytest.raises(ValueError, match="coefficient bound"):
+            RandomSpec(coeff_bound=bad)
+    for bad in (1.5, True, 42.0):
+        with pytest.raises(ValueError, match="seed"):
+            RandomSpec(seed=bad)
+    a = random_form(2, 1, 1, RandomSpec(seed=2 ** 64 - 1, coeff_bound=2 ** 63 - 1))
+    assert a.bidegree() == (1, 1)
+    assert all(abs(c.re) < 2 ** 63 and abs(c.im) < 2 ** 63 for c in a.terms.values())
 
 
 def test_random_form_is_homogeneous_and_bounded():
