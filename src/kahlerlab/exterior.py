@@ -550,6 +550,19 @@ class Batch:
         re = np.zeros((rows, _size(n, k)), dtype=np.int64)
         return cls(n, k, re, re, den, 0)
 
+    @classmethod
+    def stacked(cls, batches: Sequence["Batch"]) -> "Batch":
+        """The rows of batches of one dimension, degree and denominator, in turn."""
+        a = batches[0]
+        if {(b.n, b.k, b.den) for b in batches} != {(a.n, a.k, a.den)}:
+            raise ValueError("batch mismatch: stacked batches differ in n, k or den")
+        return a if len(batches) == 1 else cls(
+            a.n, a.k, np.concatenate([b.re for b in batches]),
+            np.concatenate([b.im for b in batches]), a.den, max(b._bound() for b in batches))
+
+    def __getitem__(self, rows: slice) -> "Batch":
+        return Batch(self.n, self.k, self.re[rows], self.im[rows], self.den, self._max)
+
     @property
     def rows(self) -> int:
         return len(self.re)
@@ -688,7 +701,8 @@ def _apply(table_of: Callable[[int, int], Table], a):
 
 
 class Table(NamedTuple):
-    """A fixed linear map onto degree-k forms, over one denominator.
+    """A fixed linear map from degree-k_in forms onto degree-k forms, over
+    one denominator; k_in is None when its inputs are the indices of a basis.
 
     Pair i sends input column src[i] to its output with the Gaussian-integer
     coefficient re[i] + i im[i]; pairs are sorted by output, segment g
@@ -708,14 +722,22 @@ class Table(NamedTuple):
     outputs: np.ndarray
     den: int
     gain: int
+    k_in: int | None
 
     def __call__(self, a: Batch) -> Batch:
+        if a.k != self.k_in:
+            raise ValueError(f"batch mismatch: degree {a.k} for a map on degree {self.k_in}")
         bound = _bounded(lambda x: self.gain * x, a)
         x_re, x_im, c_re, c_im = _cast(bound, a.re, a.im, self.re, self.im)
 
         def pairs(rows: slice):
             p_re, p_im = x_re[rows][:, self.src], x_im[rows][:, self.src]
-            return p_re * c_re - p_im * c_im, p_re * c_im + p_im * c_re
+            re = p_re * c_re
+            re -= p_im * c_im
+            p_re *= c_im
+            p_im *= c_re
+            p_re += p_im
+            return re, p_re
 
         return _reduced(a.n, self, a.rows, pairs, a.den * self.den, bound)
 
@@ -728,8 +750,9 @@ class Table(NamedTuple):
         return out
 
 
-# A (rows x pairs) temporary holds at most this many entries.
-_CHUNK_ENTRIES = 1 << 15
+# A (rows x pairs) temporary holds at most this many entries; a chunk's
+# temporaries take about 50 bytes per entry, about 50 KB in all.
+_CHUNK_ENTRIES = 1 << 10
 
 
 def _reduced(n: int, table: Table, rows: int, pairs: Callable, den: int, bound: int) -> Batch:
@@ -750,7 +773,7 @@ def _reduced(n: int, table: Table, rows: int, pairs: Callable, den: int, bound: 
     return Batch(n, table.k, re, im, den, bound)
 
 
-def _table(k: int, size: int, out, src, re, im, den: int) -> Table:
+def _table(k: int, size: int, out, src, re, im, den: int, k_in: int | None) -> Table:
     """Table of the pairs (out, src, (re + i im) / den), given in any order
     and possibly repeated: repeated pairs are summed, zeros dropped and den
     made the least common denominator."""
@@ -770,7 +793,7 @@ def _table(k: int, size: int, out, src, re, im, den: int) -> Table:
     starts = np.flatnonzero(np.concatenate(([True], out[1:] != out[:-1]))) if out.size else out
     longest = int(np.diff(np.append(starts, out.size)).max()) if out.size else 0
     return Table(k, size, src, re, im, starts, out[starts], den // g,
-                 2 * _maxabs(re, im) * longest)
+                 2 * _maxabs(re, im) * longest, k_in)
 
 
 def _compiled(n: int, k_in: int, k_out: int,
@@ -783,7 +806,7 @@ def _compiled(n: int, k_in: int, k_out: int,
     den = lcm(1, *(c._d for *_, c in pairs))
     return _table(k_out, _size(n, k_out), [o for o, _, _ in pairs], [s for _, s, _ in pairs],
                   [c._x * (den // c._d) for *_, c in pairs],
-                  [c._y * (den // c._d) for *_, c in pairs], den)
+                  [c._y * (den // c._d) for *_, c in pairs], den, k_in)
 
 
 def _pair_outputs(table: Table) -> np.ndarray:
@@ -801,10 +824,11 @@ def _images(n: int, table: Table, inputs: int) -> list[Form]:
     return [Form._trusted(n, t) for t in terms]
 
 
-def _adjoint(table: Table, n: int, k_in: int) -> Table:
-    """Conjugate transpose of a table on degree-k_in forms."""
-    return _table(k_in, _size(n, k_in), table.src, _pair_outputs(table),
-                  table.re, -table.im, table.den)
+def _adjoint(table: Table, n: int) -> Table:
+    """Conjugate transpose of a table, from its output degree back to its
+    input degree."""
+    return _table(table.k_in, _size(n, table.k_in), table.src, _pair_outputs(table),
+                  table.re, -table.im, table.den, table.k)
 
 
 def _composed(outer: Table, inner: Table) -> Table:
@@ -819,7 +843,8 @@ def _composed(outer: Table, inner: Table) -> Table:
     o_re, o_im, i_re, i_im = _cast(bound, outer.re, outer.im, inner.re, inner.im)
     o_re, o_im, i_re, i_im = o_re[a], o_im[a], i_re[b], i_im[b]
     return _table(outer.k, outer.size, _pair_outputs(outer)[a], inner.src[b],
-                  o_re * i_re - o_im * i_im, o_re * i_im + o_im * i_re, outer.den * inner.den)
+                  o_re * i_re - o_im * i_im, o_re * i_im + o_im * i_re, outer.den * inner.den,
+                  inner.k_in)
 
 
 def _combined(terms: Sequence[tuple[Rationalish, Table]]) -> Table:
@@ -836,7 +861,7 @@ def _combined(terms: Sequence[tuple[Rationalish, Table]]) -> Table:
         np.concatenate([t.src for _, t in terms]),
         np.concatenate([re * f for (re, _), f in zip(parts, factors)]),
         np.concatenate([im * f for (_, im), f in zip(parts, factors)]),
-        den,
+        den, terms[0][1].k_in,
     )
 
 
@@ -857,7 +882,7 @@ def _conjugation_table(n: int, k: int) -> Table:
     p = np.array([len(mono.s) for mono in monomial_basis(n, k)], dtype=np.int64)
     sign = 1 - 2 * (p * (k - p) & 1)
     return _table(k, _size(n, k), _ranked(masks, swapped), np.arange(masks.size), sign,
-                  np.zeros_like(sign), 1)
+                  np.zeros_like(sign), 1, k)
 
 
 # ---- exterior product: bitmasks, the term-pair loop and compiled tables ----
@@ -949,7 +974,7 @@ def _wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
     longest = int(np.diff(np.append(starts, out.size)).max())
     im = np.broadcast_to(np.zeros((), dtype=np.int64), sign.shape)
     return Table(da + db, _size(n, da + db), right, sign, im, starts, out[starts], 1,
-                 2 * longest), left
+                 2 * longest, db), left
 
 
 def _wedge_rows(a: Batch, b: Batch) -> Batch:
@@ -966,9 +991,15 @@ def _wedge_rows(a: Batch, b: Batch) -> Batch:
 
     def pairs(rows: slice):
         x_re, x_im = a_re[rows][:, left], a_im[rows][:, left]
-        y_re = b_re[rows][:, table.src] * table.re
-        y_im = b_im[rows][:, table.src] * table.re
-        return x_re * y_re - x_im * y_im, x_re * y_im + x_im * y_re
+        y_re, y_im = b_re[rows][:, table.src], b_im[rows][:, table.src]
+        y_re *= table.re
+        y_im *= table.re
+        re = x_re * y_re
+        re -= x_im * y_im
+        x_re *= y_im
+        x_im *= y_re
+        x_re += x_im
+        return re, x_re
 
     return _reduced(n, table, a.rows, pairs, a.den * b.den, bound)
 
@@ -978,12 +1009,12 @@ def _wedge_by(fixed: Form, d: int, k: int) -> Table:
     the terms of fixed are paired."""
     n = fixed.n
     if not (_size(n, d + k) and _size(n, k) and _size(n, d)):
-        return _table(d + k, _size(n, d + k), [], [], [], [], 1)
+        return _table(d + k, _size(n, d + k), [], [], [], [], 1, k)
     row = Batch.of(n, d, [fixed])
     terms = np.flatnonzero((row.re[0] != 0) | (row.im[0] != 0))
     left, right, sign, out = _disjoint_pairs(n, terms, d, k)
     return _table(d + k, _size(n, d + k), out, right, row.re[0, terms[left]] * sign,
-                  row.im[0, terms[left]] * sign, row.den)
+                  row.im[0, terms[left]] * sign, row.den, k)
 
 
 def _sparse_product(n: int, a: Form, b: Form) -> dict[Monomial, GaussRational]:

@@ -6,9 +6,10 @@ are no tolerances anywhere in this module.  The checks on the primitive
 basis are table identities: both sides are composed once and cached per
 operator, and each run compares them table against table, one comparison
 per basis index.  The other checks draw forms with Gaussian-integer
-coefficients from seeded, splittable streams, one per trial, and stack the
-draws of all trials into one `Batch`, so every operator is applied once
-per check to all trials.
+coefficients from seeded, splittable streams, one per trial and parameter
+point, each drawn once per block of trials; the rows of the points whose
+forms share a degree are stacked into one `Batch`, so every operator is
+applied once per group to all of them.
 
 A check is one `Check`: its identity, a verdict per row (a trial, a basis
 index, or the one row of a check made once), computed in numpy for the
@@ -27,6 +28,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import product
 from math import comb, factorial
 from operator import add
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -40,7 +42,6 @@ from .exterior import (
     GaussRational,
     Monomial,
     Table,
-    _basis_rank,
     _combined,
     _compiled,
     _composed,
@@ -48,7 +49,6 @@ from .exterior import (
     _images,
     _pair_outputs,
     _table,
-    bidegree_basis,
     conjugate,
     inner,
     monomial_basis,
@@ -145,7 +145,7 @@ def random_form(n: int, p: int, q: int, rspec: RandomSpec, trial: int = 0) -> Fo
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
     rng = rspec.generator("random_form", n, trial, p, q)
-    return _draw_bidegree([rng], n, p, q, rspec.coeff_bound).form(0)
+    return _draw_degree([rng], n, [(p, q)], rspec.coeff_bound)[0].form(0)
 
 
 def simple_random_form(n: int, k: int, rspec: RandomSpec, trial: int = 0) -> Form:
@@ -153,57 +153,39 @@ def simple_random_form(n: int, k: int, rspec: RandomSpec, trial: int = 0) -> For
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
     rng = rspec.generator("simple_random_form", n, trial, k)
-    return _draw_simple([rng], n, k, rspec.coeff_bound).form(0)
+    return reduce(Batch.wedge, _draw_degree([rng], n, [1] * k or [0], rspec.coeff_bound)).form(0)
 
 
-# Trials evaluated together: even at n = 5 a block's arrays stay a few MB.
+# Rows evaluated together: even at n = 5 a group's arrays stay a few MB.
 _TRIAL_BLOCK = 1024
 
 
-def _drawn(rngs, columns: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-integer coefficients for `columns` monomials, one row per stream.
-
-    One draw of (re, im) pairs per stream; PCG64 hands out the same stream
-    as a draw of size 2 per monomial.
-    """
-    values = np.array(
-        [rng.integers(-bound, bound + 1, size=2 * columns) for rng in rngs],
-        dtype=np.int64,
-    ).reshape(len(rngs), 2 * columns)
-    return values[:, 0::2], values[:, 1::2]
-
-
-def _draw_degree(rngs, n: int, k: int, bound: int) -> Batch:
-    re, im = _drawn(rngs, comb(2 * n, k), bound)
-    return Batch(n, k, re, im, 1, bound)
-
-
 @lru_cache(maxsize=None)
-def _bidegree_columns(n: int, p: int, q: int) -> np.ndarray:
-    """Ranks of the (p, q) monomials among the monomials of degree p + q."""
-    rank = _basis_rank(n, p + q)
-    return np.array([rank[mono] for mono in bidegree_basis(n, p, q)], dtype=np.int64)
+def _columns(n: int, shape) -> tuple[int, np.ndarray]:
+    """The degree of a shape, a degree k or a bidegree (p, q), and the ranks
+    of its monomials among those of the degree."""
+    k = shape if isinstance(shape, int) else sum(shape)
+    return k, np.array([j for j, mono in enumerate(monomial_basis(n, k))
+                        if shape in (k, mono.bidegree)], dtype=np.int64)
 
 
-def _draw_bidegree(rngs, n: int, p: int, q: int, bound: int) -> Batch:
-    cols = _bidegree_columns(n, p, q)
-    re = np.zeros((len(rngs), comb(2 * n, p + q)), dtype=np.int64)
-    im = np.zeros_like(re)
-    re[:, cols], im[:, cols] = _drawn(rngs, len(cols), bound)
-    return Batch(n, p + q, re, im, 1, bound)
-
-
-def _draw_simple(rngs, n: int, k: int, bound: int) -> Batch:
-    if k == 0:
-        return _draw_degree(rngs, n, 0, bound)
-    out = _draw_degree(rngs, n, 1, bound)
-    for _ in range(k - 1):
-        out = out.wedge(_draw_degree(rngs, n, 1, bound))
+def _draw_degree(rngs, n: int, shapes, bound: int) -> list[Batch]:
+    """A batch of Gaussian-integer coefficients in |re|, |im| <= bound per
+    shape, a degree k or a bidegree (p, q); row t takes every shape's (re,
+    im) pairs in turn from one draw of stream t, which PCG64 hands out as
+    the same values as a draw of size 2 per monomial."""
+    out, start, shapes = [], 0, [_columns(n, shape) for shape in shapes]
+    values = np.empty((len(rngs), 2 * sum(cols.size for _, cols in shapes)), dtype=np.int64)
+    for row, rng in zip(values, rngs):
+        row[:] = rng.integers(-bound, bound + 1, size=row.size)
+    for k, cols in shapes:
+        pairs, start = values[:, start:start + 2 * cols.size], start + 2 * cols.size
+        re, im = pairs[:, 0::2], pairs[:, 1::2]
+        if cols.size < comb(2 * n, k):  # a bidegree: spread over the degree's monomials
+            re, im = np.zeros((2, len(rngs), comb(2 * n, k)), dtype=np.int64)
+            re[:, cols], im[:, cols] = pairs[:, 0::2], pairs[:, 1::2]
+        out.append(Batch(n, k, re, im, 1, bound))
     return out
-
-
-def _draw_primitive(rngs, n: int, k: int, bound: int) -> Batch:
-    return primitive_projection(_draw_degree(rngs, n, k, bound))
 
 
 class Check(NamedTuple):
@@ -265,10 +247,19 @@ def _record(rec: "_Recorder", checks: Sequence[Check], first: int = 0) -> None:
             rec.equal(identity, first + t, held[t], partial(render, t))
 
 
+def _stacked(units: list, j: int, op: Callable[[Batch], Batch] = lambda batch: batch) -> Batch:
+    """op on the j-th drawn batch of every unit of a group, as one batch;
+    its rows then stand in for each unit's own, and the drawn arrays go."""
+    out = op(Batch.stacked([unit[2][j] for unit in units]))
+    for _, rows, forms in units:
+        forms[j] = out[rows]
+    return out
+
+
 class _Recorder:
     """One suite invocation: refuses a dimension or trial count below 1,
-    hands out the trial streams, collects the failures and builds the
-    report."""
+    draws and checks the trials group by group, collects the failures and
+    builds the report."""
 
     def __init__(self, suite: str, n: int, trials: int, rspec: RandomSpec):
         if n < 1:
@@ -279,11 +270,35 @@ class _Recorder:
         self.failures: list[FailureRecord] = []
         self.t0 = time.perf_counter()
 
-    def blocks(self, *extra: int):
-        """(first trial, one stream per trial) for consecutive blocks of trials."""
-        for start in range(0, self.trials, _TRIAL_BLOCK):
-            yield start, [self.rspec.generator(self.suite, self.n, t, *extra)
-                          for t in range(start, min(start + _TRIAL_BLOCK, self.trials))]
+    def grouped(self, points, shapes, on_group, key=lambda *point: 0) -> SuiteReport:
+        """The report of the checks on every group, with the failures of
+        every point in turn.
+
+        A group is one block of at most _TRIAL_BLOCK trials of up to
+        _TRIAL_BLOCK // trials points that share key(*point).  Its units,
+        one per point, are (point, its rows in the group, the batches drawn
+        for shapes(*point) from the trials' streams), and on_group(units)
+        yields each unit's checks in turn.  Each point records on its own,
+        so no report depends on the grouping."""
+        recs, by_key = [_Recorder(self.suite, self.n, self.trials, self.rspec) for _ in points], {}
+        for at, point in enumerate(points):
+            by_key.setdefault(key(*point), []).append(at)
+
+        def run(ats: list[int], first: int) -> None:  # a group's arrays go on return
+            trials = range(first, min(first + _TRIAL_BLOCK, self.trials))
+            units = [(points[at], slice(u * len(trials), (u + 1) * len(trials)), _draw_degree(
+                [self.rspec.generator(self.suite, self.n, t, *points[at]) for t in trials],
+                self.n, shapes(*points[at]), self.rspec.coeff_bound)) for u, at in enumerate(ats)]
+            for at, checks in zip(ats, on_group(units), strict=True):
+                _record(recs[at], checks, first)
+
+        size = max(1, _TRIAL_BLOCK // self.trials)
+        for ats, first in product([ats[i:i + size] for ats in by_key.values()
+                                   for i in range(0, len(ats), size)],
+                                  range(0, self.trials, _TRIAL_BLOCK)):
+            run(ats, first)
+        self.failures += [failure for rec in recs for failure in rec.failures]
+        return self.report()
 
     def equal(self, identity: str, trial: int, held: bool,
               show: Callable[[], tuple[str, str, str]]) -> None:
@@ -308,25 +323,29 @@ def check_prop_31(n: int, k: int, j: int, trials: int, rspec: RandomSpec) -> Sui
     For primitive degree-k forms, <L^j a, L^j b> = j!(n-k)!/(n-k-j)! <a, b>
     for 0 <= j <= n-k, and L^j kills primitives for j beyond n-k.
     """
-    rec = _Recorder("prop31", n, trials, rspec)
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} out of range for n={n}")
     if not 0 <= j <= n - k:
         raise ValueError(f"power {j} outside 0..{n - k}")
-    factor = Fraction(factorial(j) * factorial(n - k), factorial(n - k - j))
-    tag = f"[k={k},j={j}]"
-    for first, rngs in rec.blocks(k, j):
-        a = _draw_primitive(rngs, n, k, rspec.coeff_bound)
-        b = _draw_primitive(rngs, n, k, rspec.coeff_bound)
-        ins = dict(a=a, b=b)
-        lhs = inner(lefschetz_power(a, j), lefschetz_power(b, j))
-        checks = [_equal("power-scaling" + tag, ins, lhs, inner(a, b) * factor, scalar=True)]
-        if j == n - k:
-            vanished = lefschetz_power(a, j + 1)
-            checks.append(_equal("power-vanishing" + tag, ins, vanished,
-                                 Batch.zero(n, vanished.k, len(rngs))))
-        _record(rec, checks, first)
-    return rec.report()
+    return _prop_31(n, [(k, j)], trials, rspec)
+
+
+def _prop_31(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteReport:
+    """check_prop_31 at each point (k, j) in turn, in one report."""
+    def on_group(units):
+        scalars = inner(*(_stacked(units, i, primitive_projection) for i in (0, 1)))
+        for (k, j), rows, (a, b) in units:
+            ins, tag = dict(a=a, b=b), f"[k={k},j={j}]"
+            lhs = inner(lefschetz_power(a, j), lefschetz_power(b, j))
+            factor = Fraction(factorial(j) * factorial(n - k), factorial(n - k - j))
+            checks = [_equal("power-scaling" + tag, ins, lhs, scalars[rows] * factor, scalar=True)]
+            if j == n - k:
+                vanished = lefschetz_power(a, j + 1)
+                checks.append(_equal("power-vanishing" + tag, ins, vanished,
+                                     Batch.zero(n, vanished.k, vanished.rows)))
+            yield checks
+    return _Recorder("prop31", n, trials, rspec).grouped(
+        points, lambda k, j: [k, k], on_group, lambda k, j: k)
 
 
 _DECOMP_COEFFS = (
@@ -352,23 +371,23 @@ def check_lemma_32(n: int, k: int, trials: int, rspec: RandomSpec) -> SuiteRepor
     products <L^j a, L^j b> for j in {0, n-k, n-k-1} expand into weighted
     sums of <a_r, b_r> with explicit factorial weights.
     """
-    rec = _Recorder("lemma32", n, trials, rspec)
     if not 0 <= k < n:
         raise ValueError(f"needs degree k < n, got k={k}, n={n}")
-    m = n - k
-    for first, rngs in rec.blocks(k):
-        a = _draw_degree(rngs, n, k, rspec.coeff_bound)
-        b = _draw_degree(rngs, n, k, rspec.coeff_bound)
-        ins = dict(a=a, b=b)
+    return _lemma_32(n, [(k,)], trials, rspec)
+
+
+def _lemma_32(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteReport:
+    """check_lemma_32 at each point (k,) in turn, in one report."""
+    def on_group(units):
+        (((k,), _, (a, b)),) = units
         parts_a, parts_b = primitive_decompose(a).parts, primitive_decompose(b).parts
-        checks = []
-        for tag, power_of, coeff in _DECOMP_COEFFS:
-            jpow = power_of(m)
-            lhs = inner(lefschetz_power(a, jpow), lefschetz_power(b, jpow))
-            rhs = _expansion(parts_a, parts_b, lambda r: coeff(m, r))
-            checks.append(_equal(f"{tag}[k={k}]", ins, lhs, rhs, scalar=True))
-        _record(rec, checks, first)
-    return rec.report()
+        yield [_equal(
+            f"{tag}[k={k}]", dict(a=a, b=b),
+            inner(lefschetz_power(a, power_of(n - k)), lefschetz_power(b, power_of(n - k))),
+            _expansion(parts_a, parts_b, lambda r: coeff(n - k, r)), scalar=True,
+        ) for tag, power_of, coeff in _DECOMP_COEFFS]
+    return _Recorder("lemma32", n, trials, rspec).grouped(points, lambda k: [k, k], on_group,
+                                                          lambda k: k)
 
 
 def check_prop_33(n: int, p: int, q: int, trials: int, rspec: RandomSpec) -> SuiteReport:
@@ -378,48 +397,43 @@ def check_prop_33(n: int, p: int, q: int, trials: int, rspec: RandomSpec) -> Sui
     pinched between explicit factorial multiples of |a|^2; the sesquilinear
     version is checked against the decomposition expansion (polarization).
     """
-    rec = _Recorder("prop33", n, trials, rspec)
     if not (0 <= p <= q <= n):
         raise ValueError(f"needs 0 <= p <= q <= n, got ({p},{q}), n={n}")
-    k = p + q
-    if k >= n:
-        raise ValueError(f"needs p+q < n, got p+q={k}, n={n}")
-    m = n - k
-    lower_top = Fraction(factorial(m)) ** 2
-    upper_top = Fraction(factorial(n - q), factorial(p)) ** 2
-    lower_sub = Fraction(factorial(m - 1) * factorial(m))
-    upper_sub = Fraction(
-        factorial(n - q - 1) * factorial(n - q), factorial(p) * factorial(p + 1)
-    )
-    tag = f"[p={p},q={q}]"
-    for first, rngs in rec.blocks(p, q):
-        a = _draw_bidegree(rngs, n, p, q, rspec.coeff_bound)
-        b = _draw_bidegree(rngs, n, p, q, rspec.coeff_bound)
-        ins = dict(a=a)
-        nsq = norm_sq(a)
-        top = norm_sq(lefschetz_power(a, m))
-        sub = norm_sq(lefschetz_power(a, m - 1))
-        rhs = _expansion(
-            primitive_decompose(a).parts, primitive_decompose(b).parts,
-            lambda r: Fraction(factorial(m + r) * factorial(m + 2 * r), factorial(r)),
-        )
-        _record(rec, [
-            _less_equal("top-power-lower" + tag, ins, nsq * lower_top, top),
-            _less_equal("top-power-upper" + tag, ins, top, nsq * upper_top),
-            _less_equal("subtop-power-lower" + tag, ins, nsq * lower_sub, sub),
-            _less_equal("subtop-power-upper" + tag, ins, sub, nsq * upper_sub),
-            _equal("polarization-expansion" + tag, dict(a=a, b=b),
-                   inner(lefschetz_power(a, m), lefschetz_power(b, m)), rhs, scalar=True),
-        ], first)
-    return rec.report()
+    if p + q >= n:
+        raise ValueError(f"needs p+q < n, got p+q={p + q}, n={n}")
+    return _prop_33(n, [(p, q)], trials, rspec)
 
 
-def check_federer(
-    n: int,
-    degrees: Optional[Sequence[tuple[int, int]]],
-    trials: int,
-    rspec: RandomSpec,
-) -> SuiteReport:
+def _prop_33(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteReport:
+    """check_prop_33 at each point (p, q) in turn, in one report."""
+    def on_group(units):
+        a, b = _stacked(units, 0), _stacked(units, 1)
+        m = n - a.k
+        top_a = lefschetz_power(a, m)
+        nsq, top, sub = norm_sq(a), norm_sq(top_a), norm_sq(lefschetz_power(a, m - 1))
+        lower_top, lower_sub = nsq * factorial(m) ** 2, nsq * (factorial(m - 1) * factorial(m))
+        polar = inner(top_a, lefschetz_power(b, m))
+        rhs = _expansion(primitive_decompose(a).parts, primitive_decompose(b).parts,
+                         lambda r: Fraction(factorial(m + r) * factorial(m + 2 * r), factorial(r)))
+        for (p, q), rows, (a_rows, b_rows) in units:
+            upper_top = Fraction(factorial(n - q), factorial(p)) ** 2
+            upper_sub = Fraction(factorial(n - q - 1) * factorial(n - q),
+                                 factorial(p) * factorial(p + 1))
+            ins, tag = dict(a=a_rows), f"[p={p},q={q}]"
+            yield [
+                _less_equal("top-power-lower" + tag, ins, lower_top[rows], top[rows]),
+                _less_equal("top-power-upper" + tag, ins, top[rows], nsq[rows] * upper_top),
+                _less_equal("subtop-power-lower" + tag, ins, lower_sub[rows], sub[rows]),
+                _less_equal("subtop-power-upper" + tag, ins, sub[rows], nsq[rows] * upper_sub),
+                _equal("polarization-expansion" + tag, dict(a=a_rows, b=b_rows),
+                       polar[rows], rhs[rows], scalar=True),
+            ]
+    return _Recorder("prop33", n, trials, rspec).grouped(
+        points, lambda p, q: [(p, q)] * 2, on_group, lambda p, q: p + q)
+
+
+def check_federer(n: int, degrees: Optional[Sequence[tuple[int, int]]], trials: int,
+                  rspec: RandomSpec) -> SuiteReport:
     """Wedge-product norm inequalities.
 
     |a ^ b|^2 <= C(da+db, da) |a|^2 |b|^2 in general, and without the
@@ -427,31 +441,28 @@ def check_federer(
     """
     rec = _Recorder("federer", n, trials, rspec)
     if degrees is None:
-        degrees = [
-            (da, db)
-            for da in range(2 * n + 1)
-            for db in range(da, 2 * n + 1)
-            if da + db <= 2 * n
-        ]
+        degrees = [(da, db) for da in range(2 * n + 1) for db in range(da, 2 * n + 1 - da)]
     if not degrees:
         raise ValueError("needs at least one degree pair")
     for da, db in degrees:
         if da < 0 or db < 0 or da + db > 2 * n:
             raise ValueError(f"degree pair ({da},{db}) out of range for n={n}")
-    for da, db in degrees:
-        tag = f"[{da},{db}]"
-        for first, rngs in rec.blocks(da, db):
-            a = _draw_degree(rngs, n, da, rspec.coeff_bound)
-            b = _draw_degree(rngs, n, db, rspec.coeff_bound)
-            s = _draw_simple(rngs, n, db, rspec.coeff_bound)
-            nsq_a = norm_sq(a)
-            _record(rec, [
-                _less_equal("binomial-bound" + tag, dict(a=a, b=b),
-                            norm_sq(a.wedge(b)), nsq_a * norm_sq(b) * comb(da + db, da)),
-                _less_equal("simple-bound" + tag, dict(a=a, s=s),
-                            norm_sq(a.wedge(s)), nsq_a * norm_sq(s)),
-            ], first)
-    return rec.report()
+
+    def on_group(units):
+        # b and the simple s, the wedge of its drawn 1-forms, for the whole group
+        nsq_b = norm_sq(_stacked(units, 1))
+        s = reduce(Batch.wedge, [_stacked(units, j) for j in range(2, len(units[0][2]))])
+        nsq_s = norm_sq(s)
+        for (da, db), rows, (a, b, *_) in units:
+            nsq_a, tag = norm_sq(a), f"[{da},{db}]"
+            yield [
+                _less_equal("binomial-bound" + tag, dict(a=a, b=b), norm_sq(a.wedge(b)),
+                            nsq_a * nsq_b[rows] * comb(da + db, da)),
+                _less_equal("simple-bound" + tag, dict(a=a, s=s[rows]),
+                            norm_sq(a.wedge(s[rows])), nsq_a * nsq_s[rows]),
+            ]
+    return rec.grouped(degrees, lambda da, db: [da, db, *([1] * db or [0])], on_group,
+                       lambda da, db: db)
 
 
 def _shown_entries(n: int, k: int, table: Table, other: Table) -> str:
@@ -482,7 +493,7 @@ def _scalar(n: int, k: int, c: int | Fraction) -> Table:
     """c times the identity on degree k."""
     c, ids = Fraction(c), np.arange(comb(2 * n, k))
     return _table(k, ids.size, ids, ids, [c.numerator] * ids.size, [0] * ids.size,
-                  c.denominator)
+                  c.denominator, k)
 
 
 @lru_cache(maxsize=None)
@@ -531,7 +542,7 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
     Per trial: decomposition round-trips and adjointness on random forms.
     """
     rec = _Recorder("lefschetz", n, trials, rspec)
-    bound, at = rspec.coeff_bound, f"n={n}"
+    at = f"n={n}"
 
     def by_bidegree(p: int, q: int) -> int:
         return comb(n, p) * comb(n, q) - (comb(n, p - 1) * comb(n, q - 1) if p and q else 0)
@@ -579,7 +590,7 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
         certificates.append(_certified(f"primitive-kernel-dimension[k={k}]", at, kernel))
         _record(rec, certificates)
         _record(rec, [_on_basis(f"primitive-kernel-member[k={k}]", n, k, killer,
-                                _table(killer.k, killer.size, [], [], [], [], 1), at)])
+                                _combined([(0, killer)]), at)])
     for k in range(2, 2 * n + 1):
         # star^-1 o L o star, with star^-1 = (-1)^k star on degree 2n - k + 2
         route = _chain(n, k, (_star_table,), (_power_table, 1), (_star_table,),
@@ -589,10 +600,11 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
                             _equal_tables(adjoint, route), lambda: (
                                 _shown_entries(n, k, adjoint, route),
                                 _shown_entries(n, k, route, adjoint)))])
-    for first, rngs in rec.blocks():
-        checks = []
+    def on_group(units):
+        ((_, _, forms),) = units
+        forms, checks = iter(forms), []
         for k in range(2 * n + 1):
-            a = _draw_degree(rngs, n, k, bound)
+            a = next(forms)
             parts = primitive_decompose(a).parts
             back = reduce(add, [lefschetz_power(part, r) for r, part in parts.items()])
             primitive = np.logical_and.reduce(
@@ -602,14 +614,14 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
             checks.append(_equal(f"decomposition-round-trip[k={k}]", ins, back, a))
             checks.append(_true(f"decomposition-parts-primitive[k={k}]", ins, primitive))
         for k in range(2 * n - 1):
-            a = _draw_degree(rngs, n, k, bound)
-            b = _draw_degree(rngs, n, k + 2, bound)
+            a, b = next(forms), next(forms)
             checks.append(_equal(
                 f"adjointness[k={k}]", dict(a=a, b=b),
                 inner(lefschetz_L(a), b), inner(a, dual_lefschetz(b)), scalar=True,
             ))
-        _record(rec, checks, first)
-    return rec.report()
+        yield checks
+    return rec.grouped([()], lambda: [*range(2 * n + 1), *(
+        d for k in range(2 * n - 1) for d in (k, k + 2))], on_group)
 
 
 @lru_cache(maxsize=None)
@@ -647,15 +659,11 @@ def check_star_primitive(n: int, trials: int, rspec: RandomSpec,
                        (_scalar, scale)),
             ))
         _record(rec, checks)
-    for first, rngs in rec.blocks():
-        checks = []
-        for k in range(2 * n + 1):
-            a = _draw_degree(rngs, n, k, rspec.coeff_bound)
-            sign = 1 if k % 2 == 0 else -1
-            checks.append(_equal(f"double-star[k={k}]", dict(a=a),
-                                 star(n, 2 * n - k)(star(n, k)(a)), a * sign))
-        _record(rec, checks, first)
-    return rec.report()
+    def on_group(units):
+        ((_, _, forms),) = units
+        yield [_equal(f"double-star[k={k}]", dict(a=a), star(n, 2 * n - k)(star(n, k)(a)),
+                      a * (-1) ** k) for k, a in enumerate(forms)]
+    return rec.grouped([()], lambda: range(2 * n + 1), on_group)
 
 
 def check_hodge_riemann(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
@@ -664,51 +672,41 @@ def check_hodge_riemann(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     i^(p-q) Q(a, conj(b)) = (n-p-q)! <a, b> with Q the pairing against
     omega^(n-k), checked for independently drawn primitive a, b.
     """
-    rec = _Recorder("hodge-riemann", n, trials, rspec)
-    for p in range(n + 1):
-        for q in range(n - p + 1):
-            factor = Fraction(factorial(n - p - q))
-            rotation = GaussRational.i_power(p - q)
-            for first, rngs in rec.blocks(p, q):
-                a = primitive_projection(_draw_bidegree(rngs, n, p, q, rspec.coeff_bound))
-                b = primitive_projection(_draw_bidegree(rngs, n, p, q, rspec.coeff_bound))
-                _record(rec, [_equal(
-                    f"bilinear-relation[p={p},q={q}]", dict(a=a, b=b),
-                    hr_pairing(a, conjugate(b)) * rotation,
-                    inner(a, b) * factor, scalar=True,
-                )], first)
-    return rec.report()
+    def on_group(units):
+        a, b = (_stacked(units, i, primitive_projection) for i in (0, 1))
+        pairing, scaled = hr_pairing(a, conjugate(b)), inner(a, b) * factorial(n - a.k)
+        for (p, q), rows, (a_rows, b_rows) in units:
+            yield [_equal(f"bilinear-relation[p={p},q={q}]", dict(a=a_rows, b=b_rows),
+                          pairing[rows] * GaussRational.i_power(p - q), scaled[rows], scalar=True)]
+    return _Recorder("hodge-riemann", n, trials, rspec).grouped(
+        [(p, q) for p in range(n + 1) for q in range(n - p + 1)],
+        lambda p, q: [(p, q)] * 2, on_group, lambda p, q: p + q)
 
 
 def check_sl2(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Commutator [L, dual L] = (k - n) id on homogeneous degree k."""
-    rec = _Recorder("sl2", n, trials, rspec)
-    for first, rngs in rec.blocks():
-        checks = []
-        for k in range(2 * n + 1):
-            a = _draw_degree(rngs, n, k, rspec.coeff_bound)
-            commutator = lefschetz_L(dual_lefschetz(a)) - dual_lefschetz(lefschetz_L(a))
-            checks.append(_equal(f"commutator[k={k}]", dict(a=a), commutator, a * (k - n)))
-        _record(rec, checks, first)
-    return rec.report()
+    def on_group(units):
+        ((_, _, forms),) = units
+        yield [_equal(f"commutator[k={k}]", dict(a=a),
+                      lefschetz_L(dual_lefschetz(a)) - dual_lefschetz(lefschetz_L(a)),
+                      a * (k - n)) for k, a in enumerate(forms)]
+    return _Recorder("sl2", n, trials, rspec).grouped([()], lambda: range(2 * n + 1), on_group)
 
 
 # Each suite's checks over its parameter points at dimension n, in report
-# order, called with (n, trials, rspec).  The bodies name each check, so a
+# order, in one report, called with (n, trials, rspec).  The bodies name each check, so a
 # call runs whatever the module binds to that name at the time.
-_SWEEPS: dict[str, Callable[..., list[SuiteReport]]] = {
-    "prop31": lambda n, *run: [
-        check_prop_31(n, k, j, *run) for k in range(n + 1) for j in range(n - k + 1)
-    ],
-    "lemma32": lambda n, *run: [check_lemma_32(n, k, *run) for k in range(n)],
-    "prop33": lambda n, *run: [
-        check_prop_33(n, p, q, *run) for p in range(n + 1) for q in range(p, n - p)
-    ],
-    "federer": lambda n, *run: [check_federer(n, None, *run)],
-    "lefschetz": lambda n, *run: [check_lefschetz_structure(n, *run)],
-    "star": lambda n, *run: [check_star_primitive(n, *run)],
-    "hodge-riemann": lambda n, *run: [check_hodge_riemann(n, *run)],
-    "sl2": lambda n, *run: [check_sl2(n, *run)],
+_SWEEPS: dict[str, Callable[..., SuiteReport]] = {
+    "prop31": lambda n, *run: _prop_31(
+        n, [(k, j) for k in range(n + 1) for j in range(n - k + 1)], *run),
+    "lemma32": lambda n, *run: _lemma_32(n, [(k,) for k in range(n)], *run),
+    "prop33": lambda n, *run: _prop_33(
+        n, [(p, q) for p in range(n + 1) for q in range(p, n - p)], *run),
+    "federer": lambda n, *run: check_federer(n, None, *run),
+    "lefschetz": lambda n, *run: check_lefschetz_structure(n, *run),
+    "star": lambda n, *run: check_star_primitive(n, *run),
+    "hodge-riemann": lambda n, *run: check_hodge_riemann(n, *run),
+    "sl2": lambda n, *run: check_sl2(n, *run),
 }
 
 SUITES = tuple(_SWEEPS)
@@ -751,8 +749,7 @@ def run_suite(suite: str, n: int, trials: int, rspec: RandomSpec) -> SuiteReport
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     _refuse_infeasible([suite], n)
     rec = _Recorder(suite, n, trials, rspec)
-    for part in _SWEEPS[suite](n, trials, rspec):
-        rec.failures.extend(part.failures)
+    rec.failures += _SWEEPS[suite](n, trials, rspec).failures
     return rec.report()
 
 

@@ -133,7 +133,7 @@ def _star_table(n: int, k: int) -> Table:
     pairing = sign * conj.re[complement]
     v = volume_form(n).coefficient(_top_monomial(n))
     return _table(2 * n - k, conj.size, conj.src[complement], mus,
-                  v._x * pairing, -v._y * pairing, v._d)
+                  v._x * pairing, -v._y * pairing, v._d, k)
 
 
 def hodge_star(a):
@@ -167,7 +167,7 @@ def weil_operator(a):
 def _dual_lefschetz_table(n: int, k: int) -> Table:
     """The dual Lefschetz operator on degree k: the conjugate transpose of L
     on degree k - 2."""
-    return _adjoint(_power_table(n, k - 2, 1), n, k - 2)
+    return _adjoint(_power_table(n, k - 2, 1), n)
 
 
 def dual_lefschetz(a):
@@ -265,7 +265,7 @@ def _primitive_table(n: int, k: int) -> Table:
                                                       tuple(sorted(P + B)))])
                             signs.append((-1) ** chosen_a * _wedge_sign(word))
                         t += 1
-    return _table(k, comb(2 * n, k), cols, rows, signs, [0] * len(signs), 1)
+    return _table(k, comb(2 * n, k), cols, rows, signs, [0] * len(signs), 1, None)
 
 
 def _inputs(table: Table) -> int:

@@ -30,5 +30,5 @@ def is_left_inverse(x: Table, a: Table) -> bool:
     if a.src.size and int(a.src.max()) >= x.size:
         return False
     ids = np.arange(x.size)
-    identity = _table(x.k, x.size, ids, ids, np.ones_like(ids), np.zeros_like(ids), 1)
+    identity = _table(x.k, x.size, ids, ids, np.ones_like(ids), np.zeros_like(ids), 1, a.k_in)
     return _equal_tables(_composed(x, a), identity)

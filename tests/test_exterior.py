@@ -523,7 +523,7 @@ def _dense_wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
     starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
     longest = int(np.diff(np.r_[starts, out.size]).max())
     return Table(da + db, len(mask_c), right, sign, np.zeros_like(sign), starts, out[starts],
-                 1, 2 * longest), left
+                 1, 2 * longest, db), left
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -736,7 +736,7 @@ def sparse_tables(draw, n, k_in, k_out, coeffs=_COEFFS):
     pairs = draw(st.lists(st.tuples(st.integers(0, size_out - 1), st.integers(0, size_in - 1),
                                     coeffs, coeffs), max_size=10))
     out, src, re, im = (list(column) for column in zip(*pairs)) if pairs else ([], [], [], [])
-    return _table(k_out, size_out, out, src, re, im, draw(st.integers(1, 12)))
+    return _table(k_out, size_out, out, src, re, im, draw(st.integers(1, 12)), k_in)
 
 
 @given(st.data())
@@ -771,7 +771,7 @@ def test_combined_tables_match_the_summed_images_of_the_identity(data):
 
 def test_table_algebra_leaves_int64_only_when_the_entries_do():
     n = 2
-    big = _table(2, 6, [0, 1, 1], [0, 0, 2], [2 ** 40, 3, -(2 ** 40)], [0, 2 ** 40, 1], 1)
+    big = _table(2, 6, [0, 1, 1], [0, 0, 2], [2 ** 40, 3, -(2 ** 40)], [0, 2 ** 40, 1], 1, 2)
     assert big.re.dtype == np.int64
     # products near 2^80 take the object path and stay exact
     square = _composed(big, big)
@@ -782,18 +782,18 @@ def test_table_algebra_leaves_int64_only_when_the_entries_do():
     assert back.re.dtype == np.int64
     assert same_fields(back, pushed(lambda b: big(b) * Fraction(1, 2), n, 2, 2))
     # repeated pairs are summed, here beyond int64, and zero sums dropped
-    repeated = _table(0, 1, [0, 0, 0, 0], [0, 0, 0, 0], [2 ** 62, 2 ** 62, 3, -3], [0] * 4, 3)
+    repeated = _table(0, 1, [0, 0, 0, 0], [0, 0, 0, 0], [2 ** 62, 2 ** 62, 3, -3], [0] * 4, 3, 0)
     assert (repeated.re.tolist(), repeated.re.dtype, repeated.den) == ([2 ** 63], object, 3)
     # and a sum that leaves int64 comes back to it once over the least denominator
-    halved = _table(0, 1, [0, 0], [0, 0], [2 ** 62, 2 ** 62], [0, 0], 4)
+    halved = _table(0, 1, [0, 0], [0, 0], [2 ** 62, 2 ** 62], [0, 0], 4, 0)
     assert (halved.re.tolist(), halved.re.dtype, halved.den) == ([2 ** 61], np.int64, 1)
-    assert _table(0, 1, [0, 0], [0, 0], [1, -1], [0, 0], 3).src.size == 0
+    assert _table(0, 1, [0, 0], [0, 0], [1, -1], [0, 0], 3, 0).src.size == 0
     # empty tables compose and combine to the empty table over 1
-    empty = _table(2, 6, [], [], [], [], 7)
+    empty = _table(2, 6, [], [], [], [], 7, 2)
     for table in (_composed(big, empty), _composed(empty, big), _combined([(3, empty)]),
                   _combined([(0, big)])):
         assert same_fields(table, _compiled(n, 2, 2, {}))
-    assert same_fields(_composed(_table(2, 6, range(6), range(6), [1] * 6, [0] * 6, 1), big), _combined([(1, big)]))
+    assert same_fields(_composed(_table(2, 6, range(6), range(6), [1] * 6, [0] * 6, 1, 2), big), _combined([(1, big)]))
 
 
 def test_conjugation_tables_match_their_monomial_construction():
@@ -972,7 +972,8 @@ def test_table_applications_match_across_chunk_boundaries(n, monkeypatch):
     rng = np.random.default_rng(70 + n)
     for name, table, width in _kernel_tables(n):
         for big in (False, True):
-            a = _kernel_rows(rng, n, 0, width, big)
+            # rows of the table's input degree; of a basis table, k is None
+            a = _kernel_rows(rng, n, table.k_in, width, big)
             whole = table(a)
             assert whole.re.dtype == (object if big and table.src.size else np.int64), name
             _same_batch(_row_by_row(table, a), whole, name)
@@ -1001,6 +1002,21 @@ def test_exterior_products_match_across_chunk_boundaries(n, monkeypatch):
                     monkeypatch.setattr(exterior, "_CHUNK_ENTRIES", chunking(pairs))
                     _same_batch(a.wedge(b), whole, name)
                 monkeypatch.undo()
+
+
+def test_stacked_batches_keep_every_row_and_slices_give_them_back():
+    n = 2
+    rnd = random.Random(5)
+    parts = [Batch.of(n, 2, [_drawn_form(rnd, n, [2]) for _ in range(rows)]) for rows in (1, 3, 2)]
+    whole = Batch.stacked(parts)
+    assert (whole.k, whole.rows, whole.den) == (2, 6, parts[0].den)
+    assert [whole.form(t) for t in range(6)] == [p.form(t) for p in parts for t in range(p.rows)]
+    assert [whole[1:4].form(t) for t in range(3)] == [parts[1].form(t) for t in range(3)]
+    assert whole._bound() >= _maxabs(whole.re, whole.im)
+    for other in (Batch.zero(n, 1, 2), Batch.zero(n, 2, 2, den=parts[0].den + 1),
+                  Batch.zero(n + 1, 2, 2)):
+        with pytest.raises(ValueError, match="batch mismatch"):
+            Batch.stacked([parts[0], other])
 
 
 def test_zero_rows_and_empty_tables_give_the_zero_batch():

@@ -20,9 +20,7 @@ from kahlerlab.exterior import (
 from kahlerlab import harness, kaehler
 from kahlerlab.harness import (
     SUITES,
-    _draw_bidegree,
     _draw_degree,
-    _draw_simple,
     FailureRecord,
     RandomSpec,
     SuiteReport,
@@ -244,33 +242,35 @@ def _reference_simple(rng, n, k, bound):
     return out
 
 
-@pytest.mark.parametrize("bound", [1, 3, 7])
+# 2^31 - 1 and below take numpy's 32-bit bounded draw, 2^40 and 2^63 - 1 its 64-bit one
+@pytest.mark.parametrize("bound", [1, 3, 7, 2 ** 31 - 1, 2 ** 40, 2 ** 63 - 1])
 def test_batched_draws_match_per_coefficient_draws(bound):
-    # one stream per row: row t of a batched draw is what stream t alone gives
+    # one stream per row and one draw per stream for every shape: row t of
+    # each batch is what stream t alone gives, coefficient by coefficient
     seeds = (0, 7, 42, 2 ** 40 + 3)
 
     def streams():
         return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
 
-    def rows(batch):
-        return [batch.form(t) for t in range(len(seeds))]
-
     for n in (1, 2, 3):
+        # degrees, bidegrees and the degree-1 factors of a simple form, interleaved
+        shapes = [shape for k in range(2 * n + 1) for shape in (
+            k, *((p, k - p) for p in range(max(0, k - n), min(k, n) + 1)), 1)]
+        fast, slow = streams(), streams()
+        batches = _draw_degree(fast, n, shapes, bound)
+        assert [batch.k for batch in batches] == [
+            shape if isinstance(shape, int) else sum(shape) for shape in shapes]
+        for t, rng in enumerate(slow):
+            for shape, batch in zip(shapes, batches):
+                basis = (monomial_basis(n, shape) if isinstance(shape, int)
+                         else bidegree_basis(n, *shape))
+                assert batch.form(t) == _reference_draw(rng, n, basis, bound)
+        assert [rng.integers(0, 2 ** 62) for rng in fast] == [
+            rng.integers(0, 2 ** 62) for rng in slow]
+        rspec = RandomSpec(seed=5, coeff_bound=bound)
         for k in range(2 * n + 1):
-            fast, slow = streams(), streams()
-            assert rows(_draw_degree(fast, n, k, bound)) == [
-                _reference_draw(rng, n, monomial_basis(n, k), bound) for rng in slow]
-            assert rows(_draw_simple(fast, n, k, bound)) == [
-                _reference_simple(rng, n, k, bound) for rng in slow]
-            assert [rng.integers(0, 2 ** 62) for rng in fast] == [
-                rng.integers(0, 2 ** 62) for rng in slow]
-        for p in range(n + 1):
-            for q in range(n + 1):
-                fast, slow = streams(), streams()
-                assert rows(_draw_bidegree(fast, n, p, q, bound)) == [
-                    _reference_draw(rng, n, bidegree_basis(n, p, q), bound) for rng in slow]
-                assert [rng.integers(0, 2 ** 62) for rng in fast] == [
-                    rng.integers(0, 2 ** 62) for rng in slow]
+            rng = rspec.generator("simple_random_form", n, 2, k)
+            assert simple_random_form(n, k, rspec, trial=2) == _reference_simple(rng, n, k, bound)
 
 
 def test_failure_records_render_the_inputs_of_the_failing_check():
@@ -468,18 +468,38 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
         re[:, -1:] += 1
         return Batch(out.n, out.k, re, out.im, out.den)
 
+    def bumped(op):
+        # +1 on column 0 of each row whose entry there is 1 mod 3: local to
+        # the row and dependent on its value, so a suite that mixes up the
+        # rows of its parameter points or blocks reports other failures
+        def perturbed(*args):
+            out = op(*args)
+            if not out.re.shape[1]:
+                return out
+            re = out.re.copy()
+            re[re[:, 0] % 3 == 1, 0] += 1
+            return Batch(out.n, out.k, re, out.im, out.den)
+        return perturbed
+
     def run():
         calls.clear()
         reports = [_untimed(r) for r in run_all(2, 5, RandomSpec(seed=42))]
         with monkeypatch.context() as patched:
             patched.setattr(harness, "dual_lefschetz", off_at_the_end)
             failures = _untimed(check_sl2(2, 5, RandomSpec(seed=7)))
-        return reports, dict(calls), failures
+        with monkeypatch.context() as patched:
+            for name in ("norm_sq", "inner", "lefschetz_power"):
+                patched.setattr(harness, name, bumped(getattr(harness, name)))
+            perturbed = [_untimed(r) for r in run_all(3, 5, RandomSpec(seed=11))]
+        return reports, dict(calls), failures, perturbed
 
     original = harness.dual_lefschetz
     whole = run()
-    monkeypatch.setattr(harness, "_TRIAL_BLOCK", 2)
-    assert run() == whole
+    assert {r["suite"] for r in whole[3] if r["failures"]} >= {
+        "federer", "prop31", "prop33", "hodge-riemann"}
+    for block in (1, 2, 1024):
+        monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
+        assert run() == whole
 
 
 def test_star_route_compares_the_tables_and_renders_only_differing_entries(monkeypatch):
@@ -673,7 +693,7 @@ def _reshaped_basis(at, move):
         src = move(table.src, _inputs(table))
         keep = src >= 0
         return _table(table.k, table.size, _pair_outputs(table)[keep], src[keep],
-                              table.re[keep], table.im[keep], table.den)
+                              table.re[keep], table.im[keep], table.den, table.k_in)
     original = harness._primitive_table
     return perturbed
 
@@ -712,7 +732,7 @@ def test_a_vanishing_power_fails_the_kernel_dimension_certificate(monkeypatch, k
         table = original(n, degree, j)
         if (degree, j) != (k, n - k + 1):
             return table
-        return _table(table.k, table.size, [], [], [], [], 1)
+        return _table(table.k, table.size, [], [], [], [], 1, table.k_in)
     original = harness._power_table
     monkeypatch.setattr(harness, "_power_table", vanishing)
     failure = _failed(n)[f"primitive-kernel-dimension[k={k}]"]

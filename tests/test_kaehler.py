@@ -399,6 +399,21 @@ def test_table_rows_give_the_rank_of_l_and_the_nullity_of_the_dual():
         assert nullity == expected
 
 
+def test_a_table_refuses_a_batch_of_another_degree():
+    # conjugation on degree 1 once turned a degree-2 batch into a wrong
+    # degree-1 one, and the star on degree 2 met a degree-1 batch with a bare
+    # IndexError; a primitive basis table takes basis indices, not forms
+    n = 2
+    for table, k in ((_conjugation_table(n, 1), 2), (_star_table(n, 2), 1),
+                     (_primitive_table(n, 1), 1), (_dual_lefschetz_table(n, 3), 2)):
+        with pytest.raises(ValueError, match="batch mismatch"):
+            table(Batch.zero(n, k, 3))
+    a = Batch.of(n, 1, [Form.monomial(n, (1,), (), GaussRational(2, 1))])
+    assert _conjugation_table(n, 1)(a).k == 1 and _star_table(n, 1)(a).k == 3
+    assert (_primitive_table(n, 1).k_in, _star_table(n, 2).k_in,
+            _dual_lefschetz_table(n, 3).k_in) == (None, 2, 3)
+
+
 def test_norm_ratio_rejects_zero_denominator():
     with pytest.raises(ValueError):
         norm_ratio(Form.one(2), Form.zero(2))

@@ -156,7 +156,7 @@ def _as_table(m, cols, k=0):
     den = lcm(1, *(v._d for *_, v in entries))
     return _table(k, len(m), [r for r, _, _ in entries], [c for _, c, _ in entries],
                   [v._x * (den // v._d) for *_, v in entries],
-                  [v._y * (den // v._d) for *_, v in entries], den)
+                  [v._y * (den // v._d) for *_, v in entries], den, None)
 
 
 def _dense_rows(table, cols):
