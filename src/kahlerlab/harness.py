@@ -6,10 +6,10 @@ are no tolerances anywhere in this module.  The checks on the primitive
 basis are table identities: both sides are composed once and cached per
 operator, and each run compares them table against table, one comparison
 per basis index.  The other checks draw forms with Gaussian-integer
-coefficients from seeded, splittable streams, one per trial and parameter
-point, each drawn once per block of trials; the rows of the points whose
-forms share a degree are stacked into one `Batch`, so every operator is
-applied once per group to all of them.
+coefficients from seeded, splittable streams, one per parameter point,
+drawn once per block of trials: trial t is row t of its point's stream.
+The rows of the points whose forms share a degree are stacked into one
+`Batch`, so every operator is applied once per group to all of them.
 
 A check is one `Check`: its identity, a verdict per row (a trial, a basis
 index, or the one row of a check made once), computed in numpy for the
@@ -81,9 +81,10 @@ class RandomSpec:
     """Seeded recipe for random forms.
 
     Coefficients are Gaussian integers with |re|, |im| <= coeff_bound.  The
-    stream feeding a given (suite, n, parameters, trial) tuple is a pure
-    function of that tuple and the seed, so trials are order-independent
-    and reports are reproducible.
+    stream of generator(suite, n, trial, *point) is a pure function of its
+    arguments and the seed.  A suite draws trial t of a parameter point as
+    row t of the point's trial-0 stream, so no row depends on the trial
+    count or the block size, and reports are reproducible.
     """
 
     seed: int = 42
@@ -145,7 +146,7 @@ def random_form(n: int, p: int, q: int, rspec: RandomSpec, trial: int = 0) -> Fo
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
     rng = rspec.generator("random_form", n, trial, p, q)
-    return _draw_degree([rng], n, [(p, q)], rspec.coeff_bound)[0].form(0)
+    return _draw_degree(rng, 1, n, [(p, q)], rspec.coeff_bound)[0].form(0)
 
 
 def simple_random_form(n: int, k: int, rspec: RandomSpec, trial: int = 0) -> Form:
@@ -153,7 +154,7 @@ def simple_random_form(n: int, k: int, rspec: RandomSpec, trial: int = 0) -> For
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
     rng = rspec.generator("simple_random_form", n, trial, k)
-    return reduce(Batch.wedge, _draw_degree([rng], n, [1] * k or [0], rspec.coeff_bound)).form(0)
+    return reduce(Batch.wedge, _draw_degree(rng, 1, n, [1] * k or [0], rspec.coeff_bound)).form(0)
 
 
 # Rows evaluated together: even at n = 5 a group's arrays stay a few MB.
@@ -169,20 +170,18 @@ def _columns(n: int, shape) -> tuple[int, np.ndarray]:
                         if shape in (k, mono.bidegree)], dtype=np.int64)
 
 
-def _draw_degree(rngs, n: int, shapes, bound: int) -> list[Batch]:
-    """A batch of Gaussian-integer coefficients in |re|, |im| <= bound per
-    shape, a degree k or a bidegree (p, q); row t takes every shape's (re,
-    im) pairs in turn from one draw of stream t, which PCG64 hands out as
-    the same values as a draw of size 2 per monomial."""
+def _draw_degree(rng, rows: int, n: int, shapes, bound: int) -> list[Batch]:
+    """rows rows of Gaussian-integer coefficients in |re|, |im| <= bound per
+    shape, a degree k or a bidegree (p, q), from one draw of rng: row t takes
+    every shape's (re, im) pairs in turn, as the t-th run of size-2 draws per
+    monomial would, however the rows are split into calls."""
     out, start, shapes = [], 0, [_columns(n, shape) for shape in shapes]
-    values = np.empty((len(rngs), 2 * sum(cols.size for _, cols in shapes)), dtype=np.int64)
-    for row, rng in zip(values, rngs):
-        row[:] = rng.integers(-bound, bound + 1, size=row.size)
+    values = rng.integers(-bound, bound + 1, size=(rows, 2 * sum(c.size for _, c in shapes)))
     for k, cols in shapes:
         pairs, start = values[:, start:start + 2 * cols.size], start + 2 * cols.size
         re, im = pairs[:, 0::2], pairs[:, 1::2]
         if cols.size < comb(2 * n, k):  # a bidegree: spread over the degree's monomials
-            re, im = np.zeros((2, len(rngs), comb(2 * n, k)), dtype=np.int64)
+            re, im = np.zeros((2, rows, comb(2 * n, k)), dtype=np.int64)
             re[:, cols], im[:, cols] = pairs[:, 0::2], pairs[:, 1::2]
         out.append(Batch(n, k, re, im, 1, bound))
     return out
@@ -277,18 +276,19 @@ class _Recorder:
         A group is one block of at most _TRIAL_BLOCK trials of up to
         _TRIAL_BLOCK // trials points that share key(*point).  Its units,
         one per point, are (point, its rows in the group, the batches drawn
-        for shapes(*point) from the trials' streams), and on_group(units)
-        yields each unit's checks in turn.  Each point records on its own,
-        so no report depends on the grouping."""
+        for shapes(*point) from the point's stream, which runs on across its
+        blocks), and on_group(units) yields each unit's checks in turn.
+        Each point records on its own, so no report depends on the grouping."""
         recs, by_key = [_Recorder(self.suite, self.n, self.trials, self.rspec) for _ in points], {}
+        rngs = [self.rspec.generator(self.suite, self.n, 0, *point) for point in points]
         for at, point in enumerate(points):
             by_key.setdefault(key(*point), []).append(at)
 
         def run(ats: list[int], first: int) -> None:  # a group's arrays go on return
-            trials = range(first, min(first + _TRIAL_BLOCK, self.trials))
-            units = [(points[at], slice(u * len(trials), (u + 1) * len(trials)), _draw_degree(
-                [self.rspec.generator(self.suite, self.n, t, *points[at]) for t in trials],
-                self.n, shapes(*points[at]), self.rspec.coeff_bound)) for u, at in enumerate(ats)]
+            rows = min(_TRIAL_BLOCK, self.trials - first)
+            units = [(points[at], slice(u * rows, (u + 1) * rows), _draw_degree(
+                rngs[at], rows, self.n, shapes(*points[at]), self.rspec.coeff_bound))
+                for u, at in enumerate(ats)]
             for at, checks in zip(ats, on_group(units), strict=True):
                 _record(recs[at], checks, first)
 

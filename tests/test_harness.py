@@ -5,6 +5,7 @@ deliberately flipped star is injected and the resulting failure records are
 inspected end to end.
 """
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -92,6 +93,27 @@ def test_random_form_is_reproducible_and_seed_sensitive():
     assert a == b
     assert a != c
     assert a != d
+
+
+def test_random_forms_keep_their_per_trial_streams():
+    # each call draws from the stream of its own trial; these strings pin
+    # them, from 3 to 10^12 and 2^40 as coefficient bounds
+    assert [str(form) for form in (
+        random_form(2, 1, 1, RandomSpec(seed=11), trial=5),
+        random_form(3, 2, 0, RandomSpec(seed=42)),
+        random_form(2, 0, 2, RandomSpec(seed=7, coeff_bound=10 ** 12), trial=3),
+        simple_random_form(2, 2, RandomSpec(seed=3), trial=4),
+        simple_random_form(3, 1, RandomSpec(seed=42)),
+        simple_random_form(2, 0, RandomSpec(seed=5, coeff_bound=2 ** 40), trial=1),
+    )] == [
+        "(-2)*dz[1]^dzb[1] + (2-2i)*dz[1]^dzb[2] + (-2i)*dz[2]^dzb[1] + (-1-1i)*dz[2]^dzb[2]",
+        "(3)*dz[1,2] + (2-2i)*dz[1,3] + (-2+2i)*dz[2,3]",
+        "(57039613873-261111355642i)*dzb[1,2]",
+        "(8-4i)*dzb[1,2] + (8i)*dz[1]^dzb[1] + (-12-4i)*dz[1]^dzb[2] + (2-6i)*dz[1,2]"
+        " + (-14+4i)*dz[2]^dzb[1] + (-6-22i)*dz[2]^dzb[2]",
+        "(2)*dzb[1] + (-3+2i)*dzb[2] + (-2-3i)*dzb[3] + (-1i)*dz[1] + (3+2i)*dz[3]",
+        "(-723314002386+692751504735i)*1",
+    ]
 
 
 def test_simple_random_form_is_simple():
@@ -242,35 +264,54 @@ def _reference_simple(rng, n, k, bound):
     return out
 
 
+def _stream(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _shapes(n: int) -> list:
+    """Degrees, bidegrees and the degree-1 factors of a simple form, interleaved."""
+    return [shape for k in range(2 * n + 1) for shape in (
+        k, *((p, k - p) for p in range(max(0, k - n), min(k, n) + 1)), 1)]
+
+
 # 2^31 - 1 and below take numpy's 32-bit bounded draw, 2^40 and 2^63 - 1 its 64-bit one
 @pytest.mark.parametrize("bound", [1, 3, 7, 2 ** 31 - 1, 2 ** 40, 2 ** 63 - 1])
 def test_batched_draws_match_per_coefficient_draws(bound):
-    # one stream per row and one draw per stream for every shape: row t of
-    # each batch is what stream t alone gives, coefficient by coefficient
-    seeds = (0, 7, 42, 2 ** 40 + 3)
-
-    def streams():
-        return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-
+    # one draw from one stream for every row and shape: row t of each batch
+    # is the t-th run of size-2 draws per coefficient from that stream
+    rows = 3
     for n in (1, 2, 3):
-        # degrees, bidegrees and the degree-1 factors of a simple form, interleaved
-        shapes = [shape for k in range(2 * n + 1) for shape in (
-            k, *((p, k - p) for p in range(max(0, k - n), min(k, n) + 1)), 1)]
-        fast, slow = streams(), streams()
-        batches = _draw_degree(fast, n, shapes, bound)
-        assert [batch.k for batch in batches] == [
-            shape if isinstance(shape, int) else sum(shape) for shape in shapes]
-        for t, rng in enumerate(slow):
-            for shape, batch in zip(shapes, batches):
-                basis = (monomial_basis(n, shape) if isinstance(shape, int)
-                         else bidegree_basis(n, *shape))
-                assert batch.form(t) == _reference_draw(rng, n, basis, bound)
-        assert [rng.integers(0, 2 ** 62) for rng in fast] == [
-            rng.integers(0, 2 ** 62) for rng in slow]
+        shapes = _shapes(n)
+        for seed in (0, 7, 42, 2 ** 40 + 3):
+            fast, slow = _stream(seed), _stream(seed)
+            batches = _draw_degree(fast, rows, n, shapes, bound)
+            assert [(batch.k, batch.rows) for batch in batches] == [
+                (shape if isinstance(shape, int) else sum(shape), rows) for shape in shapes]
+            for t in range(rows):
+                for shape, batch in zip(shapes, batches):
+                    basis = (monomial_basis(n, shape) if isinstance(shape, int)
+                             else bidegree_basis(n, *shape))
+                    assert batch.form(t) == _reference_draw(slow, n, basis, bound)
+            assert fast.integers(0, 2 ** 62) == slow.integers(0, 2 ** 62)
         rspec = RandomSpec(seed=5, coeff_bound=bound)
         for k in range(2 * n + 1):
             rng = rspec.generator("simple_random_form", n, 2, k)
             assert simple_random_form(n, k, rspec, trial=2) == _reference_simple(rng, n, k, bound)
+
+
+# the bounds either side of numpy's 32-bit bounded draw and up to int64's end
+@pytest.mark.parametrize("bound", [1, 3, 2 ** 31 - 1, 2 ** 31, 2 ** 32, 2 ** 40, 2 ** 63 - 1])
+def test_rows_drawn_in_several_calls_are_the_rows_of_one_call(bound):
+    # a point's stream runs on across its blocks: rows 1 + 2 + 3 drawn in
+    # turn are the 6 rows of one draw, and the stream stays in step after
+    n, shapes = 2, _shapes(2)
+    split, whole = _stream(42), _stream(42)
+    parts = [_draw_degree(split, rows, n, shapes, bound) for rows in (1, 2, 3)]
+    for j, batch in enumerate(_draw_degree(whole, 6, n, shapes, bound)):
+        for part in ("re", "im"):
+            joined = np.concatenate([getattr(batches[j], part) for batches in parts])
+            assert np.array_equal(joined, getattr(batch, part))
+    assert np.array_equal(split.integers(0, 2 ** 62, size=3), whole.integers(0, 2 ** 62, size=3))
 
 
 def test_failure_records_render_the_inputs_of_the_failing_check():
@@ -459,6 +500,43 @@ def test_every_suite_sweeps_every_parameter_point(monkeypatch):
     assert seen == [(2, None, 3)]
 
 
+def test_a_suite_builds_one_stream_per_parameter_point(monkeypatch):
+    # 5 trials in blocks of 2: each point's trial-0 stream feeds 3 draws
+    streams, draws = Counter(), Counter()
+    generator, draw = RandomSpec.generator, harness._draw_degree
+
+    def counted(self, suite, n, trial, *point):
+        streams[suite, trial] += 1
+        return generator(self, suite, n, trial, *point)
+
+    def counted_draw(*args):
+        draws[args[1]] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(RandomSpec, "generator", counted)
+    monkeypatch.setattr(harness, "_draw_degree", counted_draw)
+    monkeypatch.setattr(harness, "_TRIAL_BLOCK", 2)
+    assert all(r.passed for r in run_all(2, 5, RandomSpec(seed=42)))
+    points = {"prop31": 6, "lemma32": 2, "prop33": 2, "federer": 9, "lefschetz": 1,
+              "star": 1, "hodge-riemann": 6, "sl2": 1}
+    assert streams == {(suite, 0): count for suite, count in points.items()}
+    assert draws == {2: 2 * sum(points.values()), 1: sum(points.values())}
+
+
+def _bumped(op):
+    """op, then +1 on column 0 of each row whose entry there is 1 mod 3:
+    local to the row and dependent on its value, so a suite that mixes up
+    the rows of its parameter points or blocks reports other failures."""
+    def perturbed(*args):
+        out = op(*args)
+        if not out.re.shape[1]:
+            return out
+        re = out.re.copy()
+        re[re[:, 0] % 3 == 1, 0] += 1
+        return Batch(out.n, out.k, re, out.im, out.den)
+    return perturbed
+
+
 def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
     calls = _counted_checks(monkeypatch)
 
@@ -468,19 +546,6 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
         re[:, -1:] += 1
         return Batch(out.n, out.k, re, out.im, out.den)
 
-    def bumped(op):
-        # +1 on column 0 of each row whose entry there is 1 mod 3: local to
-        # the row and dependent on its value, so a suite that mixes up the
-        # rows of its parameter points or blocks reports other failures
-        def perturbed(*args):
-            out = op(*args)
-            if not out.re.shape[1]:
-                return out
-            re = out.re.copy()
-            re[re[:, 0] % 3 == 1, 0] += 1
-            return Batch(out.n, out.k, re, out.im, out.den)
-        return perturbed
-
     def run():
         calls.clear()
         reports = [_untimed(r) for r in run_all(2, 5, RandomSpec(seed=42))]
@@ -489,7 +554,7 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
             failures = _untimed(check_sl2(2, 5, RandomSpec(seed=7)))
         with monkeypatch.context() as patched:
             for name in ("norm_sq", "inner", "lefschetz_power"):
-                patched.setattr(harness, name, bumped(getattr(harness, name)))
+                patched.setattr(harness, name, _bumped(getattr(harness, name)))
             perturbed = [_untimed(r) for r in run_all(3, 5, RandomSpec(seed=11))]
         return reports, dict(calls), failures, perturbed
 
@@ -497,9 +562,25 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
     whole = run()
     assert {r["suite"] for r in whole[3] if r["failures"]} >= {
         "federer", "prop31", "prop33", "hodge-riemann"}
-    for block in (1, 2, 1024):
+    for block in (1, 2, 3, 1024):  # 3 splits the 5 trials 3 + 2
         monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
         assert run() == whole
+
+
+def test_trial_zero_reads_what_a_one_trial_run_reads(monkeypatch):
+    # trial t is row t of its point's stream, so under a row-local
+    # perturbation the 1-trial failures are pinned, and are trial 0's of 5
+    for name in ("norm_sq", "inner", "lefschetz_power"):
+        monkeypatch.setattr(harness, name, _bumped(getattr(harness, name)))
+
+    def failures(trials):
+        return [(r.suite, f.to_dict()) for r in run_all(3, trials, RandomSpec(seed=11))
+                for f in r.failures]
+
+    one = failures(1)
+    assert (len(one), hashlib.sha256(json.dumps(one).encode()).hexdigest()) == (
+        21, "ce905ff34138380dca26c4d3023ba74e9cef742d1be5992c0a6fbaa6b387c360")
+    assert [f for f in failures(5) if f[1]["trial"] == 0] == one
 
 
 def test_star_route_compares_the_tables_and_renders_only_differing_entries(monkeypatch):
