@@ -10,6 +10,8 @@ coefficients from seeded, splittable streams, one per parameter point,
 drawn once per block of trials: trial t is row t of its point's stream.
 The rows of the points whose forms share a degree are stacked into one
 `Batch`, so every operator is applied once per group to all of them.
+Each suite is one function `check_<suite>(n, trials, rspec)` (federer also
+takes its degree pairs) that runs its whole parameter sweep in one report.
 
 A check is one `Check`: its identity, a verdict per row (a trial, a basis
 index, or the one row of a check made once), computed in numpy for the
@@ -71,7 +73,7 @@ from .kaehler import (
     primitive_dimension,
     primitive_projection,
 )
-from .rational_linalg import independent_columns, is_left_inverse
+from .rational_linalg import independent_columns
 
 _ONE_MONOMIAL = Monomial((), ())
 
@@ -317,21 +319,12 @@ class _Recorder:
                            tuple(self.failures), time.perf_counter() - self.t0)
 
 
-def check_prop_31(n: int, k: int, j: int, trials: int, rspec: RandomSpec) -> SuiteReport:
+def check_prop_31(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Inner products of equal Lefschetz powers of primitive forms.
 
     For primitive degree-k forms, <L^j a, L^j b> = j!(n-k)!/(n-k-j)! <a, b>
     for 0 <= j <= n-k, and L^j kills primitives for j beyond n-k.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"degree {k} out of range for n={n}")
-    if not 0 <= j <= n - k:
-        raise ValueError(f"power {j} outside 0..{n - k}")
-    return _prop_31(n, [(k, j)], trials, rspec)
-
-
-def _prop_31(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteReport:
-    """check_prop_31 at each point (k, j) in turn, in one report."""
     def on_group(units):
         scalars = inner(*(_stacked(units, i, primitive_projection) for i in (0, 1)))
         for (k, j), rows, (a, b) in units:
@@ -345,7 +338,8 @@ def _prop_31(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteRepor
                                      Batch.zero(n, vanished.k, vanished.rows)))
             yield checks
     return _Recorder("prop31", n, trials, rspec).grouped(
-        points, lambda k, j: [k, k], on_group, lambda k, j: k)
+        [(k, j) for k in range(n + 1) for j in range(n - k + 1)],
+        lambda k, j: [k, k], on_group, lambda k, j: k)
 
 
 _DECOMP_COEFFS = (
@@ -364,20 +358,13 @@ def _expansion(parts_a, parts_b, coeff: Callable[[int], Fraction]) -> Batch:
     return reduce(add, [inner(parts_a[r], parts_b[r]) * coeff(r) for r in parts_a])
 
 
-def check_lemma_32(n: int, k: int, trials: int, rspec: RandomSpec) -> SuiteReport:
+def check_lemma_32(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Norm expansions of a form through its primitive decomposition.
 
     With a = sum_r L^r a_r and b = sum_r L^r b_r of degree k < n, the inner
     products <L^j a, L^j b> for j in {0, n-k, n-k-1} expand into weighted
     sums of <a_r, b_r> with explicit factorial weights.
     """
-    if not 0 <= k < n:
-        raise ValueError(f"needs degree k < n, got k={k}, n={n}")
-    return _lemma_32(n, [(k,)], trials, rspec)
-
-
-def _lemma_32(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteReport:
-    """check_lemma_32 at each point (k,) in turn, in one report."""
     def on_group(units):
         (((k,), _, (a, b)),) = units
         parts_a, parts_b = primitive_decompose(a).parts, primitive_decompose(b).parts
@@ -386,26 +373,17 @@ def _lemma_32(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteRepo
             inner(lefschetz_power(a, power_of(n - k)), lefschetz_power(b, power_of(n - k))),
             _expansion(parts_a, parts_b, lambda r: coeff(n - k, r)), scalar=True,
         ) for tag, power_of, coeff in _DECOMP_COEFFS]
-    return _Recorder("lemma32", n, trials, rspec).grouped(points, lambda k: [k, k], on_group,
-                                                          lambda k: k)
+    return _Recorder("lemma32", n, trials, rspec).grouped(
+        [(k,) for k in range(n)], lambda k: [k, k], on_group, lambda k: k)
 
 
-def check_prop_33(n: int, p: int, q: int, trials: int, rspec: RandomSpec) -> SuiteReport:
+def check_prop_33(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     """Two-sided bounds for Lefschetz powers of (p,q)-forms below middle degree.
 
     On the diagonal a = b the squared norms of L^(n-k) a and L^(n-k-1) a are
     pinched between explicit factorial multiples of |a|^2; the sesquilinear
     version is checked against the decomposition expansion (polarization).
     """
-    if not (0 <= p <= q <= n):
-        raise ValueError(f"needs 0 <= p <= q <= n, got ({p},{q}), n={n}")
-    if p + q >= n:
-        raise ValueError(f"needs p+q < n, got p+q={p + q}, n={n}")
-    return _prop_33(n, [(p, q)], trials, rspec)
-
-
-def _prop_33(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteReport:
-    """check_prop_33 at each point (p, q) in turn, in one report."""
     def on_group(units):
         a, b = _stacked(units, 0), _stacked(units, 1)
         m = n - a.k
@@ -413,8 +391,9 @@ def _prop_33(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteRepor
         nsq, top, sub = norm_sq(a), norm_sq(top_a), norm_sq(lefschetz_power(a, m - 1))
         lower_top, lower_sub = nsq * factorial(m) ** 2, nsq * (factorial(m - 1) * factorial(m))
         polar = inner(top_a, lefschetz_power(b, m))
+        # weighted by top-power-expansion's (m+r)!(m+2r)!/r!
         rhs = _expansion(primitive_decompose(a).parts, primitive_decompose(b).parts,
-                         lambda r: Fraction(factorial(m + r) * factorial(m + 2 * r), factorial(r)))
+                         partial(_DECOMP_COEFFS[1][2], m))
         for (p, q), rows, (a_rows, b_rows) in units:
             upper_top = Fraction(factorial(n - q), factorial(p)) ** 2
             upper_sub = Fraction(factorial(n - q - 1) * factorial(n - q),
@@ -429,7 +408,8 @@ def _prop_33(n: int, points: list, trials: int, rspec: RandomSpec) -> SuiteRepor
                        polar[rows], rhs[rows], scalar=True),
             ]
     return _Recorder("prop33", n, trials, rspec).grouped(
-        points, lambda p, q: [(p, q)] * 2, on_group, lambda p, q: p + q)
+        [(p, q) for p in range(n + 1) for q in range(p, n - p)],
+        lambda p, q: [(p, q)] * 2, on_group, lambda p, q: p + q)
 
 
 def check_federer(n: int, degrees: Optional[Sequence[tuple[int, int]]], trials: int,
@@ -576,7 +556,8 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
         killer = _chain(n, k, (_primitive_table,), (_power_table, n - k + 1))
         certificates = [
             _certified(f"hard-lefschetz-bijective[k={k}]", at, {
-                "X_k o L^(n-k) = id": is_left_inverse(inverse, _power_table(n, k, n - k))}),
+                "X_k o L^(n-k) = id": _equal_tables(
+                    _composed(inverse, _power_table(n, k, n - k)), _scalar(n, k, 1))}),
             _certified(f"hard-lefschetz-primitive-injective[k={k}]", at, {
                 "B has independent columns": independent,
                 "X_k o L^(n-k) o B = B": _equal_tables(_composed(inverse, on_basis), basis)}),
@@ -584,9 +565,9 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
         kernel = {"L^(n-k+1) o B = 0": not killer.src.size,
                   "B has independent columns": independent}
         if k >= 2:
-            kernel["X_(k-2) o L^(n-k+1) o L = id"] = is_left_inverse(
-                _left_inverse_table(n, k - 2),
-                _chain(n, k - 2, (_power_table, 1), (_power_table, n - k + 1)))
+            lifted = _chain(n, k - 2, (_power_table, 1), (_power_table, n - k + 1))
+            kernel["X_(k-2) o L^(n-k+1) o L = id"] = _equal_tables(
+                _composed(_left_inverse_table(n, k - 2), lifted), _scalar(n, k - 2, 1))
         certificates.append(_certified(f"primitive-kernel-dimension[k={k}]", at, kernel))
         _record(rec, certificates)
         _record(rec, [_on_basis(f"primitive-kernel-member[k={k}]", n, k, killer,
@@ -693,15 +674,13 @@ def check_sl2(n: int, trials: int, rspec: RandomSpec) -> SuiteReport:
     return _Recorder("sl2", n, trials, rspec).grouped([()], lambda: range(2 * n + 1), on_group)
 
 
-# Each suite's checks over its parameter points at dimension n, in report
-# order, in one report, called with (n, trials, rspec).  The bodies name each check, so a
-# call runs whatever the module binds to that name at the time.
+# Each suite's entry point, called with (n, trials, rspec): it runs the
+# suite's whole parameter sweep in one report.  The bodies name each entry
+# point, so a call runs whatever the module binds to that name at the time.
 _SWEEPS: dict[str, Callable[..., SuiteReport]] = {
-    "prop31": lambda n, *run: _prop_31(
-        n, [(k, j) for k in range(n + 1) for j in range(n - k + 1)], *run),
-    "lemma32": lambda n, *run: _lemma_32(n, [(k,) for k in range(n)], *run),
-    "prop33": lambda n, *run: _prop_33(
-        n, [(p, q) for p in range(n + 1) for q in range(p, n - p)], *run),
+    "prop31": lambda n, *run: check_prop_31(n, *run),
+    "lemma32": lambda n, *run: check_lemma_32(n, *run),
+    "prop33": lambda n, *run: check_prop_33(n, *run),
     "federer": lambda n, *run: check_federer(n, None, *run),
     "lefschetz": lambda n, *run: check_lefschetz_structure(n, *run),
     "star": lambda n, *run: check_star_primitive(n, *run),

@@ -180,16 +180,14 @@ def test_scaled_star_perturbation_also_caught():
 
 def test_precondition_errors():
     rspec = RandomSpec(seed=42)
-    with pytest.raises(ValueError):
-        check_prop_31(2, 3, 0, 1, rspec)
-    with pytest.raises(ValueError):
-        check_prop_31(2, 1, 2, 1, rspec)
-    with pytest.raises(ValueError):
-        check_lemma_32(2, 2, 1, rspec)
-    with pytest.raises(ValueError):
-        check_prop_33(3, 2, 1, 1, rspec)
-    with pytest.raises(ValueError):
-        check_prop_33(3, 1, 2, 1, rspec)
+    # each suite runs its own sweep: no single-point call is left to refuse
+    for check, old in ((check_prop_31, (2, 1, 0)), (check_lemma_32, (2, 1)),
+                       (check_prop_33, (3, 0, 1))):
+        for n, trials in ((0, 1), (2, 0)):
+            with pytest.raises(ValueError):
+                check(n, trials, rspec)
+        with pytest.raises(TypeError):
+            check(*old, 1, rspec)
     with pytest.raises(ValueError):
         run_suite("nonsense", 2, 1, rspec)
     with pytest.raises(ValueError):
@@ -202,7 +200,7 @@ def test_precondition_errors():
     with pytest.raises(ValueError):
         check_hodge_riemann(2, -3, rspec)
     with pytest.raises(ValueError):
-        check_prop_31(0, 0, 0, 1, rspec)
+        check_prop_31(0, 1, rspec)
 
 
 def test_federer_accepts_an_explicit_degree_list(monkeypatch):
@@ -581,6 +579,41 @@ def test_trial_zero_reads_what_a_one_trial_run_reads(monkeypatch):
     assert (len(one), hashlib.sha256(json.dumps(one).encode()).hexdigest()) == (
         21, "ce905ff34138380dca26c4d3023ba74e9cef742d1be5992c0a6fbaa6b387c360")
     assert [f for f in failures(5) if f[1]["trial"] == 0] == one
+
+
+# Each suite's public entry point, called as run_suite calls it.
+_ENTRY_POINTS = {
+    "prop31": check_prop_31, "lemma32": check_lemma_32, "prop33": check_prop_33,
+    "federer": lambda n, *run: check_federer(n, None, *run),
+    "lefschetz": check_lefschetz_structure, "star": check_star_primitive,
+    "hodge-riemann": check_hodge_riemann, "sl2": check_sl2,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_entry_point_runs_its_suites_whole_sweep(monkeypatch, n):
+    """A suite called directly gives run_suite's report and makes the same
+    comparisons, also when operators are perturbed and checks fail."""
+    assert tuple(_ENTRY_POINTS) == SUITES
+    calls = Counter()
+
+    def counting(self, identity, *args, _original=harness._Recorder.equal):
+        calls[identity] += 1
+        return _original(self, identity, *args)
+
+    monkeypatch.setattr(harness._Recorder, "equal", counting)
+    for name in ("norm_sq", "inner", "lefschetz_power"):
+        monkeypatch.setattr(harness, name, _bumped(getattr(harness, name)))
+    failed = 0
+    for suite, check in _ENTRY_POINTS.items():
+        rspec = RandomSpec(seed=n)
+        direct, direct_calls = _untimed(check(n, 2, rspec)), calls.copy()
+        calls.clear()
+        assert _untimed(run_suite(suite, n, 2, rspec)) == direct, suite
+        assert calls == direct_calls and calls, suite
+        calls.clear()
+        failed += len(direct["failures"])
+    assert failed
 
 
 def test_star_route_compares_the_tables_and_renders_only_differing_entries(monkeypatch):

@@ -1,9 +1,10 @@
 """Exact certificates of injectivity, against a dense oracle.
 
-`independent_columns` (distinct leading rows) and `is_left_inverse` are
-checked against a dense Gauss-Jordan elimination kept here as the oracle:
-its pivot count is the rank.  The kernel and round-trip checks read the
-oracle's reduced rows.
+`independent_columns` (distinct leading rows) and the left-inverse
+certificate of the hard-Lefschetz checks, the table identity x o a = id
+(`_equal_tables(_composed(x, a), identity)`), are checked against a dense
+Gauss-Jordan elimination kept here as the oracle: its pivot count is the
+rank.  The kernel and round-trip checks read the oracle's reduced rows.
 """
 
 import random
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kahlerlab.exterior import GaussRational, _composed, _table
+from kahlerlab.exterior import GaussRational, _composed, _equal_tables, _table
+from kahlerlab.harness import _scalar
 from kahlerlab.kaehler import _left_inverse_table, _power_table
-from kahlerlab.rational_linalg import independent_columns, is_left_inverse
+from kahlerlab.rational_linalg import independent_columns
 
 
 def _gr(re, im=0):
@@ -159,6 +161,13 @@ def _as_table(m, cols, k=0):
                   [v._y * (den // v._d) for *_, v in entries], den, None)
 
 
+def _identity(inputs):
+    """The identity on inputs 0..inputs-1, a table of the kind `_as_table`
+    builds."""
+    ids = list(range(inputs))
+    return _table(0, inputs, ids, ids, [1] * inputs, [0] * inputs, 1, None)
+
+
 def _dense_rows(table, cols):
     """The nonzero rows of a table's matrix, each as a list of cols entries."""
     return [[row.get(c, GaussRational(0)) for c in range(cols)]
@@ -230,18 +239,20 @@ def test_the_oracle_inverse_is_a_left_inverse_and_a_perturbed_one_is_not(m, data
     inverse = _oracle_inverse(m)
     assume(inverse is not None)
     size = len(m)
-    assert is_left_inverse(_as_table(inverse, size), _as_table(m, size))
+    a = _as_table(m, size)
+    assert _equal_tables(_composed(_as_table(inverse, size), a), _identity(size))
     r, c = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
     inverse[r][c] = inverse[r][c] + 1
-    assert not is_left_inverse(_as_table(inverse, size), _as_table(m, size))
+    assert not _equal_tables(_composed(_as_table(inverse, size), a), _identity(size))
 
 
 def test_a_left_inverse_must_cover_every_input():
     # x o a is the identity on the first input of a, and x drops the second
     one, zero = GaussRational(1), GaussRational(0)
     x = _as_table([[one, zero]], 2)
-    assert not is_left_inverse(x, _as_table([[one, zero], [zero, one]], 2))
-    assert is_left_inverse(x, _as_table([[one], [zero]], 1))
+    assert not _equal_tables(_composed(x, _as_table([[one, zero], [zero, one]], 2)),
+                             _identity(2))
+    assert _equal_tables(_composed(x, _as_table([[one], [zero]], 1)), _identity(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -254,7 +265,7 @@ def test_certificates_on_every_lefschetz_power_table(n):
             power = _power_table(n, k, j)
             if k + j <= n:
                 x = _composed(_left_inverse_table(n, k), _power_table(n, k + 2 * j, n - k - j))
-                assert is_left_inverse(x, power), (k, j)
+                assert _equal_tables(_composed(x, power), _scalar(n, k, 1)), (k, j)
             if n <= 3:
                 cols = comb(2 * n, k)
                 rank = len(_oracle_rref(_dense_rows(power, cols))[1])
