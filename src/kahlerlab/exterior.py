@@ -16,14 +16,11 @@ exactly.  The exterior product of degrees da and db is a `Table` on the
 right factor whose coefficients are the reorder signs, plus the left
 factor's column of each pair.  One kernel applies both to a whole batch,
 chunk by chunk: one gather (a table) or two (a product), np.add.reduceat.
-Every batch carries an upper bound on its numerators, set by the operation
-that made it from its operands' bounds; arithmetic is int64 while that bound
-stays below 2^63, and Python ints otherwise.  Only when the carried bound
-reaches 2^63 are the operands measured and the bound recomputed, so the
-int64 choice is always the one the measured numerators give.  The product
-of two dict forms loops over their term pairs, so a sparse product costs
-its terms, not its degrees; fixed operators reach a dict form as one-row
-batches, one per degree.
+Every batch carries a bound on its numerators, set from its operands'
+bounds, which picks its tier (`_EXACT_LIMIT`); near 2^53 the operands are
+measured instead.  The product of two dict forms loops over their term
+pairs, so a sparse product costs its terms, not its degrees; fixed
+operators reach a dict form as one-row batches, one per degree.
 
 The exterior product works on bitmasks: a monomial is the 2n-bit set of its
 1-forms in the order dz_1..dz_n, dzb_1..dzb_n, and the reorder sign of a
@@ -464,7 +461,15 @@ def bidegree_basis(n: int, p: int, q: int) -> tuple[Monomial, ...]:
 
 # ---- numerator batches -------------------------------------------------------
 
-_INT64_LIMIT = 2 ** 63
+# Numerators are one array of Gaussian integers: complex128 while a bound on
+# every value computed is below 2^53, as integers below 2^53 are exact in
+# float64 (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), else objects
+# (GaussRational over 1).  Each bound rule covers every product and partial
+# sum of a real or imaginary part; a complex product is two products and a
+# sum per part, so an FMA rounds nothing either, and sums are exact in any
+# order.  Bounds are on max(|re|, |im|): np.abs of complex is the modulus.
+_EXACT_LIMIT = 2 ** 53
+_COMPLEX = np.dtype(np.complex128)
 
 
 def _size(n: int, k: int) -> int:
@@ -472,34 +477,51 @@ def _size(n: int, k: int) -> int:
     return comb(2 * n, k) if 0 <= k <= 2 * n else 0
 
 
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """Gaussian integers as (re, im) integer pairs along the last axis."""
+    shape = (*a.shape[:-1], 2 * a.shape[-1])
+    if a.dtype == object:  # GaussRationals, or np.zeros' int 0
+        return np.array([v for z in a.flat for v in (
+            (z._x, z._y) if isinstance(z, GaussRational) else (z, 0))], dtype=object).reshape(shape)
+    return np.stack([a.real, a.imag], axis=-1).astype(np.int64).reshape(shape)
+
+
 def _maxabs(*arrays: np.ndarray) -> int:
+    """The largest |re| or |im| over the arrays."""
     bound = 0
     for a in arrays:
-        if a.size:
-            bound = max(bound, int(np.maximum.reduce(a, axis=None)),
-                        -int(np.minimum.reduce(a, axis=None)))
+        a = _pairs(a) if a.dtype == object else a
+        for part in ((a.real, a.imag) if a.dtype is _COMPLEX else (a,)) if a.size else ():
+            bound = max(bound, int(np.maximum.reduce(part, axis=None)),
+                        -int(np.minimum.reduce(part, axis=None)))
     return bound
 
 
+def _gaussian(values, objects: bool = False) -> np.ndarray:
+    """(re, im) integer pairs along the last axis as Gaussian integers:
+    complex128 when all fit below 2^53 and objects is not set."""
+    if not isinstance(values, np.ndarray):  # numpy infers [0, 2^63] as float64
+        big = max(map(abs, values), default=0) >= 2 ** 63
+        values = np.array(values, dtype=object if big else np.int64)
+    if not objects and _maxabs(values) < _EXACT_LIMIT:
+        return values.astype(np.float64).view(np.complex128)
+    flat = values.ravel().tolist()
+    return np.fromiter(map(GaussRational._raw, flat[0::2], flat[1::2], [1] * (len(flat) // 2)),
+                       object, len(flat) // 2).reshape(*values.shape[:-1], values.shape[-1] // 2)
+
+
 def _cast(bound: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
-    """The arrays as int64 when bound, a bound on every value computed from
-    them, is below 2^63 (and the arrays themselves fit), and as object
-    arrays of Python ints otherwise."""
-    if bound < _INT64_LIMIT:
-        if all(a.dtype == np.int64 for a in arrays):
+    """The arrays as complex128 when bound, on every value computed from
+    them, is below 2^53 (and they fit), else as objects."""
+    if bound < _EXACT_LIMIT:
+        for a in arrays:  # cheaper than all()
+            if a.dtype is not _COMPLEX:
+                break
+        else:
             return arrays
-        if _maxabs(*arrays) < _INT64_LIMIT:
-            return [a.astype(np.int64) for a in arrays]
-    return [a.astype(object) for a in arrays]
-
-
-def _ints(values) -> np.ndarray:
-    """Python ints as an int64 array when they fit, else an object array."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values
-    values = list(values)
-    fits = max(map(abs, values), default=0) < _INT64_LIMIT
-    return np.array(values, dtype=np.int64 if fits else object)
+        if _maxabs(*arrays) < _EXACT_LIMIT:
+            return [_gaussian(_pairs(a)) for a in arrays]
+    return [a if a.dtype == object else _gaussian(_pairs(a), objects=True) for a in arrays]
 
 
 @lru_cache(maxsize=None)
@@ -510,19 +532,17 @@ def _basis_rank(n: int, k: int) -> dict[Monomial, int]:
 class Batch:
     """T forms of degree k at dimension n, as Gaussian-integer numerators.
 
-    Row t is sum_j (re[t, j] + i im[t, j]) / den * basis[j] over
-    basis = monomial_basis(n, k); den is a positive int shared by every
-    row.  A degree-0 batch doubles as a column of scalars.  bound, when
-    given, is an upper bound on every |numerator|; without it the
-    numerators are measured when first needed.  Batches are never changed
-    in place.
+    Row t is sum_j num[t, j] / den * basis[j] over basis =
+    monomial_basis(n, k); den is a positive int shared by every row.  A
+    degree-0 batch doubles as a column of scalars.  bound, when given, is an
+    upper bound on every |re| and |im| of num; without it the numerators are
+    measured when first needed.  Batches are never changed in place.
     """
 
-    __slots__ = ("n", "k", "re", "im", "den", "_max", "_measured")
+    __slots__ = ("n", "k", "num", "den", "_max", "_measured")
 
-    def __init__(self, n: int, k: int, re: np.ndarray, im: np.ndarray, den: int,
-                 bound: int | None = None):
-        self.n, self.k, self.re, self.im, self.den = n, k, re, im, den
+    def __init__(self, n: int, k: int, num: np.ndarray, den: int, bound: int | None = None):
+        self.n, self.k, self.num, self.den = n, k, num, den
         self._max, self._measured = bound, False
 
     @classmethod
@@ -534,21 +554,19 @@ class Batch:
             raise ValueError(f"batch mismatch: a form of another dimension at n={n}")
         rank, size = _basis_rank(n, k), _size(n, k)
         den = lcm(1, *(c._d for form in forms for c in form.terms.values()))
-        re, im = [0] * (len(forms) * size), [0] * (len(forms) * size)
+        values = [0] * (2 * len(forms) * size)
         for t, form in enumerate(forms):
             for mono, c in form.terms.items():
                 j = rank.get(mono)
                 if j is None:
                     raise ValueError(f"{mono.label()} is not of degree {k} at n={n}")
-                re[t * size + j] = c._x * (den // c._d)
-                im[t * size + j] = c._y * (den // c._d)
-        shape = (len(forms), size)
-        return cls(n, k, _ints(re).reshape(shape), _ints(im).reshape(shape), den)
+                at = 2 * (t * size + j)
+                values[at:at + 2] = c._x * (den // c._d), c._y * (den // c._d)
+        return cls(n, k, _gaussian(values).reshape(len(forms), size), den)
 
     @classmethod
     def zero(cls, n: int, k: int, rows: int, den: int = 1) -> "Batch":
-        re = np.zeros((rows, _size(n, k)), dtype=np.int64)
-        return cls(n, k, re, re, den, 0)
+        return cls(n, k, np.zeros((rows, _size(n, k)), dtype=np.complex128), den, 0)
 
     @classmethod
     def stacked(cls, batches: Sequence["Batch"]) -> "Batch":
@@ -556,37 +574,37 @@ class Batch:
         a = batches[0]
         if {(b.n, b.k, b.den) for b in batches} != {(a.n, a.k, a.den)}:
             raise ValueError("batch mismatch: stacked batches differ in n, k or den")
-        return a if len(batches) == 1 else cls(
-            a.n, a.k, np.concatenate([b.re for b in batches]),
-            np.concatenate([b.im for b in batches]), a.den, max(b._bound() for b in batches))
+        if len(batches) == 1:
+            return a
+        bound = _bounded(max, *batches)
+        return cls(a.n, a.k, np.concatenate(_cast(bound, *[b.num for b in batches])), a.den, bound)
 
     def __getitem__(self, rows: slice) -> "Batch":
-        return Batch(self.n, self.k, self.re[rows], self.im[rows], self.den, self._max)
+        return Batch(self.n, self.k, self.num[rows], self.den, self._max)
 
     @property
     def rows(self) -> int:
-        return len(self.re)
+        return len(self.num)
 
     def terms(self, t: int) -> dict[Monomial, GaussRational]:
-        basis, den = monomial_basis(self.n, self.k), self.den
+        basis, den, row = monomial_basis(self.n, self.k), self.den, self.num[t]
         make = GaussRational._raw if den == 1 else GaussRational._norm
-        re, im = self.re[t], self.im[t]
-        cols = np.flatnonzero((re != 0) | (im != 0))
-        return {basis[j]: make(x, y, den)
-                for j, x, y in zip(cols.tolist(), re[cols].tolist(), im[cols].tolist())}
+        cols = np.flatnonzero(row.astype(bool))
+        xy = _pairs(row[cols]).tolist()
+        return {basis[j]: make(x, y, den) for j, x, y in zip(cols.tolist(), xy[0::2], xy[1::2])}
 
     def form(self, t: int) -> Form:
         return Form._trusted(self.n, self.terms(t))
 
     def is_zero(self) -> np.ndarray:
         """Per row, whether the form vanishes."""
-        return ~((self.re != 0).any(axis=1) | (self.im != 0).any(axis=1))
+        return ~self.num.astype(bool).any(axis=1)
 
     def _bound(self, measured: bool = False) -> int:
-        """An upper bound on |numerator|: the carried one, or, when there is
-        none or measured is set, the largest |numerator| itself, found once."""
+        """An upper bound on |re| and |im|: the carried one, or, when there
+        is none or measured is set, the largest itself, found once."""
         if self._max is None or (measured and not self._measured):
-            self._max, self._measured = _maxabs(self.re, self.im), True
+            self._max, self._measured = _maxabs(self.num), True
         return self._max
 
     def _require_like(self, other: "Batch") -> None:
@@ -600,11 +618,16 @@ class Batch:
         if not isinstance(other, Batch):
             return NotImplemented
         self._require_like(other)
-        a_re, a_im, b_re, b_im, den, bound = _common(self, other)
-        return Batch(self.n, self.k, a_re + b_re, a_im + b_im, den, bound)
+        # both over the least common denominator, with room for the sums
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        bound = _bounded(lambda x, y: max(x, 1) * fa + max(y, 1) * fb, self, other)
+        x, y = _cast(bound, self.num, other.num)
+        return Batch(self.n, self.k, (x * fa if fa > 1 else x) + (y * fb if fb > 1 else y),
+                     den, bound)
 
     def __neg__(self) -> "Batch":
-        return Batch(self.n, self.k, -self.re, -self.im, self.den, self._max)
+        return Batch(self.n, self.k, -self.num, self.den, self._max)
 
     def __sub__(self, other: "Batch") -> "Batch":
         if not isinstance(other, Batch):
@@ -618,15 +641,14 @@ class Batch:
             c = GaussRational._coerce(scalar)
             if c is NotImplemented:
                 return NotImplemented
-            scalar = Batch(self.n, 0, _ints([c._x]).reshape(1, 1),
-                           _ints([c._y]).reshape(1, 1), c._d, max(abs(c._x), abs(c._y)))
+            scalar = Batch(self.n, 0, _gaussian([c._x, c._y]).reshape(1, 1), c._d,
+                           max(abs(c._x), abs(c._y)))
         elif (scalar.n, scalar.k) != (self.n, 0) or scalar.rows not in (1, self.rows):
             raise ValueError(f"batch mismatch: (n, k, rows) {(scalar.n, scalar.k, scalar.rows)} "
                              f"for a degree-0 factor of 1 or {self.rows} rows at n={self.n}")
         bound = _bounded(lambda a, b: 2 * a * b, self, scalar)
-        re, im, x, y = _cast(bound, self.re, self.im, scalar.re, scalar.im)
-        return Batch(self.n, self.k, re * x - im * y, re * y + im * x,
-                     self.den * scalar.den, bound)
+        x, c = _cast(bound, self.num, scalar.num)
+        return Batch(self.n, self.k, x * c, self.den * scalar.den, bound)
 
     __rmul__ = __mul__
 
@@ -634,50 +656,34 @@ class Batch:
         return _wedge_rows(self, other)
 
     def conjugate(self) -> "Batch":
-        flipped = Batch(self.n, self.k, self.re, -self.im, self.den, self._max)
+        flipped = Batch(self.n, self.k, self.num.conj(), self.den, self._max)
         out = _conjugation_table(self.n, self.k)(flipped)  # a signed permutation
-        return Batch(self.n, self.k, out.re, out.im, out.den, flipped._bound())
+        return Batch(self.n, self.k, out.num, out.den, flipped._bound())
 
     def inner(self, other: "Batch") -> "Batch":
         self._require_like(other)
-        cols = self.re.shape[1]
+        cols = self.num.shape[1]
         bound = _bounded(lambda a, b: 2 * cols * a * b, self, other)
-        a_re, a_im, b_re, b_im = _cast(bound, self.re, self.im, other.re, other.im)
-        re = (a_re * b_re + a_im * b_im).sum(axis=1, keepdims=True)
-        im = (a_im * b_re - a_re * b_im).sum(axis=1, keepdims=True)
-        return Batch(self.n, 0, re, im, self.den * other.den, bound)
+        x, y = _cast(bound, self.num, other.num)
+        return Batch(self.n, 0, (x * y.conj()).sum(axis=1, keepdims=True),
+                     self.den * other.den, bound)
 
     def norm_sq(self) -> "Batch":
-        cols = self.re.shape[1]
+        cols = self.num.shape[1]
         bound = _bounded(lambda a: 2 * cols * a * a, self)
-        re, im = _cast(bound, self.re, self.im)
-        total = (re * re + im * im).sum(axis=1, keepdims=True)
-        return Batch(self.n, 0, total, np.zeros_like(total), self.den * self.den, bound)
+        (x,) = _cast(bound, self.num)
+        return Batch(self.n, 0, (x * x.conj()).sum(axis=1, keepdims=True),
+                     self.den * self.den, bound)
 
 
 def _bounded(rule: Callable[..., int], *batches: Batch) -> int:
     """rule applied to the carried numerator bounds of the batches; when
-    that reaches 2^63, to their measured ones, so the int64 choice is the
-    one measuring the operands gives."""
-    bound = rule(*(b._bound() for b in batches))
-    if bound >= _INT64_LIMIT:
-        bound = rule(*(b._bound(measured=True) for b in batches))
+    that reaches 2^53, to their measured ones, so the tier is the one
+    measuring the operands gives."""
+    bound = rule(*[b._bound() for b in batches])  # an unpacked iterator fills tuple free lists
+    if bound >= _EXACT_LIMIT:
+        bound = rule(*[b._bound(measured=True) for b in batches])
     return bound
-
-
-def _common(a: Batch, b: Batch):
-    """Numerators of a and b over the least common multiple of their
-    denominators, with room to add them, that denominator and a bound on
-    the sums."""
-    den = lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    bound = _bounded(lambda x, y: max(x, 1) * fa + max(y, 1) * fb, a, b)  # fa, fb fit
-    a_re, a_im, b_re, b_im = _cast(bound, a.re, a.im, b.re, b.im)
-    if fa > 1:
-        a_re, a_im = a_re * fa, a_im * fa
-    if fb > 1:
-        b_re, b_im = b_re * fb, b_im * fb
-    return a_re, a_im, b_re, b_im, den, bound
 
 
 def _per_degree(a: Form, op: Callable[[Batch], Batch]) -> Form:
@@ -704,20 +710,19 @@ class Table(NamedTuple):
     """A fixed linear map from degree-k_in forms onto degree-k forms, over
     one denominator; k_in is None when its inputs are the indices of a basis.
 
-    Pair i sends input column src[i] to its output with the Gaussian-integer
-    coefficient re[i] + i im[i]; pairs are sorted by output, segment g
-    (from starts[g]) feeding column outputs[g].  gain bounds the ratio of
-    the largest output numerator to the largest input one.  `_table` builds
-    every table reduced: no pair repeats or is zero, and den is least.  The
-    exterior product's tables (`_wedge_table`) are the other kind: their
+    Pair i sends input column src[i] to its output times coef[i]; pairs are
+    sorted by output, segment g (from starts[g]) feeding column outputs[g].
+    gain bounds the ratio of the largest output numerator to the largest
+    input one.  `_table` builds every table reduced: no pair repeats or is
+    zero, den is least, and coef is in the tier its values take.  The
+    exterior product's tables (`_wedge_table`) hold int8 signs, and their
     pairs also carry a left factor, gathered by `_wedge_rows`.
     """
 
     k: int
     size: int
     src: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
+    coef: np.ndarray
     starts: np.ndarray
     outputs: np.ndarray
     den: int
@@ -728,24 +733,15 @@ class Table(NamedTuple):
         if a.k != self.k_in:
             raise ValueError(f"batch mismatch: degree {a.k} for a map on degree {self.k_in}")
         bound = _bounded(lambda x: self.gain * x, a)
-        x_re, x_im, c_re, c_im = _cast(bound, a.re, a.im, self.re, self.im)
-
-        def pairs(rows: slice):
-            p_re, p_im = x_re[rows][:, self.src], x_im[rows][:, self.src]
-            re = p_re * c_re
-            re -= p_im * c_im
-            p_re *= c_im
-            p_im *= c_re
-            p_re += p_im
-            return re, p_re
-
-        return _reduced(a.n, self, a.rows, pairs, a.den * self.den, bound)
+        x, c = _cast(bound, a.num, self.coef)
+        return _reduced(a.n, self, a.rows, lambda rows: x[rows][:, self.src] * c,
+                        a.den * self.den, bound)
 
     def rows(self) -> dict[int, dict[int, GaussRational]]:
         """The rows of the map's matrix, {output: {input: nonzero entry}}."""
         out: dict[int, dict[int, GaussRational]] = {}
-        for o, s, x, y in zip(_pair_outputs(self).tolist(), self.src.tolist(),
-                              self.re.tolist(), self.im.tolist()):
+        xy = _pairs(self.coef).tolist()
+        for o, s, x, y in zip(_pair_outputs(self).tolist(), self.src.tolist(), xy[0::2], xy[1::2]):
             out.setdefault(o, {})[s] = GaussRational._norm(x, y, self.den)
         return out
 
@@ -757,43 +753,42 @@ _CHUNK_ENTRIES = 1 << 10
 
 def _reduced(n: int, table: Table, rows: int, pairs: Callable, den: int, bound: int) -> Batch:
     """The batch whose row t holds, in column outputs[g], the sum of segment
-    g of row t's pair values; pairs(rows) gives the (re, im) values of a
-    slice of rows.  The rows go through in chunks of at most _CHUNK_ENTRIES
-    pair values (or of one row).  The output takes the dtype of the sums,
-    int64 zeros when there are none; bound bounds every sum."""
-    re = im = np.zeros((rows, table.size), dtype=np.int64)
+    g of row t's pair values; pairs(rows) gives the values of a slice of
+    rows.  The rows go through in chunks of at most _CHUNK_ENTRIES pair
+    values (or of one row).  The output takes the tier of the sums,
+    complex128 zeros when there are none; bound bounds every sum."""
+    out = np.zeros((rows, table.size), dtype=np.complex128)
     step = _CHUNK_ENTRIES // max(table.src.size, 1) or 1
+    cols = slice(None) if table.outputs.size == table.size else table.outputs  # 10x cheaper
     for start in range(0, rows if table.src.size else 0, step):
         chunk = slice(start, start + step)
-        p_re, p_im = pairs(chunk)
-        if not start:
-            re, im = np.zeros(re.shape, p_re.dtype), np.zeros(im.shape, p_im.dtype)
-        re[chunk, table.outputs] = np.add.reduceat(p_re, table.starts, axis=1)
-        im[chunk, table.outputs] = np.add.reduceat(p_im, table.starts, axis=1)
-    return Batch(n, table.k, re, im, den, bound)
+        values = pairs(chunk)
+        if values.dtype != out.dtype:
+            out = np.zeros(out.shape, values.dtype)
+        out[chunk, cols] = np.add.reduceat(values, table.starts, axis=1)
+    return Batch(n, table.k, out, den, bound)
 
 
-def _table(k: int, size: int, out, src, re, im, den: int, k_in: int | None) -> Table:
-    """Table of the pairs (out, src, (re + i im) / den), given in any order
-    and possibly repeated: repeated pairs are summed, zeros dropped and den
-    made the least common denominator."""
+def _table(k: int, size: int, out, src, coef: np.ndarray, den: int, k_in: int | None) -> Table:
+    """Table of the pairs (out, src, coef / den), coef Gaussian integers of
+    either tier, given in any order and possibly repeated: repeated pairs
+    are summed, zeros dropped and den made the least common denominator."""
     out, src = np.asarray(out, dtype=np.int64), np.asarray(src, dtype=np.int64)
     order = np.lexsort((src, out))
-    out, src, re, im = out[order], src[order], _ints(re)[order], _ints(im)[order]
+    out, src, coef = out[order], src[order], coef[order]
     first = np.flatnonzero(np.concatenate(([True], (out[1:] != out[:-1]) | (src[1:] != src[:-1]))))
     if first.size < out.size:  # sum the repeated pairs, with room for the sums
-        re, im = _cast(_maxabs(re, im) * out.size, re, im)
+        (coef,) = _cast(_maxabs(coef) * out.size, coef)
         out, src = out[first], src[first]
-        re, im = np.add.reduceat(re, first), np.add.reduceat(im, first)
-    keep = np.flatnonzero((re != 0) | (im != 0))
-    out, src, re, im = out[keep], src[keep], re[keep], im[keep]
-    g = gcd(den, *re.tolist(), *im.tolist())
-    re, im = _cast(g, re, im)  # g itself may leave int64
-    re, im = _ints(re // g), _ints(im // g)
+        coef = np.add.reduceat(coef, first)
+    keep = np.flatnonzero(coef.astype(bool))
+    out, src, parts = out[keep], src[keep], _pairs(coef[keep])
+    g = gcd(den, *parts.tolist())
+    coef = _gaussian(parts // g if parts.size else parts)  # in the tier the quotients take
     starts = np.flatnonzero(np.concatenate(([True], out[1:] != out[:-1]))) if out.size else out
     longest = int(np.diff(np.append(starts, out.size)).max()) if out.size else 0
-    return Table(k, size, src, re, im, starts, out[starts], den // g,
-                 2 * _maxabs(re, im) * longest, k_in)
+    return Table(k, size, src, coef, starts, out[starts], den // g,
+                 2 * _maxabs(coef) * longest, k_in)
 
 
 def _compiled(n: int, k_in: int, k_out: int,
@@ -805,8 +800,9 @@ def _compiled(n: int, k_in: int, k_out: int,
              for mu, col in columns.items() for nu, c in col.items()]
     den = lcm(1, *(c._d for *_, c in pairs))
     return _table(k_out, _size(n, k_out), [o for o, _, _ in pairs], [s for _, s, _ in pairs],
-                  [c._x * (den // c._d) for *_, c in pairs],
-                  [c._y * (den // c._d) for *_, c in pairs], den, k_in)
+                  _gaussian([v for *_, c in pairs for v in (c._x * (den // c._d),
+                                                            c._y * (den // c._d))]),
+                  den, k_in)
 
 
 def _pair_outputs(table: Table) -> np.ndarray:
@@ -818,8 +814,8 @@ def _images(n: int, table: Table, inputs: int) -> list[Form]:
     """The image of each of the inputs 0..inputs-1 of a table, as forms."""
     basis = monomial_basis(n, table.k)
     terms: list[dict[Monomial, GaussRational]] = [{} for _ in range(inputs)]
-    for o, s, x, y in zip(_pair_outputs(table).tolist(), table.src.tolist(),
-                          table.re.tolist(), table.im.tolist()):
+    xy = _pairs(table.coef).tolist()
+    for o, s, x, y in zip(_pair_outputs(table).tolist(), table.src.tolist(), xy[0::2], xy[1::2]):
         terms[s][basis[o]] = GaussRational._norm(x, y, table.den)
     return [Form._trusted(n, t) for t in terms]
 
@@ -828,7 +824,7 @@ def _adjoint(table: Table, n: int) -> Table:
     """Conjugate transpose of a table, from its output degree back to its
     input degree."""
     return _table(table.k_in, _size(n, table.k_in), table.src, _pair_outputs(table),
-                  table.re, -table.im, table.den, table.k)
+                  table.coef.conj(), table.den, table.k)
 
 
 def _composed(outer: Table, inner: Table) -> Table:
@@ -839,12 +835,9 @@ def _composed(outer: Table, inner: Table) -> Table:
     counts = np.searchsorted(middle, outer.src, side="right") - lo
     a = np.repeat(np.arange(outer.src.size), counts)
     b = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(a.size)
-    bound = 2 * _maxabs(outer.re, outer.im) * _maxabs(inner.re, inner.im)
-    o_re, o_im, i_re, i_im = _cast(bound, outer.re, outer.im, inner.re, inner.im)
-    o_re, o_im, i_re, i_im = o_re[a], o_im[a], i_re[b], i_im[b]
-    return _table(outer.k, outer.size, _pair_outputs(outer)[a], inner.src[b],
-                  o_re * i_re - o_im * i_im, o_re * i_im + o_im * i_re, outer.den * inner.den,
-                  inner.k_in)
+    x, y = _cast(2 * _maxabs(outer.coef) * _maxabs(inner.coef), outer.coef, inner.coef)
+    return _table(outer.k, outer.size, _pair_outputs(outer)[a], inner.src[b], x[a] * y[b],
+                  outer.den * inner.den, inner.k_in)
 
 
 def _combined(terms: Sequence[tuple[Rationalish, Table]]) -> Table:
@@ -853,21 +846,22 @@ def _combined(terms: Sequence[tuple[Rationalish, Table]]) -> Table:
     scales = [Fraction(c) / table.den for c, table in terms]
     den = lcm(*(s.denominator for s in scales))
     factors = [int(s * den) for s in scales]
-    bound = max(abs(f) * max(1, _maxabs(t.re, t.im)) for f, (_, t) in zip(factors, terms))
-    parts = [_cast(bound, t.re, t.im) for _, t in terms]
+    bound = max(abs(f) * max(1, _maxabs(t.coef)) for f, (_, t) in zip(factors, terms))
+    parts = _cast(bound, *[t.coef for _, t in terms])
     return _table(
         terms[0][1].k, terms[0][1].size,
         np.concatenate([_pair_outputs(t) for _, t in terms]),
         np.concatenate([t.src for _, t in terms]),
-        np.concatenate([re * f for (re, _), f in zip(parts, factors)]),
-        np.concatenate([im * f for (_, im), f in zip(parts, factors)]),
+        np.concatenate([coef * f for coef, f in zip(parts, factors)]),
         den, terms[0][1].k_in,
     )
 
 
 def _equal_tables(a: Table, b: Table) -> bool:
-    """Field by field; as every table is reduced, exactly when the maps agree."""
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
+    """Field by field, coefficients as integer pairs in either tier; as
+    every table is reduced, exactly when the maps agree."""
+    return np.array_equal(_pairs(a.coef), _pairs(b.coef)) and all(
+        np.array_equal(x, y) for f, x, y in zip(a._fields, a, b) if f != "coef")
 
 
 @lru_cache(maxsize=None)
@@ -881,8 +875,8 @@ def _conjugation_table(n: int, k: int) -> Table:
     swapped = (masks >> n) | ((masks & low) << n)
     p = np.array([len(mono.s) for mono in monomial_basis(n, k)], dtype=np.int64)
     sign = 1 - 2 * (p * (k - p) & 1)
-    return _table(k, _size(n, k), _ranked(masks, swapped), np.arange(masks.size), sign,
-                  np.zeros_like(sign), 1, k)
+    return _table(k, _size(n, k), _ranked(masks, swapped), np.arange(masks.size),
+                  _gaussian(np.stack([sign, 0 * sign], axis=-1)).reshape(-1), 1, k)
 
 
 # ---- exterior product: bitmasks, the term-pair loop and compiled tables ----
@@ -936,7 +930,7 @@ def _ranked(masks: np.ndarray, of: np.ndarray) -> np.ndarray:
 def _disjoint_pairs(n: int, lefts: np.ndarray, da: int, db: int):
     """Every product of a degree-da monomial of index in lefts by a
     degree-db monomial disjoint from it, as (position in lefts, right,
-    sign, output), left by left and rights ascending.
+    int8 sign, output), left by left and rights ascending.
 
     The rights of a left monomial are the db-subsets of its complement: one
     combinations index array over the 2n - da free bit positions, mapped
@@ -958,22 +952,20 @@ def _disjoint_pairs(n: int, lefts: np.ndarray, da: int, db: int):
     while shift < 2 * n:
         odd ^= odd >> shift
         shift *= 2
-    return left, right, (1 - 2 * (odd & 1)).astype(np.int64), out
+    return left, right, (1 - 2 * (odd & 1)).astype(np.int8), out
 
 
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
     """The nonvanishing products of degree-da by degree-db basis monomials,
     as a `Table` on the right factor whose coefficient is the reorder sign,
-    and the left factor's column of each pair.  No pair is imaginary, so
-    the table's im is a zero that holds no memory per pair."""
+    one int8 per pair, and the left factor's column of each pair."""
     left, right, sign, out = _disjoint_pairs(n, np.arange(_size(n, da)), da, db)
     by_out = np.argsort(out, kind="stable")
     left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
     starts = np.flatnonzero(np.concatenate(([True], out[1:] != out[:-1])))
     longest = int(np.diff(np.append(starts, out.size)).max())
-    im = np.broadcast_to(np.zeros((), dtype=np.int64), sign.shape)
-    return Table(da + db, _size(n, da + db), right, sign, im, starts, out[starts], 1,
+    return Table(da + db, _size(n, da + db), right, sign, starts, out[starts], 1,
                  2 * longest, db), left
 
 
@@ -987,21 +979,9 @@ def _wedge_rows(a: Batch, b: Batch) -> Batch:
         return Batch.zero(n, k, a.rows, a.den * b.den)
     table, left = _wedge_table(n, a.k, b.k)
     bound = _bounded(lambda x, y: table.gain * x * y, a, b)
-    a_re, a_im, b_re, b_im = _cast(bound, a.re, a.im, b.re, b.im)
-
-    def pairs(rows: slice):
-        x_re, x_im = a_re[rows][:, left], a_im[rows][:, left]
-        y_re, y_im = b_re[rows][:, table.src], b_im[rows][:, table.src]
-        y_re *= table.re
-        y_im *= table.re
-        re = x_re * y_re
-        re -= x_im * y_im
-        x_re *= y_im
-        x_im *= y_re
-        x_re += x_im
-        return re, x_re
-
-    return _reduced(n, table, a.rows, pairs, a.den * b.den, bound)
+    x, y = _cast(bound, a.num, b.num)
+    return _reduced(n, table, a.rows, lambda rows: x[rows][:, left] * y[rows][:, table.src]
+                    * table.coef, a.den * b.den, bound)
 
 
 def _wedge_by(fixed: Form, d: int, k: int) -> Table:
@@ -1009,12 +989,11 @@ def _wedge_by(fixed: Form, d: int, k: int) -> Table:
     the terms of fixed are paired."""
     n = fixed.n
     if not (_size(n, d + k) and _size(n, k) and _size(n, d)):
-        return _table(d + k, _size(n, d + k), [], [], [], [], 1, k)
+        return _table(d + k, _size(n, d + k), [], [], np.zeros(0, np.complex128), 1, k)
     row = Batch.of(n, d, [fixed])
-    terms = np.flatnonzero((row.re[0] != 0) | (row.im[0] != 0))
+    terms = np.flatnonzero(row.num[0].astype(bool))
     left, right, sign, out = _disjoint_pairs(n, terms, d, k)
-    return _table(d + k, _size(n, d + k), out, right, row.re[0, terms[left]] * sign,
-                  row.im[0, terms[left]] * sign, row.den, k)
+    return _table(d + k, _size(n, d + k), out, right, row.num[0, terms[left]] * sign, row.den, k)
 
 
 def _sparse_product(n: int, a: Form, b: Form) -> dict[Monomial, GaussRational]:

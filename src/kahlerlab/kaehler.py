@@ -57,7 +57,9 @@ from .exterior import (
     _composed,
     _conjugation_table,
     _disjoint_pairs,
+    _gaussian,
     _images,
+    _pairs,
     _per_degree,
     _table,
     _wedge_by,
@@ -130,10 +132,10 @@ def _star_table(n: int, k: int) -> Table:
     _, complement, sign, _ = _disjoint_pairs(n, mus, k, 2 * n - k)  # one per mu
     # conj(nu) = +-complement: the conjugation table's only pair feeding the
     # complement comes from nu
-    pairing = sign * conj.re[complement]
+    pairing = sign * _pairs(conj.coef[complement])[0::2]
     v = volume_form(n).coefficient(_top_monomial(n))
     return _table(2 * n - k, conj.size, conj.src[complement], mus,
-                  v._x * pairing, -v._y * pairing, v._d, k)
+                  _gaussian(np.outer(pairing, [v._x, -v._y])).ravel(), v._d, k)
 
 
 def hodge_star(a):
@@ -198,7 +200,7 @@ def hr_pairing(a, b):
     scale = GaussRational.i_power(ka * (ka - 1)) / volume_form(n).coefficient(_top_monomial(n))
     if isinstance(a, Batch):
         top = lefschetz_power(a, n - ka).wedge(b)  # one column, the top monomial
-        return Batch(n, 0, top.re, top.im, top.den, top._bound()) * scale
+        return Batch(n, 0, top.num, top.den, top._bound()) * scale
     product = _omega_power(n, n - ka).wedge(a).wedge(b)
     return scale * product.coefficient(_top_monomial(n))
 
@@ -245,7 +247,7 @@ def _primitive_table(n: int, k: int) -> Table:
     are +-1.  Above the middle degree 2j > m, so there are no indices.
     """
     rank, indices = _basis_rank(n, k), range(1, n + 1)
-    rows, cols, signs = [], [], []
+    rows, cols, coefs = [], [], []
     t = 0
     for p in range(max(0, k - n), min(k, n) + 1):
         q = k - p
@@ -263,9 +265,9 @@ def _primitive_table(n: int, k: int) -> Table:
                             rows.append(t)
                             cols.append(rank[Monomial(tuple(sorted(P + A)),
                                                       tuple(sorted(P + B)))])
-                            signs.append((-1) ** chosen_a * _wedge_sign(word))
+                            coefs += ((-1) ** chosen_a * _wedge_sign(word), 0)
                         t += 1
-    return _table(k, comb(2 * n, k), cols, rows, signs, [0] * len(signs), 1, None)
+    return _table(k, comb(2 * n, k), cols, rows, _gaussian(coefs), 1, None)
 
 
 def _inputs(table: Table) -> int:

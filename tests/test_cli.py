@@ -447,6 +447,20 @@ def test_only_an_eigensolve_imports_scipy():
     assert sample["residual"] < 1e-10
 
 
+def test_verify_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 13 ms and 300 KiB when first imported; np.unique
+    # reads it, so the leading-row certificate compares sorted neighbours
+    src = Path(kahlerlab.__file__).resolve().parents[1]
+    script = ("import contextlib, io, sys\nfrom kahlerlab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['verify', '--dim', '3'])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--dim", "400", "--format", "csv"],
     ["bsd", "--product", "IV(400)", "--degrees", "--format", "md"],

@@ -20,13 +20,17 @@ from kahlerlab.exterior import (
     GaussRational,
     Monomial,
     Table,
+    _adjoint,
     _basis_bits,
+    _cast,
     _combined,
     _compiled,
     _composed,
     _conjugation_table,
     _equal_tables,
+    _gaussian,
     _maxabs,
+    _pairs,
     _size,
     _table,
     _wedge_table,
@@ -517,13 +521,13 @@ def _dense_wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
     while shift < 2 * n:
         odd ^= odd >> shift
         shift *= 2
-    sign = (1 - 2 * (odd & 1)).astype(np.int64)
+    sign = (1 - 2 * (odd & 1)).astype(np.int8)
     by_out = np.argsort(out, kind="stable")
     left, right, sign, out = left[by_out], right[by_out], sign[by_out], out[by_out]
     starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
     longest = int(np.diff(np.r_[starts, out.size]).max())
-    return Table(da + db, len(mask_c), right, sign, np.zeros_like(sign), starts, out[starts],
-                 1, 2 * longest, db), left
+    return Table(da + db, len(mask_c), right, sign, starts, out[starts], 1, 2 * longest,
+                 db), left
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -541,12 +545,12 @@ def test_wedge_tables_by_complement_match_the_dense_mask_matrix(n):
 
 
 def test_the_product_table_holds_no_imaginary_part_per_pair():
-    """The signs are real: im is one zero broadcast over the pairs, so the
-    24.6 M cached pairs at n = 8 carry no third array."""
+    """The signs are real: one int8 per pair, so the 24.6 M cached pairs at
+    n = 8 carry one byte of coefficient each, not a complex128."""
     table, left = _wedge_table(4, 3, 4)
-    assert table.im.shape == table.re.shape == left.shape and table.im.size > 1
-    assert table.im.strides == (0,) and table.im.base.nbytes == table.im.itemsize
-    assert not table.im.any() and table.den == 1
+    assert table.coef.shape == left.shape and table.coef.size > 1
+    assert table.coef.dtype == np.int8 and set(table.coef.tolist()) == {-1, 1}
+    assert table.den == 1
 
 
 def test_the_middle_wedge_table_at_n8_builds_without_the_dense_mask_matrix():
@@ -564,6 +568,14 @@ def test_the_middle_wedge_table_at_n8_builds_without_the_dense_mask_matrix():
 
 
 # ---- batches against the dict path and the reference product -----------------
+
+
+def gaussian_batch(n, k, re, im, den, bound=None) -> Batch:
+    """The batch of numerators re + i im (integer arrays of one shape, in
+    the tier their values take) over den."""
+    re, im = np.asarray(re), np.asarray(im)
+    pairs = np.stack([re, im], axis=-1).reshape(*re.shape[:-1], 2 * re.shape[-1])
+    return Batch(n, k, _gaussian(pairs), den, bound)
 
 
 def _rational_rows(rnd, n, k, dens=(1, 2, 3, 6), bound=5):
@@ -649,22 +661,22 @@ def test_batch_rejects_terms_of_another_degree():
 
 def test_batches_beyond_int64_run_on_python_ints():
     rnd = random.Random(41)
-    n, big = 3, 2 ** 40
+    n, big = 3, 2 ** 27
     a = _rational_rows(rnd, n, 2, bound=big)
     b = _rational_rows(rnd, n, 3, bound=big)
     ba, bb = Batch.of(n, 2, a), Batch.of(n, 3, b)
-    assert ba.re.dtype == np.int64  # the inputs fit; their products do not
+    assert ba.num.dtype == np.complex128  # the inputs fit below 2^53; their products do not
     product = ba.wedge(bb)
-    assert product.re.dtype == object
+    assert product.num.dtype == object and _maxabs(product.num) >= 2 ** 53
     assert _rows_of(product) == [_reference_wedge(x, y) for x, y in zip(a, b)]
     assert _rows_of(product.conjugate()) == [_reference_conjugate(_reference_wedge(x, y))
                                            for x, y in zip(a, b)]
     assert [s.coefficient(Monomial((), ())) for s in _rows_of(norm_sq(product))] == [
         norm_sq(_reference_wedge(x, y)) for x, y in zip(a, b)]
     huge = Batch.of(n, 2, [x * 2 ** 70 for x in a])
-    assert huge.re.dtype == object
-    scaled = ba * 2 ** 30  # real scalar whose products leave int64
-    assert scaled.re.dtype == object
+    assert huge.num.dtype == object
+    scaled = ba * 2 ** 30  # real scalar whose products pass 2^53
+    assert scaled.num.dtype == object
     assert _rows_of(scaled) == [x * 2 ** 30 for x in a]
     assert (Batch.zero(n, 2, 1) * 2 ** 70).is_zero().all()
     assert _rows_of(ba * Fraction(1, 2 ** 70)) == [x * Fraction(1, 2 ** 70) for x in a]
@@ -672,20 +684,20 @@ def test_batches_beyond_int64_run_on_python_ints():
 
 
 def test_batch_sums_over_large_denominators_leave_int64():
-    # numerators near 2^40 over coprime denominators near 2^25: over their
-    # product, the numerators of a sum or a difference pass 2^63
+    # numerators near 2^29 over coprime denominators near 2^25: over their
+    # product, the numerators of a sum or a difference pass 2^53
     rnd = random.Random(43)
-    n, k, big = 2, 2, 2 ** 40
+    n, k, big = 2, 2, 2 ** 29
     a = _rational_rows(rnd, n, k, dens=(2 ** 25 + 1,) * 3, bound=big)
     b = _rational_rows(rnd, n, k, dens=(2 ** 25 + 3,) * 3, bound=big)
     ba, bb = Batch.of(n, k, a), Batch.of(n, k, b)
     assert (ba.den, bb.den) == (2 ** 25 + 1, 2 ** 25 + 3)
-    assert ba.re.dtype == bb.re.dtype == np.int64
+    assert ba.num.dtype == bb.num.dtype == np.complex128
     total = ba + bb
-    assert total.re.dtype == object and total.den == ba.den * bb.den
+    assert total.num.dtype == object and total.den == ba.den * bb.den
     assert _rows_of(total) == [x + y for x, y in zip(a, b)]
     difference = ba - bb
-    assert difference.re.dtype == object
+    assert difference.num.dtype == object
     assert difference.is_zero().tolist() == [x == y for x, y in zip(a, b)] == [
         False, False, False, True]
 
@@ -710,8 +722,7 @@ def pushed(op, n, k_in, k_out):
     """The table of a linear map on batches, learned by pushing the identity
     through it: the reference route for composed and combined tables."""
     size = comb(2 * n, k_in)
-    units = Batch(n, k_in, np.eye(size, dtype=np.int64), np.zeros((size, size), dtype=np.int64),
-                  1)
+    units = Batch(n, k_in, np.eye(size, dtype=np.complex128), 1)
     images = op(units)
     assert images.k == k_out
     basis_in = monomial_basis(n, k_in)
@@ -726,7 +737,8 @@ def same_fields(got: Table, want: Table) -> bool:
         x.dtype == y.dtype for x, y in zip(got, want) if isinstance(x, np.ndarray))
 
 
-_COEFFS = st.one_of(st.integers(-4, 4), st.sampled_from([2 ** 40, -(2 ** 62), 2 ** 70 + 1]))
+_COEFFS = st.one_of(st.integers(-4, 4),
+                    st.sampled_from([2 ** 26, -(2 ** 52), 2 ** 53 + 1, 2 ** 70 + 1]))
 
 
 @st.composite
@@ -735,8 +747,9 @@ def sparse_tables(draw, n, k_in, k_out, coeffs=_COEFFS):
     size_in, size_out = comb(2 * n, k_in), comb(2 * n, k_out)
     pairs = draw(st.lists(st.tuples(st.integers(0, size_out - 1), st.integers(0, size_in - 1),
                                     coeffs, coeffs), max_size=10))
-    out, src, re, im = (list(column) for column in zip(*pairs)) if pairs else ([], [], [], [])
-    return _table(k_out, size_out, out, src, re, im, draw(st.integers(1, 12)), k_in)
+    out, src = [o for o, *_ in pairs], [s for _, s, *_ in pairs]
+    return _table(k_out, size_out, out, src, _gaussian([v for *_, x, y in pairs for v in (x, y)]),
+                  draw(st.integers(1, 12)), k_in)
 
 
 @given(st.data())
@@ -769,31 +782,41 @@ def test_combined_tables_match_the_summed_images_of_the_identity(data):
     assert same_fields(_combined(terms), pushed(summed, n, k_in, k_out))
 
 
+def _real_table(k, size, out, src, re, den, k_in):
+    """A table of real coefficients re."""
+    return _table(k, size, out, src, _gaussian([v for x in re for v in (x, 0)]), den, k_in)
+
+
 def test_table_algebra_leaves_int64_only_when_the_entries_do():
+    """The complex128 tier holds a table while its entries are below 2^53."""
     n = 2
-    big = _table(2, 6, [0, 1, 1], [0, 0, 2], [2 ** 40, 3, -(2 ** 40)], [0, 2 ** 40, 1], 1, 2)
-    assert big.re.dtype == np.int64
-    # products near 2^80 take the object path and stay exact
+    big = _table(2, 6, [0, 1, 1], [0, 0, 2],
+                 _gaussian([2 ** 30, 0, 3, 2 ** 30, -(2 ** 30), 1]), 1, 2)
+    assert big.coef.dtype == np.complex128
+    # products near 2^60 take the object path and stay exact
     square = _composed(big, big)
-    assert square.re.dtype == object
+    assert square.coef.dtype == object and _maxabs(square.coef) >= 2 ** 53
     assert same_fields(square, pushed(lambda b: big(big(b)), n, 2, 2))
-    # a sum that cancels the large entries comes back to int64
+    # a sum that cancels the large entries comes back to complex128
     back = _combined([(1, square), (-1, square), (Fraction(1, 2), big)])
-    assert back.re.dtype == np.int64
+    assert back.coef.dtype == np.complex128
     assert same_fields(back, pushed(lambda b: big(b) * Fraction(1, 2), n, 2, 2))
-    # repeated pairs are summed, here beyond int64, and zero sums dropped
-    repeated = _table(0, 1, [0, 0, 0, 0], [0, 0, 0, 0], [2 ** 62, 2 ** 62, 3, -3], [0] * 4, 3, 0)
-    assert (repeated.re.tolist(), repeated.re.dtype, repeated.den) == ([2 ** 63], object, 3)
-    # and a sum that leaves int64 comes back to it once over the least denominator
-    halved = _table(0, 1, [0, 0], [0, 0], [2 ** 62, 2 ** 62], [0, 0], 4, 0)
-    assert (halved.re.tolist(), halved.re.dtype, halved.den) == ([2 ** 61], np.int64, 1)
-    assert _table(0, 1, [0, 0], [0, 0], [1, -1], [0, 0], 3, 0).src.size == 0
+    # repeated pairs are summed, here to 2^53, and zero sums dropped
+    repeated = _real_table(0, 1, [0, 0, 0, 0], [0, 0, 0, 0], [2 ** 52, 2 ** 52, 3, -3], 3, 0)
+    assert (_pairs(repeated.coef).tolist(), repeated.coef.dtype, repeated.den) == (
+        [2 ** 53, 0], object, 3)
+    # and a sum that reaches 2^53 comes back below it once over the least denominator
+    halved = _real_table(0, 1, [0, 0], [0, 0], [2 ** 52, 2 ** 52], 4, 0)
+    assert (_pairs(halved.coef).tolist(), halved.coef.dtype, halved.den) == (
+        [2 ** 51, 0], np.complex128, 1)
+    assert _real_table(0, 1, [0, 0], [0, 0], [1, -1], 3, 0).src.size == 0
     # empty tables compose and combine to the empty table over 1
-    empty = _table(2, 6, [], [], [], [], 7, 2)
+    empty = _real_table(2, 6, [], [], [], 7, 2)
     for table in (_composed(big, empty), _composed(empty, big), _combined([(3, empty)]),
                   _combined([(0, big)])):
         assert same_fields(table, _compiled(n, 2, 2, {}))
-    assert same_fields(_composed(_table(2, 6, range(6), range(6), [1] * 6, [0] * 6, 1, 2), big), _combined([(1, big)]))
+    assert same_fields(_composed(_real_table(2, 6, range(6), range(6), [1] * 6, 1, 2), big),
+                       _combined([(1, big)]))
 
 
 def test_conjugation_tables_match_their_monomial_construction():
@@ -810,30 +833,29 @@ def test_conjugation_tables_match_their_monomial_construction():
 
 # ---- carried numerator bounds ----------------------------------------------
 
-_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 31), 2 ** 31),
-                        st.sampled_from([2 ** 62, -(2 ** 62) - 1, 2 ** 63 - 1, -(2 ** 64) - 5]))
+_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 26), 2 ** 26),
+                        st.sampled_from([2 ** 52, -(2 ** 52) - 1, 2 ** 53 - 1, -(2 ** 54) - 5]))
 
 
 @st.composite
 def carried_batches(draw, n, k, rows):
-    """A batch whose numerators may lie near 2^63 or beyond, held as int64 or
-    as an object array even when they fit, carrying no bound or one at least
-    its largest |numerator|."""
+    """A batch whose numerators may lie near 2^53 or beyond, held as
+    complex128 or as objects even when they fit, carrying no bound or one
+    at least its largest |re| or |im|."""
     size = comb(2 * n, k)
     values = draw(st.lists(_NUMERATORS, min_size=2 * rows * size, max_size=2 * rows * size))
-    fits = all(abs(v) < 2 ** 63 for v in values)
-    dtype = np.int64 if fits and draw(st.booleans()) else object
-    re = np.array(values[0::2], dtype=dtype).reshape(rows, size)
-    im = np.array(values[1::2], dtype=dtype).reshape(rows, size)
+    num = _gaussian(values).reshape(rows, size)
+    if num.dtype != object and draw(st.booleans()):
+        num = _cast(2 ** 53, num)[0]
     slack = draw(st.one_of(st.none(), st.just(0), st.integers(0, 2 ** 40),
                            st.integers(0, 90).map(lambda e: 2 ** e)))
     bound = None if slack is None else max(map(abs, values), default=0) + slack
-    return Batch(n, k, re, im, draw(st.sampled_from([1, 3, 2 ** 25 + 1])), bound)
+    return Batch(n, k, num, draw(st.sampled_from([1, 3, 2 ** 25 + 1])), bound)
 
 
 def _measured(a: Batch) -> Batch:
     """The same batch without a carried bound: its numerators are measured."""
-    return Batch(a.n, a.k, a.re, a.im, a.den)
+    return Batch(a.n, a.k, a.num, a.den)
 
 
 @given(st.data())
@@ -862,30 +884,111 @@ def test_carried_bounds_cover_every_result_and_pick_the_measured_dtype(data):
     for name, op in ops.items():
         got = op(a, b, c, s)
         want = op(*map(_measured, (a, b, c, s)))
-        assert (got.re.dtype, got.im.dtype) == (want.re.dtype, want.im.dtype), name
-        assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im), name
+        assert got.num.dtype == want.num.dtype, name
+        assert np.array_equal(got.num, want.num), name
         assert got.den == want.den, name
-        assert got._bound() >= _maxabs(got.re, got.im), name
+        assert got._bound() >= _maxabs(got.num), name
+
+
+# magnitudes on both sides of 2^53, the limit of the complex128 tier
+_AT_THE_LIMIT = st.sampled_from([0, 1, 3, 2 ** 26, 2 ** 52, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+                                 2 ** 63 + 1]).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@st.composite
+def limit_batches(draw, n, k, rows, values=_AT_THE_LIMIT):
+    """A batch of numerators from values, in the tier they take."""
+    size = comb(2 * n, k)
+    values = draw(st.lists(values, min_size=2 * rows * size, max_size=2 * rows * size))
+    return Batch(n, k, _gaussian(values).reshape(rows, size), draw(st.sampled_from([1, 3, 4])))
+
+
+def _exact(result):
+    """A batch as its shape, denominator and numerators as Python ints; a
+    table field by field with its coefficients so; else the value itself."""
+    if isinstance(result, Batch):
+        return result.n, result.k, result.den, _pairs(result.num).tolist()
+    if isinstance(result, Table):
+        return result._replace(coef=_pairs(result.coef).tolist(),
+                               **{f: getattr(result, f).tolist()
+                                  for f in ("src", "starts", "outputs")})
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
+    """Every batch operation, table application and table composition, on
+    numerators either side of 2^53, gives the same exact result as with
+    every array forced to Python ints (the limit patched to 0).  A result
+    lands in complex128 only under a bound below 2^53, and always when its
+    operands are small."""
+    from kahlerlab import exterior
+
+    n = data.draw(st.integers(1, 2))
+    k, rows = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(1, 3))
+    kc = data.draw(st.integers(0, 2 * n - k))
+    values = data.draw(st.sampled_from([st.integers(-3, 3), _AT_THE_LIMIT]))
+    a, b = (data.draw(limit_batches(n, k, rows, values)) for _ in range(2))
+    c, s = (data.draw(limit_batches(n, degree, rows, values)) for degree in (kc, 0))
+    table = data.draw(sparse_tables(n, k, data.draw(st.integers(0, 2 * n)), values))
+    other = data.draw(sparse_tables(n, table.k, data.draw(st.integers(0, 2 * n)), values))
+    constant = GaussRational(data.draw(values), Fraction(data.draw(values), 3))
+    forms = [a.form(t) for t in range(rows)]
+    ops = {
+        "add": lambda: a + b, "sub": lambda: a - b, "neg": lambda: -a,
+        "scale": lambda: a * s, "constant": lambda: a * constant, "wedge": lambda: a.wedge(c),
+        "inner": lambda: inner(a, b), "norm_sq": lambda: norm_sq(a),
+        "conjugate": lambda: a.conjugate(), "table": lambda: table(a),
+        "star": lambda: _star_table(n, k)(a), "power": lambda: _power_table(n, k, 1)(a),
+        "stacked": lambda: Batch.stacked([a, -a]), "of": lambda: Batch.of(n, k, forms),
+        "is_zero": lambda: (a - b).is_zero(), "terms": lambda: [a.terms(t) for t in range(rows)],
+        "composed": lambda: _composed(other, table), "combined": lambda: _combined(
+            [(constant.re, table), (-1, table)]), "adjoint": lambda: _adjoint(table, n),
+    }
+    small = max(_maxabs(x.num) for x in (a, b, c, s)) < 2 ** 20 and max(
+        _maxabs(table.coef), _maxabs(other.coef), abs(constant._x), abs(constant._y)) < 2 ** 20
+    for name, op in ops.items():
+        got = op()
+        limit = exterior._EXACT_LIMIT
+        exterior._EXACT_LIMIT = 0
+        try:
+            want = op()
+        finally:
+            exterior._EXACT_LIMIT = limit
+        assert _exact(got) == _exact(want), name
+        if isinstance(got, (Batch, Table)):
+            coef = got.num if isinstance(got, Batch) else got.coef
+            reference = want.num if isinstance(want, Batch) else want.coef
+            # forced: every sum and product on Python ints; zeros that no
+            # pair was summed into, and negations, keep their tier
+            assert reference.dtype == object or not reference.any() or name == "neg", name
+            bound = got._bound() if isinstance(got, Batch) else _maxabs(coef)
+            assert bound >= _maxabs(coef), name
+            if coef.dtype == np.complex128:
+                assert bound < 2 ** 53, name
+            else:
+                assert coef.dtype == object and not small, name
 
 
 def test_a_chain_whose_carried_bound_passes_int64_still_computes_in_int64():
     """Ten degree-1 factors at n = 5 multiply their carried bounds by each
     product's gain; norm_sq then measures the product instead of leaving
-    int64, as the numerators themselves stay far below 2^63."""
+    the complex128 tier, as the numerators themselves stay far below 2^53."""
     n, rows = 5, 4
     rng = np.random.default_rng(9)
-    factors = [Batch(n, 1, rng.integers(-3, 4, (rows, 2 * n)), rng.integers(-3, 4, (rows, 2 * n)),
-                     1, 3) for _ in range(2 * n)]
+    factors = [gaussian_batch(n, 1, rng.integers(-3, 4, (rows, 2 * n)),
+                              rng.integers(-3, 4, (rows, 2 * n)), 1, 3) for _ in range(2 * n)]
     product = factors[0]
     for factor in factors[1:]:
         product = product.wedge(factor)
-        assert product.re.dtype == np.int64
-    cols = product.re.shape[1]
-    assert 2 * cols * product._bound() ** 2 >= 2 ** 63
-    assert 2 * cols * _maxabs(product.re, product.im) ** 2 < 2 ** 63
+        assert product.num.dtype == np.complex128
+    cols = product.num.shape[1]
+    assert 2 * cols * product._bound() ** 2 >= 2 ** 53
+    assert 2 * cols * _maxabs(product.num) ** 2 < 2 ** 53
     got = norm_sq(product)
-    assert got.re.dtype == np.int64 and got._bound() < 2 ** 63
-    assert np.array_equal(got.re, norm_sq(_measured(product)).re)
+    assert got.num.dtype == np.complex128 and got._bound() < 2 ** 53
+    assert np.array_equal(got.num, norm_sq(_measured(product)).num)
 
 
 def test_batch_products_refuse_factors_of_another_shape():
@@ -934,30 +1037,29 @@ def _kernel_tables(n: int):
 
 def _kernel_rows(rng, n: int, k: int, width: int, big: bool) -> Batch:
     """Seven rows of the given width: small numerators over den = 6 with a
-    zero row, or object numerators of size about 2^62 in every row."""
+    zero row, or numerators from 2^52 in every row, complex128 whose
+    images pass 2^53 under any gain of at least 2."""
     if big:
-        magnitude = rng.integers(2 ** 62, 2 ** 62 + 1000, (2, 7, width))
-        values = (magnitude * rng.choice([-1, 1], (2, 7, width))).astype(object)
-        values[:, :, 0] = 2 ** 62  # so every row of every width >= 1 is large
+        magnitude = rng.integers(2 ** 52, 2 ** 52 + 1000, (2, 7, width))
+        values = magnitude * rng.choice([-1, 1], (2, 7, width))
+        values[:, :, 0] = 2 ** 52  # so every row of every width >= 1 is large
     else:
         values = rng.integers(-3, 4, (2, 7, width))
         values[:, 2] = 0
-    return Batch(n, k, values[0], values[1], 1 if big else 6)
+    return gaussian_batch(n, k, values[0], values[1], 1 if big else 6)
 
 
 def _same_batch(got: Batch, want: Batch, name: str) -> None:
     assert (got.n, got.k, got.den) == (want.n, want.k, want.den), name
-    assert got.re.dtype == want.re.dtype and got.im.dtype == want.im.dtype, name
-    assert got.re.shape == want.re.shape, name
-    assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im), name
+    assert got.num.dtype == want.num.dtype and got.num.shape == want.num.shape, name
+    assert np.array_equal(got.num, want.num), name
 
 
 def _row_by_row(op, *batches: Batch) -> Batch:
     """op on one-row batches, one per row, with the rows stacked again."""
-    rows = [op(*(Batch(b.n, b.k, b.re[t:t + 1], b.im[t:t + 1], b.den) for b in batches))
+    rows = [op(*(Batch(b.n, b.k, b.num[t:t + 1], b.den) for b in batches))
             for t in range(batches[0].rows)]
-    return Batch(rows[0].n, rows[0].k, np.vstack([r.re for r in rows]),
-                 np.vstack([r.im for r in rows]), rows[0].den)
+    return Batch(rows[0].n, rows[0].k, np.vstack([r.num for r in rows]), rows[0].den)
 
 
 # chunk sizes, in (rows x pairs) entries, as a function of the pairs:
@@ -975,7 +1077,7 @@ def test_table_applications_match_across_chunk_boundaries(n, monkeypatch):
             # rows of the table's input degree; of a basis table, k is None
             a = _kernel_rows(rng, n, table.k_in, width, big)
             whole = table(a)
-            assert whole.re.dtype == (object if big and table.src.size else np.int64), name
+            assert whole.num.dtype == (object if big and table.src.size else np.complex128), name
             _same_batch(_row_by_row(table, a), whole, name)
             for chunking in _CHUNKINGS:
                 monkeypatch.setattr(exterior, "_CHUNK_ENTRIES", chunking(table.src.size))
@@ -996,7 +1098,7 @@ def test_exterior_products_match_across_chunk_boundaries(n, monkeypatch):
                 b = _kernel_rows(rng, n, db, _size(n, db), big)
                 name = f"n={n} ({da}, {db}) big={big}"
                 whole = a.wedge(b)
-                assert whole.re.dtype == (object if big and pairs else np.int64), name
+                assert whole.num.dtype == (object if big and pairs else np.complex128), name
                 _same_batch(_row_by_row(wedge, a, b), whole, name)
                 for chunking in _CHUNKINGS:
                     monkeypatch.setattr(exterior, "_CHUNK_ENTRIES", chunking(pairs))
@@ -1012,7 +1114,7 @@ def test_stacked_batches_keep_every_row_and_slices_give_them_back():
     assert (whole.k, whole.rows, whole.den) == (2, 6, parts[0].den)
     assert [whole.form(t) for t in range(6)] == [p.form(t) for p in parts for t in range(p.rows)]
     assert [whole[1:4].form(t) for t in range(3)] == [parts[1].form(t) for t in range(3)]
-    assert whole._bound() >= _maxabs(whole.re, whole.im)
+    assert whole._bound() >= _maxabs(whole.num)
     for other in (Batch.zero(n, 1, 2), Batch.zero(n, 2, 2, den=parts[0].den + 1),
                   Batch.zero(n + 1, 2, 2)):
         with pytest.raises(ValueError, match="batch mismatch"):
@@ -1020,17 +1122,16 @@ def test_stacked_batches_keep_every_row_and_slices_give_them_back():
 
 
 def test_zero_rows_and_empty_tables_give_the_zero_batch():
-    """An empty map, or a batch of no rows, gives int64 zeros over the
-    product of the denominators, whatever the numerators and their dtype."""
+    """An empty map, or a batch of no rows, gives complex128 zeros over the
+    product of the denominators, whatever the numerators and their tier."""
     n = 3
     for table, k_in, rows in ((_projection_table(n, 4), 4, 7), (_dual_lefschetz_table(n, 1), 1, 7),
                               (_star_table(n, 2), 2, 0), (_projection_table(n, 4), 4, 0)):
-        for values, big in ((np.int64, 3), (object, 2 ** 70)):
-            a = Batch(n, k_in, np.full((rows, _size(n, k_in)), big, dtype=values),
-                      np.zeros((rows, _size(n, k_in)), dtype=values), 5)
+        for big in (3, 2 ** 70):
+            a = gaussian_batch(n, k_in, np.full((rows, _size(n, k_in)), big, dtype=object),
+                               np.zeros((rows, _size(n, k_in)), dtype=object), 5)
             _same_batch(table(a), Batch.zero(n, table.k, rows, 5 * table.den), f"{k_in} {rows}")
     for da, db in ((1, 2), (3, 3), (0, 6), (4, 4)):
         a = Batch.zero(n, da, 0, 2)
-        b = Batch(n, db, np.zeros((0, _size(n, db)), dtype=object),
-                  np.zeros((0, _size(n, db)), dtype=object), 3, 2 ** 80)
+        b = Batch(n, db, np.zeros((0, _size(n, db)), dtype=object), 3, 2 ** 80)
         _same_batch(a.wedge(b), Batch.zero(n, da + db, 0, 6), f"({da}, {db})")

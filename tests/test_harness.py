@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kahlerlab.exterior import (
-    Batch, Form, GaussRational, _images, _pair_outputs, _table, bidegree_basis,
+    Batch, Form, GaussRational, _images, _pair_outputs, _pairs, _table, bidegree_basis,
     monomial_basis, norm_sq,
 )
 from kahlerlab import harness, kaehler
@@ -41,6 +41,8 @@ from kahlerlab.harness import (
 from kahlerlab.kaehler import (
     _inputs, _primitive_table, hodge_star, lefschetz_power, primitive_basis, weil_operator,
 )
+
+from test_exterior import gaussian_batch
 
 
 def test_suite_names_are_stable():
@@ -306,9 +308,8 @@ def test_rows_drawn_in_several_calls_are_the_rows_of_one_call(bound):
     split, whole = _stream(42), _stream(42)
     parts = [_draw_degree(split, rows, n, shapes, bound) for rows in (1, 2, 3)]
     for j, batch in enumerate(_draw_degree(whole, 6, n, shapes, bound)):
-        for part in ("re", "im"):
-            joined = np.concatenate([getattr(batches[j], part) for batches in parts])
-            assert np.array_equal(joined, getattr(batch, part))
+        joined = np.concatenate([batches[j].num for batches in parts])
+        assert joined.dtype == batch.num.dtype and np.array_equal(joined, batch.num)
     assert np.array_equal(split.integers(0, 2 ** 62, size=3), whole.integers(0, 2 ** 62, size=3))
 
 
@@ -341,9 +342,9 @@ def test_batched_checks_compare_every_column(monkeypatch):
     # only through an injected Form -> Form operator
     def off_at_the_end(a):
         out = original(a)
-        re = out.re.copy()
-        re[:, -1:] += 1
-        return Batch(out.n, out.k, re, out.im, out.den)
+        num = out.num.copy()
+        num[:, -1:] += 1
+        return Batch(out.n, out.k, num, out.den)
 
     original = harness.dual_lefschetz
     monkeypatch.setattr(harness, "dual_lefschetz", off_at_the_end)
@@ -355,35 +356,36 @@ def test_batched_checks_compare_every_column(monkeypatch):
 def test_batched_comparisons_are_exact():
     n = 2
     zeros = np.zeros((3, 1), dtype=np.int64)
-    # 2/3 <= 4/6, 7/3 <= 13/6 and 2^61/3 <= 2^62/6: only the second fails,
-    # and over the common denominator 6 the third difference leaves int64
-    lhs = Batch(n, 0, np.array([[2], [7], [2 ** 61]]), zeros, 3)
-    rhs = Batch(n, 0, np.array([[4], [13], [2 ** 62]]), zeros, 6)
-    assert (rhs - lhs).re.dtype == object
+    # 2/3 <= 4/6, 7/3 <= 13/6 and 2^51/3 <= 2^52/6: only the second fails,
+    # and over the common denominator 6 the third difference reaches 2^53
+    lhs = gaussian_batch(n, 0, np.array([[2], [7], [2 ** 51]]), zeros, 3)
+    rhs = gaussian_batch(n, 0, np.array([[4], [13], [2 ** 52]]), zeros, 6)
+    assert lhs.num.dtype == rhs.num.dtype == np.complex128
+    assert (rhs - lhs).num.dtype == object
     rec = harness._Recorder("x", n, 3, RandomSpec())
     harness._record(rec, [harness._less_equal("x", "n=2", lhs, rhs)])
     assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [(1, "7/3", "13/6")]
     # the same forms written over another denominator, but row 1 differs in
     # one imaginary part of its last column
     a = Batch.of(n, 2, [random_form(n, 1, 1, RandomSpec(seed=s)) for s in range(3)])
-    im = a.im * 5
-    im[1, -1] += 1
-    b = Batch(n, 2, a.re * 5, im, a.den * 5)
+    num = a.num * 5
+    num[1, -1] += 1j
+    b = Batch(n, 2, num, a.den * 5)
     rec = harness._Recorder("y", n, 3, RandomSpec())
     harness._record(rec, [harness._equal("y", {"a": a}, a, b)])
     assert [f.trial for f in rec.failures] == [1]
     assert rec.failures[0].inputs == f"a = {a.form(1)}"
     assert rec.failures[0].rhs == str(b.form(1))
-    # 2^61/3 = 2^62/6, 2^61/3 != (2^61 + 2)/3 and 5/3 = 10/6: over the
-    # common denominator 6 the difference leaves int64, so the rows compare
+    # 2^51/3 = 2^52/6, 2^51/3 != (2^51 + 2)/3 and 5/3 = 10/6: over the
+    # common denominator 6 the difference reaches 2^53, so the rows compare
     # as Python ints
-    lhs = Batch(n, 0, np.array([[2 ** 61], [2 ** 61], [5]]), zeros, 3)
-    rhs = Batch(n, 0, np.array([[2 ** 62], [2 ** 62 + 4], [10]]), zeros, 6)
-    assert (lhs - rhs).re.dtype == object
+    lhs = gaussian_batch(n, 0, np.array([[2 ** 51], [2 ** 51], [5]]), zeros, 3)
+    rhs = gaussian_batch(n, 0, np.array([[2 ** 52], [2 ** 52 + 4], [10]]), zeros, 6)
+    assert (lhs - rhs).num.dtype == object
     rec = harness._Recorder("z", n, 3, RandomSpec())
     harness._record(rec, [harness._equal("z", "n=2", lhs, rhs, scalar=True)])
     assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [
-        (1, f"{2 ** 61}/3", f"{2 ** 61 + 2}/3")]
+        (1, f"{2 ** 51}/3", f"{2 ** 51 + 2}/3")]
 
 
 def test_a_check_renders_only_its_failing_rows():
@@ -527,11 +529,11 @@ def _bumped(op):
     the rows of its parameter points or blocks reports other failures."""
     def perturbed(*args):
         out = op(*args)
-        if not out.re.shape[1]:
+        if not out.num.shape[1]:
             return out
-        re = out.re.copy()
-        re[re[:, 0] % 3 == 1, 0] += 1
-        return Batch(out.n, out.k, re, out.im, out.den)
+        num = out.num.copy()
+        num[_pairs(num)[:, 0] % 3 == 1, 0] += 1
+        return Batch(out.n, out.k, num, out.den)
     return perturbed
 
 
@@ -540,9 +542,9 @@ def test_trial_blocks_keep_every_report_and_comparison(monkeypatch):
 
     def off_at_the_end(a):
         out = original(a)
-        re = out.re.copy()
-        re[:, -1:] += 1
-        return Batch(out.n, out.k, re, out.im, out.den)
+        num = out.num.copy()
+        num[:, -1:] += 1
+        return Batch(out.n, out.k, num, out.den)
 
     def run():
         calls.clear()
@@ -626,16 +628,16 @@ def test_star_route_compares_the_tables_and_renders_only_differing_entries(monke
         table = original(n, k)
         if k != 4:
             return table
-        re = table.re.copy()
-        re[5] += table.den
-        return table._replace(re=re)
+        coef = table.coef.copy()
+        coef[5] += table.den
+        return table._replace(coef=coef)
 
     original = harness._dual_lefschetz_table
     table = original(4, 4)
     out = int(_pair_outputs(table)[5])
     entry = (f"{monomial_basis(4, 2)[out].label()} <- "
              f"{monomial_basis(4, 4)[int(table.src[5])].label()}: ")
-    c = GaussRational._norm(int(table.re[5]), int(table.im[5]), table.den)
+    c = GaussRational._norm(*_pairs(table.coef[5:6]).tolist(), table.den)
     monkeypatch.setattr(harness, "_dual_lefschetz_table", off_by_one_entry)
     report = check_lefschetz_structure(4, 1, RandomSpec(seed=42))
     failures = {failure.identity: failure for failure in report.failures}
@@ -652,9 +654,9 @@ def _basis_batch(n, k):
     """The primitive basis of degree k as the rows of one dense batch, read
     from the basis table."""
     table = _primitive_table(n, k)
-    re = np.zeros((_inputs(table), comb(2 * n, k)), dtype=np.int64)
-    re[table.src, _pair_outputs(table)] = table.re
-    return Batch(n, k, re, np.zeros_like(re), 1)
+    num = np.zeros((_inputs(table), comb(2 * n, k)), dtype=table.coef.dtype)
+    num[table.src, _pair_outputs(table)] = table.coef
+    return Batch(n, k, num, 1)
 
 
 def _off_by_one(table_of, at, entry=0):
@@ -664,9 +666,9 @@ def _off_by_one(table_of, at, entry=0):
         table = table_of(n, k, *args)
         if (k, *args) != at:
             return table
-        re = table.re.copy()
-        re[entry] += table.den
-        return table._replace(re=re)
+        coef = table.coef.copy()
+        coef[entry] += table.den
+        return table._replace(coef=coef)
     return perturbed
 
 
@@ -807,7 +809,7 @@ def _reshaped_basis(at, move):
         src = move(table.src, _inputs(table))
         keep = src >= 0
         return _table(table.k, table.size, _pair_outputs(table)[keep], src[keep],
-                              table.re[keep], table.im[keep], table.den, table.k_in)
+                      table.coef[keep], table.den, table.k_in)
     original = harness._primitive_table
     return perturbed
 
@@ -846,7 +848,7 @@ def test_a_vanishing_power_fails_the_kernel_dimension_certificate(monkeypatch, k
         table = original(n, degree, j)
         if (degree, j) != (k, n - k + 1):
             return table
-        return _table(table.k, table.size, [], [], [], [], 1, table.k_in)
+        return _table(table.k, table.size, [], [], np.zeros(0, np.complex128), 1, table.k_in)
     original = harness._power_table
     monkeypatch.setattr(harness, "_power_table", vanishing)
     failure = _failed(n)[f"primitive-kernel-dimension[k={k}]"]
@@ -868,23 +870,33 @@ def test_a_patched_dual_lefschetz_leaves_no_left_inverse_behind(monkeypatch):
 
 
 def test_verify_suites_up_to_n5_never_leave_int64(monkeypatch):
-    """With the default coefficient bound, no batch operation of any suite at
-    n <= 5 takes the object path: every bound it casts under, carried or
-    measured, stays below 2^63."""
+    """With the default coefficient bound, no table application, exterior
+    product or inner product of any suite at n <= 5 leaves the complex128
+    tier: every bound it casts under, carried or measured, stays below
+    2^53.  Only federer's norms at n = 5 do, and the products and
+    differences of those norms: |a ^ s|^2 and |a|^2 |s|^2 for simple forms
+    s of high degree come near 2^53, and their bound rules pass it."""
+    import sys
+
     from kahlerlab import exterior
 
-    cast, bounds = exterior._cast, []
+    cast, bounds, left = exterior._cast, [], set()
 
-    def int64_only(bound, *arrays):
-        bounds.append(bound)
+    def tiered(bound, *arrays):
         out = cast(bound, *arrays)
-        assert all(x.dtype == np.int64 for x in out), f"object path under bound {bound}"
+        if all(x.dtype == np.complex128 for x in out):
+            bounds.append(bound)
+        else:
+            left.add((suite, n, sys._getframe(1).f_code.co_name))
         return out
 
-    monkeypatch.setattr(exterior, "_cast", int64_only)
+    monkeypatch.setattr(exterior, "_cast", tiered)
     for n in range(1, 6):
-        assert all(report.passed for report in run_all(n, 2, RandomSpec(seed=17)))
-    assert bounds and max(bounds) < 2 ** 63
+        for suite in SUITES:
+            assert run_suite(suite, n, 2, RandomSpec(seed=17)).passed
+    assert bounds and max(bounds) < 2 ** 53
+    assert left == {("federer", 5, "norm_sq"), ("federer", 5, "__mul__"),
+                    ("federer", 5, "__add__")}
 
 
 def test_federer_wedge_pair_estimate_counts_its_tables():

@@ -25,6 +25,7 @@ from kahlerlab.exterior import (
     _equal_tables,
     _images,
     _pair_outputs,
+    _pairs,
     bidegree_project,
     conjugate,
     inner,
@@ -63,7 +64,7 @@ from kahlerlab.kaehler import (
 )
 from kahlerlab.rational_linalg import independent_columns
 
-from test_exterior import pushed, same_fields
+from test_exterior import gaussian_batch, pushed, same_fields
 from test_rational_linalg import _dense_rows, _oracle_rref
 
 I = GaussRational(0, 1)
@@ -220,8 +221,7 @@ def test_tableau_basis_is_signed_primitive_and_injective_under_the_top_power(n):
     for k in range(2 * n + 1):
         table = _primitive_table(n, k)
         count = _inputs(table)
-        assert not table.im.any() and table.den == 1
-        assert set(table.re.tolist()) <= {-1, 1}
+        assert table.den == 1 and set(table.coef.tolist()) <= {-1, 1}
         assert _composed(_dual_lefschetz_table(n, k), table).src.size == 0
         column_p = np.array([len(mono.s) for mono in monomial_basis(n, k)])
         pair_p = column_p[_pair_outputs(table)]
@@ -619,7 +619,7 @@ def test_compiled_tables_on_python_int_batches_match_the_references():
     n, k = 3, 3
     forms = [a * GaussRational(2 ** 62 + 1, 3) for a in _batch_rows(rng, n, k)]
     batch = Batch.of(n, k, forms)
-    assert batch.re.dtype == object
+    assert batch.num.dtype == object
     assert _forms(dual_lefschetz(batch)) == [_reference_dual_lefschetz(a) for a in forms]
     assert _forms(primitive_projection(batch)) == [_reference_projection(a) for a in forms]
     assert _forms(lefschetz_power(batch, 2)) == [_reference_power(a, 2) for a in forms]
@@ -631,8 +631,8 @@ def test_compiled_tables_on_python_int_batches_match_the_references():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_every_compiled_table_is_over_its_least_common_denominator(n):
-    """gcd(den, numerators) = 1 for every table, so that the int64 bound a
-    pass derives from the numerators is never inflated by a common factor;
+    """gcd(den, numerators) = 1 for every table, so that the bound a pass
+    derives from the numerators is never inflated by a common factor;
     and the projector is the r = 0 decomposition table."""
     tables = []
     for k in range(2 * n + 1):
@@ -649,7 +649,7 @@ def test_every_compiled_table_is_over_its_least_common_denominator(n):
         else:
             assert _projection_table(n, k).src.size == 0
     for table in tables:
-        assert gcd(table.den, *table.re.tolist(), *table.im.tolist()) == 1
+        assert gcd(table.den, *_pairs(table.coef).tolist()) == 1
 
 
 @pytest.mark.parametrize("k", [3, 6, 9])
@@ -660,7 +660,7 @@ def test_decomposition_at_dimension_six_recomposes_into_primitive_parts(k):
     n = 6
     rng = np.random.default_rng(600 + k)
     shape = (4, comb(2 * n, k))
-    a = Batch(n, k, rng.integers(-9, 10, shape), rng.integers(-9, 10, shape), 6)
+    a = gaussian_batch(n, k, rng.integers(-9, 10, shape), rng.integers(-9, 10, shape), 6)
     parts = primitive_decompose(a).parts
     assert sorted(parts) == list(range(max(0, k - n), k // 2 + 1))
     total = None

@@ -81,9 +81,9 @@ def _flipped(builder):
         table = builder(*args)
         if not table.src.size:
             return table
-        middle, re, im = table.src.size // 2, table.re.copy(), table.im.copy()
-        re[middle], im[middle] = -re[middle], -im[middle]
-        return table._replace(re=re, im=im)
+        middle, coef = table.src.size // 2, table.coef.copy()
+        coef[middle] = -coef[middle]
+        return table._replace(coef=coef)
     return mutant
 
 
