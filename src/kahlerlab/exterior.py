@@ -16,11 +16,10 @@ exactly.  The exterior product of degrees da and db is a `Table` on the
 right factor whose coefficients are the reorder signs, plus the left
 factor's column of each pair.  One kernel applies both to a whole batch,
 chunk by chunk: one gather (a table) or two (a product), np.add.reduceat.
-Every batch carries a bound on its numerators, set from its operands'
-bounds, which picks its tier (`_EXACT_LIMIT`); near 2^53 the operands are
-measured instead.  The product of two dict forms loops over their term
-pairs, so a sparse product costs its terms, not its degrees; fixed
-operators reach a dict form as one-row batches, one per degree.
+A bound carried from the operands picks each batch's tier (`_cast`).  The
+product of two dict forms loops over their term pairs, so a sparse product
+costs its terms, not its degrees; fixed operators reach a dict form as
+one-row batches, one per degree.
 
 The exterior product works on bitmasks: a monomial is the 2n-bit set of its
 1-forms in the order dz_1..dz_n, dzb_1..dzb_n, and the reorder sign of a
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, gcd, lcm
 from numbers import Rational
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -463,13 +462,15 @@ def bidegree_basis(n: int, p: int, q: int) -> tuple[Monomial, ...]:
 
 # Numerators are one array of Gaussian integers: complex128 while a bound on
 # every value computed is below 2^53, as integers below 2^53 are exact in
-# float64 (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), else objects
-# (GaussRational over 1).  Each bound rule covers every product and partial
-# sum of a real or imaginary part; a complex product is two products and a
-# sum per part, so an FMA rounds nothing either, and sums are exact in any
-# order.  Bounds are on max(|re|, |im|): np.abs of complex is the modulus.
+# float64 (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008); int64 for real
+# values, such as squared norms, below 2^63; else objects (GaussRational
+# over 1, or Python ints if real).  Each bound rule covers every product and
+# partial sum of a real or imaginary part; a complex product is two products
+# and a sum per part, so an FMA rounds nothing either, and sums are exact in
+# any order.  Bounds are on max(|re|, |im|): np.abs of complex is the modulus.
 _EXACT_LIMIT = 2 ** 53
-_COMPLEX = np.dtype(np.complex128)
+_INT64_LIMIT = 2 ** 63
+# tiers are told apart by dtype.kind: a complex dtype made at import raised peak RSS
 
 
 def _size(n: int, k: int) -> int:
@@ -477,51 +478,57 @@ def _size(n: int, k: int) -> int:
     return comb(2 * n, k) if 0 <= k <= 2 * n else 0
 
 
-def _pairs(a: np.ndarray) -> np.ndarray:
-    """Gaussian integers as (re, im) integer pairs along the last axis."""
-    shape = (*a.shape[:-1], 2 * a.shape[-1])
-    if a.dtype == object:  # GaussRationals, or np.zeros' int 0
-        return np.array([v for z in a.flat for v in (
-            (z._x, z._y) if isinstance(z, GaussRational) else (z, 0))], dtype=object).reshape(shape)
-    return np.stack([a.real, a.imag], axis=-1).astype(np.int64).reshape(shape)
+def _parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of Gaussian integers, as integer arrays:
+    int64 from either machine tier, Python ints from objects."""
+    if a.dtype != object:
+        return a.real.astype(np.int64), a.imag.astype(np.int64)
+    re = [z._x if isinstance(z, GaussRational) else z for z in a.flat]  # else a Python int
+    im = [z._y if isinstance(z, GaussRational) else 0 for z in a.flat]
+    return np.array(re, object).reshape(a.shape), np.array(im, object).reshape(a.shape)
 
 
 def _maxabs(*arrays: np.ndarray) -> int:
     """The largest |re| or |im| over the arrays."""
     bound = 0
     for a in arrays:
-        a = _pairs(a) if a.dtype == object else a
-        for part in ((a.real, a.imag) if a.dtype is _COMPLEX else (a,)) if a.size else ():
+        if a.dtype == object:  # GaussRationals, or Python ints
+            a = np.array([max(abs(z._x), abs(z._y)) if isinstance(z, GaussRational) else abs(z)
+                          for z in a.flat], dtype=object)
+        for part in ((a.real, a.imag) if a.dtype.kind == "c" else (a,)) if a.size else ():
             bound = max(bound, int(np.maximum.reduce(part, axis=None)),
                         -int(np.minimum.reduce(part, axis=None)))
     return bound
 
 
-def _gaussian(values, objects: bool = False) -> np.ndarray:
-    """(re, im) integer pairs along the last axis as Gaussian integers:
-    complex128 when all fit below 2^53 and objects is not set."""
-    if not isinstance(values, np.ndarray):  # numpy infers [0, 2^63] as float64
-        big = max(map(abs, values), default=0) >= 2 ** 63
-        values = np.array(values, dtype=object if big else np.int64)
-    if not objects and _maxabs(values) < _EXACT_LIMIT:
-        return values.astype(np.float64).view(np.complex128)
-    flat = values.ravel().tolist()
-    return np.fromiter(map(GaussRational._raw, flat[0::2], flat[1::2], [1] * (len(flat) // 2)),
-                       object, len(flat) // 2).reshape(*values.shape[:-1], values.shape[-1] // 2)
+def _gaussian(re, im=None, objects: bool = False) -> np.ndarray:
+    """re + im*i from integer arrays or flat lists of one shape, im None for
+    0: complex128 if every part is below 2^53 and not objects, else objects."""
+    re, im = [v if isinstance(v, np.ndarray) else np.array(v, dtype=object)  # never float64
+              for v in (re, np.zeros(np.shape(re), np.int64) if im is None else im)]
+    if not objects and _maxabs(re, im) < _EXACT_LIMIT:
+        out = np.empty(re.shape, np.complex128)
+        out.real, out.imag = re, im
+        return out
+    return np.fromiter(map(GaussRational._raw, re.ravel().tolist(), im.ravel().tolist(),
+                           repeat(1)), object, re.size).reshape(re.shape)
 
 
 def _cast(bound: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
-    """The arrays as complex128 when bound, on every value computed from
-    them, is below 2^53 (and they fit), else as objects."""
+    """The arrays in the tier that bound, on every |re| and |im| computed,
+    picks: complex128 below 2^53, int64 below 2^63 for real ints, else objects."""
     if bound < _EXACT_LIMIT:
         for a in arrays:  # cheaper than all()
-            if a.dtype is not _COMPLEX:
+            if a.dtype.kind != "c":
                 break
         else:
             return arrays
         if _maxabs(*arrays) < _EXACT_LIMIT:
-            return [_gaussian(_pairs(a)) for a in arrays]
-    return [a if a.dtype == object else _gaussian(_pairs(a), objects=True) for a in arrays]
+            return [a if a.dtype.kind == "c" else _gaussian(*_parts(a)) for a in arrays]
+    elif bound < _INT64_LIMIT and all(a.dtype == np.int64 or a.dtype.kind == "c"
+                                      and not a.imag.any() for a in arrays):
+        return [a if a.dtype == np.int64 else a.real.astype(np.int64) for a in arrays]
+    return [a if a.dtype == object else _gaussian(*_parts(a), objects=True) for a in arrays]
 
 
 @lru_cache(maxsize=None)
@@ -554,15 +561,14 @@ class Batch:
             raise ValueError(f"batch mismatch: a form of another dimension at n={n}")
         rank, size = _basis_rank(n, k), _size(n, k)
         den = lcm(1, *(c._d for form in forms for c in form.terms.values()))
-        values = [0] * (2 * len(forms) * size)
+        re, im = [0] * (len(forms) * size), [0] * (len(forms) * size)
         for t, form in enumerate(forms):
             for mono, c in form.terms.items():
                 j = rank.get(mono)
                 if j is None:
                     raise ValueError(f"{mono.label()} is not of degree {k} at n={n}")
-                at = 2 * (t * size + j)
-                values[at:at + 2] = c._x * (den // c._d), c._y * (den // c._d)
-        return cls(n, k, _gaussian(values).reshape(len(forms), size), den)
+                re[t * size + j], im[t * size + j] = c._x * (den // c._d), c._y * (den // c._d)
+        return cls(n, k, _gaussian(re, im).reshape(len(forms), size), den)
 
     @classmethod
     def zero(cls, n: int, k: int, rows: int, den: int = 1) -> "Batch":
@@ -590,8 +596,9 @@ class Batch:
         basis, den, row = monomial_basis(self.n, self.k), self.den, self.num[t]
         make = GaussRational._raw if den == 1 else GaussRational._norm
         cols = np.flatnonzero(row.astype(bool))
-        xy = _pairs(row[cols]).tolist()
-        return {basis[j]: make(x, y, den) for j, x, y in zip(cols.tolist(), xy[0::2], xy[1::2])}
+        re, im = _parts(row[cols])
+        return {basis[j]: make(x, y, den)
+                for j, x, y in zip(cols.tolist(), re.tolist(), im.tolist())}
 
     def form(self, t: int) -> Form:
         return Form._trusted(self.n, self.terms(t))
@@ -641,7 +648,7 @@ class Batch:
             c = GaussRational._coerce(scalar)
             if c is NotImplemented:
                 return NotImplemented
-            scalar = Batch(self.n, 0, _gaussian([c._x, c._y]).reshape(1, 1), c._d,
+            scalar = Batch(self.n, 0, _gaussian([c._x], [c._y]).reshape(1, 1), c._d,
                            max(abs(c._x), abs(c._y)))
         elif (scalar.n, scalar.k) != (self.n, 0) or scalar.rows not in (1, self.rows):
             raise ValueError(f"batch mismatch: (n, k, rows) {(scalar.n, scalar.k, scalar.rows)} "
@@ -671,9 +678,14 @@ class Batch:
     def norm_sq(self) -> "Batch":
         cols = self.num.shape[1]
         bound = _bounded(lambda a: 2 * cols * a * a, self)
-        (x,) = _cast(bound, self.num)
-        return Batch(self.n, 0, (x * x.conj()).sum(axis=1, keepdims=True),
-                     self.den * self.den, bound)
+        if bound < _EXACT_LIMIT:
+            (x,) = _cast(bound, self.num)
+            num = (x * x.conj()).sum(axis=1, keepdims=True)
+        else:  # real: re^2 + im^2 summed in int64 below 2^63, else in Python ints
+            re, im = [part.astype(np.int64 if bound < _INT64_LIMIT else object)
+                      for part in _parts(self.num)]
+            num = (re * re + im * im).sum(axis=1, keepdims=True)
+        return Batch(self.n, 0, num, self.den * self.den, bound)
 
 
 def _bounded(rule: Callable[..., int], *batches: Batch) -> int:
@@ -740,8 +752,9 @@ class Table(NamedTuple):
     def rows(self) -> dict[int, dict[int, GaussRational]]:
         """The rows of the map's matrix, {output: {input: nonzero entry}}."""
         out: dict[int, dict[int, GaussRational]] = {}
-        xy = _pairs(self.coef).tolist()
-        for o, s, x, y in zip(_pair_outputs(self).tolist(), self.src.tolist(), xy[0::2], xy[1::2]):
+        re, im = _parts(self.coef)
+        for o, s, x, y in zip(_pair_outputs(self).tolist(), self.src.tolist(), re.tolist(),
+                              im.tolist()):
             out.setdefault(o, {})[s] = GaussRational._norm(x, y, self.den)
         return out
 
@@ -782,9 +795,11 @@ def _table(k: int, size: int, out, src, coef: np.ndarray, den: int, k_in: int | 
         out, src = out[first], src[first]
         coef = np.add.reduceat(coef, first)
     keep = np.flatnonzero(coef.astype(bool))
-    out, src, parts = out[keep], src[keep], _pairs(coef[keep])
-    g = gcd(den, *parts.tolist())
-    coef = _gaussian(parts // g if parts.size else parts)  # in the tier the quotients take
+    out, src, (re, im) = out[keep], src[keep], _parts(coef[keep])
+    g = gcd(den, *re.tolist(), *im.tolist())
+    if re.size:  # then g divides every part, so fits their dtype
+        re, im = re // g, im // g
+    coef = _gaussian(re, im)  # in the tier the quotients take
     starts = np.flatnonzero(np.concatenate(([True], out[1:] != out[:-1]))) if out.size else out
     longest = int(np.diff(np.append(starts, out.size)).max()) if out.size else 0
     return Table(k, size, src, coef, starts, out[starts], den // g,
@@ -800,9 +815,8 @@ def _compiled(n: int, k_in: int, k_out: int,
              for mu, col in columns.items() for nu, c in col.items()]
     den = lcm(1, *(c._d for *_, c in pairs))
     return _table(k_out, _size(n, k_out), [o for o, _, _ in pairs], [s for _, s, _ in pairs],
-                  _gaussian([v for *_, c in pairs for v in (c._x * (den // c._d),
-                                                            c._y * (den // c._d))]),
-                  den, k_in)
+                  _gaussian([c._x * (den // c._d) for *_, c in pairs],
+                            [c._y * (den // c._d) for *_, c in pairs]), den, k_in)
 
 
 def _pair_outputs(table: Table) -> np.ndarray:
@@ -814,8 +828,9 @@ def _images(n: int, table: Table, inputs: int) -> list[Form]:
     """The image of each of the inputs 0..inputs-1 of a table, as forms."""
     basis = monomial_basis(n, table.k)
     terms: list[dict[Monomial, GaussRational]] = [{} for _ in range(inputs)]
-    xy = _pairs(table.coef).tolist()
-    for o, s, x, y in zip(_pair_outputs(table).tolist(), table.src.tolist(), xy[0::2], xy[1::2]):
+    re, im = _parts(table.coef)
+    for o, s, x, y in zip(_pair_outputs(table).tolist(), table.src.tolist(), re.tolist(),
+                          im.tolist()):
         terms[s][basis[o]] = GaussRational._norm(x, y, table.den)
     return [Form._trusted(n, t) for t in terms]
 
@@ -858,9 +873,9 @@ def _combined(terms: Sequence[tuple[Rationalish, Table]]) -> Table:
 
 
 def _equal_tables(a: Table, b: Table) -> bool:
-    """Field by field, coefficients as integer pairs in either tier; as
+    """Field by field, coefficients as integer parts in either tier; as
     every table is reduced, exactly when the maps agree."""
-    return np.array_equal(_pairs(a.coef), _pairs(b.coef)) and all(
+    return all(np.array_equal(x, y) for x, y in zip(_parts(a.coef), _parts(b.coef))) and all(
         np.array_equal(x, y) for f, x, y in zip(a._fields, a, b) if f != "coef")
 
 
@@ -876,7 +891,7 @@ def _conjugation_table(n: int, k: int) -> Table:
     p = np.array([len(mono.s) for mono in monomial_basis(n, k)], dtype=np.int64)
     sign = 1 - 2 * (p * (k - p) & 1)
     return _table(k, _size(n, k), _ranked(masks, swapped), np.arange(masks.size),
-                  _gaussian(np.stack([sign, 0 * sign], axis=-1)).reshape(-1), 1, k)
+                  _gaussian(sign), 1, k)
 
 
 # ---- exterior product: bitmasks, the term-pair loop and compiled tables ----

@@ -49,7 +49,7 @@ from .exterior import (
     _gaussian,
     _images,
     _pair_outputs,
-    _pairs,
+    _parts,
     _table,
     conjugate,
     inner,
@@ -178,7 +178,8 @@ def _draw_degree(rng, rows: int, n: int, shapes, bound: int) -> list[Batch]:
     every shape's (re, im) pairs in turn, as the t-th run of size-2 draws per
     monomial would, however the rows are split into calls."""
     out, start, shapes = [], 0, [_columns(n, shape) for shape in shapes]
-    drawn = _gaussian(rng.integers(-bound, bound + 1, (rows, 2 * sum(c.size for _, c in shapes))))
+    drawn = rng.integers(-bound, bound + 1, (rows, 2 * sum(c.size for _, c in shapes)))
+    drawn = _gaussian(drawn[:, 0::2], drawn[:, 1::2])
     for k, cols in shapes:
         num, start = drawn[:, start:start + cols.size], start + cols.size
         if cols.size < comb(2 * n, k):  # a bidegree: spread over the degree's monomials
@@ -221,7 +222,8 @@ def _equal(identity: str, inputs, lhs: Batch, rhs: Batch, scalar: bool = False) 
 def _less_equal(identity: str, inputs, lhs: Batch, rhs: Batch) -> Check:
     """lhs <= rhs, trial by trial, for real degree-0 batches: rhs - lhs has
     a nonnegative numerator over its positive denominator."""
-    return Check(identity, [gap >= 0 for gap in _pairs((rhs - lhs).num)[:, 0].tolist()], lambda t: (
+    gaps, _ = _parts((rhs - lhs).num)
+    return Check(identity, [gap >= 0 for gap in gaps[:, 0].tolist()], lambda t: (
         _inputs_at(inputs, t), _side(lhs, t, True), _side(rhs, t, True)))
 
 
@@ -469,7 +471,7 @@ def _on_basis(identity: str, n: int, k: int, lhs: Table, rhs: Table,
 def _scalar(n: int, k: int, c: int | Fraction) -> Table:
     """c times the identity on degree k."""
     c, ids = Fraction(c), np.arange(comb(2 * n, k))
-    return _table(k, ids.size, ids, ids, _gaussian([c.numerator, 0] * ids.size), c.denominator, k)
+    return _table(k, ids.size, ids, ids, _gaussian([c.numerator] * ids.size), c.denominator, k)
 
 
 @lru_cache(maxsize=None)
@@ -485,14 +487,13 @@ def _chain(n: int, k: int, *ops: tuple) -> Table:
     return _composed(function(n, inner.k, *args), inner)
 
 
-_VERDICTS: dict = {}  # (x, a, x o a = want?) by id; held, so no id is reused
-
-
-def _inverts(x: Table, a: Table, want: Callable[[], Table]) -> bool:
-    """x o a = want(), decided once per pair of tables."""
-    if (id(x), id(a)) not in _VERDICTS:
-        _VERDICTS[id(x), id(a)] = x, a, _equal_tables(_composed(x, a), want())
-    return _VERDICTS[id(x), id(a)][2]
+@lru_cache(maxsize=None)
+def _inverts(n: int, k: int, kept: int, *ops: tuple) -> bool:
+    """Whether X_k, the left inverse of L^(n-k), sends the chain of ops from
+    degree k to the chain of its first kept ops (kept 0: the identity on
+    degree k).  Cached per operator as `_chain` is, holding no table."""
+    want = _chain(n, k, *ops[:kept]) if kept else _scalar(n, k, 1)
+    return _equal_tables(_composed(_left_inverse_table(n, k), _chain(n, k, *ops)), want)
 
 
 def _certified(identity: str, at: str, conditions: dict[str, bool]) -> Check:
@@ -555,25 +556,22 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
             _record(rec, [_once(f"primitive-bidegree-dimension[p={p},q={q}]", at,
                                 killed[p, q] == want, lambda: (killed[p, q], want))])
     for k in range(n + 1):
-        basis, inverse = _primitive_table(n, k), _left_inverse_table(n, k)
         independent = independent_columns(
-            basis, comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0))
-        on_basis = _chain(n, k, (_primitive_table,), (_power_table, n - k))
+            _primitive_table(n, k), comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0))
         killer = _chain(n, k, (_primitive_table,), (_power_table, n - k + 1))
         certificates = [
             _certified(f"hard-lefschetz-bijective[k={k}]", at, {
-                "X_k o L^(n-k) = id": _inverts(inverse, _power_table(n, k, n - k),
-                                               partial(_scalar, n, k, 1))}),
+                "X_k o L^(n-k) = id": _inverts(n, k, 0, (_power_table, n - k))}),
             _certified(f"hard-lefschetz-primitive-injective[k={k}]", at, {
                 "B has independent columns": independent,
-                "X_k o L^(n-k) o B = B": _inverts(inverse, on_basis, lambda: basis)}),
+                "X_k o L^(n-k) o B = B": _inverts(
+                    n, k, 1, (_primitive_table,), (_power_table, n - k))}),
         ]
         kernel = {"L^(n-k+1) o B = 0": not killer.src.size,
                   "B has independent columns": independent}
         if k >= 2:
-            lifted = _chain(n, k - 2, (_power_table, 1), (_power_table, n - k + 1))
             kernel["X_(k-2) o L^(n-k+1) o L = id"] = _inverts(
-                _left_inverse_table(n, k - 2), lifted, partial(_scalar, n, k - 2, 1))
+                n, k - 2, 0, (_power_table, 1), (_power_table, n - k + 1))
         certificates.append(_certified(f"primitive-kernel-dimension[k={k}]", at, kernel))
         _record(rec, certificates)
         _record(rec, [_on_basis(f"primitive-kernel-member[k={k}]", n, k, killer,

@@ -59,7 +59,7 @@ from .exterior import (
     _disjoint_pairs,
     _gaussian,
     _images,
-    _pairs,
+    _parts,
     _per_degree,
     _table,
     _wedge_by,
@@ -132,10 +132,10 @@ def _star_table(n: int, k: int) -> Table:
     _, complement, sign, _ = _disjoint_pairs(n, mus, k, 2 * n - k)  # one per mu
     # conj(nu) = +-complement: the conjugation table's only pair feeding the
     # complement comes from nu
-    pairing = sign * _pairs(conj.coef[complement])[0::2]
+    pairing = sign * _parts(conj.coef[complement])[0]
     v = volume_form(n).coefficient(_top_monomial(n))
     return _table(2 * n - k, conj.size, conj.src[complement], mus,
-                  _gaussian(np.outer(pairing, [v._x, -v._y])).ravel(), v._d, k)
+                  _gaussian(pairing * v._x, pairing * -v._y), v._d, k)
 
 
 def hodge_star(a):
@@ -265,7 +265,7 @@ def _primitive_table(n: int, k: int) -> Table:
                             rows.append(t)
                             cols.append(rank[Monomial(tuple(sorted(P + A)),
                                                       tuple(sorted(P + B)))])
-                            coefs += ((-1) ** chosen_a * _wedge_sign(word), 0)
+                            coefs.append((-1) ** chosen_a * _wedge_sign(word))
                         t += 1
     return _table(k, comb(2 * n, k), cols, rows, _gaussian(coefs), 1, None)
 

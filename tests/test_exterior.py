@@ -30,7 +30,7 @@ from kahlerlab.exterior import (
     _equal_tables,
     _gaussian,
     _maxabs,
-    _pairs,
+    _parts,
     _size,
     _table,
     _wedge_table,
@@ -573,9 +573,7 @@ def test_the_middle_wedge_table_at_n8_builds_without_the_dense_mask_matrix():
 def gaussian_batch(n, k, re, im, den, bound=None) -> Batch:
     """The batch of numerators re + i im (integer arrays of one shape, in
     the tier their values take) over den."""
-    re, im = np.asarray(re), np.asarray(im)
-    pairs = np.stack([re, im], axis=-1).reshape(*re.shape[:-1], 2 * re.shape[-1])
-    return Batch(n, k, _gaussian(pairs), den, bound)
+    return Batch(n, k, _gaussian(np.asarray(re), np.asarray(im)), den, bound)
 
 
 def _rational_rows(rnd, n, k, dens=(1, 2, 3, 6), bound=5):
@@ -683,6 +681,27 @@ def test_batches_beyond_int64_run_on_python_ints():
     assert _rows_of(huge.wedge(bb)) == [_reference_wedge(x * 2 ** 70, y) for x, y in zip(a, b)]
 
 
+def test_real_values_past_2_53_run_in_int64_up_to_2_63():
+    """Squared norms are real: past 2^53 they are summed in int64 while
+    their bound stays below 2^63, and in Python ints beyond; a difference
+    that cancels comes back to complex128 at the next operation."""
+    n = 2
+    a = gaussian_batch(n, 1, np.array([[2 ** 29, 3, 0, 1], [2 ** 29, -(2 ** 29), 0, 0]]),
+                       np.array([[0, 2 ** 28, 5, 0], [1, 0, 0, 2 ** 29]]), 1)
+    norms = norm_sq(a)
+    assert norms.num.dtype == np.int64 and 2 ** 53 <= norms._bound() < 2 ** 63
+    scalars = [s.coefficient(Monomial((), ())) for s in _rows_of(norms)]
+    assert scalars == [norm_sq(x) for x in _rows_of(a)]
+    squared = norms * norms  # past 2^63
+    assert squared.num.dtype == object
+    assert [s.coefficient(Monomial((), ())) for s in _rows_of(squared)] == [
+        x * x for x in scalars]
+    assert (norms - norms * Fraction(1, 3)).num.dtype == np.int64
+    cancelled = norms - norms
+    assert cancelled.num.dtype == np.int64 and cancelled.is_zero().all()
+    assert (cancelled * 5).num.dtype == np.complex128
+
+
 def test_batch_sums_over_large_denominators_leave_int64():
     # numerators near 2^29 over coprime denominators near 2^25: over their
     # product, the numerators of a sum or a difference pass 2^53
@@ -748,7 +767,8 @@ def sparse_tables(draw, n, k_in, k_out, coeffs=_COEFFS):
     pairs = draw(st.lists(st.tuples(st.integers(0, size_out - 1), st.integers(0, size_in - 1),
                                     coeffs, coeffs), max_size=10))
     out, src = [o for o, *_ in pairs], [s for _, s, *_ in pairs]
-    return _table(k_out, size_out, out, src, _gaussian([v for *_, x, y in pairs for v in (x, y)]),
+    return _table(k_out, size_out, out, src, _gaussian([x for *_, x, _ in pairs],
+                                                       [y for *_, y in pairs]),
                   draw(st.integers(1, 12)), k_in)
 
 
@@ -784,14 +804,14 @@ def test_combined_tables_match_the_summed_images_of_the_identity(data):
 
 def _real_table(k, size, out, src, re, den, k_in):
     """A table of real coefficients re."""
-    return _table(k, size, out, src, _gaussian([v for x in re for v in (x, 0)]), den, k_in)
+    return _table(k, size, out, src, _gaussian(list(re)), den, k_in)
 
 
 def test_table_algebra_leaves_int64_only_when_the_entries_do():
     """The complex128 tier holds a table while its entries are below 2^53."""
     n = 2
     big = _table(2, 6, [0, 1, 1], [0, 0, 2],
-                 _gaussian([2 ** 30, 0, 3, 2 ** 30, -(2 ** 30), 1]), 1, 2)
+                 _gaussian([2 ** 30, 3, -(2 ** 30)], [0, 2 ** 30, 1]), 1, 2)
     assert big.coef.dtype == np.complex128
     # products near 2^60 take the object path and stay exact
     square = _composed(big, big)
@@ -803,12 +823,12 @@ def test_table_algebra_leaves_int64_only_when_the_entries_do():
     assert same_fields(back, pushed(lambda b: big(b) * Fraction(1, 2), n, 2, 2))
     # repeated pairs are summed, here to 2^53, and zero sums dropped
     repeated = _real_table(0, 1, [0, 0, 0, 0], [0, 0, 0, 0], [2 ** 52, 2 ** 52, 3, -3], 3, 0)
-    assert (_pairs(repeated.coef).tolist(), repeated.coef.dtype, repeated.den) == (
-        [2 ** 53, 0], object, 3)
+    assert ([part.tolist() for part in _parts(repeated.coef)], repeated.coef.dtype,
+            repeated.den) == ([[2 ** 53], [0]], object, 3)
     # and a sum that reaches 2^53 comes back below it once over the least denominator
     halved = _real_table(0, 1, [0, 0], [0, 0], [2 ** 52, 2 ** 52], 4, 0)
-    assert (_pairs(halved.coef).tolist(), halved.coef.dtype, halved.den) == (
-        [2 ** 51, 0], np.complex128, 1)
+    assert ([part.tolist() for part in _parts(halved.coef)], halved.coef.dtype,
+            halved.den) == ([[2 ** 51], [0]], np.complex128, 1)
     assert _real_table(0, 1, [0, 0], [0, 0], [1, -1], 3, 0).src.size == 0
     # empty tables compose and combine to the empty table over 1
     empty = _real_table(2, 6, [], [], [], 7, 2)
@@ -844,9 +864,9 @@ def carried_batches(draw, n, k, rows):
     at least its largest |re| or |im|."""
     size = comb(2 * n, k)
     values = draw(st.lists(_NUMERATORS, min_size=2 * rows * size, max_size=2 * rows * size))
-    num = _gaussian(values).reshape(rows, size)
+    num = _gaussian(values[0::2], values[1::2]).reshape(rows, size)
     if num.dtype != object and draw(st.booleans()):
-        num = _cast(2 ** 53, num)[0]
+        num = _gaussian(*_parts(num), objects=True)
     slack = draw(st.one_of(st.none(), st.just(0), st.integers(0, 2 ** 40),
                            st.integers(0, 90).map(lambda e: 2 ** e)))
     bound = None if slack is None else max(map(abs, values), default=0) + slack
@@ -900,16 +920,17 @@ def limit_batches(draw, n, k, rows, values=_AT_THE_LIMIT):
     """A batch of numerators from values, in the tier they take."""
     size = comb(2 * n, k)
     values = draw(st.lists(values, min_size=2 * rows * size, max_size=2 * rows * size))
-    return Batch(n, k, _gaussian(values).reshape(rows, size), draw(st.sampled_from([1, 3, 4])))
+    return Batch(n, k, _gaussian(values[0::2], values[1::2]).reshape(rows, size),
+                 draw(st.sampled_from([1, 3, 4])))
 
 
 def _exact(result):
     """A batch as its shape, denominator and numerators as Python ints; a
     table field by field with its coefficients so; else the value itself."""
     if isinstance(result, Batch):
-        return result.n, result.k, result.den, _pairs(result.num).tolist()
+        return result.n, result.k, result.den, [part.tolist() for part in _parts(result.num)]
     if isinstance(result, Table):
-        return result._replace(coef=_pairs(result.coef).tolist(),
+        return result._replace(coef=[part.tolist() for part in _parts(result.coef)],
                                **{f: getattr(result, f).tolist()
                                   for f in ("src", "starts", "outputs")})
     return result.tolist() if isinstance(result, np.ndarray) else result
@@ -920,9 +941,10 @@ def _exact(result):
 def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
     """Every batch operation, table application and table composition, on
     numerators either side of 2^53, gives the same exact result as with
-    every array forced to Python ints (the limit patched to 0).  A result
+    every array forced to Python ints (both limits patched to 0).  A result
     lands in complex128 only under a bound below 2^53, and always when its
-    operands are small."""
+    operands are small; in int64 only as a batch of real values under a
+    bound below 2^63."""
     from kahlerlab import exterior
 
     n = data.draw(st.integers(1, 2))
@@ -950,12 +972,12 @@ def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
         _maxabs(table.coef), _maxabs(other.coef), abs(constant._x), abs(constant._y)) < 2 ** 20
     for name, op in ops.items():
         got = op()
-        limit = exterior._EXACT_LIMIT
-        exterior._EXACT_LIMIT = 0
+        limits = exterior._EXACT_LIMIT, exterior._INT64_LIMIT
+        exterior._EXACT_LIMIT = exterior._INT64_LIMIT = 0
         try:
             want = op()
         finally:
-            exterior._EXACT_LIMIT = limit
+            exterior._EXACT_LIMIT, exterior._INT64_LIMIT = limits
         assert _exact(got) == _exact(want), name
         if isinstance(got, (Batch, Table)):
             coef = got.num if isinstance(got, Batch) else got.coef
@@ -967,6 +989,9 @@ def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
             assert bound >= _maxabs(coef), name
             if coef.dtype == np.complex128:
                 assert bound < 2 ** 53, name
+            elif coef.dtype == np.int64:
+                assert isinstance(got, Batch) and not got.num.imag.any(), name
+                assert bound < 2 ** 63 and not small, name
             else:
                 assert coef.dtype == object and not small, name
 

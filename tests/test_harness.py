@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kahlerlab.exterior import (
-    Batch, Form, GaussRational, _images, _pair_outputs, _pairs, _table, bidegree_basis,
+    Batch, Form, GaussRational, _images, _pair_outputs, _parts, _table, bidegree_basis,
     monomial_basis, norm_sq,
 )
 from kahlerlab import harness, kaehler
@@ -361,7 +361,7 @@ def test_batched_comparisons_are_exact():
     lhs = gaussian_batch(n, 0, np.array([[2], [7], [2 ** 51]]), zeros, 3)
     rhs = gaussian_batch(n, 0, np.array([[4], [13], [2 ** 52]]), zeros, 6)
     assert lhs.num.dtype == rhs.num.dtype == np.complex128
-    assert (rhs - lhs).num.dtype == object
+    assert (rhs - lhs).num.dtype == np.int64  # real, so machine integers up to 2^63
     rec = harness._Recorder("x", n, 3, RandomSpec())
     harness._record(rec, [harness._less_equal("x", "n=2", lhs, rhs)])
     assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [(1, "7/3", "13/6")]
@@ -376,16 +376,16 @@ def test_batched_comparisons_are_exact():
     assert [f.trial for f in rec.failures] == [1]
     assert rec.failures[0].inputs == f"a = {a.form(1)}"
     assert rec.failures[0].rhs == str(b.form(1))
-    # 2^51/3 = 2^52/6, 2^51/3 != (2^51 + 2)/3 and 5/3 = 10/6: over the
-    # common denominator 6 the difference reaches 2^53, so the rows compare
+    # 2^61/3 = 2^62/6, 2^61/3 != (2^61 + 2)/3 and 5/3 = 10/6: over the
+    # common denominator 6 the difference reaches 2^63, so the rows compare
     # as Python ints
-    lhs = gaussian_batch(n, 0, np.array([[2 ** 51], [2 ** 51], [5]]), zeros, 3)
-    rhs = gaussian_batch(n, 0, np.array([[2 ** 52], [2 ** 52 + 4], [10]]), zeros, 6)
+    lhs = gaussian_batch(n, 0, np.array([[2 ** 61], [2 ** 61], [5]]), zeros, 3)
+    rhs = gaussian_batch(n, 0, np.array([[2 ** 62], [2 ** 62 + 4], [10]]), zeros, 6)
     assert (lhs - rhs).num.dtype == object
     rec = harness._Recorder("z", n, 3, RandomSpec())
     harness._record(rec, [harness._equal("z", "n=2", lhs, rhs, scalar=True)])
     assert [(f.trial, f.lhs, f.rhs) for f in rec.failures] == [
-        (1, f"{2 ** 51}/3", f"{2 ** 51 + 2}/3")]
+        (1, f"{2 ** 61}/3", f"{2 ** 61 + 2}/3")]
 
 
 def test_a_check_renders_only_its_failing_rows():
@@ -532,7 +532,7 @@ def _bumped(op):
         if not out.num.shape[1]:
             return out
         num = out.num.copy()
-        num[_pairs(num)[:, 0] % 3 == 1, 0] += 1
+        num[_parts(num)[0][:, 0] % 3 == 1, 0] += 1
         return Batch(out.n, out.k, num, out.den)
     return perturbed
 
@@ -637,7 +637,8 @@ def test_star_route_compares_the_tables_and_renders_only_differing_entries(monke
     out = int(_pair_outputs(table)[5])
     entry = (f"{monomial_basis(4, 2)[out].label()} <- "
              f"{monomial_basis(4, 4)[int(table.src[5])].label()}: ")
-    c = GaussRational._norm(*_pairs(table.coef[5:6]).tolist(), table.den)
+    (x,), (y,) = (part.tolist() for part in _parts(table.coef[5:6]))
+    c = GaussRational._norm(x, y, table.den)
     monkeypatch.setattr(harness, "_dual_lefschetz_table", off_by_one_entry)
     report = check_lefschetz_structure(4, 1, RandomSpec(seed=42))
     failures = {failure.identity: failure for failure in report.failures}
@@ -870,33 +871,25 @@ def test_a_patched_dual_lefschetz_leaves_no_left_inverse_behind(monkeypatch):
 
 
 def test_verify_suites_up_to_n5_never_leave_int64(monkeypatch):
-    """With the default coefficient bound, no table application, exterior
-    product or inner product of any suite at n <= 5 leaves the complex128
-    tier: every bound it casts under, carried or measured, stays below
-    2^53.  Only federer's norms at n = 5 do, and the products and
-    differences of those norms: |a ^ s|^2 and |a|^2 |s|^2 for simple forms
-    s of high degree come near 2^53, and their bound rules pass it."""
-    import sys
+    """With the default coefficient bound, no batch of any suite at n <= 5
+    takes the object path: every batch holds machine integers, and every
+    bound it carries stays below 2^63.  Values pass 2^53 only in federer at
+    n = 5: the real norms |a ^ s|^2 and |a|^2 |s|^2 for simple forms s of
+    high degree, and their products and differences, held in int64."""
+    init, tiers = Batch.__init__, {}
 
-    from kahlerlab import exterior
+    def machine_only(self, n, k, num, den, bound=None):
+        assert num.dtype != object, f"object path at n={n} under bound {bound}"
+        assert bound is None or bound < 2 ** 63
+        tiers.setdefault(num.dtype, set()).add(suite)
+        init(self, n, k, num, den, bound)
 
-    cast, bounds, left = exterior._cast, [], set()
-
-    def tiered(bound, *arrays):
-        out = cast(bound, *arrays)
-        if all(x.dtype == np.complex128 for x in out):
-            bounds.append(bound)
-        else:
-            left.add((suite, n, sys._getframe(1).f_code.co_name))
-        return out
-
-    monkeypatch.setattr(exterior, "_cast", tiered)
+    monkeypatch.setattr(Batch, "__init__", machine_only)
     for n in range(1, 6):
         for suite in SUITES:
             assert run_suite(suite, n, 2, RandomSpec(seed=17)).passed
-    assert bounds and max(bounds) < 2 ** 53
-    assert left == {("federer", 5, "norm_sq"), ("federer", 5, "__mul__"),
-                    ("federer", 5, "__add__")}
+    assert tiers[np.dtype(np.complex128)] == set(SUITES)
+    assert tiers[np.dtype(np.int64)] == {"federer"}
 
 
 def test_federer_wedge_pair_estimate_counts_its_tables():

@@ -25,7 +25,7 @@ from kahlerlab.exterior import (
     _equal_tables,
     _images,
     _pair_outputs,
-    _pairs,
+    _parts,
     bidegree_project,
     conjugate,
     inner,
@@ -649,7 +649,8 @@ def test_every_compiled_table_is_over_its_least_common_denominator(n):
         else:
             assert _projection_table(n, k).src.size == 0
     for table in tables:
-        assert gcd(table.den, *_pairs(table.coef).tolist()) == 1
+        re, im = _parts(table.coef)
+        assert gcd(table.den, *re.tolist(), *im.tolist()) == 1
 
 
 @pytest.mark.parametrize("k", [3, 6, 9])

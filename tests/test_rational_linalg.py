@@ -157,15 +157,15 @@ def _as_table(m, cols, k=0):
     entries = [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row) if v]
     den = lcm(1, *(v._d for *_, v in entries))
     return _table(k, len(m), [r for r, _, _ in entries], [c for _, c, _ in entries],
-                  _gaussian([x for *_, v in entries for x in (v._x * (den // v._d),
-                                                              v._y * (den // v._d))]), den, None)
+                  _gaussian([v._x * (den // v._d) for *_, v in entries],
+                            [v._y * (den // v._d) for *_, v in entries]), den, None)
 
 
 def _identity(inputs):
     """The identity on inputs 0..inputs-1, a table of the kind `_as_table`
     builds."""
     ids = list(range(inputs))
-    return _table(0, inputs, ids, ids, _gaussian([1, 0] * inputs), 1, None)
+    return _table(0, inputs, ids, ids, _gaussian([1] * inputs), 1, None)
 
 
 def _dense_rows(table, cols):
