@@ -749,15 +749,6 @@ class Table(NamedTuple):
         return _reduced(a.n, self, a.rows, lambda rows: x[rows][:, self.src] * c,
                         a.den * self.den, bound)
 
-    def rows(self) -> dict[int, dict[int, GaussRational]]:
-        """The rows of the map's matrix, {output: {input: nonzero entry}}."""
-        out: dict[int, dict[int, GaussRational]] = {}
-        re, im = _parts(self.coef)
-        for o, s, x, y in zip(_pair_outputs(self).tolist(), self.src.tolist(), re.tolist(),
-                              im.tolist()):
-            out.setdefault(o, {})[s] = GaussRational._norm(x, y, self.den)
-        return out
-
 
 # A (rows x pairs) temporary holds at most this many entries; a chunk's
 # temporaries take about 50 bytes per entry, about 50 KB in all.
@@ -833,13 +824,6 @@ def _images(n: int, table: Table, inputs: int) -> list[Form]:
                           im.tolist()):
         terms[s][basis[o]] = GaussRational._norm(x, y, table.den)
     return [Form._trusted(n, t) for t in terms]
-
-
-def _adjoint(table: Table, n: int) -> Table:
-    """Conjugate transpose of a table, from its output degree back to its
-    input degree."""
-    return _table(table.k_in, _size(n, table.k_in), table.src, _pair_outputs(table),
-                  table.coef.conj(), table.den, table.k)
 
 
 def _composed(outer: Table, inner: Table) -> Table:

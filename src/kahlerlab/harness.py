@@ -36,7 +36,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exterior import (
-    ZERO,
     Batch,
     Form,
     GaussRational,
@@ -447,10 +446,11 @@ def check_federer(n: int, degrees: Optional[Sequence[tuple[int, int]]], trials: 
 def _shown_entries(n: int, k: int, table: Table, other: Table) -> str:
     """The entries of table, a map on degree k, where other's differ, as
     output <- input: entry."""
-    rows, diff = table.rows(), _combined([(1, table), (-1, other)])
+    diff = _combined([(1, table), (-1, other)])
     outs, ins = monomial_basis(n, table.k), monomial_basis(n, k)
+    images = _images(n, table, len(ins))
     return "; ".join(
-        f"{outs[o].label()} <- {ins[i].label()}: {rows.get(o, {}).get(i, ZERO)}"
+        f"{outs[o].label()} <- {ins[i].label()}: {images[i].coefficient(outs[o])}"
         for o, i in zip(_pair_outputs(diff).tolist(), diff.src.tolist()))
 
 
@@ -514,10 +514,10 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
     Lefschetz operator (the adjoint of L) with star^-1 o L o star.
 
     Hard Lefschetz is certified without elimination.  X_k, a left inverse
-    of L^(n-k) on degree k <= n, is composed in `kaehler` from its own
-    tables; a wrong X_k can only fail a check.  B is the primitive basis
-    table, and its columns are independent when their largest nonzero
-    rows are pairwise distinct (`rational_linalg`).
+    of L^(n-k) on degree k <= n, is built in `kaehler` in closed form, not
+    from the L tables; a wrong X_k can only fail a check.  B is the
+    primitive basis table, and its columns are independent when their
+    largest nonzero rows are pairwise distinct (`rational_linalg`).
     - bijective: X_k o L^(n-k) = id, so L^(n-k) is injective between
       degrees of equal dimension C(2n, k).
     - primitive-injective: B has independent columns and

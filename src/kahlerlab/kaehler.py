@@ -4,31 +4,29 @@ Conventions fixed here and relied on everywhere else: the metric is the
 standard one with orthonormal monomials, the fundamental form is
 omega = i * sum_a dz^a ^ dzb^a, and the volume form is omega^n / n!.
 
-The Hodge star is constructed monomial by monomial from its defining
-relation  a ^ *conj(b) = <a,b> dV,  never from the structure identities it
-is later tested against.  The dual Lefschetz operator is the matrix adjoint
-of the Lefschetz operator; the `lefschetz` verify suite compares it with
-star^-1 o L o star.
+Each fixed linear map on a degree is compiled once per (n, k) into an
+`exterior.Table`.  The operators below take a `Form` or a `Batch`: a batch
+goes through the table at once, a form as one-row batches, one per degree
+(`exterior._apply`).  L^j stays the product with omega^j, the definition
+every other table is checked against.  The Hodge star is built monomial
+by monomial from its defining relation a ^ *conj(b) = <a,b> dV, never from
+the structure identities it is later tested against.
 
-L^j, the dual Lefschetz operator, the star, the Weil operator, the
-Lefschetz decomposition and the primitive projector are fixed linear maps
-on each degree.  Each is compiled once per (n, k) into an
-`exterior.Table`.  The parts of the Lefschetz decomposition, and with them
-the primitive projector and a left inverse of L^(n-k), are polynomials in
-L and the dual Lefschetz operator given in closed form by the sl_2
-relations; their tables are composed and combined exactly from the L and
-dual Lefschetz tables, so no matrix is inverted and no form is pushed
-through an operator to learn its matrix.  The operators below take a
-`Form` or a `Batch`: a batch goes through the table at once, a form as
-one-row batches, one per degree (`exterior._apply`).  L on a form is the
-term-pair product with omega^j.
+The dual Lefschetz operator, the parts of the Lefschetz decomposition, the
+primitive projector and a left inverse of L^(n-k) are sl_2 polynomials
+sum w L^a Lambda^b, and one closed form gives their tables (`_sl2_table`;
+Huybrechts, Complex Geometry, 1.2; Proctor, SIAM J. Algebraic Discrete
+Methods 3, 1982): a monomial is +-e_(P;A,B) = wedge_(c in P)(dz_c ^ dzb_c)
+^ dz^A ^ dzb^B, and block by block in (A, B), L adds an index to P with
+factor i and Lambda drops one with factor -i.  No table is composed, no
+matrix inverted and no form pushed through an operator to learn its
+matrix; the `lefschetz` verify suite compares Lambda with star^-1 o L o
+star and the decomposition and X_k with L.
 
-The primitive bases are written down rather than solved for: in the basis
-of products of the 2-forms dz_a ^ dzb_a with dz^A ^ dzb^B, the dual
-Lefschetz operator only drops one such 2-form, and its kernel on each block
-(A, B) is spanned by the standard polytabloids of a two-row shape, with
-entries +-1.  Each degree's basis is a table from basis index to
-monomials; nothing here runs a Gaussian elimination.
+The primitive bases are written down rather than solved for: on each
+block (A, B), the kernel of Lambda is spanned by the standard polytabloids
+of a two-row shape, with entries +-1.  Each degree's basis is a table from
+basis index to monomials; nothing here runs a Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping
 
 import numpy as np
@@ -49,18 +47,17 @@ from .exterior import (
     Monomial,
     ZERO,
     Table,
-    _adjoint,
     _apply,
+    _basis_bits,
     _basis_rank,
-    _combined,
     _compiled,
-    _composed,
     _conjugation_table,
     _disjoint_pairs,
     _gaussian,
     _images,
     _parts,
     _per_degree,
+    _size,
     _table,
     _wedge_by,
     inner,  # kept as kaehler.inner, which perfbench/test_perfbench.py traces
@@ -165,11 +162,9 @@ def weil_operator(a):
     return _apply(_weil_table, a)
 
 
-@lru_cache(maxsize=None)
 def _dual_lefschetz_table(n: int, k: int) -> Table:
-    """The dual Lefschetz operator on degree k: the conjugate transpose of L
-    on degree k - 2."""
-    return _adjoint(_power_table(n, k - 2, 1), n)
+    """The dual Lefschetz operator on degree k, Lambda = L^0 Lambda^1."""
+    return _sl2_table(n, k, -1, ((0, 1, 1),))
 
 
 def dual_lefschetz(a):
@@ -209,11 +204,48 @@ def is_primitive(a: Form) -> bool:
     return dual_lefschetz(a).is_zero()
 
 
-def _wedge_sign(word: list[int]) -> int:
-    """The sign that sorts a wedge of distinct one-forms into canonical
-    order, given the word of their keys (a for dz_a, n + a for dzb_a)."""
-    inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
-    return -1 if inversions % 2 else 1
+def _blocks(n: int, k: int):
+    """Per degree-k monomial mu = dz^S ^ dzb^T, with P = S & T, A = S - P and
+    B = T - P: the bits of P, the block key A | B << n, j = |P|, and the
+    sign s(mu) = (-1)^(C(j,2) + j|A| + #{c in P, x in A u B: c > x}) of
+    mu = s(mu) e_(P;A,B)."""
+    masks, _ = _basis_bits(n, k)
+    s, t = (masks & ((1 << n) - 1)).astype(np.int64), (masks >> n).astype(np.int64)
+    ones = np.array([bin(x).count("1") for x in range(1 << n)])  # popcounts below 2^n
+    p, j = s & t, ones[s & t]
+    odd = j * (j - 1) // 2 + j * ones[s ^ p] + sum(
+        (p >> c & 1) * ones[(s ^ t) & ((1 << c) - 1)] for c in range(n))
+    return p, (s ^ p) | (t ^ p) << n, j, 1 - 2 * (odd & 1)
+
+
+@lru_cache(maxsize=None)
+def _sl2_table(n: int, k: int, shift: int, terms: tuple) -> Table:
+    """The table of sum w L^a Lambda^b on degree k over the terms (a, b, w),
+    every a - b = shift.  On the block basis (`_blocks`), L adds an index
+    to P with factor i and Lambda drops one with factor -i, so L^a Lambda^b
+    sends e_(P;A,B) to i^(a-b) a! b! sum C(|P & P'|, |P| - b) e_(P';A,B)
+    over the P' of size |P| + shift.  Pairs join the monomials of one block
+    key (a sort and a searchsorted join); an entry is their two signs times
+    the value of (|P|, |P & P'|), over one denominator."""
+    values = [[sum(Fraction(w) * factorial(a) * factorial(b) * comb(o, j - b)
+                   for a, b, w in terms if j >= b) for o in range(n + 1)] for j in range(n + 1)]
+    den = lcm(1, *(v.denominator for row in values for v in row))  # reduced values: least
+    nums = [[int(v * den) for v in row] for row in values]
+    lookup = np.array(nums, np.int64 if max(map(abs, sum(nums, []))) < 2 ** 63 else object)
+    p_in, key_in, j_in, s_in = _blocks(n, k)
+    p_out, key_out, _, s_out = _blocks(n, k + 2 * shift)
+    rows = np.flatnonzero((lookup != 0).any(axis=1)[j_in])  # inputs with a nonzero entry
+    order = np.argsort(key_out, kind="stable")
+    lo = np.searchsorted(key_out[order], key_in[rows], side="left")
+    counts = np.searchsorted(key_out[order], key_in[rows], side="right") - lo
+    src = np.repeat(rows, counts)
+    out = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(src.size)]
+    ones = np.array([bin(x).count("1") for x in range(1 << n)])
+    num = lookup[j_in[src], ones[p_in[src] & p_out[out]]] * (s_in[src] * s_out[out])
+    keep = np.flatnonzero(num)
+    src, out, num = src[keep], out[keep], num[keep]
+    re, im = num * (1, 0, -1, 0)[shift % 4], num * (0, 1, 0, -1)[shift % 4]  # times i^shift
+    return _table(k + 2 * shift, _size(n, k + 2 * shift), out, src, _gaussian(re, im), den, k)
 
 
 def _standard_tableaux(m: int, j: int):
@@ -233,18 +265,17 @@ def _primitive_table(n: int, k: int) -> Table:
     """The primitive basis of degree k, as the table of the map sending
     basis index t to the t-th basis form.
 
-    With A, B and P pairwise disjoint, e_(P;A,B) = wedge_(c in P)
-    (dz_c ^ dzb_c) ^ dz^A ^ dzb^B is +- a monomial, and in this basis the
-    dual Lefschetz operator is -i times the map D that drops one element
-    of P.  For a block (A, B) of bidegree (p, q), P ranges over the
-    j-subsets of the m = n - |A| - |B| other indices F, j = p - |A| =
-    q - |B|, and the kernel of D there is the Specht module S^(m-j, j).
-    Each standard tableau of shape (m - j, j) on F, with columns (a_i, b_i),
-    gives the polytabloid sum over c_i in {a_i, b_i} of
-    (-1)^(number of a_i chosen) e_({c_i};A,B), which D kills pair by pair;
-    together they are a basis (Sagan, The Symmetric Group, 2.3-2.6).  The
-    indices run by bidegree, then by j, block (A, B) and tableau; entries
-    are +-1.  Above the middle degree 2j > m, so there are no indices.
+    In the block basis e_(P;A,B) (`_blocks`), the dual Lefschetz operator
+    is -i times the map D that drops one element of P.  For a block (A, B)
+    of bidegree (p, q), P ranges over the j-subsets of the m = n - |A| - |B|
+    other indices F, j = p - |A| = q - |B|, and the kernel of D there is the
+    Specht module S^(m-j, j).  Each standard tableau of shape (m - j, j) on
+    F, with columns (a_i, b_i), gives the polytabloid sum over c_i in
+    {a_i, b_i} of (-1)^(number of a_i chosen) e_({c_i};A,B), which D kills
+    pair by pair; together they are a basis (Sagan, The Symmetric Group,
+    2.3-2.6).  The indices run by bidegree, then by j, block (A, B) and
+    tableau; entries are +-1.  Above the middle degree 2j > m, so there are
+    no indices.
     """
     rank, indices = _basis_rank(n, k), range(1, n + 1)
     rows, cols, coefs = [], [], []
@@ -259,15 +290,14 @@ def _primitive_table(n: int, k: int) -> Table:
                     for tableau in _standard_tableaux(len(F), j):
                         pairs = [(F[a], F[b]) for a, b in tableau]
                         for P in product(*pairs):
-                            word = [key for c in P for key in (c, n + c)]
-                            word += [*A, *(n + b for b in B)]
                             chosen_a = sum(c == a for c, (a, _) in zip(P, pairs))
                             rows.append(t)
                             cols.append(rank[Monomial(tuple(sorted(P + A)),
                                                       tuple(sorted(P + B)))])
-                            coefs.append((-1) ** chosen_a * _wedge_sign(word))
+                            coefs.append((-1) ** chosen_a)
                         t += 1
-    return _table(k, comb(2 * n, k), cols, rows, _gaussian(coefs), 1, None)
+    signs = np.array(coefs, dtype=np.int64) * _blocks(n, k)[3][np.array(cols, dtype=np.int64)]
+    return _table(k, comb(2 * n, k), cols, rows, _gaussian(signs), 1, None)
 
 
 def _inputs(table: Table) -> int:
@@ -327,36 +357,24 @@ def _decomposition_coefficient(m: int, r: int, t: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _decomposition_tables(n: int, k: int) -> tuple[tuple[int, Table], ...]:
     """The maps a -> a_r of the Lefschetz decomposition, one table per r,
-    each the table polynomial sum_t c_(r,t) L^t o Lambda^(r+t)
-    (`_decomposition_coefficient`)."""
-    chain = [_power_table(n, k, 0)]  # chain[s] = Lambda^s on degree k: L^0 = 1
-    for s in range(1, k // 2 + 1):
-        chain.append(_composed(_dual_lefschetz_table(n, k - 2 * s + 2), chain[-1]))
+    each sum_t c_(r,t) L^t Lambda^(r+t) (`_decomposition_coefficient`)."""
     return tuple(
-        (r, _combined([
-            (_decomposition_coefficient(n - k, r, t),
-             _composed(_power_table(n, k - 2 * r - 2 * t, t), chain[r + t]) if t else chain[r])
-            for t in range((k - 2 * r) // 2 + 1)
-        ]))
+        (r, _sl2_table(n, k, -r, tuple((t, r + t, _decomposition_coefficient(n - k, r, t))
+                                       for t in range((k - 2 * r) // 2 + 1))))
         for r in range(max(0, k - n), k // 2 + 1)
     )
 
 
-@lru_cache(maxsize=None)
 def _left_inverse_table(n: int, k: int) -> Table:
-    """A left inverse of L^(n-k) on degree k <= n, as a map from degree
-    2n - k back to degree k.  Lambda^(n-k) o L^(n-k) is c_r =
-    ((n-k+r)!/r!)^2 on L^r of the primitives of degree k - 2r (the sl_2
-    relations), so the inverse is (sum_r c_r^-1 L^r o a -> a_r) o
-    Lambda^(n-k), composed from the L, Lambda and decomposition tables."""
-    lowering = _power_table(n, 2 * n - k, 0)  # Lambda^0 = 1 on degree 2n - k
-    for d in range(2 * n - k, k, -2):
-        lowering = _composed(_dual_lefschetz_table(n, d), lowering)
-    return _composed(_combined([
-        (Fraction(factorial(r), factorial(n - k + r)) ** 2,
-         _composed(_power_table(n, k - 2 * r, r), part) if r else part)
-        for r, part in _decomposition_tables(n, k)
-    ]), lowering)
+    """A left inverse of L^(n-k) on degree k <= n, from degree 2n - k back to
+    degree k.  Lambda^(n-k) L^(n-k) is c_r = ((n-k+r)!/r!)^2 on L^r of the
+    primitives of degree k - 2r, so X_k = (sum_r c_r^-1 L^r o a -> a_r) o
+    Lambda^(n-k) = sum_(r,t) c_r^-1 c_(r,t) L^(r+t) Lambda^(n-k+r+t)."""
+    m = n - k
+    return _sl2_table(n, 2 * n - k, -m, tuple(
+        (r + t, m + r + t, Fraction(factorial(r), factorial(m + r)) ** 2
+         * _decomposition_coefficient(m, r, t))
+        for r in range(k // 2 + 1) for t in range((k - 2 * r) // 2 + 1)))
 
 
 def primitive_decompose(a) -> PrimitiveDecomposition:
@@ -398,13 +416,10 @@ def recompose(dec: PrimitiveDecomposition) -> Form:
     return out
 
 
-@lru_cache(maxsize=None)
 def _projection_table(n: int, k: int) -> Table:
     """The orthogonal projector onto primitive degree-k forms: the r = 0
     part of the decomposition, and zero above the middle degree."""
-    if k > n:
-        return _compiled(n, k, k, {})
-    return _decomposition_tables(n, k)[0][1]
+    return _decomposition_tables(n, k)[0][1] if k <= n else _sl2_table(n, k, 0, ())
 
 
 def primitive_projection(a):

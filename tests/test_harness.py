@@ -856,12 +856,12 @@ def test_a_vanishing_power_fails_the_kernel_dimension_certificate(monkeypatch, k
     assert failure.lhs == "fails: X_(k-2) o L^(n-k+1) o L = id"
 
 
-def test_a_patched_dual_lefschetz_leaves_no_left_inverse_behind(monkeypatch):
+def test_a_patched_dual_lefschetz_leaves_no_left_inverse_behind(monkeypatch, fresh_caches):
     # the left inverses are built while the dual Lefschetz table the suite
-    # reads is patched; they come from kaehler's own tables, so the
-    # certificates hold then and the suite passes once the patch is gone
+    # reads is patched; X_k is built in closed form and reads no Lambda
+    # table, so the certificates hold then and the suite passes once the
+    # patch is gone
     n = 4
-    kaehler._left_inverse_table.cache_clear()
     with monkeypatch.context() as patched:
         patched.setattr(harness, "_dual_lefschetz_table",
                         _off_by_one(harness._dual_lefschetz_table, (4,)))

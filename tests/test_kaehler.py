@@ -8,6 +8,7 @@ classical structure facts are asserted on top.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import comb, factorial, gcd
 
 import numpy as np
@@ -18,14 +19,18 @@ from kahlerlab.exterior import (
     Form,
     GaussRational,
     Monomial,
+    _basis_rank,
     _combined,
     _compiled,
     _composed,
     _conjugation_table,
     _equal_tables,
+    _gaussian,
     _images,
     _pair_outputs,
     _parts,
+    _size,
+    _table,
     bidegree_project,
     conjugate,
     inner,
@@ -42,6 +47,8 @@ from kahlerlab.kaehler import (
     _power_table,
     _primitive_table,
     _projection_table,
+    _sl2_table,
+    _standard_tableaux,
     _star_table,
     _weil_table,
     dual_lefschetz,
@@ -64,7 +71,7 @@ from kahlerlab.kaehler import (
 )
 from kahlerlab.rational_linalg import independent_columns
 
-from test_exterior import gaussian_batch, pushed, same_fields
+from test_exterior import _brute_wedge_sign, gaussian_batch, pushed, same_fields
 from test_rational_linalg import _dense_rows, _oracle_rref
 
 I = GaussRational(0, 1)
@@ -390,7 +397,7 @@ def test_table_rows_give_the_rank_of_l_and_the_nullity_of_the_dual():
     n = 2
     lef = _power_table(n, 0, 1)
     assert (lef.k, lef.size) == (2, comb(2 * n, 2))
-    assert lef.rows() == {lef.outputs[a]: {0: I} for a in range(n)}
+    assert _images(n, lef, 1) == [kahler_form(n)]
     assert len(_oracle_rref(_dense_rows(lef, 1))[1]) == 1
     for k in range(2, 2 * n + 1):
         lam = _dual_lefschetz_table(n, k)
@@ -717,3 +724,106 @@ def test_star_decomposition_and_projector_tables_match_the_pushed_identity(n):
         assert all(same_fields(a, b) for (_, a), (_, b) in zip(got, want))
         if k <= n:
             assert same_fields(_projection_table(n, k), want[0][1])
+
+
+# ---- the closed-form tables against the composed construction -----------------
+
+
+@lru_cache(maxsize=None)
+def _composed_dual_lefschetz(n, k):
+    """Lambda on degree k as the conjugate transpose of L = omega ^ on
+    degree k - 2."""
+    lef = _power_table(n, k - 2, 1)
+    return _table(k - 2, _size(n, k - 2), lef.src, _pair_outputs(lef), lef.coef.conj(),
+                  lef.den, k)
+
+
+@lru_cache(maxsize=None)
+def _composed_decomposition(n, k):
+    """Each a -> a_r as sum_t c_(r,t) L^t o Lambda^(r+t), composed from the
+    chain of transposed-L tables and combined over one denominator."""
+    chain = [_power_table(n, k, 0)]  # chain[s] = Lambda^s on degree k
+    for s in range(1, k // 2 + 1):
+        chain.append(_composed(_composed_dual_lefschetz(n, k - 2 * s + 2), chain[-1]))
+    return [(r, _combined([
+        (_decomposition_coefficient(n - k, r, t),
+         _composed(_power_table(n, k - 2 * r - 2 * t, t), chain[r + t]) if t else chain[r])
+        for t in range((k - 2 * r) // 2 + 1)
+    ])) for r in range(max(0, k - n), k // 2 + 1)]
+
+
+def _composed_left_inverse(n, k):
+    """X_k = (sum_r c_r^-1 L^r o D_r) o Lambda^(n-k), composed."""
+    lowering = _power_table(n, 2 * n - k, 0)
+    for d in range(2 * n - k, k, -2):
+        lowering = _composed(_composed_dual_lefschetz(n, d), lowering)
+    return _composed(_combined([
+        (Fraction(factorial(r), factorial(n - k + r)) ** 2,
+         _composed(_power_table(n, k - 2 * r, r), part) if r else part)
+        for r, part in _composed_decomposition(n, k)
+    ]), lowering)
+
+
+def _brute_block_sign(mono):
+    """s(mu) with mu = s(mu) e_(P;A,B), sorting the word of e_(P;A,B) into
+    mu one 1-form at a time with the brute-force wedge sign."""
+    pairs = sorted(set(mono.s) & set(mono.t))
+    word = [f for c in pairs for f in (Monomial((c,), ()), Monomial((), (c,)))]
+    word += [Monomial((a,), ()) for a in mono.s if a not in pairs]
+    word += [Monomial((), (b,)) for b in mono.t if b not in pairs]
+    done, sign = Monomial((), ()), 1
+    for one in word:
+        sign *= _brute_wedge_sign(done, one)
+        done = Monomial(tuple(sorted(done.s + one.s)), tuple(sorted(done.t + one.t)))
+    assert done == mono
+    return sign
+
+
+def _brute_primitive_table(n, k):
+    """The polytabloid basis of each block, its signs from `_brute_block_sign`."""
+    rank, indices = _basis_rank(n, k), range(1, n + 1)
+    cols, rows, coefs, t = [], [], [], 0
+    for p in range(max(0, k - n), min(k, n) + 1):
+        for j in range(min(p, k - p) + 1):
+            for A in combinations(indices, p - j):
+                rest = [x for x in indices if x not in A]
+                for B in combinations(rest, k - p - j):
+                    F = [x for x in rest if x not in B]
+                    for tableau in _standard_tableaux(len(F), j):
+                        pairs = [(F[a], F[b]) for a, b in tableau]
+                        for P in product(*pairs):
+                            mono = Monomial(tuple(sorted(P + A)), tuple(sorted(P + B)))
+                            chosen_a = sum(c == a for c, (a, _) in zip(P, pairs))
+                            rows.append(t)
+                            cols.append(rank[mono])
+                            coefs.append((-1) ** chosen_a * _brute_block_sign(mono))
+                        t += 1
+    return _table(k, comb(2 * n, k), cols, rows, _gaussian(coefs), 1, None)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_closed_form_tables_are_the_composed_ones(n):
+    """Lambda (empty below degree 2), every D_r, the projector (empty above
+    the middle degree), X_k and the primitive basis from the closed form
+    are, field by field and dtype by dtype, the tables composed from L =
+    omega ^ and its conjugate transpose, and the basis signed by brute force."""
+    for k in range(2 * n + 1):
+        assert same_fields(_dual_lefschetz_table(n, k), _composed_dual_lefschetz(n, k)), k
+        got, want = _decomposition_tables(n, k), _composed_decomposition(n, k)
+        assert [r for r, _ in got] == [r for r, _ in want]
+        assert all(same_fields(a, b) for (_, a), (_, b) in zip(got, want)), k
+        projector = want[0][1] if k <= n else _compiled(n, k, k, {})
+        assert same_fields(_projection_table(n, k), projector), k
+        if k <= n:
+            assert same_fields(_left_inverse_table(n, k), _composed_left_inverse(n, k)), k
+        assert same_fields(_primitive_table(n, k), _brute_primitive_table(n, k)), k
+
+
+def test_a_closed_form_table_past_2_63_takes_the_python_int_tier():
+    """Weights past 2^63 give a table on Python ints equal to the composed
+    and combined one: here (2^70 + 1) + L o Lambda on degree 3."""
+    n, k = 3, 3
+    got = _sl2_table(n, k, 0, ((0, 0, 2 ** 70 + 1), (1, 1, 1)))
+    lowered = _composed(_power_table(n, k - 2, 1), _composed_dual_lefschetz(n, k))
+    assert got.coef.dtype == object
+    assert same_fields(got, _combined([(2 ** 70 + 1, _power_table(n, k, 0)), (1, lowered)]))

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kahlerlab.exterior import GaussRational, _composed, _equal_tables, _gaussian, _table
+from kahlerlab.exterior import (
+    GaussRational,
+    _composed,
+    _equal_tables,
+    _gaussian,
+    _pair_outputs,
+    _parts,
+    _table,
+)
 from kahlerlab.harness import _scalar
 from kahlerlab.kaehler import _left_inverse_table, _power_table
 from kahlerlab.rational_linalg import independent_columns
@@ -169,9 +177,15 @@ def _identity(inputs):
 
 
 def _dense_rows(table, cols):
-    """The nonzero rows of a table's matrix, each as a list of cols entries."""
-    return [[row.get(c, GaussRational(0)) for c in range(cols)]
-            for row in table.rows().values()]
+    """The nonzero rows of a table's matrix, each as a list of cols entries,
+    read from its pairs."""
+    rows = {}
+    re, im = _parts(table.coef)
+    for o, s, x, y in zip(_pair_outputs(table).tolist(), table.src.tolist(), re.tolist(),
+                          im.tolist()):
+        rows.setdefault(o, [GaussRational(0)] * cols)[s] = _gr(Fraction(x, table.den),
+                                                               Fraction(y, table.den))
+    return list(rows.values())
 
 
 def _oracle_inverse(m):
