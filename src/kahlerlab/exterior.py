@@ -8,23 +8,25 @@ declared orthonormal; the inner product is linear in the first slot and
 conjugate-linear in the second.
 
 Beside the dict `Form` there is `Batch`: T forms of one degree k held as
-Gaussian-integer numerator arrays of shape (T, C(2n, k)) over the ranks of
-`monomial_basis(n, k)`, over one denominator shared by every row.  Every
-fixed linear operator is compiled once into a `Table` of signed (gather
-index, coefficient) pairs sorted by output; tables compose and combine
-exactly.  The exterior product of degrees da and db is a `Table` on the
-right factor whose coefficients are the reorder signs, plus the left
-factor's column of each pair.  One kernel applies both to a whole batch,
-chunk by chunk: one gather (a table) or two (a product), np.add.reduceat.
-A bound carried from the operands picks each batch's tier (`_cast`).  The
-product of two dict forms loops over their term pairs, so a sparse product
-costs its terms, not its degrees; fixed operators reach a dict form as
-one-row batches, one per degree.
+Gaussian-integer numerator arrays of shape (T, C(2n, k)), over one
+denominator shared by every row.  Every fixed linear operator is compiled
+once into a `Table` of signed (gather index, coefficient) pairs sorted by
+output; tables compose and combine exactly.  The exterior product of
+degrees da and db is a `Table` on the right factor whose coefficients are
+the reorder signs, plus the left factor's column of each pair.  One kernel
+applies both to a whole batch, chunk by chunk: one gather (a table) or two
+(a product), np.add.reduceat.  A bound carried from the operands picks each
+batch's tier (`_cast`).  The product of two dict forms loops over their
+term pairs, so a sparse product costs its terms, not its degrees; fixed
+operators reach a dict form as one-row batches, one per degree.
 
-The exterior product works on bitmasks: a monomial is the 2n-bit set of its
-1-forms in the order dz_1..dz_n, dzb_1..dzb_n, and the reorder sign of a
-product is the parity of the pairs that change places (Dorst, Fontijne and
-Mann, Geometric Algebra for Computer Science, ch. 19).
+Monomials are bitmasks: the 2n-bit set of their 1-forms in the order
+dz_1..dz_n, dzb_1..dzb_n.  The columns of degree k are the masks of
+`_masks(n, k)`, in the order of a lexsort of (S, T), which is
+`monomial_basis` order; every table is built from masks and popcounts,
+and `Monomial` tuples are made only to render a form.  The reorder sign of
+a product is the parity of the pairs that change places (Dorst, Fontijne
+and Mann, Geometric Algebra for Computer Science, ch. 19).
 """
 
 from __future__ import annotations
@@ -531,16 +533,11 @@ def _cast(bound: int, *arrays: np.ndarray) -> Sequence[np.ndarray]:
     return [a if a.dtype == object else _gaussian(*_parts(a), objects=True) for a in arrays]
 
 
-@lru_cache(maxsize=None)
-def _basis_rank(n: int, k: int) -> dict[Monomial, int]:
-    return {mono: i for i, mono in enumerate(monomial_basis(n, k))}
-
-
 class Batch:
     """T forms of degree k at dimension n, as Gaussian-integer numerators.
 
-    Row t is sum_j num[t, j] / den * basis[j] over basis =
-    monomial_basis(n, k); den is a positive int shared by every row.  A
+    Row t is sum_j num[t, j] / den * mu_j, mu_j the monomial of mask
+    `_masks(n, k)[j]`; den is a positive int shared by every row.  A
     degree-0 batch doubles as a column of scalars.  bound, when given, is an
     upper bound on every |re| and |im| of num; without it the numerators are
     measured when first needed.  Batches are never changed in place.
@@ -559,15 +556,16 @@ class Batch:
         degree is a ValueError."""
         if any(form.n != n for form in forms):
             raise ValueError(f"batch mismatch: a form of another dimension at n={n}")
-        rank, size = _basis_rank(n, k), _size(n, k)
+        size, masks = _size(n, k), _masks(n, k)
         den = lcm(1, *(c._d for form in forms for c in form.terms.values()))
+        cells = [(t, mono, c) for t, form in enumerate(forms) for mono, c in form.terms.items()]
+        wrong = [mono for _, mono, _ in cells if mono.degree != k]
+        if wrong:
+            raise ValueError(f"{wrong[0].label()} is not of degree {k} at n={n}")
+        ranks = _ranked(masks, np.array([_bits(n, mono)[0] for _, mono, _ in cells], masks.dtype))
         re, im = [0] * (len(forms) * size), [0] * (len(forms) * size)
-        for t, form in enumerate(forms):
-            for mono, c in form.terms.items():
-                j = rank.get(mono)
-                if j is None:
-                    raise ValueError(f"{mono.label()} is not of degree {k} at n={n}")
-                re[t * size + j], im[t * size + j] = c._x * (den // c._d), c._y * (den // c._d)
+        for (t, _, c), j in zip(cells, ranks.tolist()):
+            re[t * size + j], im[t * size + j] = c._x * (den // c._d), c._y * (den // c._d)
         return cls(n, k, _gaussian(re, im).reshape(len(forms), size), den)
 
     @classmethod
@@ -593,12 +591,12 @@ class Batch:
         return len(self.num)
 
     def terms(self, t: int) -> dict[Monomial, GaussRational]:
-        basis, den, row = monomial_basis(self.n, self.k), self.den, self.num[t]
+        den, row = self.den, self.num[t]
         make = GaussRational._raw if den == 1 else GaussRational._norm
         cols = np.flatnonzero(row.astype(bool))
         re, im = _parts(row[cols])
-        return {basis[j]: make(x, y, den)
-                for j, x, y in zip(cols.tolist(), re.tolist(), im.tolist())}
+        return {_monomial_of(self.n, mask): make(x, y, den) for mask, x, y in
+                zip(_masks(self.n, self.k)[cols].tolist(), re.tolist(), im.tolist())}
 
     def form(self, t: int) -> Form:
         return Form._trusted(self.n, self.terms(t))
@@ -797,19 +795,6 @@ def _table(k: int, size: int, out, src, coef: np.ndarray, den: int, k_in: int | 
                  2 * _maxabs(coef) * longest, k_in)
 
 
-def _compiled(n: int, k_in: int, k_out: int,
-              columns: Mapping[Monomial, Mapping[Monomial, GaussRational]]) -> Table:
-    """Table of the map sending each degree-k_in monomial mu to
-    sum_nu columns[mu][nu] * nu."""
-    rank_in, rank_out = _basis_rank(n, k_in), _basis_rank(n, k_out)
-    pairs = [(rank_out[nu], rank_in[mu], c)
-             for mu, col in columns.items() for nu, c in col.items()]
-    den = lcm(1, *(c._d for *_, c in pairs))
-    return _table(k_out, _size(n, k_out), [o for o, _, _ in pairs], [s for _, s, _ in pairs],
-                  _gaussian([c._x * (den // c._d) for *_, c in pairs],
-                            [c._y * (den // c._d) for *_, c in pairs]), den, k_in)
-
-
 def _pair_outputs(table: Table) -> np.ndarray:
     """The output column of every pair of a table."""
     return np.repeat(table.outputs, np.diff(np.append(table.starts, table.src.size)))
@@ -869,10 +854,8 @@ def _conjugation_table(n: int, k: int) -> Table:
     the coefficients are conjugated before it is applied.  The output of
     each bitmask is the mask with its holomorphic and antiholomorphic halves
     swapped."""
-    masks, _ = _basis_bits(n, k)
-    low = (1 << n) - 1
-    swapped = (masks >> n) | ((masks & low) << n)
-    p = np.array([len(mono.s) for mono in monomial_basis(n, k)], dtype=np.int64)
+    masks, p = _masks(n, k), _holomorphic(n, k)
+    swapped = (masks >> n) | ((masks & ((1 << n) - 1)) << n)
     sign = 1 - 2 * (p * (k - p) & 1)
     return _table(k, _size(n, k), _ranked(masks, swapped), np.arange(masks.size),
                   _gaussian(sign), 1, k)
@@ -882,42 +865,53 @@ def _conjugation_table(n: int, k: int) -> Table:
 
 @lru_cache(maxsize=None)
 def _bits(n: int, mono: Monomial) -> tuple[int, int]:
-    """Bitmask and suffix parities of a monomial at dimension n.
+    """Bitmask and suffix parities (`_parities`) of a monomial at dimension
+    n: bit a-1 stands for dz_a and bit n+a-1 for dzb_a."""
+    mask = sum(1 << (a - 1) for a in mono.s) | sum(1 << (n + a - 1) for a in mono.t)
+    return mask, _parities(n, mask)
 
-    Bit a-1 stands for dz_a and bit n+a-1 for dzb_a.  Bit y of the suffix
-    parity mask is the parity of the bits of the monomial above y, so
-    mu ^ nu reorders with sign (-1)^popcount(parities(mu) & mask(nu)).
-    """
-    mask = 0
-    for a in mono.s:
-        mask |= 1 << (a - 1)
-    for a in mono.t:
-        mask |= 1 << (n + a - 1)
-    parities = 0
-    rest = mask >> 1
-    while rest:
-        parities ^= rest
-        rest >>= 1
-    return mask, parities
+
+def _parities(n: int, masks):
+    """Bit y of the suffix parities of a mask is the parity of its bits above
+    y, so mu ^ nu reorders with sign (-1)^popcount(parities(mu) & mask(nu));
+    of an int or elementwise."""
+    out, shift = masks >> 1, 1
+    while shift < 2 * n:
+        out, shift = out ^ (out >> shift), 2 * shift
+    return out
+
+
+@lru_cache(maxsize=None)
+def _masks(n: int, k: int) -> np.ndarray:
+    """The bitmasks of the degree-k monomials dz^S ^ dzb^T in `monomial_basis`
+    order, the columns of every batch and table: int64, or Python ints when
+    2n >= 63.  That order sorts by S as a tuple, then by T, whose subsets of
+    one size come in `combinations` order; only degree-k masks are formed."""
+    dtype, sizes = np.int64 if 2 * n < 63 else object, range(max(0, k - n), min(k, n) + 1)
+    right = {d: np.array([sum(1 << b for b in t) for t in combinations(range(n, 2 * n), d)],
+                         dtype) for d in (k - p for p in sizes)}
+    return np.concatenate([np.zeros(0, dtype)] + [
+        sum(1 << a for a in s) | right[k - len(s)]
+        for s in sorted(s for p in sizes for s in combinations(range(n), p))])
+
+
+def _ones(masks: np.ndarray) -> np.ndarray:
+    """The popcount of each mask, as int64."""
+    if masks.dtype == object:
+        return np.vectorize(int.bit_count, otypes=[np.int64])(masks)
+    return np.bitwise_count(masks).astype(np.int64)
+
+
+def _holomorphic(n: int, k: int) -> np.ndarray:
+    """p of each degree-k monomial dz^S ^ dzb^T, |S| = p, in basis order."""
+    return _ones(_masks(n, k) & ((1 << n) - 1))
 
 
 @lru_cache(maxsize=None)
 def _monomial_of(n: int, mask: int) -> Monomial:
     """The monomial whose bitmask at dimension n is mask."""
-    return Monomial(
-        tuple(a for a in range(1, n + 1) if mask >> (a - 1) & 1),
-        tuple(a for a in range(1, n + 1) if mask >> (n + a - 1) & 1),
-    )
-
-
-@lru_cache(maxsize=None)
-def _basis_bits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    bits = [_bits(n, mono) for mono in monomial_basis(n, k)]
-    dtype = np.int64 if 2 * n < 63 else object  # wider masks stay Python ints
-    return (
-        np.array([m for m, _ in bits], dtype=dtype),
-        np.array([p for _, p in bits], dtype=dtype),
-    )
+    return Monomial(*(tuple(a for a in range(1, n + 1) if mask >> (a - 1 + half) & 1)
+                      for half in (0, n)))
 
 
 def _ranked(masks: np.ndarray, of: np.ndarray) -> np.ndarray:
@@ -934,8 +928,7 @@ def _disjoint_pairs(n: int, lefts: np.ndarray, da: int, db: int):
     The rights of a left monomial are the db-subsets of its complement: one
     combinations index array over the 2n - da free bit positions, mapped
     through each left's own, so no left x right mask matrix is formed."""
-    mask_a, par_a = (bits[lefts] for bits in _basis_bits(n, da))
-    mask_b, _ = _basis_bits(n, db)
+    mask_a, mask_b = _masks(n, da)[lefts], _masks(n, db)
     free = np.nonzero(((mask_a[:, None] >> np.arange(2 * n)) & 1) == 0)[1]
     free = free.reshape(len(mask_a), 2 * n - da)
     subsets = np.array(list(combinations(range(2 * n - da), db)),
@@ -945,13 +938,9 @@ def _disjoint_pairs(n: int, lefts: np.ndarray, da: int, db: int):
         rmask |= np.ones((), dtype=mask_a.dtype) << free[:, column]
     right = np.sort(_ranked(mask_b, rmask), axis=1).ravel()
     left = np.repeat(np.arange(len(mask_a)), len(subsets))
-    out = _ranked(_basis_bits(n, da + db)[0], mask_a[left] | mask_b[right])
-    odd = par_a[left] & mask_b[right]
-    shift = 1
-    while shift < 2 * n:
-        odd ^= odd >> shift
-        shift *= 2
-    return left, right, (1 - 2 * (odd & 1)).astype(np.int8), out
+    out = _ranked(_masks(n, da + db), mask_a[left] | mask_b[right])
+    odd = _ones(_parities(n, mask_a)[left] & mask_b[right]) & 1
+    return left, right, (1 - 2 * odd).astype(np.int8), out
 
 
 @lru_cache(maxsize=None)

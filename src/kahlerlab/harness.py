@@ -42,10 +42,10 @@ from .exterior import (
     Monomial,
     Table,
     _combined,
-    _compiled,
     _composed,
     _equal_tables,
     _gaussian,
+    _holomorphic,
     _images,
     _pair_outputs,
     _parts,
@@ -166,9 +166,9 @@ _TRIAL_BLOCK = 1024
 def _columns(n: int, shape) -> tuple[int, np.ndarray]:
     """The degree of a shape, a degree k or a bidegree (p, q), and the ranks
     of its monomials among those of the degree."""
-    k = shape if isinstance(shape, int) else sum(shape)
-    return k, np.array([j for j, mono in enumerate(monomial_basis(n, k))
-                        if shape in (k, mono.bidegree)], dtype=np.int64)
+    if isinstance(shape, int):
+        return shape, np.arange(comb(2 * n, shape))
+    return sum(shape), np.flatnonzero(_holomorphic(n, sum(shape)) == shape[0])
 
 
 def _draw_degree(rng, rows: int, n: int, shapes, bound: int) -> list[Batch]:
@@ -540,8 +540,7 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
         counts = [_once(f"primitive-dimension[k={k}]", at, count == expected,
                         lambda: (count, expected))]
         holomorphic = np.zeros(count, dtype=np.int64)
-        holomorphic[basis.src] = np.array(
-            [len(mono.s) for mono in monomial_basis(n, k)])[_pair_outputs(basis)]
+        holomorphic[basis.src] = _holomorphic(n, k)[_pair_outputs(basis)]
         kept = np.ones(count, dtype=bool)
         kept[_chain(n, k, (_primitive_table,), (_dual_lefschetz_table,)).src] = False
         killed.update((p, k - p) for p in holomorphic[kept].tolist())
@@ -614,9 +613,11 @@ def _compiled_star(star_fn: Callable[[Form], Form]) -> Callable[[int, int], Tabl
     """An injected linear Form -> Form star, as its table on each degree."""
     @lru_cache(maxsize=None)
     def star(n: int, k: int) -> Table:
-        return _compiled(n, k, 2 * n - k, {
-            mu: star_fn(Form.monomial(n, mu.s, mu.t)).terms for mu in monomial_basis(n, k)
-        })
+        images = Batch.of(n, 2 * n - k, [star_fn(Form.monomial(n, mu.s, mu.t))
+                                         for mu in monomial_basis(n, k)])
+        src, out = np.nonzero(images.num.astype(bool))
+        return _table(2 * n - k, images.num.shape[1], out, src, images.num[src, out],
+                      images.den, k)
     return star
 
 

@@ -48,20 +48,20 @@ from .exterior import (
     ZERO,
     Table,
     _apply,
-    _basis_bits,
-    _basis_rank,
-    _compiled,
     _conjugation_table,
     _disjoint_pairs,
     _gaussian,
+    _holomorphic,
     _images,
+    _masks,
+    _ones,
     _parts,
     _per_degree,
+    _ranked,
     _size,
     _table,
     _wedge_by,
     inner,  # kept as kaehler.inner, which perfbench/test_perfbench.py traces
-    monomial_basis,
     norm_sq,
 )
 
@@ -151,10 +151,10 @@ def star_inverse(a):
 
 @lru_cache(maxsize=None)
 def _weil_table(n: int, k: int) -> Table:
-    return _compiled(n, k, k, {
-        mono: {mono: GaussRational.i_power(len(mono.s) - len(mono.t))}
-        for mono in monomial_basis(n, k)
-    })
+    """i^(p-q) = i^(2p-k) on each (p, q) monomial of degree k."""
+    power, ids = (2 * _holomorphic(n, k) - k) % 4, np.arange(_size(n, k))
+    return _table(k, ids.size, ids, ids, _gaussian(np.array([1, 0, -1, 0])[power],
+                                                   np.array([0, 1, 0, -1])[power]), 1, k)
 
 
 def weil_operator(a):
@@ -206,16 +206,15 @@ def is_primitive(a: Form) -> bool:
 
 def _blocks(n: int, k: int):
     """Per degree-k monomial mu = dz^S ^ dzb^T, with P = S & T, A = S - P and
-    B = T - P: the bits of P, the block key A | B << n, j = |P|, and the
-    sign s(mu) = (-1)^(C(j,2) + j|A| + #{c in P, x in A u B: c > x}) of
-    mu = s(mu) e_(P;A,B)."""
-    masks, _ = _basis_bits(n, k)
+    B = T - P: the bits of P, the block key A | B << n (the mask less P on
+    both halves, exact in the masks' dtype), j = |P|, and the sign s(mu) =
+    (-1)^(C(j,2) + j|A| + #{c in P, x in A u B: c > x}) of mu = s(mu) e_(P;A,B)."""
+    masks = _masks(n, k)
     s, t = (masks & ((1 << n) - 1)).astype(np.int64), (masks >> n).astype(np.int64)
-    ones = np.array([bin(x).count("1") for x in range(1 << n)])  # popcounts below 2^n
-    p, j = s & t, ones[s & t]
-    odd = j * (j - 1) // 2 + j * ones[s ^ p] + sum(
-        (p >> c & 1) * ones[(s ^ t) & ((1 << c) - 1)] for c in range(n))
-    return p, (s ^ p) | (t ^ p) << n, j, 1 - 2 * (odd & 1)
+    p, j = s & t, _ones(s & t)
+    odd = j * (j - 1) // 2 + j * _ones(s ^ p) + sum(
+        (p >> c & 1) * _ones((s ^ t) & ((1 << c) - 1)) for c in range(n))
+    return p, masks ^ p.astype(masks.dtype) * ((1 << n) + 1), j, 1 - 2 * (odd & 1)
 
 
 @lru_cache(maxsize=None)
@@ -240,24 +239,26 @@ def _sl2_table(n: int, k: int, shift: int, terms: tuple) -> Table:
     counts = np.searchsorted(key_out[order], key_in[rows], side="right") - lo
     src = np.repeat(rows, counts)
     out = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(src.size)]
-    ones = np.array([bin(x).count("1") for x in range(1 << n)])
-    num = lookup[j_in[src], ones[p_in[src] & p_out[out]]] * (s_in[src] * s_out[out])
+    num = lookup[j_in[src], _ones(p_in[src] & p_out[out])] * (s_in[src] * s_out[out])
     keep = np.flatnonzero(num)
     src, out, num = src[keep], out[keep], num[keep]
     re, im = num * (1, 0, -1, 0)[shift % 4], num * (0, 1, 0, -1)[shift % 4]  # times i^shift
     return _table(k + 2 * shift, _size(n, k + 2 * shift), out, src, _gaussian(re, im), den, k)
 
 
-def _standard_tableaux(m: int, j: int):
-    """The standard tableaux of shape (m - j, j) on 0..m-1, each as its
-    columns of length two, (first-row entry, second-row entry); none
-    unless j <= m - j."""
-    if 2 * j > m:
-        return
+@lru_cache(maxsize=None)
+def _polytabloids(m: int, j: int):
+    """The polytabloids of shape (m - j, j) on 0..m-1, j <= m - j, one per
+    standard tableau (second row b_1 < .. < b_j, columns (a_i, b_i) with
+    a_i < b_i): term i is sign[i] e_P in polytabloid tab[i], P at pos[i]."""
+    terms, t = [], 0
     for second in combinations(range(m), j):
-        first = [x for x in range(m) if x not in second]
-        if all(a < b for a, b in zip(first, second)):
-            yield zip(first, second)
+        columns = list(zip([x for x in range(m) if x not in second], second))
+        if all(a < b for a, b in columns):
+            terms += [(t, chosen, (-1) ** sum(c == a for c, (a, _) in zip(chosen, columns)))
+                      for chosen in product(*columns)]
+            t += 1
+    return tuple(np.array(x, np.int64) for x in zip(*terms))
 
 
 @lru_cache(maxsize=None)
@@ -274,30 +275,30 @@ def _primitive_table(n: int, k: int) -> Table:
     {a_i, b_i} of (-1)^(number of a_i chosen) e_({c_i};A,B), which D kills
     pair by pair; together they are a basis (Sagan, The Symmetric Group,
     2.3-2.6).  The indices run by bidegree, then by j, block (A, B) and
-    tableau; entries are +-1.  Above the middle degree 2j > m, so there are
-    no indices.
+    tableau; entries are +-1.  The blocks of (p, j) are the disjoint masks
+    A | B << n of degree k - 2j with |A| = p - j, in basis order, and one
+    pattern of polytabloids per (m, j) goes through each block's F.  Above
+    the middle degree 2j > m, so there are no indices.
     """
-    rank, indices = _basis_rank(n, k), range(1, n + 1)
-    rows, cols, coefs = [], [], []
-    t = 0
+    if k > n:
+        return _table(k, _size(n, k), [], [], np.zeros(0, np.complex128), 1, None)
+    low, start, monomials, rows, signs = (1 << n) - 1, 0, [], [], []
     for p in range(max(0, k - n), min(k, n) + 1):
-        q = k - p
-        for j in range(min(p, q) + 1):
-            for A in combinations(indices, p - j):
-                rest = [x for x in indices if x not in A]
-                for B in combinations(rest, q - j):
-                    F = [x for x in rest if x not in B]
-                    for tableau in _standard_tableaux(len(F), j):
-                        pairs = [(F[a], F[b]) for a, b in tableau]
-                        for P in product(*pairs):
-                            chosen_a = sum(c == a for c, (a, _) in zip(P, pairs))
-                            rows.append(t)
-                            cols.append(rank[Monomial(tuple(sorted(P + A)),
-                                                      tuple(sorted(P + B)))])
-                            coefs.append((-1) ** chosen_a)
-                        t += 1
-    signs = np.array(coefs, dtype=np.int64) * _blocks(n, k)[3][np.array(cols, dtype=np.int64)]
-    return _table(k, comb(2 * n, k), cols, rows, _gaussian(signs), 1, None)
+        for j in range(min(p, k - p) + 1):
+            m, blocks = n - k + 2 * j, _masks(n, k - 2 * j)
+            tab, pos, sign = _polytabloids(m, j)
+            a, b = (blocks & low).astype(np.int64), (blocks >> n).astype(np.int64)
+            kept = (a & b == 0) & (_ones(a) == p - j)
+            blocks, taken = blocks[kept], (a | b)[kept]
+            free = np.nonzero((taken[:, None] >> np.arange(n) & 1) == 0)[1].reshape(taken.size, m)
+            chosen = (np.int64(1) << free[:, pos]).sum(axis=2).astype(blocks.dtype)
+            monomials.append((blocks[:, None] | chosen | chosen << n).ravel())
+            rows.append((start + np.arange(blocks.size)[:, None] * (tab[-1] + 1) + tab).ravel())
+            signs.append(np.tile(sign, blocks.size))
+            start += blocks.size * (tab[-1] + 1)
+    cols = _ranked(_masks(n, k), np.concatenate(monomials))
+    return _table(k, _size(n, k), cols, np.concatenate(rows),
+                  _gaussian(np.concatenate(signs) * _blocks(n, k)[3][cols]), 1, None)
 
 
 def _inputs(table: Table) -> int:

@@ -8,7 +8,7 @@ concatenation sort.
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -20,15 +20,16 @@ from kahlerlab.exterior import (
     GaussRational,
     Monomial,
     Table,
-    _basis_bits,
+    _bits,
     _cast,
     _combined,
-    _compiled,
     _composed,
     _conjugation_table,
     _equal_tables,
     _gaussian,
+    _masks,
     _maxabs,
+    _ones,
     _parts,
     _size,
     _table,
@@ -316,6 +317,22 @@ def test_basis_enumeration_counts():
                 assert len(bidegree_basis(n, p, q)) == comb(n, p) * comb(n, q)
 
 
+def _reference_mask(n: int, mono: Monomial) -> int:
+    return sum(1 << (a - 1) for a in mono.s) | sum(1 << (n + a - 1) for a in mono.t)
+
+
+@pytest.mark.parametrize("n,highest", [(n, 2 * n + 1) for n in range(8)] + [(32, 3), (33, 3)])
+def test_the_masks_are_those_of_the_monomial_basis_in_its_order(n, highest):
+    """int64 below 2n = 63, Python ints from there on; empty outside 0..2n."""
+    for k in range(-1, highest + 1):
+        masks = _masks(n, k)
+        assert masks.tolist() == [_reference_mask(n, mono) for mono in monomial_basis(n, k)], k
+        assert masks.dtype == (np.int64 if 2 * n < 63 else object), k
+        assert all(type(mask) is int for mask in masks.tolist()), k
+        assert _ones(masks).dtype == np.int64
+        assert _ones(masks).tolist() == [mono.degree for mono in monomial_basis(n, k)], k
+
+
 def test_form_text_rendering():
     n = 2
     a = Form(n, {Monomial((1,), (2,)): GaussRational(0, Fraction(1, 2))})
@@ -509,9 +526,8 @@ def _dense_wedge_table(n: int, da: int, db: int) -> tuple[Table, np.ndarray]:
     """The wedge table and its left column from the dense left x right mask
     matrix: every pair of degree-da and degree-db monomials, kept when
     disjoint."""
-    mask_a, par_a = _basis_bits(n, da)
-    mask_b, _ = _basis_bits(n, db)
-    mask_c, _ = _basis_bits(n, da + db)
+    mask_a, mask_b, mask_c = _masks(n, da), _masks(n, db), _masks(n, da + db)
+    par_a = np.array([_bits(n, mono)[1] for mono in monomial_basis(n, da)], mask_a.dtype)
     left, right = np.nonzero((mask_a[:, None] & mask_b[None, :]) == 0)
     order_c = np.argsort(mask_c)
     out = order_c[np.searchsorted(mask_c, mask_a[left] | mask_b[right], sorter=order_c)]
@@ -555,7 +571,7 @@ def test_the_product_table_holds_no_imaginary_part_per_pair():
 def test_the_middle_wedge_table_at_n8_builds_without_the_dense_mask_matrix():
     """(8, 8) at n = 8 has 12870 pairs, one per left monomial; the dense
     mask matrix alone would be 12870^2 entries (166 MB as booleans)."""
-    _basis_bits(8, 8), _basis_bits(8, 16)  # the cached bitmasks are not the table's
+    _masks(8, 8), _masks(8, 16)  # the cached bitmasks are not the table's
     tracemalloc.start()
     try:
         table, left = _wedge_table.__wrapped__(8, 8, 8)
@@ -736,6 +752,19 @@ def test_batch_of_puts_every_row_over_the_least_common_denominator():
 # ---- table algebra against pushing the identity through the tables -----------
 
 
+def compiled(n: int, k_in: int, k_out: int, columns) -> Table:
+    """The reference table of the map sending each degree-k_in monomial mu
+    to sum_nu columns[mu][nu] * nu, ranked through {monomial: index} dicts."""
+    rank_in, rank_out = ({mono: i for i, mono in enumerate(monomial_basis(n, k))}
+                         for k in (k_in, k_out))
+    pairs = [(rank_out[nu], rank_in[mu], c)
+             for mu, col in columns.items() for nu, c in col.items()]
+    den = lcm(1, *(c._d for *_, c in pairs))
+    return _table(k_out, _size(n, k_out), [o for o, _, _ in pairs], [s for _, s, _ in pairs],
+                  _gaussian([c._x * (den // c._d) for *_, c in pairs],
+                            [c._y * (den // c._d) for *_, c in pairs]), den, k_in)
+
+
 def pushed(op, n, k_in, k_out):
     """The table of a linear map on batches, learned by pushing the identity
     through it: the reference route for composed and combined tables."""
@@ -744,7 +773,7 @@ def pushed(op, n, k_in, k_out):
     images = op(units)
     assert images.k == k_out
     basis_in = monomial_basis(n, k_in)
-    return _compiled(n, k_in, k_out, {
+    return compiled(n, k_in, k_out, {
         basis_in[j]: images.form(j).terms for j in range(size)
     })
 
@@ -833,7 +862,7 @@ def test_table_algebra_leaves_int64_only_when_the_entries_do():
     empty = _real_table(2, 6, [], [], [], 7, 2)
     for table in (_composed(big, empty), _composed(empty, big), _combined([(3, empty)]),
                   _combined([(0, big)])):
-        assert same_fields(table, _compiled(n, 2, 2, {}))
+        assert same_fields(table, compiled(n, 2, 2, {}))
     assert same_fields(_composed(_real_table(2, 6, range(6), range(6), [1] * 6, 1, 2), big),
                        _combined([(1, big)]))
 
@@ -843,7 +872,7 @@ def test_conjugation_tables_match_their_monomial_construction():
     dz^S ^ dzb^T -> (-1)^(pq) dz^T ^ dzb^S monomial by monomial."""
     for n in range(1, 6):
         for k in range(2 * n + 1):
-            want = _compiled(n, k, k, {
+            want = compiled(n, k, k, {
                 mono: {Monomial(mono.t, mono.s): GaussRational((-1) ** (len(mono.s) * len(mono.t)))}
                 for mono in monomial_basis(n, k)
             })

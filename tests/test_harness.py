@@ -18,7 +18,7 @@ from kahlerlab.exterior import (
     Batch, Form, GaussRational, _images, _pair_outputs, _parts, _table, bidegree_basis,
     monomial_basis, norm_sq,
 )
-from kahlerlab import harness, kaehler
+from kahlerlab import exterior, harness, kaehler
 from kahlerlab.harness import (
     SUITES,
     _draw_degree,
@@ -170,6 +170,24 @@ def test_flipped_star_is_caught_with_detailed_records():
     payload = json.loads(report.to_json())
     assert payload["pass"] is False
     assert payload["failures"][0]["identity"] == record.identity
+
+
+def test_a_passing_run_builds_no_tuple_basis(monkeypatch, fresh_caches):
+    """Every table is built from bitmasks: with the tuple basis unavailable
+    every suite still passes on cold caches, and a failing run renders its
+    forms through it once it is back."""
+    def refused(n, k):
+        raise AssertionError(f"monomial_basis({n}, {k}) on a passing run")
+
+    for module in (exterior, harness):
+        monkeypatch.setattr(module, "monomial_basis", refused)
+    for report in run_all(4, 2, RandomSpec(42)):
+        assert report.passed, report.to_json()
+    monkeypatch.undo()
+    flipped = check_star_primitive(2, 1, RandomSpec(42),
+                                   star_fn=lambda a: hodge_star(a) * GaussRational(-1))
+    assert flipped.failures and all(f.lhs != f.rhs for f in flipped.failures)
+    assert any("dz[" in f.lhs for f in flipped.failures)
 
 
 def test_scaled_star_perturbation_also_caught():

@@ -19,9 +19,7 @@ from kahlerlab.exterior import (
     Form,
     GaussRational,
     Monomial,
-    _basis_rank,
     _combined,
-    _compiled,
     _composed,
     _conjugation_table,
     _equal_tables,
@@ -48,7 +46,6 @@ from kahlerlab.kaehler import (
     _primitive_table,
     _projection_table,
     _sl2_table,
-    _standard_tableaux,
     _star_table,
     _weil_table,
     dual_lefschetz,
@@ -71,7 +68,7 @@ from kahlerlab.kaehler import (
 )
 from kahlerlab.rational_linalg import independent_columns
 
-from test_exterior import _brute_wedge_sign, gaussian_batch, pushed, same_fields
+from test_exterior import _brute_wedge_sign, compiled, gaussian_batch, pushed, same_fields
 from test_rational_linalg import _dense_rows, _oracle_rref
 
 I = GaussRational(0, 1)
@@ -694,7 +691,7 @@ def _reference_star_table(n, k):
         pairing = _mono_form(n, mu).wedge(conjugate(_mono_form(n, nu))).terms
         (c,) = pairing.values()
         columns[mu] = {nu: (v / c).conjugate()}
-    return _compiled(n, k, 2 * n - k, columns)
+    return compiled(n, k, 2 * n - k, columns)
 
 
 def _reference_decomposition_tables(n, k):
@@ -724,6 +721,70 @@ def test_star_decomposition_and_projector_tables_match_the_pushed_identity(n):
         assert all(same_fields(a, b) for (_, a), (_, b) in zip(got, want))
         if k <= n:
             assert same_fields(_projection_table(n, k), want[0][1])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_weil_tables_are_the_per_monomial_ones(n):
+    """i^(p-q) from popcounts equals, field by field, the table compiled
+    from i^(|S|-|T|) monomial by monomial."""
+    for k in range(2 * n + 1):
+        want = compiled(n, k, k, {mono: {mono: GaussRational.i_power(len(mono.s) - len(mono.t))}
+                                  for mono in monomial_basis(n, k)})
+        assert same_fields(_weil_table(n, k), want), k
+
+
+# ---- few-term forms past 64-bit masks ---------------------------------------
+
+
+def _sparse_dual_lefschetz(a):
+    """sum of <a, L nu> nu over the nu that drop one pair dz_c ^ dzb_c from a
+    term of a, the only nu with <a, L nu> != 0: it costs the terms of a."""
+    out = Form.zero(a.n)
+    for nu in sorted({Monomial(tuple(x for x in mu.s if x != c), tuple(x for x in mu.t if x != c))
+                      for mu in a.terms for c in set(mu.s) & set(mu.t)}):
+        out = out + _mono_form(a.n, nu) * inner(a, lefschetz_L(_mono_form(a.n, nu)))
+    return out
+
+
+def _sparse_decomposition(a, k):
+    """a_r = sum_t c_(r,t) L^t Lambda^(r+t) a, term by term."""
+    lowered = [a]
+    while len(lowered) <= k // 2:
+        lowered.append(_sparse_dual_lefschetz(lowered[-1]))
+    parts = {}
+    for r in range(max(0, k - a.n), k // 2 + 1):
+        part = Form.zero(a.n)
+        for t in range((k - 2 * r) // 2 + 1):
+            part = part + lefschetz_power(lowered[r + t], t) * _decomposition_coefficient(
+                a.n - k, r, t)
+        if not part.is_zero():
+            parts[r] = part
+    return parts
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_few_term_forms_past_64_bit_masks_match_the_term_by_term_route(n):
+    """At n >= 32 the masks are Python ints and the blocks meet dzb_32 and
+    dzb_33, whose keys an int64 join would merge; the tables are built one
+    degree at a time, from the masks of that degree only."""
+    c = GaussRational(Fraction(1, 2), 3)
+    forms = [
+        Form.monomial(n, (1,), (1, n)),
+        Form.monomial(n, (1,), (1, n - 1)) + Form.monomial(n, (2,), (2, n), c),
+        Form.monomial(n, (1,), (1,), 2) - Form.monomial(n, (n,), (n,))
+        + Form.monomial(n, (3,), (4,)),
+        Form.monomial(n, (n - 1,), (n - 1, n)) - Form.monomial(n, (n,), (n - 1, n), c),
+        Form.monomial(n, (), (n - 1, n)),
+    ]
+    for a in forms:
+        k = a.degree()
+        assert dual_lefschetz(a) == _sparse_dual_lefschetz(a)
+        want = _sparse_decomposition(a, k)
+        assert primitive_decompose(a).parts == want
+        assert primitive_projection(a) == want.get(0, Form.zero(n))
+        assert recompose(primitive_decompose(a)) == a
+        assert all(_sparse_dual_lefschetz(part).is_zero() for part in want.values())
+    assert dual_lefschetz(forms[0]) == Form.monomial(n, (), (n,), GaussRational(0, -1))
 
 
 # ---- the closed-form tables against the composed construction -----------------
@@ -779,10 +840,22 @@ def _brute_block_sign(mono):
     return sign
 
 
+def _standard_tableaux(m, j):
+    """The standard tableaux of shape (m - j, j) on 0..m-1, each as its
+    columns of length two, (first-row entry, second-row entry); none
+    unless j <= m - j."""
+    if 2 * j > m:
+        return
+    for second in combinations(range(m), j):
+        first = [x for x in range(m) if x not in second]
+        if all(a < b for a, b in zip(first, second)):
+            yield zip(first, second)
+
+
 def _brute_primitive_table(n, k):
     """The polytabloid basis of each block, its signs from `_brute_block_sign`."""
-    rank, indices = _basis_rank(n, k), range(1, n + 1)
-    cols, rows, coefs, t = [], [], [], 0
+    rank = {mono: i for i, mono in enumerate(monomial_basis(n, k))}
+    indices, cols, rows, coefs, t = range(1, n + 1), [], [], [], 0
     for p in range(max(0, k - n), min(k, n) + 1):
         for j in range(min(p, k - p) + 1):
             for A in combinations(indices, p - j):
@@ -812,7 +885,7 @@ def test_the_closed_form_tables_are_the_composed_ones(n):
         got, want = _decomposition_tables(n, k), _composed_decomposition(n, k)
         assert [r for r, _ in got] == [r for r, _ in want]
         assert all(same_fields(a, b) for (_, a), (_, b) in zip(got, want)), k
-        projector = want[0][1] if k <= n else _compiled(n, k, k, {})
+        projector = want[0][1] if k <= n else compiled(n, k, k, {})
         assert same_fields(_projection_table(n, k), projector), k
         if k <= n:
             assert same_fields(_left_inverse_table(n, k), _composed_left_inverse(n, k)), k
