@@ -503,12 +503,13 @@ def _maxabs(*arrays: np.ndarray) -> int:
     return bound
 
 
-def _gaussian(re, im=None, objects: bool = False) -> np.ndarray:
+def _gaussian(re, im=None, objects: bool = False, bound: int | None = None) -> np.ndarray:
     """re + im*i from integer arrays or flat lists of one shape, im None for
-    0: complex128 if every part is below 2^53 and not objects, else objects."""
+    0: complex128 if every part is below 2^53 and not objects, else objects.
+    bound, when given, bounds every |re| and |im|, which are then not measured."""
     re, im = [v if isinstance(v, np.ndarray) else np.array(v, dtype=object)  # never float64
               for v in (re, np.zeros(np.shape(re), np.int64) if im is None else im)]
-    if not objects and _maxabs(re, im) < _EXACT_LIMIT:
+    if not objects and (_maxabs(re, im) if bound is None else bound) < _EXACT_LIMIT:
         out = np.empty(re.shape, np.complex128)
         out.real, out.imag = re, im
         return out
@@ -563,10 +564,12 @@ class Batch:
         if wrong:
             raise ValueError(f"{wrong[0].label()} is not of degree {k} at n={n}")
         ranks = _ranked(masks, np.array([_bits(n, mono)[0] for _, mono, _ in cells], masks.dtype))
-        re, im = [0] * (len(forms) * size), [0] * (len(forms) * size)
-        for (t, _, c), j in zip(cells, ranks.tolist()):
-            re[t * size + j], im[t * size + j] = c._x * (den // c._d), c._y * (den // c._d)
-        return cls(n, k, _gaussian(re, im).reshape(len(forms), size), den)
+        values = _gaussian([c._x * (den // c._d) for _, _, c in cells],
+                           [c._y * (den // c._d) for _, _, c in cells])
+        num = (np.zeros((len(forms), size), np.complex128) if values.dtype.kind == "c"
+               else np.full((len(forms), size), ZERO, object))
+        num[[t for t, _, _ in cells], ranks] = values
+        return cls(n, k, num, den)
 
     @classmethod
     def zero(cls, n: int, k: int, rows: int, den: int = 1) -> "Batch":
@@ -643,11 +646,9 @@ class Batch:
         """Row by row times a degree-0 batch of as many rows or of one row;
         a constant is a one-row one."""
         if not isinstance(scalar, Batch):
-            c = GaussRational._coerce(scalar)
-            if c is NotImplemented:
+            scalar = _constant(self.n, scalar)
+            if scalar is NotImplemented:
                 return NotImplemented
-            scalar = Batch(self.n, 0, _gaussian([c._x], [c._y]).reshape(1, 1), c._d,
-                           max(abs(c._x), abs(c._y)))
         elif (scalar.n, scalar.k) != (self.n, 0) or scalar.rows not in (1, self.rows):
             raise ValueError(f"batch mismatch: (n, k, rows) {(scalar.n, scalar.k, scalar.rows)} "
                              f"for a degree-0 factor of 1 or {self.rows} rows at n={self.n}")
@@ -684,6 +685,22 @@ class Batch:
                       for part in _parts(self.num)]
             num = (re * re + im * im).sum(axis=1, keepdims=True)
         return Batch(self.n, 0, num, self.den * self.den, bound)
+
+
+def _constant(n: int, c) -> Batch:
+    """An int, Fraction or GaussRational as a one-row degree-0 batch that
+    carries its bound, built directly while both parts are below 2^53;
+    NotImplemented for any other value."""
+    if isinstance(c, GaussRational):
+        x, y, d = c._x, c._y, c._d
+    elif isinstance(c, (int, Fraction)):
+        x, y, d = int(c.numerator), 0, int(c.denominator)
+    else:
+        return NotImplemented
+    bound = max(abs(x), abs(y))
+    num = (np.array([[complex(x, y)]]) if bound < _EXACT_LIMIT
+           else _gaussian([x], [y], objects=True).reshape(1, 1))
+    return Batch(n, 0, num, d, bound)
 
 
 def _bounded(rule: Callable[..., int], *batches: Batch) -> int:
@@ -759,8 +776,12 @@ def _reduced(n: int, table: Table, rows: int, pairs: Callable, den: int, bound: 
     rows.  The rows go through in chunks of at most _CHUNK_ENTRIES pair
     values (or of one row).  The output takes the tier of the sums,
     complex128 zeros when there are none; bound bounds every sum."""
-    out = np.zeros((rows, table.size), dtype=np.complex128)
     step = _CHUNK_ENTRIES // max(table.src.size, 1) or 1
+    if table.src.size and 0 < rows <= step and table.outputs.size == table.size:
+        # one chunk, every column an output: the sums are the batch
+        return Batch(n, table.k, np.add.reduceat(pairs(slice(None)), table.starts, axis=1),
+                     den, bound)
+    out = np.zeros((rows, table.size), dtype=np.complex128)
     cols = slice(None) if table.outputs.size == table.size else table.outputs  # 10x cheaper
     for start in range(0, rows if table.src.size else 0, step):
         chunk = slice(start, start + step)
@@ -842,10 +863,14 @@ def _combined(terms: Sequence[tuple[Rationalish, Table]]) -> Table:
 
 
 def _equal_tables(a: Table, b: Table) -> bool:
-    """Field by field, coefficients as integer parts in either tier; as
-    every table is reduced, exactly when the maps agree."""
-    return all(np.array_equal(x, y) for x, y in zip(_parts(a.coef), _parts(b.coef))) and all(
-        np.array_equal(x, y) for f, x, y in zip(a._fields, a, b) if f != "coef")
+    """Field by field, coefficients of one machine dtype as they are, else
+    as integer parts in either tier; as every table is reduced, exactly
+    when the maps agree."""
+    if a.coef.dtype == b.coef.dtype != object:
+        coefs = np.array_equal(a.coef, b.coef)
+    else:
+        coefs = all(np.array_equal(x, y) for x, y in zip(_parts(a.coef), _parts(b.coef)))
+    return coefs and all(np.array_equal(x, y) for f, x, y in zip(a._fields, a, b) if f != "coef")
 
 
 @lru_cache(maxsize=None)

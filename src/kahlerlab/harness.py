@@ -178,7 +178,7 @@ def _draw_degree(rng, rows: int, n: int, shapes, bound: int) -> list[Batch]:
     monomial would, however the rows are split into calls."""
     out, start, shapes = [], 0, [_columns(n, shape) for shape in shapes]
     drawn = rng.integers(-bound, bound + 1, (rows, 2 * sum(c.size for _, c in shapes)))
-    drawn = _gaussian(drawn[:, 0::2], drawn[:, 1::2])
+    drawn = _gaussian(drawn[:, 0::2], drawn[:, 1::2], bound=bound)
     for k, cols in shapes:
         num, start = drawn[:, start:start + cols.size], start + cols.size
         if cols.size < comb(2 * n, k):  # a bidegree: spread over the degree's monomials
@@ -221,8 +221,9 @@ def _equal(identity: str, inputs, lhs: Batch, rhs: Batch, scalar: bool = False) 
 def _less_equal(identity: str, inputs, lhs: Batch, rhs: Batch) -> Check:
     """lhs <= rhs, trial by trial, for real degree-0 batches: rhs - lhs has
     a nonnegative numerator over its positive denominator."""
-    gaps, _ = _parts((rhs - lhs).num)
-    return Check(identity, [gap >= 0 for gap in gaps[:, 0].tolist()], lambda t: (
+    gaps = (rhs - lhs).num[:, 0]
+    gaps = gaps.real if gaps.dtype != object else _parts(gaps)[0]
+    return Check(identity, (gaps >= 0).tolist(), lambda t: (
         _inputs_at(inputs, t), _side(lhs, t, True), _side(rhs, t, True)))
 
 
@@ -468,6 +469,12 @@ def _on_basis(identity: str, n: int, k: int, lhs: Table, rhs: Table,
         str(_images(n, lhs, count)[t]), str(_images(n, rhs, count)[t])))
 
 
+def _zero(table: Table) -> Table:
+    """The zero map between the degrees of table, with no pair."""
+    none = table.src[:0]
+    return table._replace(src=none, coef=table.coef[:0], starts=none, outputs=none, den=1, gain=0)
+
+
 def _scalar(n: int, k: int, c: int | Fraction) -> Table:
     """c times the identity on degree k."""
     c, ids = Fraction(c), np.arange(comb(2 * n, k))
@@ -574,7 +581,7 @@ def check_lefschetz_structure(n: int, trials: int, rspec: RandomSpec) -> SuiteRe
         certificates.append(_certified(f"primitive-kernel-dimension[k={k}]", at, kernel))
         _record(rec, certificates)
         _record(rec, [_on_basis(f"primitive-kernel-member[k={k}]", n, k, killer,
-                                _combined([(0, killer)]), at)])
+                                _zero(killer), at)])
     for k in range(2, 2 * n + 1):
         # star^-1 o L o star, with star^-1 = (-1)^k star on degree 2n - k + 2
         route = _chain(n, k, (_star_table,), (_power_table, 1), (_star_table,),
@@ -695,10 +702,10 @@ _SWEEPS: dict[str, Callable[..., SuiteReport]] = {
 
 SUITES = tuple(_SWEEPS)
 
-# A wedge pair `federer` caches holds 17 bytes (int64 src and left, an int8
-# sign), counted as 24; a run whose pairs need more than the budget is
-# refused before any suite starts.
-_BYTES_PER_WEDGE_PAIR = 24
+# A wedge pair `federer` caches holds 17 bytes: int64 src and left, an int8
+# sign.  A run whose pairs need more than the budget is refused before any
+# suite starts.
+_BYTES_PER_WEDGE_PAIR = 17
 _MEMORY_BUDGET = 8 << 30
 
 

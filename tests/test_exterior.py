@@ -7,6 +7,7 @@ concatenation sort.
 
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, lcm
 
@@ -25,6 +26,7 @@ from kahlerlab.exterior import (
     _combined,
     _composed,
     _conjugation_table,
+    _constant,
     _equal_tables,
     _gaussian,
     _masks,
@@ -749,6 +751,35 @@ def test_batch_of_puts_every_row_over_the_least_common_denominator():
     assert Batch.of(n, k, []).den == 1 and Batch.of(n, k, [Form.zero(n)]).den == 1
 
 
+def _listed(n: int, k: int, forms) -> tuple[np.ndarray, int]:
+    """The numerators and denominator of Batch.of as first built: two
+    lists of every numerator, zeros included, ranked through a
+    {monomial: index} dict, in the tier the whole lists take."""
+    size, rank = _size(n, k), {mono: j for j, mono in enumerate(monomial_basis(n, k))}
+    den = lcm(1, *(c._d for form in forms for c in form.terms.values()))
+    re, im = [0] * (len(forms) * size), [0] * (len(forms) * size)
+    for t, form in enumerate(forms):
+        for mono, c in form.terms.items():
+            re[t * size + rank[mono]] = c._x * (den // c._d)
+            im[t * size + rank[mono]] = c._y * (den // c._d)
+    return _gaussian(re, im).reshape(len(forms), size), den
+
+
+def test_batch_of_matches_the_listed_construction_on_mixed_denominators():
+    rnd = random.Random(61)
+    for n, k in ((1, 1), (2, 2), (3, 2), (3, 4)):
+        rows = _rational_rows(rnd, n, k, dens=(1, 2, 3, 5))
+        mixed = [_drawn_form(rnd, n, [k], bound=4, dens=(1, 2, 3, 7)) for _ in range(3)]
+        big = [mixed[0] + Form.monomial(n, *monomial_basis(n, k)[-1],
+                                        GaussRational(2 ** 53 + 1, Fraction(-(2 ** 60), 3)))]
+        for forms in (rows, mixed, big, mixed[:1], [Form.zero(n)], []):
+            got, (num, den) = Batch.of(n, k, forms), _listed(n, k, forms)
+            assert got.den == den and got.num.dtype == num.dtype and got.num.shape == num.shape
+            assert [part.tolist() for part in _parts(got.num)] == [
+                part.tolist() for part in _parts(num)]
+            assert got.num.dtype == (object if forms is big else np.complex128)
+
+
 # ---- table algebra against pushing the identity through the tables -----------
 
 
@@ -964,6 +995,20 @@ def _exact(result):
     return result.tolist() if isinstance(result, np.ndarray) else result
 
 
+@contextmanager
+def _python_ints():
+    """Both tier limits at 0, so every array an operation makes holds
+    objects: the Python-int reference path."""
+    from kahlerlab import exterior
+
+    limits = exterior._EXACT_LIMIT, exterior._INT64_LIMIT
+    exterior._EXACT_LIMIT = exterior._INT64_LIMIT = 0
+    try:
+        yield
+    finally:
+        exterior._EXACT_LIMIT, exterior._INT64_LIMIT = limits
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
@@ -973,8 +1018,6 @@ def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
     lands in complex128 only under a bound below 2^53, and always when its
     operands are small; in int64 only as a batch of real values under a
     bound below 2^63."""
-    from kahlerlab import exterior
-
     n = data.draw(st.integers(1, 2))
     k, rows = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(1, 3))
     kc = data.draw(st.integers(0, 2 * n - k))
@@ -1000,12 +1043,8 @@ def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
         _maxabs(table.coef), _maxabs(other.coef), abs(constant._x), abs(constant._y)) < 2 ** 20
     for name, op in ops.items():
         got = op()
-        limits = exterior._EXACT_LIMIT, exterior._INT64_LIMIT
-        exterior._EXACT_LIMIT = exterior._INT64_LIMIT = 0
-        try:
+        with _python_ints():
             want = op()
-        finally:
-            exterior._EXACT_LIMIT, exterior._INT64_LIMIT = limits
         assert _exact(got) == _exact(want), name
         if isinstance(got, (Batch, Table)):
             coef = got.num if isinstance(got, Batch) else got.coef
@@ -1022,6 +1061,60 @@ def test_the_fast_tier_matches_the_python_int_tier_bit_for_bit(data):
                 assert bound < 2 ** 63 and not small, name
             else:
                 assert coef.dtype == object and not small, name
+
+
+_CONSTANTS = st.one_of(
+    _AT_THE_LIMIT,
+    st.builds(Fraction, _AT_THE_LIMIT, st.sampled_from([1, 3, 2 ** 53 + 1])),
+    st.builds(GaussRational, _AT_THE_LIMIT.map(lambda v: Fraction(v, 6)), _AT_THE_LIMIT),
+)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_constant_products_match_the_python_int_tier_bit_for_bit(data):
+    """A batch times an int, Fraction or GaussRational, from either side,
+    with parts either side of 2^53: the factor is complex128 exactly when
+    both its parts are below 2^53, and the product is the one every array
+    forced to Python ints gives."""
+    n = data.draw(st.integers(1, 2))
+    k, rows = data.draw(st.integers(0, 2 * n)), data.draw(st.integers(1, 3))
+    values = data.draw(st.sampled_from([st.integers(-3, 3), _AT_THE_LIMIT]))
+    a, c = data.draw(limit_batches(n, k, rows, values)), data.draw(_CONSTANTS)
+    x = GaussRational._coerce(c)
+    factor = _constant(n, c)
+    assert (factor.den, _exact(factor)[3]) == (x._d, [[[x._x]], [[x._y]]])
+    assert factor.num.dtype == (np.complex128 if max(abs(x._x), abs(x._y)) < 2 ** 53 else object)
+    for product in (lambda: a * c, lambda: c * a):
+        got = product()
+        with _python_ints():
+            assert _constant(n, c).num.dtype == object
+            want = product()
+        assert _exact(got) == _exact(want)
+        assert got._bound() >= _maxabs(got.num)
+
+
+def test_the_python_int_path_reaches_draws_constants_tables_and_batch_of():
+    """With both tier limits at 0, every fast path reads them at call time:
+    a draw, a constant factor and its product, a table application and
+    Batch.of all hold objects."""
+    from kahlerlab.harness import _draw_degree
+
+    n = 3
+    with _python_ints():
+        drawn = _draw_degree(np.random.default_rng(3), 2, n, [2, (1, 1), 0], 3)
+        a = drawn[0]
+        made = {
+            **{f"draw {b.k}": b for b in drawn},
+            **{f"constant {c!r}": _constant(n, c) for c in (6, Fraction(1, 3), GaussRational(1, 2))},
+            "product": a * 6, "rational product": Fraction(1, 3) * a,
+            "Gaussian product": a * GaussRational(1, 2),
+            "L": _power_table(n, 2, 1)(a), "Lambda": _dual_lefschetz_table(n, 2)(a),
+            "star": _star_table(n, 2)(a), "wedge": a.wedge(drawn[1]),
+            "of": Batch.of(n, 2, [a.form(0), a.form(1)]),
+        }
+    for name, batch in made.items():
+        assert batch.num.dtype == object, name
 
 
 def test_a_chain_whose_carried_bound_passes_int64_still_computes_in_int64():

@@ -927,6 +927,6 @@ def test_runs_beyond_the_memory_budget_are_refused_up_front(monkeypatch):
     monkeypatch.setattr(harness, "_Recorder", unreachable)
     for run in (lambda: run_all(10, 1, RandomSpec()),
                 lambda: run_suite("federer", 10, 1, RandomSpec())):
-        with pytest.raises(ValueError, match=r"1,932,081,885 wedge pairs, about 43\.2 GiB"):
+        with pytest.raises(ValueError, match=r"1,932,081,885 wedge pairs, about 30\.6 GiB at 17 bytes each"):
             run()
-    harness._refuse_infeasible(SUITES, 9)  # 216 M pairs, 4.8 GiB: within the budget
+    harness._refuse_infeasible(SUITES, 9)  # 216 M pairs, 3.4 GiB: within the budget

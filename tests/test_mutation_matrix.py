@@ -5,12 +5,16 @@ returns (of a product table: doubles it, and the table's gain), patched in
 every module that binds the builder, and runs every suite at n = 2 and 3
 with 2 trials.  The identities that fail are pinned per builder, so a
 change that stops a check from reading an operator, or a check that only
-restates its own inputs, shows up as a changed set.
+restates its own inputs, shows up as a changed set.  The batch kernels get
+mutants of their own: the constant factor of `Batch.__mul__`, the sums of
+`_reduced`, and the tier choice of `_cast` and `_gaussian`, the last two
+run with coefficients whose products pass 2^53.
 """
 
 import pytest
 
 from kahlerlab import exterior, harness, kaehler
+from kahlerlab.exterior import Batch
 from kahlerlab.harness import RandomSpec, run_all
 
 # The identities (without their parameter tags) that fail under each mutant.
@@ -50,11 +54,32 @@ _CAUGHT_BY = {
     "_wedge_table": {"bilinear-relation", "binomial-bound", "simple-bound"},
 }
 
+# The identities that fail under each kernel mutant, with the coefficient
+# bound of its run.  No suite hands `_gaussian` parts of 2^53 or more without
+# asking for objects, and a draw rounded into complex128 is another exact
+# form on which every identity holds, so no suite catches the raised limit;
+# the tier tests of test_exterior do.
+_KERNEL_CAUGHT_BY = {
+    "_constant": (3, {
+        "bilinear-relation", "binomial-bound", "commutator", "double-star", "norm-expansion",
+        "polarization-expansion", "power-scaling", "subtop-power-expansion",
+        "subtop-power-upper", "top-power-expansion", "top-power-upper",
+    }),
+    "_reduced": (3, {
+        "adjointness", "bilinear-relation", "commutator", "decomposition-parts-primitive",
+        "decomposition-round-trip", "double-star", "power-vanishing",
+    }),
+    "_cast": (10 ** 12, {
+        "adjointness", "bilinear-relation", "norm-expansion", "polarization-expansion",
+        "power-scaling", "subtop-power-expansion", "top-power-expansion",
+    }),
+    "_gaussian": (2 ** 62, set()),
+}
+
 # The identities no mutant above reaches: the dimension counts, and the
-# Prop 3.3 inequalities, which one flipped sign leaves true.
+# Prop 3.3 lower bounds, which one flipped sign leaves true.
 _UNREACHED = {
-    "primitive-dimension", "primitive-dimension-formula",
-    "top-power-lower", "top-power-upper", "subtop-power-lower", "subtop-power-upper",
+    "primitive-dimension", "primitive-dimension-formula", "top-power-lower", "subtop-power-lower",
 }
 
 
@@ -83,19 +108,76 @@ def _doubled(builder):
 _MUTANTS = {"_wedge_table": _doubled}
 
 
-def _failing() -> set[str]:
+def _negated_constant(constant):
+    """Every constant factor of a batch product with its sign flipped."""
+    def mutant(n, c):
+        out = constant(n, c)
+        return out if out is NotImplemented else Batch(n, 0, -out.num, out.den, out._max)
+    return mutant
+
+
+def _flipped_sums(reduced):
+    """The sums of the middle output column of every table application and
+    batch product with their sign flipped."""
+    def mutant(n, table, *args):
+        out = reduced(n, table, *args)
+        if not table.outputs.size:
+            return out
+        middle, num = table.outputs[table.outputs.size // 2], out.num.copy()
+        num[:, middle] = -num[:, middle]
+        return Batch(out.n, out.k, num, out.den, out._max)
+    return mutant
+
+
+def _unbounded_cast(cast):
+    """The tier chosen as if every bound were 0: complex128 operands stay
+    complex128, and round, past 2^53."""
+    return lambda bound, *arrays: cast(0, *arrays)
+
+
+def _raised_limit(gaussian):
+    """Parts not asked for as objects made complex128 below 2^64, not 2^53."""
+    def mutant(*args, **kwargs):
+        limit, exterior._EXACT_LIMIT = exterior._EXACT_LIMIT, 2 ** 64
+        try:
+            return gaussian(*args, **kwargs)
+        finally:
+            exterior._EXACT_LIMIT = limit
+    return mutant
+
+
+_KERNEL_MUTANTS = {"_constant": _negated_constant, "_reduced": _flipped_sums,
+                   "_cast": _unbounded_cast, "_gaussian": _raised_limit}
+
+
+def _failing(coeff_bound: int = 3) -> set[str]:
     return {failure.identity.split("[")[0] for n in (2, 3)
-            for report in run_all(n, 2, RandomSpec(seed=42)) for failure in report.failures}
+            for report in run_all(n, 2, RandomSpec(seed=42, coeff_bound=coeff_bound))
+            for failure in report.failures}
+
+
+def _patch(monkeypatch, name: str, mutant) -> None:
+    """name replaced by mutant(original) in every module that binds it."""
+    original = getattr(kaehler, name, None) or getattr(exterior, name)
+    for module in (exterior, kaehler, harness):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutant(original))
 
 
 @pytest.mark.parametrize("builder", list(_CAUGHT_BY))
 def test_each_table_builder_is_caught_by_its_pinned_identities(
         monkeypatch, fresh_caches, builder):
-    original = getattr(kaehler, builder, None) or getattr(exterior, builder)
-    for module in (exterior, kaehler, harness):
-        if getattr(module, builder, None) is original:
-            monkeypatch.setattr(module, builder, _MUTANTS.get(builder, _flipped)(original))
+    _patch(monkeypatch, builder, _MUTANTS.get(builder, _flipped))
     assert _failing() == _CAUGHT_BY[builder]
+
+
+# a rounded value past 2^63 cast to int64 warns; the wrong verdicts are the point
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kernel", list(_KERNEL_CAUGHT_BY))
+def test_each_batch_kernel_is_caught_by_its_pinned_identities(monkeypatch, fresh_caches, kernel):
+    coeff_bound, caught = _KERNEL_CAUGHT_BY[kernel]
+    _patch(monkeypatch, kernel, _KERNEL_MUTANTS[kernel])
+    assert _failing(coeff_bound) == caught
 
 
 def test_the_unreached_identities_are_the_rest_of_the_sweep(monkeypatch):
@@ -107,5 +189,6 @@ def test_the_unreached_identities_are_the_rest_of_the_sweep(monkeypatch):
 
     monkeypatch.setattr(harness._Recorder, "equal", counting)
     assert not _failing()
-    caught = set().union(*_CAUGHT_BY.values())
+    assert not any(_failing(coeff_bound) for coeff_bound, _ in _KERNEL_CAUGHT_BY.values())
+    caught = set().union(*_CAUGHT_BY.values(), *(ids for _, ids in _KERNEL_CAUGHT_BY.values()))
     assert seen - caught == _UNREACHED
